@@ -2,10 +2,13 @@
 The Kauffman bracket as an independent oracle
 =============================================
 
-The bracket polynomial is computed by brute force over all 2^c smoothings
-with exact integer coefficients.  Its top-end coefficients verify the rest
-of the pipeline: for adequate diagrams the top coefficient is +-1 and the
-penultimate one equals 1 + (edges - vertices) of the reduced state graph.
+The bracket polynomial is computed exactly, with integer coefficients, by
+one sweep down the braid that merges partial smoothings with the same
+Temperley-Lieb matching: O(c * Catalan(n) * degree span) work for c
+crossings on n strands, with a default cap of 100 crossings.  Its top-end
+coefficients verify the rest of the pipeline: for adequate diagrams the top
+coefficient is +-1 and the penultimate one equals 1 + (edges - vertices) of
+the reduced state graph.
 """
 
 from braidvol.bracket import kauffman_bracket, stable_penultimate_coefficient

@@ -74,10 +74,13 @@ class VolumeBounds:
     def __post_init__(self) -> None:
         echoed = {key: self.inputs.get(key) for key in _INPUT_KEYS}
         object.__setattr__(self, "inputs", echoed)
-        if self.lower > 0:
-            assert self.lower <= self.upper, (self.lower, self.upper)
+        if self.lower > 0 and self.lower > self.upper:
+            raise OracleError(f"lower bound {self.lower} > upper {self.upper}")
         if self.lower_weak is not None and self.lower > 0:
-            assert self.lower_weak <= self.lower + 1e-12
+            if self.lower_weak > self.lower + 1e-12:
+                raise OracleError(
+                    f"weak lower bound {self.lower_weak} > lower {self.lower}"
+                )
 
     @property
     def effective_lower(self) -> float:

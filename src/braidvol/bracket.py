@@ -1,6 +1,6 @@
-"""Brute-force Kauffman bracket of a closed-braid diagram.
+"""Exact Kauffman bracket of a closed-braid diagram.
 
-The bracket is the state sum over all 2^c smoothing assignments,
+The bracket is the state sum over all smoothing assignments,
 
     <D> = sum over states  A^(a-b) * delta^(loops - 1),   delta = -A^2 - A^(-2),
 
@@ -9,16 +9,17 @@ of circles the smoothing leaves.  A positive letter's A-smoothing lets both
 strands pass straight through; a negative letter's A-smoothing joins them in
 a cap and a cup; B-smoothings are the other way around.
 
-The closure pattern of the diagram away from the crossing boxes never
-changes, so it is precomputed as a fixed perfect matching on the 4c crossing
-terminals; each state only picks one of two pairings inside every box, and
-loops are counted by walking the alternating cycles.  Coefficients are exact
-Python integers throughout.
+The sum is never expanded state by state.  ``kauffman_bracket`` sweeps down
+the braid one letter at a time in the Temperley-Lieb picture (Kauffman,
+"State models and the Jones polynomial", Topology 26, 1987): partial states
+with the same non-crossing matching of the boundary points are merged, so
+the cost is O(c * Catalan(n) * degree span) rather than exponential in c.
+Coefficients are exact Python integers throughout.
 
 This module exists to cross-check the penultimate-coefficient identity
 |coeff(top - 4)| = 1 + (e' - v) of the reduced state graph on A-adequate
-diagrams, so it favors transparency over speed: the only shortcut is the
-precomputed matching.  Anything past ~20 crossings is refused.
+diagrams.  Diagrams above ``DEFAULT_MAX_CROSSINGS`` (100) crossings are
+refused unless the caller raises the cap.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ __all__ = [
     "DEFAULT_MAX_CROSSINGS",
 ]
 
-DEFAULT_MAX_CROSSINGS = 20
+DEFAULT_MAX_CROSSINGS = 100
 
 
 @dataclass(frozen=True)
@@ -148,49 +149,25 @@ class BracketSummary:
         }
 
 
-_PASS = (2, 3, 0, 1)  # terminal partner under the straight-through pairing
-_JOIN = (1, 0, 3, 2)  # terminal partner under the cap/cup pairing
+def _times_delta(poly: dict[int, int]) -> dict[int, int]:
+    """``poly * delta`` with delta = -A^2 - A^(-2)."""
+    out: dict[int, int] = {}
+    for d, coef in poly.items():
+        out[d + 2] = out.get(d + 2, 0) - coef
+        out[d - 2] = out.get(d - 2, 0) - coef
+    return out
 
 
-def _fixed_matching(word: SyllableWord) -> tuple[list[int], int]:
-    """Partner array over the 4c crossing terminals, plus free-column loops.
-
-    Terminals of crossing i are 4i..4i+3 = (top-left, top-right, bottom-left,
-    bottom-right).  The matching follows the strands between boxes and around
-    the closure; columns no crossing touches close into standalone circles
-    counted separately.
-    """
-    n = word.n
-    letters = word.letters
-    partner = [-1] * (4 * len(letters))
-    carrier: list[int | None] = [None] * (n + 1)  # 1-based columns
-    first_touch: list[int | None] = [None] * (n + 1)
-
-    def attach(col: int, terminal: int) -> None:
-        held = carrier[col]
-        if held is None:
-            first_touch[col] = terminal
-        else:
-            partner[held] = terminal
-            partner[terminal] = held
-
-    for i, g in enumerate(letters):
-        col = abs(g)
-        attach(col, 4 * i)
-        attach(col + 1, 4 * i + 1)
-        carrier[col] = 4 * i + 2
-        carrier[col + 1] = 4 * i + 3
-
-    free_loops = 0
-    for col in range(1, n + 1):
-        held = carrier[col]
-        if held is None:
-            free_loops += 1
-            continue
-        top = first_touch[col]
-        partner[held] = top
-        partner[top] = held
-    return partner, free_loops
+def _accumulate(
+    into: dict[tuple[int, ...], dict[int, int]],
+    matching: tuple[int, ...],
+    poly: dict[int, int],
+    shift: int,
+) -> None:
+    """Add ``poly * A^shift`` to the entry of ``matching``."""
+    acc = into.setdefault(matching, {})
+    for d, coef in poly.items():
+        acc[d + shift] = acc.get(d + shift, 0) + coef
 
 
 def kauffman_bracket(
@@ -198,58 +175,64 @@ def kauffman_bracket(
 ) -> LaurentPolynomial:
     """The Kauffman bracket of the closure of ``word``, exactly.
 
-    Every state is enumerated, so the crossing count is capped hard.
+    One sweep down the braid in the Temperley-Lieb picture.  Boundary points
+    0..n-1 sit on top and n..2n-1 at the current bottom; the state maps each
+    non-crossing matching of these points to its Laurent coefficients.
+    Each letter sigma_g smooths two ways:
+
+    * pass: both strands go straight through, the matching is unchanged;
+    * join: cap bottom points g and g+1 -- if they were partners a loop
+      closes (times delta), otherwise their partners are spliced -- then
+      cup the two new bottom points together.
+
+    A positive letter's A-smoothing is the pass and a negative letter's the
+    join; the A-smoothing weighs A and the B-smoothing A^(-1).  Closing the
+    braid joins top point i to bottom point i, and k closure cycles weigh
+    delta^(k-1).  At most Catalan(n) matchings are alive at a time, so the
+    cost is O(c * Catalan(n) * degree span); diagrams above
+    ``max_crossings`` are refused all the same.
     """
     c = word.crossings
     if c > max_crossings:
         raise CrossingLimitError(c, max_crossings)
-    letters = word.letters
-    partner, free_loops = _fixed_matching(word)
+    n = word.n
+    identity = tuple(range(n, 2 * n)) + tuple(range(n))
+    states: dict[tuple[int, ...], dict[int, int]] = {identity: {0: 1}}
+    for g in word.letters:
+        pass_shift = 1 if g > 0 else -1  # the A-smoothing weighs A^+1
+        left, right = n + abs(g) - 1, n + abs(g)
+        swept: dict[tuple[int, ...], dict[int, int]] = {}
+        for matching, poly in states.items():
+            _accumulate(swept, matching, poly, pass_shift)
+            if matching[left] == right:
+                _accumulate(swept, matching, _times_delta(poly), -pass_shift)
+                continue
+            joined = list(matching)
+            x, y = matching[left], matching[right]
+            joined[x], joined[y] = y, x
+            joined[left], joined[right] = right, left
+            _accumulate(swept, tuple(joined), poly, -pass_shift)
+        states = swept
 
-    # pairing option inside box i for the A-smoothing: 0 = pass, 1 = join
-    a_option = [0 if g > 0 else 1 for g in letters]
-    tables = (_PASS, _JOIN)
-    total_nodes = 4 * c
-    # jump[k][u]: follow the strand from u, then take the A-pairing (k = 0)
-    # or B-pairing (k = 1) at the box we land in; pbox[u] is that box
-    pbox = [partner[u] >> 2 for u in range(total_nodes)]
-    jump = (
-        [
-            (pbox[u] << 2) | tables[a_option[pbox[u]]][partner[u] & 3]
-            for u in range(total_nodes)
-        ],
-        [
-            (pbox[u] << 2) | tables[a_option[pbox[u]] ^ 1][partner[u] & 3]
-            for u in range(total_nodes)
-        ],
-    )
-
-    counts: dict[tuple[int, int], int] = {}
-    for mask in range(1 << c):
-        visited = bytearray(total_nodes)
+    total: dict[int, int] = {}
+    for matching, poly in states.items():
+        seen = bytearray(2 * n)
         cycles = 0
-        for start in range(total_nodes):
-            if visited[start]:
+        for start in range(n):
+            if seen[start]:
                 continue
             cycles += 1
-            node = start
-            while not visited[node]:
-                visited[node] = 1
-                visited[partner[node]] = 1
-                node = jump[(mask >> pbox[node]) & 1][node]
-        b = mask.bit_count()
-        key = (b, cycles + free_loops)
-        counts[key] = counts.get(key, 0) + 1
-
-    delta = LaurentPolynomial.from_dict({2: -1, -2: -1})
-    delta_powers = [LaurentPolynomial.one()]
-    bracket = LaurentPolynomial.zero()
-    for (b, loops), count in sorted(counts.items()):
-        while len(delta_powers) <= loops - 1:
-            delta_powers.append(delta_powers[-1] * delta)
-        term = delta_powers[loops - 1].scaled(count)
-        bracket = bracket + LaurentPolynomial.monomial(c - 2 * b) * term
-    return bracket
+            point = start
+            while not seen[point]:
+                seen[point] = 1
+                end = matching[point]
+                seen[end] = 1
+                point = end - n if end >= n else end + n
+        for _ in range(cycles - 1):
+            poly = _times_delta(poly)
+        for d, coef in poly.items():
+            total[d] = total.get(d, 0) + coef
+    return LaurentPolynomial.from_dict(total)
 
 
 def stable_penultimate_coefficient(

@@ -11,8 +11,10 @@ Subcommands::
     state     circle census and per-circle detail, optional SVG
     check     family-membership gate query (exit 0 pass / 3 fail)
 
-Exit codes: 0 success; 1 an identity check failed; 2 parse or usage
-error; 3 precondition gate (family checker, crossing cap, strand count).
+Exit codes: 0 success; 1 an identity check failed, an internal check
+failed (``OracleError``: a bug, not bad input) or a file could not be read;
+2 parse or usage error; 3 precondition gate (family checker, crossing cap,
+strand count).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .bracket import (
     kauffman_bracket,
     stable_penultimate_coefficient,
 )
-from .errors import BraidSyntaxError, PreconditionError
+from .errors import BraidSyntaxError, OracleError, PreconditionError
 from .families import check_main_lemma, stoimenow_A_adequate_3braid
 from .generate import GeneratorSpec, generate_words
 from .render import render_state_svg
@@ -350,6 +352,9 @@ def main(argv: list[str] | None = None) -> int:
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except OracleError as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto its exit codes: syntax problems exit 2, violated
-preconditions (gates, caps, infeasible generator specs) exit 3.
+preconditions (gates, caps, infeasible generator specs) exit 3, and a failed
+internal check (``OracleError``) exits 1 with "internal check failed".
 """
 
 from __future__ import annotations

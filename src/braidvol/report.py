@@ -54,11 +54,12 @@ def analyze(
 ) -> dict:
     """Full analysis report for one word.
 
-    ``bracket`` opts into the exponential-time state-sum oracle (refused
-    above ``max_crossings``).  ``assume_prime`` lets the generic volume
-    bounds run on words outside the checked family when the direct diagram
-    checks (adequacy, two-edge-loop, connectivity, t >= 2) all hold but
-    primeness has to be taken on faith.
+    ``bracket`` opts into the Kauffman-bracket oracle, a Temperley-Lieb
+    sweep of cost O(c * Catalan(n) * degree span), refused above
+    ``max_crossings`` (default 100).  ``assume_prime`` lets the generic
+    volume bounds run on words outside the checked family when the direct
+    diagram checks (adequacy, two-edge-loop, connectivity, t >= 2) all hold
+    but primeness has to be taken on faith.
     """
     state = classify_circles(resolve_all_A(word))
     graph = reduced_graph(state)

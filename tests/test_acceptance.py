@@ -202,6 +202,27 @@ def test_criterion_6_bracket_oracle_identity():
     assert time.monotonic() - start < 120.0
 
 
+@pytest.mark.parametrize(
+    "n, syllable_counts", [(3, (4, 6, 10, 16, 20)), (4, (6, 10, 16)), (5, (8, 12))]
+)
+def test_criterion_6_bracket_identity_at_generator_sizes(n, syllable_counts):
+    start = time.monotonic()
+    crossings = []
+    for syllables in syllable_counts:
+        spec = GeneratorSpec(n=n, syllable_count=syllables, seed=syllables, count=6)
+        for word in generate_words(spec):
+            if not 21 <= word.crossings <= 100:
+                continue
+            crossings.append(word.crossings)
+            graph = reduced_graph(resolve_all_A(word))
+            summary = stable_penultimate_coefficient(word)
+            assert abs(summary.top_coefficient) == 1
+            assert summary.penultimate_abs == 1 + graph.neg_chi
+    assert len(crossings) >= 10
+    assert min(crossings) < 40 and max(crossings) > 60
+    assert time.monotonic() - start < 30.0
+
+
 def test_criterion_7_constants_and_crossover():
     start = time.monotonic()
     assert int(V8 * 10**4) == 36638

@@ -10,6 +10,7 @@ from braidvol.bounds import (
     V3,
     V8,
     BoundCase,
+    VolumeBounds,
     cor_bounds,
     jones_bounds,
     s_crossover,
@@ -17,7 +18,7 @@ from braidvol.bounds import (
     turaev_genus_bounds,
     volume_bounds,
 )
-from braidvol.errors import PreconditionError
+from braidvol.errors import OracleError, PreconditionError
 from braidvol.families import check_main_lemma
 from braidvol.generate import GeneratorSpec, generate_words
 from braidvol.states import classify_circles, reduced_graph, resolve_all_A
@@ -149,6 +150,15 @@ def test_volume_bounds_reports_raw_nonpositive_values():
     assert abs(b.lower - 3 * V8) < TOL
     assert b.lower_weak == 0.0
     assert b.effective_lower == b.lower
+
+
+def test_volume_bounds_ordering_is_checked_by_raising():
+    # an explicit raise, not an assert, so the check survives python -O
+    with pytest.raises(OracleError):
+        VolumeBounds(BoundCase.N3, lower=2.0, upper=1.0)
+    with pytest.raises(OracleError):
+        VolumeBounds(BoundCase.N3, lower=1.0, upper=2.0, lower_weak=1.5)
+    assert VolumeBounds(BoundCase.N3, lower=-1.0, upper=-2.0).effective_lower == 0.0
 
 
 def test_volume_bounds_gate_failure():

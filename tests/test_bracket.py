@@ -1,7 +1,7 @@
 """Kauffman bracket state sum and the stable penultimate coefficient.
 
 The reference oracle here is deliberately a different algorithm from the
-package's mask enumeration: a two-term skein recursion that resolves one
+package's Temperley-Lieb sweep: a two-term skein recursion that resolves one
 crossing at a time into an event list of cap/cup merges, counting leaf
 circles with a strand simulator.  Agreement between the two on every word
 is the real test; the literal pins are hand computations.
@@ -131,8 +131,8 @@ def test_trefoil_mirror_pair():
 
 def test_crossing_cap():
     with pytest.raises(CrossingLimitError) as info:
-        kauffman_bracket(ladder(4))
-    assert "20" in str(info.value)
+        kauffman_bracket(ladder(17))  # 102 crossings
+    assert "100" in str(info.value)
     assert kauffman_bracket(ladder(2), max_crossings=12) is not None
 
 
@@ -151,7 +151,7 @@ def test_penultimate_requires_adequacy():
 
 
 def test_default_cap_matches_module_constant():
-    assert DEFAULT_MAX_CROSSINGS == 20
+    assert DEFAULT_MAX_CROSSINGS == 100
 
 
 def test_polynomial_plumbing():
@@ -166,9 +166,16 @@ def test_polynomial_plumbing():
 
 # --- oracle agreement and structure ---------------------------------------
 
-small_word_st = st.lists(
-    st.sampled_from([1, -1, 2, -2, 3, -3]), min_size=0, max_size=8
-).map(lambda letters: cyclically_reduce_into_syllables(BraidWord(4, tuple(letters))))
+def _words_on(n):
+    """Words of up to 10 letters on n strands (one strand has no letters)."""
+    letters = [s * g for g in range(1, n) for s in (1, -1)]
+    draws = st.lists(st.sampled_from(letters), max_size=10) if letters else st.just([])
+    return draws.map(
+        lambda word: cyclically_reduce_into_syllables(BraidWord(n, tuple(word)))
+    )
+
+
+small_word_st = st.integers(min_value=1, max_value=6).flatmap(_words_on)
 
 
 @given(small_word_st)

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from braidvol import cli
+from braidvol.errors import OracleError
 from braidvol.report import VerifyCheck, VerifyResult
 
 GOLDENS = Path(__file__).parent / "goldens"
@@ -99,6 +100,18 @@ def test_verify_exit_code_1_when_an_identity_fails(capsys, monkeypatch):
     code, out, _ = run(capsys, ["verify", "s1^-3 s2^-3 s1^-3 s2^-3"])
     assert code == 1
     assert "FAIL" in out
+
+
+def test_internal_check_failure_exits_1_without_traceback(capsys, monkeypatch):
+    # a library bug must not look like bad input (2) or a gate (3)
+    def broken(word, max_crossings):
+        raise OracleError("forced")
+
+    monkeypatch.setattr(cli, "verify", broken)
+    code, out, err = run(capsys, ["verify", "s1^-3 s2^-3 s1^-3 s2^-3"])
+    assert code == 1
+    assert out == ""
+    assert err == "error: internal check failed: forced\n"
 
 
 def test_batch_processes_comments_blanks_and_errors(capsys, tmp_path):

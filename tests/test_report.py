@@ -150,9 +150,10 @@ def test_verify_on_wide_word_drops_three_strand_checks():
 
 
 def test_verify_skips_bracket_above_the_cap():
-    result = verify(ladder(4))  # 24 crossings > default cap
+    result = verify(ladder(17))  # 102 crossings > default cap
     assert "bracket_oracle" not in [c.name for c in result.checks]
     assert result.passed is True
+    assert "bracket_oracle" in [c.name for c in verify(ladder(4)).checks]
     trimmed = verify(ladder(2), max_crossings=10)  # cap below 12 crossings
     assert "bracket_oracle" not in [c.name for c in trimmed.checks]
 
