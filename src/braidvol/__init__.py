@@ -47,6 +47,7 @@ from .schreier import (
     conjugate_3braids,
     direct_read_k,
     direct_read_s,
+    hyperbolicity_of_form,
     is_generic,
     is_hyperbolic_closure_3braid,
     normalize_xy,
@@ -117,6 +118,7 @@ __all__ = [
     "direct_read_s",
     "exponent_sum",
     "generate_words",
+    "hyperbolicity_of_form",
     "is_A_adequate",
     "is_connected_closure",
     "is_generic",

@@ -14,7 +14,8 @@ Subcommands::
 Exit codes: 0 success; 1 an identity check failed, an internal check
 failed (``OracleError``: a bug, not bad input) or a file could not be read;
 2 parse or usage error; 3 precondition gate (family checker, crossing cap,
-strand count).
+strand count, input limits).  ``batch`` reports a failed line as an error
+row whose ``error_kind`` is syntax, precondition, oracle or internal.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from .errors import BraidSyntaxError, OracleError, PreconditionError
 from .families import check_main_lemma, stoimenow_A_adequate_3braid
 from .generate import GeneratorSpec, generate_words
 from .render import render_state_svg
-from .report import SCHEMA, analyze, verify
+from .report import SCHEMA, analyze, schreier_block, verify
+from .schreier import schreier_normal_form
 from .states import classify_circles, is_A_adequate, resolve_all_A
 from .words import SyllableWord, cyclically_reduce_into_syllables, parse_braid
 
@@ -102,6 +104,18 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
+def _error_kind(exc: Exception) -> str:
+    """Name the kind of a batch line's failure, so that a library bug
+    ("oracle", "internal") never passes as bad input."""
+    if isinstance(exc, BraidSyntaxError):
+        return "syntax"
+    if isinstance(exc, PreconditionError):
+        return "precondition"
+    if isinstance(exc, OracleError):
+        return "oracle"
+    return "internal"
+
+
 def _batch_line(raw: str, args: argparse.Namespace) -> dict:
     try:
         word = _parse_word(raw, args.n)
@@ -112,7 +126,12 @@ def _batch_line(raw: str, args: argparse.Namespace) -> dict:
             assume_prime=args.unsafe_assume_prime,
         )
     except Exception as exc:  # per-line isolation by contract
-        return {"schema": SCHEMA, "word": raw, "error": str(exc)}
+        return {
+            "schema": SCHEMA,
+            "word": raw,
+            "error": str(exc),
+            "error_kind": _error_kind(exc),
+        }
 
 
 def cmd_batch(args: argparse.Namespace) -> int:
@@ -164,16 +183,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_schreier(args: argparse.Namespace) -> int:
     word = _parse_word(args.word, args.n)
-    report = analyze(word)
-    block = report["schreier"]
-    if block is None:
+    if word.n != 3:
         raise PreconditionError("schreier normal forms need n = 3")
-    payload = {"schema": SCHEMA, "word": report["word"], "schreier": block}
+    block = schreier_block(schreier_normal_form(word))
+    text = word.as_text()
+    payload = {"schema": SCHEMA, "word": text, "schreier": block}
     _emit(
         payload,
         args.json,
         [
-            f"word        {report['word'] or '(empty)'}",
+            f"word        {text or '(empty)'}",
             f"normal form k={block['k']} eta={block['eta_kind']}"
             f" pairs={block['pairs']} s={block['s']}",
             f"generic     {block['generic']}",

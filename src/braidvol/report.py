@@ -23,9 +23,10 @@ from .bracket import DEFAULT_MAX_CROSSINGS, stable_penultimate_coefficient
 from .errors import PreconditionError
 from .families import check_main_lemma, stoimenow_A_adequate_3braid
 from .schreier import (
+    SchreierForm,
     direct_read_k,
     direct_read_s,
-    is_hyperbolic_closure_3braid,
+    hyperbolicity_of_form,
     schreier_normal_form,
 )
 from .states import (
@@ -40,9 +41,27 @@ from .states import (
 )
 from .words import SyllableWord
 
-__all__ = ["SCHEMA", "analyze", "verify", "VerifyCheck", "VerifyResult"]
+__all__ = [
+    "SCHEMA",
+    "analyze",
+    "schreier_block",
+    "verify",
+    "VerifyCheck",
+    "VerifyResult",
+]
 
 SCHEMA = "braidvol/1"
+
+
+def schreier_block(form: SchreierForm) -> dict:
+    """The ``schreier`` block of a report: the normal form plus its
+    genericity and hyperbolicity verdict."""
+    verdict = hyperbolicity_of_form(form)
+    block = form.to_json_dict()
+    block["generic"] = form.generic
+    block["hyperbolic"] = verdict.hyperbolic
+    block["reason"] = verdict.reason
+    return block
 
 
 def analyze(
@@ -86,16 +105,12 @@ def analyze(
 
     stoimenow = stoimenow_A_adequate_3braid(word) if word.n == 3 else None
 
-    schreier_block = None
+    schreier = None
     s_bounds_block = None
     turaev_block = None
     if word.n == 3:
         form = schreier_normal_form(word)
-        verdict = is_hyperbolic_closure_3braid(word)
-        schreier_block = form.to_json_dict()
-        schreier_block["generic"] = form.generic
-        schreier_block["hyperbolic"] = verdict.hyperbolic
-        schreier_block["reason"] = verdict.reason
+        schreier = schreier_block(form)
         if lemma.passed and form.generic:
             schreier3, fkp3, sharper = three_braid_s_bounds(form.s)
             s_bounds_block = {
@@ -146,7 +161,7 @@ def analyze(
         "bounds": bounds_block,
         "jones_bounds": jones_block,
         "s_bounds": s_bounds_block,
-        "schreier": schreier_block,
+        "schreier": schreier,
         "turaev": turaev_block,
         "bracket": bracket_block,
     }

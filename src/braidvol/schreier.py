@@ -21,11 +21,15 @@ generic pair list is canonicalized to its lexicographically least rotation, so
 two 3-braids are conjugate iff their forms compare equal.
 
 The closure of a 3-braid is hyperbolic iff its form is generic and the braid
-is not conjugate to sigma_1^p sigma_2^q.  Two-syllable normal forms follow
-closed patterns once both exponents are clear of the degenerate range, so the
-conjugacy test inverts those patterns to propose candidate (p, q) pairs,
-verifies each by direct normal-form comparison, and sweeps a small exponent
-window for the leftovers (the exponent sum pins q once p is chosen).
+is not conjugate to sigma_1^p sigma_2^q.  Every word sigma_1^p sigma_2^q has
+a normal form with s <= 2: the closed patterns in _two_syllable_candidates
+give at most two pairs once both exponents clear the degenerate range, and
+tests/test_schreier.py checks every |p|, |q| <= 40 exhaustively.  Conjugate
+braids share their form, so a generic form with s >= 3 is hyperbolic at
+once.  Only for s <= 2 does the conjugacy test run: it inverts the closed
+patterns to propose candidate (p, q) pairs, verifies each by direct
+normal-form comparison, and sweeps a small exponent window for the leftovers
+(the exponent sum pins q once p is chosen).
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ __all__ = [
     "direct_read_k",
     "direct_read_s",
     "conjugate_3braids",
+    "hyperbolicity_of_form",
     "is_hyperbolic_closure_3braid",
 ]
 
@@ -443,22 +448,44 @@ def _two_syllable_candidates(form: SchreierForm) -> list[tuple[int, int]]:
     return sorted(pq for pq in candidates if pq[0] + pq[1] == e)
 
 
-def is_hyperbolic_closure_3braid(
-    word: SyllableWord | BraidWord,
-) -> HyperbolicityResult:
-    """Decide hyperbolicity of the closure of a 3-braid.
+def _two_syllable_search(form: SchreierForm) -> HyperbolicityResult:
+    """Look for sigma_1^p sigma_2^q conjugate to a generic form.
 
-    Non-generic forms are not hyperbolic.  Generic forms are hyperbolic
-    unless conjugate to some sigma_1^p sigma_2^q; candidate exponent pairs
-    are read off the form (see _two_syllable_candidates) and each one is
-    checked by direct normal-form comparison.
+    Candidate exponent pairs are read off the form (see
+    _two_syllable_candidates) and each one is checked by direct normal-form
+    comparison.
     """
-    form = schreier_normal_form(word)
-    if not form.generic:
-        return HyperbolicityResult(False, "non-generic normal form")
     for p, q in _two_syllable_candidates(form):
         if schreier_normal_form(_two_syllable_word(p, q)) == form:
             return HyperbolicityResult(
                 False, f"conjugate to sigma1^{p} sigma2^{q}"
             )
     return HyperbolicityResult(True, None)
+
+
+def hyperbolicity_of_form(form: SchreierForm) -> HyperbolicityResult:
+    """Decide hyperbolicity of the closure from the braid's normal form.
+
+    Non-generic forms are not hyperbolic.  A generic form with s >= 3 is
+    hyperbolic: every sigma_1^p sigma_2^q has a form with s <= 2 (see the
+    module docstring), so no such word is conjugate to it.  Generic forms
+    with s <= 2 are hyperbolic unless the two-syllable search finds a match.
+    """
+    if not form.generic:
+        return HyperbolicityResult(False, "non-generic normal form")
+    if form.s >= 3:
+        return HyperbolicityResult(True, None)
+    return _two_syllable_search(form)
+
+
+def is_hyperbolic_closure_3braid(
+    word: SyllableWord | BraidWord,
+) -> HyperbolicityResult:
+    """Decide hyperbolicity of the closure of a 3-braid.
+
+    Computes the normal form and applies hyperbolicity_of_form: non-generic
+    forms are not hyperbolic, generic forms with s >= 3 are, and generic
+    forms with s <= 2 are hyperbolic unless conjugate to some
+    sigma_1^p sigma_2^q.
+    """
+    return hyperbolicity_of_form(schreier_normal_form(word))

@@ -27,9 +27,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .errors import BraidSyntaxError
+from .errors import BraidSyntaxError, PreconditionError
 
 __all__ = [
+    "MAX_STRANDS",
+    "MAX_WORD_LETTERS",
     "BraidWord",
     "SyllableWord",
     "parse_braid",
@@ -128,7 +130,18 @@ class SyllableWord:
         return " ".join(parts)
 
 
-_TOKEN = re.compile(r"^(?:(-?\d+)|[sS](\d+)(?:\^(-?\d+))?)$")
+# Input limits for parse_braid, checked on the parsed integers before they
+# are expanded into letters, so that hostile input such as "s1^-1000000000"
+# fails at once instead of allocating.  Both sit well above the sizes analyze
+# is used at (about 1000 crossings, n <= 8); the cost of analyze grows with
+# letters times strands.
+MAX_WORD_LETTERS = 10_000
+MAX_STRANDS = 32
+
+# Numbers have at most 18 digits: int() refuses digit strings past 4300
+# characters with a bare ValueError, and anything near that length is far
+# beyond both limits anyway.
+_TOKEN = re.compile(r"^(?:(-?\d{1,18})|[sS](\d{1,18})(?:\^(-?\d{1,18}))?)$")
 
 
 def parse_braid(text: str, n: int | None = None) -> BraidWord:
@@ -139,9 +152,17 @@ def parse_braid(text: str, n: int | None = None) -> BraidWord:
     defaults to 1; exponent 0 expands to no letters).  When ``n`` is omitted
     it is inferred as one more than the largest generator index used.
 
+    A word of more than ``MAX_WORD_LETTERS`` letters, or on more than
+    ``MAX_STRANDS`` strands (given or inferred), raises PreconditionError
+    before its letters are expanded.
+
     >>> parse_braid("s1^3 s2^-3 s1^2 s3^-2 s2 s3").letters
     (1, 1, 1, -2, -2, -2, 1, 1, -3, -3, 2, 3)
     """
+    if n is not None and n > MAX_STRANDS:
+        raise PreconditionError(
+            f"strand count {n} is above the limit of {MAX_STRANDS}"
+        )
     letters: list[int] = []
     for token in text.split():
         match = _TOKEN.match(token)
@@ -149,15 +170,21 @@ def parse_braid(text: str, n: int | None = None) -> BraidWord:
             raise BraidSyntaxError(f"cannot parse braid token {token!r}")
         if match.group(1) is not None:
             g = int(match.group(1))
-            if g == 0:
-                raise BraidSyntaxError("generator index 0 is not valid")
-            letters.append(g)
+            m, r = abs(g), (1 if g > 0 else -1)
         else:
             m = int(match.group(2))
-            if m == 0:
-                raise BraidSyntaxError("generator index 0 is not valid")
             r = int(match.group(3)) if match.group(3) is not None else 1
-            letters.extend([m if r > 0 else -m] * abs(r))
+        if m == 0:
+            raise BraidSyntaxError("generator index 0 is not valid")
+        if n is None and r and m >= MAX_STRANDS:  # s40^0 adds no strand
+            raise PreconditionError(
+                f"word needs {m + 1} strands, above the limit of {MAX_STRANDS}"
+            )
+        if len(letters) + abs(r) > MAX_WORD_LETTERS:
+            raise PreconditionError(
+                f"word has more than {MAX_WORD_LETTERS} letters, the limit"
+            )
+        letters.extend([m if r > 0 else -m] * abs(r))
     if n is None:
         n = max((abs(g) for g in letters), default=0) + 1
     return BraidWord(n, tuple(letters))

@@ -9,6 +9,7 @@ import pytest
 from braidvol import cli
 from braidvol.errors import OracleError
 from braidvol.report import VerifyCheck, VerifyResult
+from braidvol.words import MAX_STRANDS, MAX_WORD_LETTERS
 
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -133,6 +134,51 @@ def test_batch_processes_comments_blanks_and_errors(capsys, tmp_path):
     assert "error" in rows[2] and rows[2]["word"] == "not a braid"
 
 
+BATCH_ERROR_KINDS = [
+    ("not a braid", "syntax"),
+    (f"s1^-{MAX_WORD_LETTERS + 1}", "precondition"),
+    ("s1^-4 s2^-4", "oracle"),
+    ("s1^-5 s2^-5", "internal"),
+]
+
+
+@pytest.mark.parametrize("line,kind", BATCH_ERROR_KINDS)
+def test_batch_error_rows_name_their_kind(capsys, tmp_path, monkeypatch, line, kind):
+    # library bugs are faked: a real one would be fixed
+    real = cli.analyze
+
+    def analyze(word, **kwargs):
+        if word.as_text() == "s1^-4 s2^-4":
+            raise OracleError("forced")
+        if word.as_text() == "s1^-5 s2^-5":
+            raise ZeroDivisionError("forced")
+        return real(word, **kwargs)
+
+    monkeypatch.setattr(cli, "analyze", analyze)
+    path = tmp_path / "words.txt"
+    path.write_text(f"s1^-3 s2^-3 s1^-3 s2^-3\n{line}\n", encoding="utf-8")
+    code, out, _ = run(capsys, ["batch", str(path), "--n", "3"])
+    assert code == 0
+    ok, failed = [json.loads(row) for row in out.splitlines()]
+    golden = json.loads((GOLDENS / "ladder2.json").read_text(encoding="utf-8"))
+    assert set(ok) == set(golden)  # success rows keep the braidvol/1 key set
+    assert set(failed) == {"schema", "word", "error", "error_kind"}
+    assert failed["word"] == line
+    assert failed["error_kind"] == kind
+
+
+def test_exit_code_3_on_input_limits(capsys):
+    for argv in (
+        ["analyze", f"s1^-{MAX_WORD_LETTERS + 1}"],
+        ["analyze", "s1", "--n", str(MAX_STRANDS + 1)],
+        ["state", f"s{MAX_STRANDS}"],
+    ):
+        code, out, err = run(capsys, argv)
+        assert code == 3, argv
+        assert not out
+        assert "limit" in err
+
+
 def test_batch_parallel_output_is_byte_identical(capsys, tmp_path):
     path = tmp_path / "words.txt"
     words = [f"s1^-{3 + i % 3} s2^-3 s1^-3 s2^-{3 + i % 2}" for i in range(12)]
@@ -196,6 +242,30 @@ def test_schreier_subcommand(capsys):
     payload = json.loads(out)
     assert payload["schreier"]["k"] == -2
     assert payload["schreier"]["hyperbolic"] is True
+
+
+def test_schreier_subcommand_skips_the_full_report(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("schreier must not build the analyze report")
+
+    monkeypatch.setattr(cli, "analyze", refuse)
+    code, out, _ = run(capsys, ["schreier", "s1^-3 s2^-3 s1^-3 s2^-3", "--json"])
+    assert code == 0
+    golden = json.loads((GOLDENS / "ladder2.json").read_text(encoding="utf-8"))
+    assert json.loads(out) == {
+        "schema": "braidvol/1",
+        "word": golden["word"],
+        "schreier": golden["schreier"],
+    }
+    code, out, _ = run(capsys, ["schreier", "s1^2 s2^3"])
+    assert code == 0
+    assert out.splitlines()[-1] == (
+        "hyperbolic  False (conjugate to sigma1^2 sigma2^3)"
+    )
+    code, out, err = run(capsys, ["schreier", "s1^2 s3^-3", "--n", "4"])
+    assert code == 3
+    assert not out
+    assert err == "error: schreier normal forms need n = 3\n"
 
 
 if __name__ == "__main__":

@@ -10,15 +10,19 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from braidvol import report, schreier
 from braidvol.errors import PreconditionError
 from braidvol.generate import GeneratorSpec, generate_words
 from braidvol.schreier import (
     EtaKind,
+    HyperbolicityResult,
     SchreierForm,
     XYWord,
+    _two_syllable_search,
     conjugate_3braids,
     direct_read_k,
     direct_read_s,
+    hyperbolicity_of_form,
     is_generic,
     is_hyperbolic_closure_3braid,
     normalize_xy,
@@ -268,6 +272,61 @@ def test_every_two_syllable_closure_is_recognized(p, q):
 def test_generated_family_words_are_hyperbolic():
     for w in family_words()[:30]:
         assert is_hyperbolic_closure_3braid(w).hyperbolic is True
+
+
+def test_two_syllable_forms_have_at_most_two_pairs():
+    # the fact the s >= 3 shortcut rests on: no sigma_1^p sigma_2^q, hence
+    # no braid conjugate to one, has a normal form with three or more pairs
+    for p in range(-40, 41):
+        for q in range(-40, 41):
+            w = SyllableWord(3, tuple((m, r) for m, r in ((1, p), (2, q)) if r))
+            assert schreier_normal_form(w).s <= 2, (p, q)
+
+
+def full_search(form):
+    """The decision without the s >= 3 shortcut."""
+    if not form.generic:
+        return HyperbolicityResult(False, "non-generic normal form")
+    return _two_syllable_search(form)
+
+
+syllable_exponents_st = st.lists(
+    st.integers(min_value=-9, max_value=9).filter(lambda r: r != 0),
+    min_size=1,
+    max_size=8,
+)
+
+
+@given(st.one_of(letters3_st.map(braid3), syllable_exponents_st.map(
+    lambda rs: SyllableWord(3, tuple((1 + i % 2, r) for i, r in enumerate(rs)))
+)))
+@settings(max_examples=300)
+def test_shortcut_agrees_with_the_full_search(word):
+    form = schreier_normal_form(word)
+    assert hyperbolicity_of_form(form) == full_search(form)
+
+
+def test_analyze_computes_the_normal_form_once(monkeypatch):
+    calls = []
+    real = schreier.schreier_normal_form
+
+    def counting(word):
+        calls.append(word)
+        return real(word)
+
+    monkeypatch.setattr(schreier, "schreier_normal_form", counting)
+    monkeypatch.setattr(report, "schreier_normal_form", counting)
+    words = family_words()[:5] + [
+        word_of("s1^-1 s2"),  # generic, s = 1: the search runs
+        word_of("s1^-3 s2^-3"),  # generic, s = 2: the search runs
+        word_of("s1 s2"),  # non-generic
+    ]
+    for w in words:
+        calls.clear()
+        report.analyze(w)
+        # by identity: the search builds its own candidate words, and one
+        # of them may equal the input
+        assert sum(c is w for c in calls) == 1, w.as_text()
 
 
 def test_hyperbolicity_rejects_other_widths():

@@ -1,10 +1,14 @@
 """Parsing, cyclic reduction, and word predicates."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
-from braidvol.errors import BraidSyntaxError
+from braidvol.errors import BraidSyntaxError, PreconditionError
 from braidvol.words import (
+    MAX_STRANDS,
+    MAX_WORD_LETTERS,
     BraidWord,
     SyllableWord,
     cyclically_reduce_into_syllables,
@@ -53,6 +57,42 @@ def test_parse_rejects_garbage():
 def test_parse_rejects_out_of_range_generator():
     with pytest.raises(BraidSyntaxError):
         parse_braid("s3", 3)
+
+
+def test_parse_letter_limit_fails_before_expanding():
+    assert len(parse_braid(f"s1^-{MAX_WORD_LETTERS}")) == MAX_WORD_LETTERS
+    with pytest.raises(PreconditionError, match=str(MAX_WORD_LETTERS)):
+        parse_braid(f"s2^{MAX_WORD_LETTERS} 1")  # the limit is on the whole word
+    tracemalloc.start()
+    try:
+        for text in (
+            f"s1^-{MAX_WORD_LETTERS + 1}",
+            f"s1^-{100 * MAX_WORD_LETTERS}",
+        ):
+            with pytest.raises(PreconditionError, match=str(MAX_WORD_LETTERS)):
+                parse_braid(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # expanding either word would take 8 bytes per letter
+    assert peak < 8 * MAX_WORD_LETTERS
+
+
+def test_parse_strand_limit():
+    assert parse_braid(f"s{MAX_STRANDS - 1}").n == MAX_STRANDS
+    assert parse_braid("s1", MAX_STRANDS).n == MAX_STRANDS
+    assert parse_braid(f"s{MAX_STRANDS}^0").n == 1  # no letters, no strands
+    for text, n in ((f"s{MAX_STRANDS}", None), ("s1", MAX_STRANDS + 1)):
+        with pytest.raises(PreconditionError, match=str(MAX_STRANDS)):
+            parse_braid(text, n)
+    # a hostile width is refused from the integer alone
+    with pytest.raises(PreconditionError):
+        parse_braid("s1", 10**12)
+
+
+def test_parse_refuses_overlong_numbers_as_syntax():
+    with pytest.raises(BraidSyntaxError):
+        parse_braid("s1^" + "9" * 5000)
 
 
 def test_syllable_word_as_text_round_trip():
