@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .bracket import (
     DEFAULT_MAX_CROSSINGS,
@@ -34,7 +33,7 @@ from .errors import BraidSyntaxError, OracleError, PreconditionError
 from .families import check_main_lemma, stoimenow_A_adequate_3braid
 from .generate import GeneratorSpec, generate_words
 from .render import render_state_svg
-from .report import SCHEMA, analyze, schreier_block, verify
+from .report import SCHEMA, analyze, circle_detail, schreier_block, verify
 from .schreier import schreier_normal_form
 from .states import classify_circles, is_A_adequate, resolve_all_A
 from .words import SyllableWord, cyclically_reduce_into_syllables, parse_braid
@@ -141,13 +140,8 @@ def cmd_batch(args: argparse.Namespace) -> int:
             for line in handle
             if line.strip() and not line.lstrip().startswith("#")
         ]
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(lambda r: _batch_line(r, args), rows))
-    else:
-        reports = [_batch_line(row, args) for row in rows]
-    for report in reports:
-        print(json.dumps(report))
+    for row in rows:
+        print(json.dumps(_batch_line(row, args)))
     return 0
 
 
@@ -233,15 +227,7 @@ def cmd_state(args: argparse.Namespace) -> int:
         with open(args.svg, "w", encoding="utf-8") as handle:
             handle.write(render_state_svg(state))
     census = {k.value: v for k, v in state.census.items()}
-    detail = [
-        {
-            "id": circle.id,
-            "class": circle.klass.value,
-            "winding": circle.winding,
-            "support": sorted(circle.support),
-        }
-        for circle in state.circles
-    ]
+    detail = circle_detail(state)
     payload = {
         "schema": SCHEMA,
         "word": word.as_text(),
@@ -318,7 +304,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("batch", help="JSONL reports for a file of words.")
     p.add_argument("path", help="input file, one word per line, # comments")
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--bracket", action="store_true")
     p.add_argument("--max-crossings", type=int, default=DEFAULT_MAX_CROSSINGS)
     p.add_argument("--unsafe-assume-prime", action="store_true")

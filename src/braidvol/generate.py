@@ -43,9 +43,11 @@ from dataclasses import dataclass
 
 from .errors import OracleError, PreconditionError
 from .families import check_main_lemma
-from .words import SyllableWord
+from .words import MAX_STRANDS, MAX_WORD_LETTERS, SyllableWord
 
-__all__ = ["GeneratorSpec", "generate_words"]
+__all__ = ["GeneratorSpec", "generate_words", "MAX_COUNT"]
+
+MAX_COUNT = 1_000  # words per spec
 
 
 @dataclass(frozen=True)
@@ -78,6 +80,23 @@ class GeneratorSpec:
             raise PreconditionError("positive_cap must be at least 1")
         if self.count < 1:
             raise PreconditionError("count must be at least 1")
+        # the upper limits, so that every word parses back and nothing
+        # large is built before a refusal
+        if self.n > MAX_STRANDS:
+            raise PreconditionError(
+                f"strand count {self.n} is above the limit of {MAX_STRANDS}"
+            )
+        cap = max(self.negative_cap, self.positive_cap)
+        letters = self.syllable_count * cap
+        if letters > MAX_WORD_LETTERS:
+            raise PreconditionError(
+                f"words of up to {letters} letters are above the limit of"
+                f" {MAX_WORD_LETTERS}"
+            )
+        if self.count > MAX_COUNT:
+            raise PreconditionError(
+                f"count {self.count} is above the limit of {MAX_COUNT}"
+            )
 
 
 def generate_words(spec: GeneratorSpec) -> list[SyllableWord]:

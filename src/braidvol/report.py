@@ -30,6 +30,7 @@ from .schreier import (
     schreier_normal_form,
 )
 from .states import (
+    AllAState,
     CircleClass,
     classify_circles,
     is_A_adequate,
@@ -44,6 +45,7 @@ from .words import SyllableWord
 __all__ = [
     "SCHEMA",
     "analyze",
+    "circle_detail",
     "schreier_block",
     "verify",
     "VerifyCheck",
@@ -51,6 +53,19 @@ __all__ = [
 ]
 
 SCHEMA = "braidvol/1"
+
+
+def circle_detail(state: AllAState) -> list[dict]:
+    """Per-circle detail of a report: id, class, winding and support."""
+    return [
+        {
+            "id": circle.id,
+            "class": circle.klass.value,
+            "winding": circle.winding,
+            "support": sorted(circle.support),
+        }
+        for circle in state.circles
+    ]
 
 
 def schreier_block(form: SchreierForm) -> dict:
@@ -141,15 +156,7 @@ def analyze(
         "twist": {"t": t, "t_plus": t_plus, "t_minus": t_minus},
         "circles": {
             "census": {k.value: v for k, v in state.census.items()},
-            "detail": [
-                {
-                    "id": circle.id,
-                    "class": circle.klass.value,
-                    "winding": circle.winding,
-                    "support": sorted(circle.support),
-                }
-                for circle in state.circles
-            ],
+            "detail": circle_detail(state),
         },
         "m": state.m,
         "adequate": adequate,

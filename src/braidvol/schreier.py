@@ -21,15 +21,24 @@ generic pair list is canonicalized to its lexicographically least rotation, so
 two 3-braids are conjugate iff their forms compare equal.
 
 The closure of a 3-braid is hyperbolic iff its form is generic and the braid
-is not conjugate to sigma_1^p sigma_2^q.  Every word sigma_1^p sigma_2^q has
-a normal form with s <= 2: the closed patterns in _two_syllable_candidates
-give at most two pairs once both exponents clear the degenerate range, and
-tests/test_schreier.py checks every |p|, |q| <= 40 exhaustively.  Conjugate
-braids share their form, so a generic form with s >= 3 is hyperbolic at
-once.  Only for s <= 2 does the conjugacy test run: it inverts the closed
-patterns to propose candidate (p, q) pairs, verifies each by direct
-normal-form comparison, and sweeps a small exponent window for the leftovers
-(the exponent sum pins q once p is chosen).
+is not conjugate to sigma_1^p sigma_2^q.  Conjugate braids share their form,
+so the second condition compares with the forms of the words sigma_1^p
+sigma_2^q.  For a = |p|, b = |q| these are generic exactly in the cases
+
+    p < 0 < q:                    k = 0,  pairs ((a, b))
+    p, q <= -3:                   k = -1, pairs ((a - 2, 1), (b - 2, 1))
+    p = -1, q <= -5:              k = -1, pairs ((b - 4, 1))
+    p = -2, q <= -3:              k = -1, pairs ((b - 2, 2))
+    p, q >= 3:                    k = +1, pairs ((1, a - 2), (1, b - 2))
+    p = 1, q >= 5:                k = +1, pairs ((1, b - 4))
+    p = 2, q >= 3:                k = +1, pairs ((2, b - 2))
+
+and in the same cases with p and q swapped (the two words are conjugate);
+every other two-syllable word has a non-generic form.  Every row has s <= 2,
+so a generic form with s >= 3 is hyperbolic, and a generic form with s <= 2
+is hyperbolic unless reading a row backwards gives its (p, q).
+tests/test_schreier.py checks the table against the normal forms of every
+word with |p|, |q| <= 40.
 """
 
 from __future__ import annotations
@@ -188,38 +197,33 @@ def _require_3braid(word: SyllableWord | BraidWord) -> SyllableWord:
     return word
 
 
+# sigma letter -> its xy word as runs, keyed by (generator, positive)
+_XY_LETTER = {
+    (1, True): ((Y, 2), (X, 1)),  # sigma_1 = y^2 x
+    (2, True): ((X, 1), (Y, 2)),  # sigma_2 = x y^2
+    (1, False): ((X, 1), (Y, 1)),  # sigma_1^(-1) = x y
+    (2, False): ((Y, 1), (X, 1)),  # sigma_2^(-1) = y x
+}
+
+
 def to_xy(word: SyllableWord | BraidWord) -> XYWord:
     """Rewrite a 3-braid word as a positive word in x and y.
 
-    The input is cyclically reduced first (a conjugacy-safe move).
+    The input is cyclically reduced first (a conjugacy-safe move).  A
+    syllable repeats one two-run letter image, so only its first run can
+    merge with the run before it.
     """
     word = _require_3braid(word)
-    runs: list[list] = []
-
-    def push(ch: str, count: int) -> None:
-        if runs and runs[-1][0] == ch:
-            runs[-1][1] += count
-        else:
-            runs.append([ch, count])
-
+    runs: list[tuple[str, int]] = []
     for m, r in word.syllables:
-        if m == 1 and r > 0:
-            for _ in range(r):
-                push(Y, 2)
-                push(X, 1)
-        elif m == 1:
-            for _ in range(-r):
-                push(X, 1)
-                push(Y, 1)
-        elif r > 0:
-            for _ in range(r):
-                push(X, 1)
-                push(Y, 2)
+        head, tail = _XY_LETTER[m, r > 0]
+        if runs and runs[-1][0] == head[0]:
+            runs[-1] = (head[0], runs[-1][1] + head[1])
         else:
-            for _ in range(-r):
-                push(Y, 1)
-                push(X, 1)
-    return XYWord(tuple((ch, count) for ch, count in runs))
+            runs.append(head)
+        runs.extend((tail, head) * (abs(r) - 1))
+        runs.append(tail)
+    return XYWord(tuple(runs))
 
 
 def normalize_xy(xy: XYWord) -> XYWord:
@@ -241,14 +245,11 @@ def normalize_xy(xy: XYWord) -> XYWord:
 
     stack: list[list] = []
     for ch, count in xy.runs:
-        while count:
-            if stack and stack[-1][0] == ch:
-                count += stack.pop()[1]
-            count = modulo(ch, count)
-            if count:
-                stack.append([ch, count])
-                break
-            break
+        if stack and stack[-1][0] == ch:
+            count += stack.pop()[1]
+        count = modulo(ch, count)
+        if count:
+            stack.append([ch, count])
     # the seam: first and last runs are cyclically adjacent
     while len(stack) >= 2 and stack[0][0] == stack[-1][0]:
         ch, count = stack.pop()
@@ -376,106 +377,42 @@ def conjugate_3braids(
     return schreier_normal_form(a) == schreier_normal_form(b)
 
 
-def _two_syllable_word(p: int, q: int) -> SyllableWord:
-    syllables: list[tuple[int, int]] = []
-    if p:
-        syllables.append((1, p))
-    if q:
-        syllables.append((2, q))
-    return SyllableWord(3, tuple(syllables))
-
-
-# Exponent window for the degenerate two-syllable cases.  Every closed
-# pattern below is exact once min(|p|, |q|) >= 3 (>= 5 for the min = 1 rows),
-# so a window of 8 leaves a wide safety margin.
-_TWO_SYLLABLE_WINDOW = 8
-
-
-def _two_syllable_candidates(form: SchreierForm) -> list[tuple[int, int]]:
-    """Exponent pairs (p, q) whose word sigma_1^p sigma_2^q could have this form.
-
-    The generic normal forms of two-syllable words, for a = |p|, b = |q|:
-
-        p < 0 < q (either order):  k = 0,  pairs ((a, b))
-        p, q <= -3:                k = -1, pairs ((a - 2, 1), (b - 2, 1))
-        p = -2, q <= -3 (or sym):  k = -1, pairs ((b - 1, 2))
-        p = -1, q <= -5 (or sym):  k = -1, pairs ((b - 4, 1))
-        p, q >= 3:                 k = +1, pairs ((1, a - 2), (1, b - 2))
-        p = 2, q >= 3 (or sym):    k = +1, pairs ((2, b - 2))
-        p = 1, q >= 5 (or sym):    k = +1, pairs ((1, b - 4))
-
-    Inverting these yields every candidate with min(a, b) beyond the window;
-    the window itself covers the degenerate remainder.  Candidates are only
-    proposals - the caller verifies each by computing its actual form - so
-    the list errs on the generous side.
-    """
-    e = form.exponent_sum
-    candidates: set[tuple[int, int]] = set()
-    for v in range(-_TWO_SYLLABLE_WINDOW, _TWO_SYLLABLE_WINDOW + 1):
-        candidates.add((v, e - v))
-        candidates.add((e - v, v))
-    pairs = form.pairs
-    if form.k == 0 and len(pairs) == 1:
+def _two_syllable_exponents(form: SchreierForm) -> tuple[int, int] | None:
+    """The (p, q) whose sigma_1^p sigma_2^q has this generic form, read off
+    the table in the module docstring backwards; None when no row fits."""
+    k, pairs = form.k, form.pairs
+    if k == 0 and len(pairs) == 1:
         ((a, b),) = pairs
-        candidates.add((-a, b))
-        candidates.add((b, -a))
-    elif form.k == -1:
-        if len(pairs) == 2 and pairs[0][1] == 1 and pairs[1][1] == 1:
-            alpha, beta = pairs[0][0], pairs[1][0]
-            candidates.add((-(alpha + 2), -(beta + 2)))
-            candidates.add((-(beta + 2), -(alpha + 2)))
-        elif len(pairs) == 1:
+        return -a, b
+    if k == -1:
+        if len(pairs) == 2 and pairs[0][1] == pairs[1][1] == 1:
+            return -(pairs[0][0] + 2), -(pairs[1][0] + 2)
+        if len(pairs) == 1 and pairs[0][1] <= 2:
             ((a, b),) = pairs
-            if b == 1:
-                candidates.add((-1, -(a + 4)))
-                candidates.add((-(a + 4), -1))
-            elif b == 2:
-                candidates.add((-2, -(a + 1)))
-                candidates.add((-(a + 1), -2))
-    elif form.k == 1:
-        if len(pairs) == 2 and pairs[0][0] == 1 and pairs[1][0] == 1:
-            alpha, beta = pairs[0][1], pairs[1][1]
-            candidates.add((alpha + 2, beta + 2))
-            candidates.add((beta + 2, alpha + 2))
-        elif len(pairs) == 1:
+            return (-1, -(a + 4)) if b == 1 else (-2, -(a + 2))
+    if k == 1:
+        if len(pairs) == 2 and pairs[0][0] == pairs[1][0] == 1:
+            return pairs[0][1] + 2, pairs[1][1] + 2
+        if len(pairs) == 1 and pairs[0][0] <= 2:
             ((a, b),) = pairs
-            if a == 1:
-                candidates.add((1, b + 4))
-                candidates.add((b + 4, 1))
-            elif a == 2:
-                candidates.add((2, b + 2))
-                candidates.add((b + 2, 2))
-    return sorted(pq for pq in candidates if pq[0] + pq[1] == e)
-
-
-def _two_syllable_search(form: SchreierForm) -> HyperbolicityResult:
-    """Look for sigma_1^p sigma_2^q conjugate to a generic form.
-
-    Candidate exponent pairs are read off the form (see
-    _two_syllable_candidates) and each one is checked by direct normal-form
-    comparison.
-    """
-    for p, q in _two_syllable_candidates(form):
-        if schreier_normal_form(_two_syllable_word(p, q)) == form:
-            return HyperbolicityResult(
-                False, f"conjugate to sigma1^{p} sigma2^{q}"
-            )
-    return HyperbolicityResult(True, None)
+            return (1, b + 4) if a == 1 else (2, b + 2)
+    return None
 
 
 def hyperbolicity_of_form(form: SchreierForm) -> HyperbolicityResult:
     """Decide hyperbolicity of the closure from the braid's normal form.
 
-    Non-generic forms are not hyperbolic.  A generic form with s >= 3 is
-    hyperbolic: every sigma_1^p sigma_2^q has a form with s <= 2 (see the
-    module docstring), so no such word is conjugate to it.  Generic forms
-    with s <= 2 are hyperbolic unless the two-syllable search finds a match.
+    Non-generic forms are not hyperbolic.  A generic form is hyperbolic
+    unless it is the form of some sigma_1^p sigma_2^q (the table in the
+    module docstring); the reason names the lesser of (p, q) and (q, p).
     """
     if not form.generic:
         return HyperbolicityResult(False, "non-generic normal form")
-    if form.s >= 3:
+    pq = _two_syllable_exponents(form)
+    if pq is None:
         return HyperbolicityResult(True, None)
-    return _two_syllable_search(form)
+    p, q = min(pq, pq[::-1])
+    return HyperbolicityResult(False, f"conjugate to sigma1^{p} sigma2^{q}")
 
 
 def is_hyperbolic_closure_3braid(
@@ -483,9 +420,8 @@ def is_hyperbolic_closure_3braid(
 ) -> HyperbolicityResult:
     """Decide hyperbolicity of the closure of a 3-braid.
 
-    Computes the normal form and applies hyperbolicity_of_form: non-generic
-    forms are not hyperbolic, generic forms with s >= 3 are, and generic
-    forms with s <= 2 are hyperbolic unless conjugate to some
+    Computes the normal form and applies hyperbolicity_of_form: the closure
+    is hyperbolic iff the form is generic and not that of some
     sigma_1^p sigma_2^q.
     """
     return hyperbolicity_of_form(schreier_normal_form(word))

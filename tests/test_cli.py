@@ -8,6 +8,7 @@ import pytest
 
 from braidvol import cli
 from braidvol.errors import OracleError
+from braidvol.generate import MAX_COUNT
 from braidvol.report import VerifyCheck, VerifyResult
 from braidvol.words import MAX_STRANDS, MAX_WORD_LETTERS
 
@@ -172,20 +173,12 @@ def test_exit_code_3_on_input_limits(capsys):
         ["analyze", f"s1^-{MAX_WORD_LETTERS + 1}"],
         ["analyze", "s1", "--n", str(MAX_STRANDS + 1)],
         ["state", f"s{MAX_STRANDS}"],
+        ["gen", "--n", "3", "--syllables", "4", "--count", str(MAX_COUNT + 1)],
     ):
         code, out, err = run(capsys, argv)
         assert code == 3, argv
         assert not out
         assert "limit" in err
-
-
-def test_batch_parallel_output_is_byte_identical(capsys, tmp_path):
-    path = tmp_path / "words.txt"
-    words = [f"s1^-{3 + i % 3} s2^-3 s1^-3 s2^-{3 + i % 2}" for i in range(12)]
-    path.write_text("\n".join(words) + "\n", encoding="utf-8")
-    _, serial, _ = run(capsys, ["batch", str(path), "--n", "3"])
-    _, parallel, _ = run(capsys, ["batch", str(path), "--n", "3", "--jobs", "4"])
-    assert parallel == serial
 
 
 def test_gen_is_deterministic(capsys):

@@ -5,7 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 from braidvol.errors import PreconditionError
 from braidvol.families import check_main_lemma
-from braidvol.generate import GeneratorSpec, generate_words, _has_unthreaded_bridge
+from braidvol.generate import (
+    MAX_COUNT,
+    GeneratorSpec,
+    _has_unthreaded_bridge,
+    generate_words,
+)
+from braidvol.words import MAX_STRANDS, MAX_WORD_LETTERS, parse_braid
 
 
 def test_same_spec_same_words():
@@ -50,6 +56,23 @@ def test_infeasible_specs_rejected():
         GeneratorSpec(n=3, syllable_count=4, positive_cap=0)
     with pytest.raises(PreconditionError):
         GeneratorSpec(n=3, syllable_count=4, count=0)
+    # upper limits, refused before any word is built
+    with pytest.raises(PreconditionError, match="limit"):
+        GeneratorSpec(n=MAX_STRANDS + 1, syllable_count=2 * MAX_STRANDS)
+    with pytest.raises(PreconditionError, match="limit"):
+        GeneratorSpec(n=3, syllable_count=MAX_WORD_LETTERS // 8 + 2)
+    with pytest.raises(PreconditionError, match="limit"):
+        GeneratorSpec(n=3, syllable_count=4, negative_cap=MAX_WORD_LETTERS)
+    with pytest.raises(PreconditionError, match="limit"):
+        GeneratorSpec(n=3, syllable_count=4, positive_cap=MAX_WORD_LETTERS)
+    with pytest.raises(PreconditionError, match="limit"):
+        GeneratorSpec(n=3, syllable_count=4, count=MAX_COUNT + 1)
+    # the largest spec inside the limits still generates parseable words
+    spec = GeneratorSpec(
+        n=3, syllable_count=MAX_WORD_LETTERS // 8, negative_cap=8, seed=3
+    )
+    (word,) = generate_words(spec)
+    assert parse_braid(word.as_text(), 3).letters == word.letters
 
 
 @settings(max_examples=80, deadline=None)

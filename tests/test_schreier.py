@@ -5,10 +5,12 @@ properties of the composite (rotation, free insertion, braid relation), the
 direct-read shortcuts on family words, and the hyperbolicity decision.
 """
 
+import functools
+import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from braidvol import report, schreier
 from braidvol.errors import PreconditionError
@@ -18,7 +20,6 @@ from braidvol.schreier import (
     HyperbolicityResult,
     SchreierForm,
     XYWord,
-    _two_syllable_search,
     conjugate_3braids,
     direct_read_k,
     direct_read_s,
@@ -255,6 +256,12 @@ def test_hyperbolicity_pins():
     assert verdict == (False, "conjugate to sigma1^2 sigma2^3")
     verdict = is_hyperbolic_closure_3braid(word_of("s1 s2"))
     assert verdict == (False, "non-generic normal form")
+    # the p = -2 row of the table: pairs ((b - 2, 2)), not ((b - 1, 2))
+    form = schreier_normal_form(word_of("s1^-2 s2^-3"))
+    assert form == SchreierForm(k=-1, kind=EtaKind.GENERIC, pairs=((1, 2),))
+    assert hyperbolicity_of_form(form) == (
+        False, "conjugate to sigma1^-3 sigma2^-2"
+    )
 
 
 @given(
@@ -274,20 +281,63 @@ def test_generated_family_words_are_hyperbolic():
         assert is_hyperbolic_closure_3braid(w).hyperbolic is True
 
 
-def test_two_syllable_forms_have_at_most_two_pairs():
-    # the fact the s >= 3 shortcut rests on: no sigma_1^p sigma_2^q, hence
-    # no braid conjugate to one, has a normal form with three or more pairs
-    for p in range(-40, 41):
-        for q in range(-40, 41):
+BOX = 40  # exponent bound of the two-syllable table below
+REACH = 36  # pair entries whose two-syllable preimage would lie in the box
+
+
+@functools.lru_cache(maxsize=None)
+def two_syllable_box():
+    """Each generic form of a sigma_1^p sigma_2^q with |p|, |q| <= BOX,
+    mapped to the set of its preimages (p, q), by normalizing every word."""
+    table = {}
+    for p in range(-BOX, BOX + 1):
+        for q in range(-BOX, BOX + 1):
             w = SyllableWord(3, tuple((m, r) for m, r in ((1, p), (2, q)) if r))
-            assert schreier_normal_form(w).s <= 2, (p, q)
+            form = schreier_normal_form(w)
+            assert form.s <= 2, (p, q)
+            if form.generic:
+                table.setdefault(form, set()).add((p, q))
+    return table
 
 
-def full_search(form):
-    """The decision without the s >= 3 shortcut."""
+def box_verdict(form):
+    """The verdict the box table gives a form within its reach."""
     if not form.generic:
         return HyperbolicityResult(False, "non-generic normal form")
-    return _two_syllable_search(form)
+    preimages = two_syllable_box().get(form)
+    if preimages is None:
+        return HyperbolicityResult(True, None)
+    p, q = min(preimages)
+    return HyperbolicityResult(False, f"conjugate to sigma1^{p} sigma2^{q}")
+
+
+def generic_forms_up_to_two_pairs():
+    """Generic forms with k in [-3, 3]: every s = 1 form with entries up to
+    REACH, and the s = 2 forms whose entries are all at most 12 or whose
+    second pair has entries at most 3 (all s = 2 forms up to REACH would be
+    about six million)."""
+    wide = [(a, b) for a in range(1, REACH + 1) for b in range(1, REACH + 1)]
+    small = [(a, b) for a, b in wide if a <= 12 and b <= 12]
+    tiny = [(a, b) for a, b in small if a <= 3 and b <= 3]
+    shapes = {(pq,) for pq in wide}
+    shapes.update((x, y) for x in small for y in small)
+    shapes.update((x, y) for x in wide for y in tiny)
+    for k in range(-3, 4):
+        for pairs in shapes:
+            yield SchreierForm(k=k, kind=EtaKind.GENERIC, pairs=pairs)
+
+
+def test_two_syllable_forms_have_at_most_two_pairs():
+    # building the table checks s <= 2 for every word of the box, and the
+    # swap of a form's least preimage is its only other one; the decision
+    # must then name that least preimage for every form in the box and call
+    # every other form within the box's reach hyperbolic
+    box = two_syllable_box()
+    for form, preimages in box.items():
+        p, q = min(preimages)
+        assert preimages <= {(p, q), (q, p)}, form
+    for form in itertools.chain(box, generic_forms_up_to_two_pairs()):
+        assert hyperbolicity_of_form(form) == box_verdict(form), form
 
 
 syllable_exponents_st = st.lists(
@@ -303,7 +353,25 @@ syllable_exponents_st = st.lists(
 @settings(max_examples=300)
 def test_shortcut_agrees_with_the_full_search(word):
     form = schreier_normal_form(word)
-    assert hyperbolicity_of_form(form) == full_search(form)
+    assume(form.s >= 3 or all(max(pq) <= REACH for pq in form.pairs))
+    assert hyperbolicity_of_form(form) == box_verdict(form)
+
+
+def test_hyperbolicity_of_form_normalizes_no_word(monkeypatch):
+    calls = []
+    real = schreier.schreier_normal_form
+
+    def counting(word):
+        calls.append(word)
+        return real(word)
+
+    forms = [real(word_of(text)) for text in (
+        "s1^-1 s2", "s1^-3 s2^-3", "s1^-2 s2^-3", "s1^2 s2^3", "s1 s2",
+    )] + [real(w) for w in family_words()[:5]]
+    monkeypatch.setattr(schreier, "schreier_normal_form", counting)
+    for form in forms:
+        hyperbolicity_of_form(form)
+    assert calls == []
 
 
 def test_analyze_computes_the_normal_form_once(monkeypatch):
@@ -317,16 +385,14 @@ def test_analyze_computes_the_normal_form_once(monkeypatch):
     monkeypatch.setattr(schreier, "schreier_normal_form", counting)
     monkeypatch.setattr(report, "schreier_normal_form", counting)
     words = family_words()[:5] + [
-        word_of("s1^-1 s2"),  # generic, s = 1: the search runs
-        word_of("s1^-3 s2^-3"),  # generic, s = 2: the search runs
+        word_of("s1^-1 s2"),  # generic, s = 1
+        word_of("s1^-3 s2^-3"),  # generic, s = 2
         word_of("s1 s2"),  # non-generic
     ]
     for w in words:
         calls.clear()
         report.analyze(w)
-        # by identity: the search builds its own candidate words, and one
-        # of them may equal the input
-        assert sum(c is w for c in calls) == 1, w.as_text()
+        assert calls == [w], w.as_text()
 
 
 def test_hyperbolicity_rejects_other_widths():
