@@ -17,7 +17,7 @@ from braidvol.schreier import (
     is_hyperbolic_closure_3braid,
     schreier_normal_form,
 )
-from braidvol.words import BraidWord, SyllableWord
+from braidvol.words import SyllableWord
 
 word = SyllableWord(3, ((1, -3), (2, -3), (1, -3), (2, -3)))
 form = schreier_normal_form(word)
@@ -29,12 +29,12 @@ print()
 
 # conjugating by random elements never changes the form
 rng = random.Random(0)
-letters = list(word.letters)
+syllables = word.syllables
 for _ in range(3):
-    g = rng.choice([1, -1, 2, -2])
-    letters = [g] + letters + [-g]
-conjugated = BraidWord(3, tuple(letters))
-print("conjugated word has", len(letters), "letters")
+    m, r = rng.choice([(1, 1), (1, -1), (2, 1), (2, -1)])
+    syllables = ((m, r),) + syllables + ((m, -r),)
+conjugated = SyllableWord(3, syllables)
+print("conjugated word has", conjugated.crossings, "letters")
 print("same form:", schreier_normal_form(conjugated) == form)
 print("conjugate_3braids agrees:", conjugate_3braids(word, conjugated))
 print()

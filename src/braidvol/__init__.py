@@ -21,6 +21,7 @@ from .bounds import (
 )
 from .bracket import (
     DEFAULT_MAX_CROSSINGS,
+    MAX_BRACKET_STRANDS,
     BracketSummary,
     LaurentPolynomial,
     kauffman_bracket,
@@ -70,10 +71,8 @@ from .states import (
     twist_counts,
 )
 from .words import (
-    BraidWord,
     SyllableWord,
     cyclically_reduce_into_syllables,
-    cyclically_reduce_with_rotation,
     exponent_sum,
     is_nice,
     mirror,
@@ -87,13 +86,13 @@ __all__ = [
     "BoundCase",
     "BracketSummary",
     "BraidSyntaxError",
-    "BraidWord",
     "CircleClass",
     "CrossingLimitError",
     "DEFAULT_MAX_CROSSINGS",
     "EtaKind",
     "GeneratorSpec",
     "LaurentPolynomial",
+    "MAX_BRACKET_STRANDS",
     "MainLemmaReport",
     "OracleError",
     "PreconditionError",
@@ -113,7 +112,6 @@ __all__ = [
     "conjugate_3braids",
     "cor_bounds",
     "cyclically_reduce_into_syllables",
-    "cyclically_reduce_with_rotation",
     "direct_read_k",
     "direct_read_s",
     "exponent_sum",

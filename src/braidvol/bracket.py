@@ -19,7 +19,8 @@ Coefficients are exact Python integers throughout.
 This module exists to cross-check the penultimate-coefficient identity
 |coeff(top - 4)| = 1 + (e' - v) of the reduced state graph on A-adequate
 diagrams.  Diagrams above ``DEFAULT_MAX_CROSSINGS`` (100) crossings are
-refused unless the caller raises the cap.
+refused unless the caller raises the cap, and diagrams on more than
+``MAX_BRACKET_STRANDS`` (8) strands are refused always.
 """
 
 from __future__ import annotations
@@ -36,9 +37,14 @@ __all__ = [
     "kauffman_bracket",
     "stable_penultimate_coefficient",
     "DEFAULT_MAX_CROSSINGS",
+    "MAX_BRACKET_STRANDS",
 ]
 
 DEFAULT_MAX_CROSSINGS = 100
+# Up to Catalan(n) matchings are alive at once, so the crossing cap alone
+# does not bound the sweep: near 100 crossings it took 1.4 s at n = 8 and
+# 14.9 s at n = 10 (2-core Xeon, Python 3.11).  Callers use n <= 6.
+MAX_BRACKET_STRANDS = 8
 
 
 @dataclass(frozen=True)
@@ -190,12 +196,17 @@ def kauffman_bracket(
     braid joins top point i to bottom point i, and k closure cycles weigh
     delta^(k-1).  At most Catalan(n) matchings are alive at a time, so the
     cost is O(c * Catalan(n) * degree span); diagrams above
-    ``max_crossings`` are refused all the same.
+    ``max_crossings`` or on more than ``MAX_BRACKET_STRANDS`` strands are
+    refused with a PreconditionError.
     """
     c = word.crossings
     if c > max_crossings:
         raise CrossingLimitError(c, max_crossings)
     n = word.n
+    if n > MAX_BRACKET_STRANDS:
+        raise PreconditionError(
+            f"{n} strands are above the bracket limit of {MAX_BRACKET_STRANDS}"
+        )
     identity = tuple(range(n, 2 * n)) + tuple(range(n))
     states: dict[tuple[int, ...], dict[int, int]] = {identity: {0: 1}}
     for g in word.letters:

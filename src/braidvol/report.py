@@ -19,7 +19,11 @@ from .bounds import (
     turaev_genus_bounds,
     volume_bounds,
 )
-from .bracket import DEFAULT_MAX_CROSSINGS, stable_penultimate_coefficient
+from .bracket import (
+    DEFAULT_MAX_CROSSINGS,
+    MAX_BRACKET_STRANDS,
+    stable_penultimate_coefficient,
+)
 from .errors import PreconditionError
 from .families import check_main_lemma, stoimenow_A_adequate_3braid
 from .schreier import (
@@ -90,10 +94,10 @@ def analyze(
 
     ``bracket`` opts into the Kauffman-bracket oracle, a Temperley-Lieb
     sweep of cost O(c * Catalan(n) * degree span), refused above
-    ``max_crossings`` (default 100).  ``assume_prime`` lets the generic
-    volume bounds run on words outside the checked family when the direct
-    diagram checks (adequacy, two-edge-loop, connectivity, t >= 2) all hold
-    but primeness has to be taken on faith.
+    ``max_crossings`` (default 100) or ``MAX_BRACKET_STRANDS`` (8) strands.
+    ``assume_prime`` lets the generic volume bounds run on words outside the
+    checked family when the direct diagram checks (adequacy, two-edge-loop,
+    connectivity, t >= 2) all hold but primeness has to be taken on faith.
     """
     state = classify_circles(resolve_all_A(word))
     graph = reduced_graph(state)
@@ -204,7 +208,8 @@ def verify(
     """Cross-check every identity the analysis stages promise each other.
 
     Requires a word that passes the family checker (the identities are
-    only guaranteed there); raises PreconditionError otherwise.
+    only guaranteed there); raises PreconditionError otherwise.  The bracket
+    oracle is skipped above ``max_crossings`` or ``MAX_BRACKET_STRANDS``.
     """
     lemma = check_main_lemma(word)
     if not lemma.passed:
@@ -284,7 +289,7 @@ def verify(
             f"direct-read s {s_direct} == normal-form s {form.s}"
             f" == t- {t_minus}",
         )
-    if word.crossings <= max_crossings:
+    if word.crossings <= max_crossings and word.n <= MAX_BRACKET_STRANDS:
         summary = stable_penultimate_coefficient(
             word, max_crossings=max_crossings
         )

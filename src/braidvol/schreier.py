@@ -49,7 +49,7 @@ from typing import NamedTuple
 
 from .errors import PreconditionError
 from .families import check_main_lemma
-from .words import BraidWord, SyllableWord, cyclically_reduce_into_syllables
+from .words import SyllableWord, cyclically_reduce_into_syllables
 
 __all__ = [
     "XYWord",
@@ -152,24 +152,22 @@ class SchreierForm:
         }[self.kind]
         return 6 * self.k + base
 
-    def to_braid_word(self) -> BraidWord:
-        """Expand back to letters, C as (sigma_1 sigma_2 sigma_1)^2."""
-        letters: list[int] = []
-        block = (1, 2, 1) if self.k >= 0 else (-1, -2, -1)
-        letters.extend(block * (2 * abs(self.k)))
+    def to_braid_word(self) -> SyllableWord:
+        """Expand back to a word, C as (sigma_1 sigma_2 sigma_1)^2."""
+        sign = 1 if self.k >= 0 else -1
+        syllables = [(1, sign), (2, sign), (1, sign)] * (2 * abs(self.k))
         if self.kind is EtaKind.GENERIC:
             for p, q in self.pairs:
-                letters.extend([-1] * p)
-                letters.extend([2] * q)
+                syllables.extend(((1, -p), (2, q)))
         elif self.kind is EtaKind.POWER_SIGMA1:
-            letters.extend([1 if self.power > 0 else -1] * abs(self.power))
+            syllables.append((1, self.power))
         elif self.kind is EtaKind.SIGMA12:
-            letters.extend((1, 2))
+            syllables.extend(((1, 1), (2, 1)))
         elif self.kind is EtaKind.SIGMA121:
-            letters.extend((1, 2, 1))
+            syllables.extend(((1, 1), (2, 1), (1, 1)))
         elif self.kind is EtaKind.SIGMA1212:
-            letters.extend((1, 2, 1, 2))
-        return BraidWord(3, tuple(letters))
+            syllables.extend(((1, 1), (2, 1), (1, 1), (2, 1)))
+        return SyllableWord(3, tuple(syllables))
 
     def to_json_dict(self) -> dict:
         return {
@@ -187,13 +185,11 @@ class HyperbolicityResult(NamedTuple):
     reason: str | None
 
 
-def _require_3braid(word: SyllableWord | BraidWord) -> SyllableWord:
+def _require_3braid(word: SyllableWord) -> SyllableWord:
     if word.n != 3:
         raise PreconditionError(f"Schreier forms need n = 3, got n = {word.n}")
-    if isinstance(word, BraidWord):
-        return cyclically_reduce_into_syllables(word)
     if not word.cyclically_reduced:
-        return cyclically_reduce_into_syllables(word.to_braid_word())
+        return cyclically_reduce_into_syllables(word)
     return word
 
 
@@ -206,7 +202,7 @@ _XY_LETTER = {
 }
 
 
-def to_xy(word: SyllableWord | BraidWord) -> XYWord:
+def to_xy(word: SyllableWord) -> XYWord:
     """Rewrite a 3-braid word as a positive word in x and y.
 
     The input is cyclically reduced first (a conjugacy-safe move).  A
@@ -323,11 +319,10 @@ def to_sigma_form(xy: XYWord) -> SchreierForm:
     return SchreierForm(k=j, kind=EtaKind.GENERIC, pairs=tuple(pairs))
 
 
-def schreier_normal_form(word: SyllableWord | BraidWord) -> SchreierForm:
+def schreier_normal_form(word: SyllableWord) -> SchreierForm:
     """The conjugacy normal form of a 3-braid word.
 
-    >>> w = cyclically_reduce_into_syllables(BraidWord(3, (-1,) * 3 + (-2,) * 3))
-    >>> form = schreier_normal_form(w)
+    >>> form = schreier_normal_form(SyllableWord(3, ((1, -3), (2, -3))))
     >>> form.k, form.kind.value, form.pairs
     (-1, 'generic', ((1, 1), (1, 1)))
     """
@@ -370,9 +365,7 @@ def direct_read_s(word: SyllableWord) -> int:
     return sum(1 for _, r in word.syllables if r < 0)
 
 
-def conjugate_3braids(
-    a: SyllableWord | BraidWord, b: SyllableWord | BraidWord
-) -> bool:
+def conjugate_3braids(a: SyllableWord, b: SyllableWord) -> bool:
     """Whether two 3-braids are conjugate in B_3."""
     return schreier_normal_form(a) == schreier_normal_form(b)
 
@@ -415,9 +408,7 @@ def hyperbolicity_of_form(form: SchreierForm) -> HyperbolicityResult:
     return HyperbolicityResult(False, f"conjugate to sigma1^{p} sigma2^{q}")
 
 
-def is_hyperbolic_closure_3braid(
-    word: SyllableWord | BraidWord,
-) -> HyperbolicityResult:
+def is_hyperbolic_closure_3braid(word: SyllableWord) -> HyperbolicityResult:
     """Decide hyperbolicity of the closure of a 3-braid.
 
     Computes the normal form and applies hyperbolicity_of_form: the closure

@@ -1,15 +1,15 @@
-"""Braid words on n strands and their syllable decompositions.
+"""Braid words on n strands as syllable sequences.
 
-A braid word is a sequence of signed letters, letter ``g > 0`` standing for
-the Artin generator sigma_g and ``-g`` for its inverse.  Grouping maximal
-runs of equal generator gives the syllable form
+A braid word is written in syllables
 
     sigma_{m_1}^{r_1} sigma_{m_2}^{r_2} ... sigma_{m_l}^{r_l},
 
-one syllable per twist region of the closure diagram.  A syllable word is
-*cyclically reduced* when every exponent is nonzero and cyclically adjacent
-syllables use distinct generators; every word reaches that form by free
-cancellation and rotation, both of which preserve the closure link.
+one syllable per twist region of the closure diagram; its letters are the
+|r_i| copies of sigma_{m_i} (or its inverse, for r_i < 0) in order.  A
+syllable word is *cyclically reduced* when every exponent is nonzero and
+cyclically adjacent syllables use distinct generators; every word reaches
+that form by free cancellation and rotation, both of which preserve the
+closure link.
 
 Two structural predicates on the reduced form drive everything downstream:
 
@@ -32,42 +32,15 @@ from .errors import BraidSyntaxError, PreconditionError
 __all__ = [
     "MAX_STRANDS",
     "MAX_WORD_LETTERS",
-    "BraidWord",
     "SyllableWord",
     "parse_braid",
     "mirror",
     "cyclically_reduce_into_syllables",
-    "cyclically_reduce_with_rotation",
     "exponent_sum",
     "has_disjoint_complete_subwords",
     "has_cyclic_disjoint_complete_subwords",
     "is_nice",
 ]
-
-
-@dataclass(frozen=True)
-class BraidWord:
-    """A word in the braid group B_n, as a flat letter sequence."""
-
-    n: int  # number of strands, >= 1
-    letters: tuple[int, ...]  # signed generator indices, 0 < |g| <= n - 1
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise BraidSyntaxError(f"strand count must be >= 1, got {self.n}")
-        object.__setattr__(self, "letters", tuple(self.letters))
-        for g in self.letters:
-            if g == 0 or abs(g) > self.n - 1:
-                raise BraidSyntaxError(
-                    f"letter {g} is not a generator of B_{self.n}"
-                )
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    @property
-    def exponent_sum(self) -> int:
-        return sum(1 if g > 0 else -1 for g in self.letters)
 
 
 @dataclass(frozen=True)
@@ -100,9 +73,6 @@ class SyllableWord:
         ) if len(syl) >= 2 else True
         object.__setattr__(self, "cyclically_reduced", reduced)
 
-    def __len__(self) -> int:
-        return len(self.syllables)
-
     @property
     def letters(self) -> tuple[int, ...]:
         """Flat letter expansion, |r_i| copies of +-m_i per syllable."""
@@ -115,13 +85,6 @@ class SyllableWord:
     def crossings(self) -> int:
         return sum(abs(r) for _, r in self.syllables)
 
-    @property
-    def exponent_sum(self) -> int:
-        return sum(r for _, r in self.syllables)
-
-    def to_braid_word(self) -> BraidWord:
-        return BraidWord(self.n, self.letters)
-
     def as_text(self) -> str:
         """Render in the parseable ``s<m>^<r>`` form."""
         parts = []
@@ -130,11 +93,12 @@ class SyllableWord:
         return " ".join(parts)
 
 
-# Input limits for parse_braid, checked on the parsed integers before they
-# are expanded into letters, so that hostile input such as "s1^-1000000000"
-# fails at once instead of allocating.  Both sit well above the sizes analyze
-# is used at (about 1000 crossings, n <= 8); the cost of analyze grows with
-# letters times strands.
+# Input limits for parse_braid, checked on the parsed integers, so that
+# hostile input such as "s1^-1000000000" fails at once.  Parsing and
+# reduction work per syllable; the letter limit bounds the layers that still
+# work per letter: the c * n pass arcs of states.resolve_all_A, the bracket
+# sweep and schreier.to_xy.  Both sit well above the sizes analyze is used at
+# (about 1000 crossings, n <= 8).
 MAX_WORD_LETTERS = 10_000
 MAX_STRANDS = 32
 
@@ -144,26 +108,28 @@ MAX_STRANDS = 32
 _TOKEN = re.compile(r"^(?:(-?\d{1,18})|[sS](\d{1,18})(?:\^(-?\d{1,18}))?)$")
 
 
-def parse_braid(text: str, n: int | None = None) -> BraidWord:
-    """Parse a whitespace-separated braid word.
+def parse_braid(text: str, n: int | None = None) -> SyllableWord:
+    """Parse a whitespace-separated braid word into syllables, as given.
 
     Each token is either a signed integer (``3`` for sigma_3, ``-2`` for the
     inverse of sigma_2) or syllable notation ``s3^-2`` / ``S3`` (exponent
-    defaults to 1; exponent 0 expands to no letters).  When ``n`` is omitted
-    it is inferred as one more than the largest generator index used.
+    defaults to 1; a token of exponent 0 is dropped).  Every other token
+    becomes one syllable: nothing is merged or cancelled.  When ``n`` is
+    omitted it is inferred as one more than the largest generator index
+    used.
 
     A word of more than ``MAX_WORD_LETTERS`` letters, or on more than
-    ``MAX_STRANDS`` strands (given or inferred), raises PreconditionError
-    before its letters are expanded.
+    ``MAX_STRANDS`` strands (given or inferred), raises PreconditionError.
 
-    >>> parse_braid("s1^3 s2^-3 s1^2 s3^-2 s2 s3").letters
-    (1, 1, 1, -2, -2, -2, 1, 1, -3, -3, 2, 3)
+    >>> parse_braid("s1^3 s2^-3 1 1 s3^-2 s2 s3").syllables
+    ((1, 3), (2, -3), (1, 1), (1, 1), (3, -2), (2, 1), (3, 1))
     """
     if n is not None and n > MAX_STRANDS:
         raise PreconditionError(
             f"strand count {n} is above the limit of {MAX_STRANDS}"
         )
-    letters: list[int] = []
+    syllables: list[tuple[int, int]] = []
+    letters = 0
     for token in text.split():
         match = _TOKEN.match(token)
         if match is None:
@@ -176,91 +142,79 @@ def parse_braid(text: str, n: int | None = None) -> BraidWord:
             r = int(match.group(3)) if match.group(3) is not None else 1
         if m == 0:
             raise BraidSyntaxError("generator index 0 is not valid")
-        if n is None and r and m >= MAX_STRANDS:  # s40^0 adds no strand
+        if r == 0:  # s40^0 adds no letter and no strand
+            continue
+        if n is None and m >= MAX_STRANDS:
             raise PreconditionError(
                 f"word needs {m + 1} strands, above the limit of {MAX_STRANDS}"
             )
-        if len(letters) + abs(r) > MAX_WORD_LETTERS:
+        letters += abs(r)
+        if letters > MAX_WORD_LETTERS:
             raise PreconditionError(
                 f"word has more than {MAX_WORD_LETTERS} letters, the limit"
             )
-        letters.extend([m if r > 0 else -m] * abs(r))
+        syllables.append((m, r))
     if n is None:
-        n = max((abs(g) for g in letters), default=0) + 1
-    return BraidWord(n, tuple(letters))
+        n = max((m for m, _ in syllables), default=0) + 1
+    return SyllableWord(n, tuple(syllables))
 
 
-def mirror(word: BraidWord) -> BraidWord:
-    """The mirror word: every letter's sign flipped in place."""
-    return BraidWord(word.n, tuple(-g for g in word.letters))
+def mirror(word: SyllableWord) -> SyllableWord:
+    """The mirror word: every exponent's sign flipped in place."""
+    return SyllableWord(word.n, tuple((m, -r) for m, r in word.syllables))
 
 
-def cyclically_reduce_with_rotation(
-    word: BraidWord,
-) -> tuple[SyllableWord, int]:
-    """Cyclically reduce and group into syllables, tracking rotation.
+def cyclically_reduce_into_syllables(word: SyllableWord) -> SyllableWord:
+    """Cyclically reduce ``word`` in one stack pass over its syllables.
 
-    Returns the reduced syllable word together with the net left rotation
-    (in letters) applied to the surviving sequence, so callers can map
-    output letter positions back onto the input.  Reduction removes adjacent
-    inverse pairs, including pairs meeting across the closure seam, then
-    merges syllable runs cyclically.
-    """
-    letters = list(word.letters)
-    rotation = 0
-    while True:
-        cancelled = False
-        i = 0
-        while i + 1 < len(letters):
-            if letters[i] == -letters[i + 1]:
-                del letters[i : i + 2]
-                cancelled = True
-                i = max(i - 1, 0)
-            else:
-                i += 1
-        if len(letters) >= 2 and letters[-1] == -letters[0]:
-            # seam pair cancels across the closure; rotate it into view
-            letters = letters[1:] + letters[:1]
-            rotation += 1
-            continue
-        if not cancelled:
-            break
+    A syllable merges into the top of the stack when they share a generator,
+    and the two vanish when their exponents cancel.  The first and last
+    syllables then meet across the closure seam: cancelling ones vanish, and
+    otherwise they merge into the first syllable, except that a longer last
+    syllable of the opposite sign survives in last place.  That is where
+    cancelling letter pairs one at a time across the seam leaves it.
 
-    # group into syllables; a trailing run equal to the leading generator
-    # belongs to the same cyclic syllable, so rotate the seam run forward
-    if letters:
-        head = abs(letters[0])
-        tail = 0
-        while tail < len(letters) and abs(letters[-1 - tail]) == head:
-            tail += 1
-        if tail < len(letters):
-            letters = letters[-tail:] + letters[:-tail] if tail else letters
-            rotation -= tail
-    syllables: list[tuple[int, int]] = []
-    for g in letters:
-        m, s = abs(g), (1 if g > 0 else -1)
-        if syllables and syllables[-1][0] == m:
-            syllables[-1] = (m, syllables[-1][1] + s)
-        else:
-            syllables.append((m, s))
-    return SyllableWord(word.n, tuple(syllables)), rotation
-
-
-def cyclically_reduce_into_syllables(word: BraidWord) -> SyllableWord:
-    """Cyclically reduce ``word`` and return its syllable form.
-
-    >>> cyclically_reduce_into_syllables(BraidWord(3, (-2, 1, 1, 1, 2))).syllables
+    >>> cyclically_reduce_into_syllables(parse_braid("-2 1 1 1 2")).syllables
     ((1, 3),)
     """
-    return cyclically_reduce_with_rotation(word)[0]
+    stack: list[tuple[int, int]] = []
+    for m, r in word.syllables:
+        if stack and stack[-1][0] == m:
+            r += stack.pop()[1]
+            if r == 0:
+                continue
+        stack.append((m, r))
+    lo = 0  # the stack's live bottom
+    while len(stack) - lo >= 2 and stack[lo][0] == stack[-1][0]:
+        (m, first), (_, last) = stack[lo], stack.pop()
+        merged = first + last
+        if merged == 0:
+            lo += 1
+        elif first * last < 0 and abs(last) > abs(first):
+            lo += 1
+            stack.append((m, merged))
+        else:
+            stack[lo] = (m, merged)
+    return SyllableWord(word.n, tuple(stack[lo:]))
 
 
-def exponent_sum(word: BraidWord | SyllableWord) -> int:
+def exponent_sum(word: SyllableWord) -> int:
     """Algebraic crossing count; invariant under conjugation and reduction."""
-    return word.exponent_sum
+    return sum(r for _, r in word.syllables)
 
 
 Window = tuple[int, int]  # inclusive syllable index range
+
+
+def _complete_end(word: SyllableWord, start: int) -> int:
+    """The end (exclusive) of the shortest complete window of ``word`` from
+    syllable ``start``, or len(word.syllables) + 1 when there is none."""
+    seen: set[int] = set()
+    for j in range(start, len(word.syllables)):
+        seen.add(word.syllables[j][0])
+        if len(seen) == word.n - 1:
+            return j + 1
+    return len(word.syllables) + 1
 
 
 def has_disjoint_complete_subwords(
@@ -270,41 +224,41 @@ def has_disjoint_complete_subwords(
 
     A window is a contiguous range of syllables; complete means every
     generator of B_n appears in it.  Detection is greedy and exact: take the
-    shortest complete prefix, then scan the remainder for completeness.  The
-    witness, when found, is the pair of inclusive index ranges.
+    shortest complete prefix, then the shortest complete window after it.
+    The witness, when found, is the pair of inclusive index ranges.
     """
-    need = set(range(1, word.n))
-    if not word.syllables or not need:
+    first = _complete_end(word, 0)
+    second = _complete_end(word, first)
+    if second > len(word.syllables):
         return False, None
-    seen: set[int] = set()
-    first_end = -1
-    for i, (m, _) in enumerate(word.syllables):
-        seen.add(m)
-        if seen == need:
-            first_end = i
-            break
-    if first_end < 0:
-        return False, None
-    seen = set()
-    for j in range(first_end + 1, len(word.syllables)):
-        seen.add(word.syllables[j][0])
-        if seen == need:
-            return True, ((0, first_end), (first_end + 1, j))
-    return False, None
+    return True, ((0, first - 1), (first, second - 1))
 
 
 def has_cyclic_disjoint_complete_subwords(word: SyllableWord) -> bool:
     """Whether some rotation of the word admits a disjoint complete pair.
 
     Used to report the near-miss where windows exist only across the closure
-    seam; the niceness predicate itself stays linear.
+    seam; the niceness predicate itself stays linear.  One two-pointer pass
+    over the doubled syllable sequence finds ends[i], the end (exclusive) of
+    the shortest complete window starting at i.  The rotation starting at i
+    has a pair iff that window and the shortest complete one after it both
+    end within t syllables of i.
     """
-    syl = word.syllables
-    for rot in range(len(syl)):
-        rotated = SyllableWord(word.n, syl[rot:] + syl[:rot])
-        if has_disjoint_complete_subwords(rotated)[0]:
-            return True
-    return False
+    t = len(word.syllables)
+    gens = [m for m, _ in word.syllables] * 2
+    counts = [0] * word.n
+    missing = word.n - 1  # generators absent from the window [i, j)
+    ends: list[int] = []
+    j = 0
+    for i in range(2 * t):
+        while missing and j < 2 * t:
+            missing -= counts[gens[j]] == 0
+            counts[gens[j]] += 1
+            j += 1
+        ends.append(2 * t if missing else j)
+        counts[gens[i]] -= 1
+        missing += counts[gens[i]] == 0
+    return any(ends[i] <= i + t and ends[ends[i]] <= i + t for i in range(t))
 
 
 def is_nice(word: SyllableWord) -> bool:

@@ -2,11 +2,16 @@
 
 import pytest
 
-from braidvol.words import parse_braid, cyclically_reduce_into_syllables
+from braidvol.words import SyllableWord, parse_braid, cyclically_reduce_into_syllables
 
 
 def word_of(text, n=None):
     return cyclically_reduce_into_syllables(parse_braid(text, n))
+
+
+def word_from_letters(letters, n):
+    """The unreduced word with one syllable per signed letter."""
+    return SyllableWord(n, tuple((abs(g), 1 if g > 0 else -1) for g in letters))
 
 
 def ladder(m):

@@ -41,9 +41,9 @@ from braidvol.states import (
     satisfies_TELC,
     twist_counts,
 )
-from braidvol.words import BraidWord, SyllableWord
+from braidvol.words import SyllableWord
 
-from conftest import ORACLE_CORPUS, ladder, word_of
+from conftest import ORACLE_CORPUS, ladder, word_from_letters, word_of
 
 TOL = 1e-9
 GOLDENS = Path(__file__).parent / "goldens"
@@ -120,12 +120,12 @@ def test_criterion_3_normal_form_invariance():
         letters = [
             rng.choice([1, -1, 2, -2]) for _ in range(rng.randint(0, 12))
         ]
-        base = schreier_normal_form(BraidWord(3, tuple(letters)))
+        base = schreier_normal_form(word_from_letters(letters, 3))
         assert schreier_normal_form(base.to_braid_word()) == base
         current = letters
         for _ in range(20):
             current = _mutate(current, rng)
-            assert schreier_normal_form(BraidWord(3, tuple(current))) == base
+            assert schreier_normal_form(word_from_letters(current, 3)) == base
     assert time.monotonic() - start < 10.0
 
 

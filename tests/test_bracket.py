@@ -12,15 +12,16 @@ from hypothesis import given, settings, strategies as st
 
 from braidvol.bracket import (
     DEFAULT_MAX_CROSSINGS,
+    MAX_BRACKET_STRANDS,
     LaurentPolynomial,
     kauffman_bracket,
     stable_penultimate_coefficient,
 )
 from braidvol.errors import CrossingLimitError, PreconditionError
 from braidvol.states import reduced_graph, resolve_all_A
-from braidvol.words import BraidWord, SyllableWord, cyclically_reduce_into_syllables
+from braidvol.words import SyllableWord, cyclically_reduce_into_syllables, mirror
 
-from conftest import ladder, word_of
+from conftest import ladder, word_from_letters, word_of
 
 
 # --- independent oracle ---------------------------------------------------
@@ -60,7 +61,7 @@ def _leaf_circles(n, merges):
 
 def skein_bracket(word):
     """Bracket by recursive resolution of the first remaining crossing."""
-    letters = word.to_braid_word().letters if isinstance(word, SyllableWord) else word.letters
+    letters = word.letters
     n = word.n
     total = {}
 
@@ -136,6 +137,18 @@ def test_crossing_cap():
     assert kauffman_bracket(ladder(2), max_crossings=12) is not None
 
 
+def test_strand_bound():
+    assert MAX_BRACKET_STRANDS == 8
+    eight = SyllableWord(8, tuple((g, -3) for g in range(1, 8)))
+    assert kauffman_bracket(eight) is not None
+    # 45 crossings on 16 strands: refused before a sweep that would take
+    # minutes
+    wide = SyllableWord(16, tuple((g, -3) for g in range(1, 16)))
+    for word in (SyllableWord(9, ()), wide):
+        with pytest.raises(PreconditionError, match="limit of 8"):
+            kauffman_bracket(word)
+
+
 def test_penultimate_pins():
     summary = stable_penultimate_coefficient(word_of("s1^-3 s2^-3"))
     assert summary.penultimate_abs == 2
@@ -171,7 +184,7 @@ def _words_on(n):
     letters = [s * g for g in range(1, n) for s in (1, -1)]
     draws = st.lists(st.sampled_from(letters), max_size=10) if letters else st.just([])
     return draws.map(
-        lambda word: cyclically_reduce_into_syllables(BraidWord(n, tuple(word)))
+        lambda word: cyclically_reduce_into_syllables(word_from_letters(word, n))
     )
 
 
@@ -189,8 +202,7 @@ def test_state_sum_matches_skein_recursion(word):
 def test_mirror_involution(word):
     # mirror the diagram syllable by syllable; reducing first would change
     # the crossing count and with it the bracket itself
-    flipped = SyllableWord(word.n, tuple((m, -r) for m, r in word.syllables))
-    assert kauffman_bracket(flipped) == kauffman_bracket(word).inverted_variable()
+    assert kauffman_bracket(mirror(word)) == kauffman_bracket(word).inverted_variable()
 
 
 @given(small_word_st)

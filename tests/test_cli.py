@@ -173,6 +173,7 @@ def test_exit_code_3_on_input_limits(capsys):
         ["analyze", f"s1^-{MAX_WORD_LETTERS + 1}"],
         ["analyze", "s1", "--n", str(MAX_STRANDS + 1)],
         ["state", f"s{MAX_STRANDS}"],
+        ["bracket", "s1", "--n", "9"],
         ["gen", "--n", "3", "--syllables", "4", "--count", str(MAX_COUNT + 1)],
     ):
         code, out, err = run(capsys, argv)

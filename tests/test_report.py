@@ -1,10 +1,12 @@
 """The analyze/verify pipeline: schema stability and identity checks."""
 
 import json
+import time
 
 import pytest
 
 from braidvol.errors import CrossingLimitError, PreconditionError
+from braidvol.generate import GeneratorSpec, generate_words
 from braidvol.report import SCHEMA, analyze, verify
 from braidvol.words import SyllableWord
 
@@ -156,6 +158,17 @@ def test_verify_skips_bracket_above_the_cap():
     assert "bracket_oracle" in [c.name for c in verify(ladder(4)).checks]
     trimmed = verify(ladder(2), max_crossings=10)  # cap below 12 crossings
     assert "bracket_oracle" not in [c.name for c in trimmed.checks]
+
+
+def test_verify_skips_bracket_above_the_strand_bound():
+    spec = GeneratorSpec(n=14, syllable_count=26, negative_cap=3, seed=1)
+    (word,) = generate_words(spec)
+    assert word.crossings == 78
+    start = time.perf_counter()
+    result = verify(word)
+    assert time.perf_counter() - start < 2.0
+    assert "bracket_oracle" not in [c.name for c in result.checks]
+    assert result.passed is True
 
 
 def test_verify_rejects_non_family_words():

@@ -31,15 +31,15 @@ from braidvol.schreier import (
     to_sigma_form,
     to_xy,
 )
-from braidvol.words import BraidWord, SyllableWord, exponent_sum
+from braidvol.words import SyllableWord, exponent_sum
 
-from conftest import ladder, word_of
+from conftest import ladder, word_from_letters, word_of
 
 letters3_st = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=14)
 
 
 def braid3(letters):
-    return BraidWord(3, tuple(letters))
+    return word_from_letters(letters, 3)
 
 
 # --- stage pins ---------------------------------------------------------

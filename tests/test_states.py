@@ -30,9 +30,7 @@ syllable_st = st.tuples(
     st.integers(min_value=-6, max_value=6).filter(lambda r: r != 0),
 )
 word_st = st.builds(
-    lambda syls: cyclically_reduce_into_syllables(
-        SyllableWord(5, tuple(syls)).to_braid_word()
-    ),
+    lambda syls: cyclically_reduce_into_syllables(SyllableWord(5, tuple(syls))),
     st.lists(syllable_st, max_size=10),
 )
 
