@@ -24,6 +24,7 @@ from .bracket import (
     MAX_BRACKET_STRANDS,
     BracketSummary,
     LaurentPolynomial,
+    bracket_summary,
     kauffman_bracket,
     stable_penultimate_coefficient,
 )
@@ -49,7 +50,6 @@ from .schreier import (
     direct_read_k,
     direct_read_s,
     hyperbolicity_of_form,
-    is_generic,
     is_hyperbolic_closure_3braid,
     normalize_xy,
     schreier_normal_form,
@@ -106,6 +106,7 @@ __all__ = [
     "VolumeBounds",
     "XYWord",
     "analyze",
+    "bracket_summary",
     "check_main_lemma",
     "check_oc_identity",
     "classify_circles",
@@ -119,7 +120,6 @@ __all__ = [
     "hyperbolicity_of_form",
     "is_A_adequate",
     "is_connected_closure",
-    "is_generic",
     "is_hyperbolic_closure_3braid",
     "is_nice",
     "jones_bounds",

@@ -12,8 +12,10 @@ with lob the Lobachevsky function; both are stored to full double precision.
 
 Lower bounds are reported raw, even when the formula goes nonpositive for
 small t- relative to n + m; ``effective_lower`` carries the clamp so the
-vacuous cases stay visible.  Formulas never recompute diagram data — counts
-come in from the word/state/graph layers.
+vacuous cases stay visible.  ``volume_bounds`` and ``jones_bounds`` take the
+word with its all-A state and reduced graph and read m and e - v from those;
+each re-runs the family gate (``check_main_lemma``) on the word as its input
+check and recounts t, t+ and t- from it.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ __all__ = [
     "V3",
     "BoundCase",
     "VolumeBounds",
+    "boundary_positive",
     "cor_bounds",
     "volume_bounds",
     "jones_bounds",
@@ -130,7 +133,8 @@ def cor_bounds(
     )
 
 
-def _positives_only_boundary(word: SyllableWord) -> bool:
+def boundary_positive(word: SyllableWord) -> bool:
+    """Every positive syllable sits on generator 1 or n - 1."""
     boundary = {1, word.n - 1}
     return all(m in boundary for m, r in word.syllables if r > 0)
 
@@ -171,7 +175,7 @@ def volume_bounds(
             upper=upper,
             inputs=inputs,
         )
-    if _positives_only_boundary(word):
+    if boundary_positive(word):
         return VolumeBounds(
             case=BoundCase.N4_BOUNDARY,
             lower=V8 * (t_minus - (n + m - 2)),
@@ -198,7 +202,7 @@ def jones_bounds(
     gate = check_main_lemma(word)
     _require_family(gate, False)
     n = word.n
-    if n >= 4 and not _positives_only_boundary(word):
+    if n >= 4 and not boundary_positive(word):
         raise PreconditionError(
             "the beta'-form bounds do not cover interior positive syllables"
             " with n >= 4"

@@ -28,13 +28,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CrossingLimitError, OracleError, PreconditionError
-from .states import is_A_adequate, resolve_all_A
+from .states import AllAState, is_A_adequate, resolve_all_A
 from .words import SyllableWord
 
 __all__ = [
     "LaurentPolynomial",
     "BracketSummary",
     "kauffman_bracket",
+    "bracket_summary",
     "stable_penultimate_coefficient",
     "DEFAULT_MAX_CROSSINGS",
     "MAX_BRACKET_STRANDS",
@@ -101,26 +102,6 @@ class LaurentPolynomial:
         if not self.terms:
             raise ValueError("zero polynomial has no degree")
         return self.terms[0][0]
-
-    def __add__(self, other: LaurentPolynomial) -> LaurentPolynomial:
-        coeffs = dict(self.terms)
-        for d, c in other.terms:
-            coeffs[d] = coeffs.get(d, 0) + c
-        return LaurentPolynomial.from_dict(coeffs)
-
-    def __neg__(self) -> LaurentPolynomial:
-        return LaurentPolynomial(tuple((d, -c) for d, c in self.terms))
-
-    def __sub__(self, other: LaurentPolynomial) -> LaurentPolynomial:
-        return self + (-other)
-
-    def __mul__(self, other: LaurentPolynomial) -> LaurentPolynomial:
-        coeffs: dict[int, int] = {}
-        for d1, c1 in self.terms:
-            for d2, c2 in other.terms:
-                d = d1 + d2
-                coeffs[d] = coeffs.get(d, 0) + c1 * c2
-        return LaurentPolynomial.from_dict(coeffs)
 
     def scaled(self, factor: int) -> LaurentPolynomial:
         return LaurentPolynomial(tuple((d, c * factor) for d, c in self.terms))
@@ -246,25 +227,29 @@ def kauffman_bracket(
     return LaurentPolynomial.from_dict(total)
 
 
-def stable_penultimate_coefficient(
-    word: SyllableWord, max_crossings: int = DEFAULT_MAX_CROSSINGS
-) -> BracketSummary:
-    """Bracket degree-end summary for an A-adequate closed braid.
-
-    The top degree of the bracket of an A-adequate diagram is
-    c + 2(|s_A| - 1) with top coefficient of absolute value 1, and the next
-    nonzero coefficient sits exactly four degrees below; its absolute value
-    is the quantity the volume bounds consume.  Both facts are asserted, not
-    assumed: a violation raises rather than returning silently wrong data.
-    """
-    state = resolve_all_A(word)
+def _require_adequate(state: AllAState) -> None:
     if not is_A_adequate(state):
         raise PreconditionError(
             "penultimate coefficient needs an A-adequate diagram"
         )
-    bracket = kauffman_bracket(word, max_crossings)
+
+
+def bracket_summary(
+    bracket: LaurentPolynomial, state: AllAState
+) -> BracketSummary:
+    """Degree-end summary of the bracket of an A-adequate diagram.
+
+    ``bracket`` is the Kauffman bracket of the diagram whose all-A state is
+    ``state``.  The top degree of the bracket of an A-adequate diagram is
+    c + 2(|s_A| - 1) with top coefficient of absolute value 1, and the next
+    nonzero coefficient sits exactly four degrees below; its absolute value
+    is the quantity the volume bounds consume.  Both facts are checked
+    (raises OracleError), not assumed, and a state that is not A-adequate
+    raises PreconditionError.
+    """
+    _require_adequate(state)
     num_circles = len(state.circles)
-    top_degree = word.crossings + 2 * (num_circles - 1)
+    top_degree = state.crossings + 2 * (num_circles - 1)
     if bracket.is_zero or bracket.max_degree != top_degree:
         raise OracleError(
             f"bracket top degree {bracket.terms[-1][0] if bracket.terms else None}"
@@ -275,11 +260,21 @@ def stable_penultimate_coefficient(
         raise OracleError(
             f"top coefficient {top_coefficient} not of absolute value 1"
         )
-    penultimate_abs = abs(bracket.coefficient(top_degree - 4))
     return BracketSummary(
-        c=word.crossings,
+        c=state.crossings,
         num_all_A_circles=num_circles,
         top_degree=top_degree,
         top_coefficient=top_coefficient,
-        penultimate_abs=penultimate_abs,
+        penultimate_abs=abs(bracket.coefficient(top_degree - 4)),
     )
+
+
+def stable_penultimate_coefficient(
+    word: SyllableWord, max_crossings: int = DEFAULT_MAX_CROSSINGS
+) -> BracketSummary:
+    """``bracket_summary`` of ``word``: trace its all-A state, refuse a
+    diagram that is not A-adequate before sweeping, then sweep the bracket
+    once."""
+    state = resolve_all_A(word)
+    _require_adequate(state)
+    return bracket_summary(kauffman_bracket(word, max_crossings), state)

@@ -13,9 +13,10 @@ Subcommands::
 
 Exit codes: 0 success; 1 an identity check failed, an internal check
 failed (``OracleError``: a bug, not bad input) or a file could not be read;
-2 parse or usage error; 3 precondition gate (family checker, crossing cap,
-strand count, input limits).  ``batch`` reports a failed line as an error
-row whose ``error_kind`` is syntax, precondition, oracle or internal.
+2 parse or usage error (a ``batch`` file that is not UTF-8 text included);
+3 precondition gate (family checker, crossing cap, strand count, input
+limits).  ``batch`` reports a failed line as an error row whose
+``error_kind`` is syntax, precondition, oracle or internal.
 """
 
 from __future__ import annotations
@@ -24,11 +25,7 @@ import argparse
 import json
 import sys
 
-from .bracket import (
-    DEFAULT_MAX_CROSSINGS,
-    kauffman_bracket,
-    stable_penultimate_coefficient,
-)
+from .bracket import DEFAULT_MAX_CROSSINGS, bracket_summary, kauffman_bracket
 from .errors import BraidSyntaxError, OracleError, PreconditionError
 from .families import check_main_lemma, stoimenow_A_adequate_3braid
 from .generate import GeneratorSpec, generate_words
@@ -134,12 +131,15 @@ def _batch_line(raw: str, args: argparse.Namespace) -> dict:
 
 
 def cmd_batch(args: argparse.Namespace) -> int:
-    with open(args.path, encoding="utf-8") as handle:
-        rows = [
-            line.strip()
-            for line in handle
-            if line.strip() and not line.lstrip().startswith("#")
-        ]
+    try:
+        with open(args.path, encoding="utf-8") as handle:
+            rows = [
+                line.strip()
+                for line in handle
+                if line.strip() and not line.lstrip().startswith("#")
+            ]
+    except UnicodeDecodeError as exc:
+        raise BraidSyntaxError(f"{args.path} is not UTF-8 text: {exc}") from exc
     for row in rows:
         print(json.dumps(_batch_line(row, args)))
     return 0
@@ -200,12 +200,10 @@ def cmd_schreier(args: argparse.Namespace) -> int:
 def cmd_bracket(args: argparse.Namespace) -> int:
     word = _parse_word(args.word, args.n)
     poly = kauffman_bracket(word, max_crossings=args.max_crossings)
-    state = classify_circles(resolve_all_A(word))
+    state = resolve_all_A(word)
     summary = None
     if is_A_adequate(state):
-        summary = stable_penultimate_coefficient(
-            word, max_crossings=args.max_crossings
-        ).to_json_dict()
+        summary = bracket_summary(poly, state).to_json_dict()
     payload = {
         "schema": SCHEMA,
         "word": word.as_text(),

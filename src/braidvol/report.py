@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bounds import (
+    boundary_positive,
     cor_bounds,
     jones_bounds,
     three_braid_s_bounds,
@@ -22,7 +23,8 @@ from .bounds import (
 from .bracket import (
     DEFAULT_MAX_CROSSINGS,
     MAX_BRACKET_STRANDS,
-    stable_penultimate_coefficient,
+    bracket_summary,
+    kauffman_bracket,
 )
 from .errors import PreconditionError
 from .families import check_main_lemma, stoimenow_A_adequate_3braid
@@ -146,10 +148,8 @@ def analyze(
 
     bracket_block = None
     if bracket and adequate:
-        summary = stable_penultimate_coefficient(
-            word, max_crossings=max_crossings
-        )
-        bracket_block = summary.to_json_dict()
+        poly = kauffman_bracket(word, max_crossings)
+        bracket_block = bracket_summary(poly, state).to_json_dict()
 
     return {
         "schema": SCHEMA,
@@ -245,9 +245,7 @@ def verify(
         small == expected_small,
         f"small inner circles {small} == sum(|r|-1) = {expected_small}",
     )
-    boundary_only = all(
-        m in (1, word.n - 1) for m, r in word.syllables if r > 0
-    )
+    boundary_only = boundary_positive(word)
     medium_ok = t_plus <= medium <= 2 * t_plus
     if boundary_only:
         medium_ok = medium == t_plus
@@ -290,9 +288,7 @@ def verify(
             f" == t- {t_minus}",
         )
     if word.crossings <= max_crossings and word.n <= MAX_BRACKET_STRANDS:
-        summary = stable_penultimate_coefficient(
-            word, max_crossings=max_crossings
-        )
+        summary = bracket_summary(kauffman_bracket(word, max_crossings), state)
         add(
             "bracket_oracle",
             summary.penultimate_abs == 1 + graph.neg_chi,

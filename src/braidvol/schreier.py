@@ -60,7 +60,6 @@ __all__ = [
     "normalize_xy",
     "to_sigma_form",
     "schreier_normal_form",
-    "is_generic",
     "direct_read_k",
     "direct_read_s",
     "conjugate_3braids",
@@ -327,10 +326,6 @@ def schreier_normal_form(word: SyllableWord) -> SchreierForm:
     (-1, 'generic', ((1, 1), (1, 1)))
     """
     return to_sigma_form(normalize_xy(to_xy(word)))
-
-
-def is_generic(form: SchreierForm) -> bool:
-    return form.generic
 
 
 def _family_3braid(word: SyllableWord) -> SyllableWord:

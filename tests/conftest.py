@@ -1,4 +1,7 @@
-"""Shared fixtures: canonical words and the bracket-oracle corpus."""
+"""Shared fixtures: canonical words, the bracket-oracle corpus and a call
+counter."""
+
+import sys
 
 import pytest
 
@@ -17,6 +20,22 @@ def word_from_letters(letters, n):
 def ladder(m):
     """The alternating family word (s1^-3 s2^-3)^m."""
     return word_of("s1^-3 s2^-3 " * m, 3)
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` wherever a braidvol module binds it, and return
+    the list that collects the first argument of every call."""
+    real = getattr(module, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    for key, loaded in list(sys.modules.items()):
+        if key.split(".")[0] == "braidvol" and getattr(loaded, name, None) is real:
+            monkeypatch.setattr(loaded, name, counting)
+    return calls
 
 
 # Fixed mixed-provenance corpus for the bracket/state cross-checks: every

@@ -10,18 +10,20 @@ is the real test; the literal pins are hand computations.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from braidvol import bracket
 from braidvol.bracket import (
     DEFAULT_MAX_CROSSINGS,
     MAX_BRACKET_STRANDS,
     LaurentPolynomial,
+    bracket_summary,
     kauffman_bracket,
     stable_penultimate_coefficient,
 )
-from braidvol.errors import CrossingLimitError, PreconditionError
+from braidvol.errors import CrossingLimitError, OracleError, PreconditionError
 from braidvol.states import reduced_graph, resolve_all_A
 from braidvol.words import SyllableWord, cyclically_reduce_into_syllables, mirror
 
-from conftest import ladder, word_from_letters, word_of
+from conftest import count_calls, ladder, word_from_letters, word_of
 
 
 # --- independent oracle ---------------------------------------------------
@@ -158,9 +160,25 @@ def test_penultimate_pins():
     assert stable_penultimate_coefficient(word_of("s1^3", 2)).penultimate_abs == 0
 
 
-def test_penultimate_requires_adequacy():
+def test_penultimate_requires_adequacy(monkeypatch):
+    sweeps = count_calls(monkeypatch, bracket, "kauffman_bracket")
     with pytest.raises(PreconditionError):
         stable_penultimate_coefficient(word_of("s1^-1 s2^-3"))
+    assert sweeps == []  # refused before any sweep
+
+
+def test_summary_checks_the_degree_ends():
+    w = ladder(1)
+    state = resolve_all_A(w)
+    poly = kauffman_bracket(w)
+    assert bracket_summary(poly, state) == stable_penultimate_coefficient(w)
+    with pytest.raises(OracleError, match="top degree"):
+        bracket_summary(kauffman_bracket(ladder(2)), state)
+    with pytest.raises(OracleError, match="top coefficient"):
+        bracket_summary(poly.scaled(2), state)
+    inadequate = word_of("s1^-1 s2^-3")
+    with pytest.raises(PreconditionError):
+        bracket_summary(kauffman_bracket(inadequate), resolve_all_A(inadequate))
 
 
 def test_default_cap_matches_module_constant():

@@ -6,11 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from braidvol import cli
+from braidvol import bracket, cli, states
 from braidvol.errors import OracleError
 from braidvol.generate import MAX_COUNT
 from braidvol.report import VerifyCheck, VerifyResult
 from braidvol.words import MAX_STRANDS, MAX_WORD_LETTERS
+
+from conftest import count_calls
 
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -135,6 +137,16 @@ def test_batch_processes_comments_blanks_and_errors(capsys, tmp_path):
     assert "error" in rows[2] and rows[2]["word"] == "not a braid"
 
 
+def test_batch_refuses_undecodable_input(capsys, tmp_path):
+    path = tmp_path / "words.bin"
+    path.write_bytes(b"s1^-3 s2^-3\n\xff bad\n")
+    code, out, err = run(capsys, ["batch", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {path} is not UTF-8 text")
+    assert err.count("\n") == 1
+
+
 BATCH_ERROR_KINDS = [
     ("not a braid", "syntax"),
     (f"s1^-{MAX_WORD_LETTERS + 1}", "precondition"),
@@ -228,6 +240,16 @@ def test_bracket_prints_polynomial_and_summary(capsys):
     payload = json.loads(out)
     assert payload["polynomial"] == "-4:-1 4:-1"
     assert payload["summary"]["top_coefficient"] == -1
+
+
+def test_bracket_sweeps_and_traces_once(capsys, monkeypatch):
+    sweeps = count_calls(monkeypatch, bracket, "kauffman_bracket")
+    traces = count_calls(monkeypatch, states, "resolve_all_A")
+    classified = count_calls(monkeypatch, states, "classify_circles")
+    code, out, _ = run(capsys, ["bracket", "s1^-3 s2^-3 s1^-3 s2^-3", "--json"])
+    assert code == 0
+    assert json.loads(out)["summary"]["penultimate_abs"] == 4
+    assert (len(sweeps), len(traces), len(classified)) == (1, 1, 0)
 
 
 def test_schreier_subcommand(capsys):

@@ -5,12 +5,16 @@ import time
 
 import pytest
 
+from braidvol import bracket, states
 from braidvol.errors import CrossingLimitError, PreconditionError
 from braidvol.generate import GeneratorSpec, generate_words
 from braidvol.report import SCHEMA, analyze, verify
 from braidvol.words import SyllableWord
 
-from conftest import ladder, word_of
+from conftest import count_calls, ladder, word_of
+
+# family words at n = 3 and n = 4, both under the bracket's caps
+ONCE_WORDS = [ladder(2), word_of("s2^2 s1^-3 s3^-3 s2^-4 s1^-3 s3^-4", 4)]
 
 REPORT_KEYS = [
     "schema",
@@ -111,6 +115,14 @@ def test_bracket_block_skipped_when_inadequate():
     assert report["bracket"] is None
 
 
+def test_analyze_with_bracket_traces_the_state_once(monkeypatch):
+    traces = count_calls(monkeypatch, states, "resolve_all_A")
+    for w in ONCE_WORDS:
+        traces.clear()
+        assert analyze(w, bracket=True)["bracket"] is not None
+        assert traces == [w], w.as_text()
+
+
 def test_assume_prime_unlocks_generic_bounds():
     w = word_of("s1^-3 s2^-3")  # fails the twist minimum, direct checks hold
     assert analyze(w)["bounds"] is None
@@ -169,6 +181,16 @@ def test_verify_skips_bracket_above_the_strand_bound():
     assert time.perf_counter() - start < 2.0
     assert "bracket_oracle" not in [c.name for c in result.checks]
     assert result.passed is True
+
+
+def test_verify_traces_and_sweeps_once(monkeypatch):
+    traces = count_calls(monkeypatch, states, "resolve_all_A")
+    sweeps = count_calls(monkeypatch, bracket, "kauffman_bracket")
+    for w in ONCE_WORDS:
+        traces.clear()
+        sweeps.clear()
+        assert "bracket_oracle" in [c.name for c in verify(w).checks]
+        assert traces == [w] and sweeps == [w], w.as_text()
 
 
 def test_verify_rejects_non_family_words():

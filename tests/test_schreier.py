@@ -24,7 +24,6 @@ from braidvol.schreier import (
     direct_read_k,
     direct_read_s,
     hyperbolicity_of_form,
-    is_generic,
     is_hyperbolic_closure_3braid,
     normalize_xy,
     schreier_normal_form,
@@ -112,7 +111,7 @@ def test_normal_form_pins():
     assert schreier_normal_form(word_of("s1^2 s2^3")) == SchreierForm(
         k=1, kind=EtaKind.GENERIC, pairs=((2, 1),)
     )
-    assert not is_generic(schreier_normal_form(word_of("s1 s2")))
+    assert not schreier_normal_form(word_of("s1 s2")).generic
 
 
 def test_pair_list_is_stored_in_least_rotation():
