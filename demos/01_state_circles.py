@@ -21,8 +21,9 @@ from braidvol.words import (
 word = cyclically_reduce_into_syllables(parse_braid("s1^-3 s2^-3 s1^-3 s2^-3", n=3))
 print("word:", word.as_text(), " strands:", word.n)
 
-# resolve_all_A walks the diagram letter by letter; classify_circles then
-# tags every circle with one of six classes.
+# resolve_all_A sweeps down the diagram letter by letter, merging the
+# strands each cap joins into one circle; classify_circles then tags every
+# circle with one of six classes.
 state = classify_circles(resolve_all_A(word))
 
 print("crossings:", state.crossings)

@@ -9,6 +9,10 @@ integers, so output is byte-identical for a given word.
 
 from __future__ import annotations
 
+from collections import defaultdict
+from collections.abc import Iterator
+
+from .errors import OracleError
 from .states import (
     AllAState,
     Arc,
@@ -71,6 +75,32 @@ def _arc_path(arc: Arc, reverse: bool, n: int, c: int, y0: int) -> str:
     return " ".join(f"L {px} {py}" for px, py in corners)
 
 
+def _walk_circles(arcs: tuple[Arc, ...]) -> Iterator[list[tuple[Arc, bool]]]:
+    """Each circle's arcs in walking order, flagged when walked backwards.
+
+    A walk starts at the smallest arc not yet walked, from its first end, so
+    the walks come out in the circle order of ``resolve_all_A``.
+    """
+    incident: dict[int, list[tuple[int, int]]] = defaultdict(list)
+    for arc in arcs:
+        for end in (0, 1):
+            incident[arc.ends[end]].append((arc.id, end))
+    walked: set[int] = set()
+    for start in arcs:
+        if start.id in walked:
+            continue
+        walk, entry = [], (start.id, 0)
+        while not walk or entry != (start.id, 0):
+            arc = arcs[entry[0]]
+            walked.add(arc.id)
+            walk.append((arc, entry[1] == 1))
+            # leave by the other end, into the other arc end at that point
+            leave = (arc.id, 1 - entry[1])
+            first, second = incident[arc.ends[leave[1]]]
+            entry = second if first == leave else first
+        yield walk
+
+
 def render_state_svg(state: AllAState) -> str:
     """A self-contained SVG document for a traced (ideally classified) state."""
     n = state.n
@@ -78,29 +108,25 @@ def render_state_svg(state: AllAState) -> str:
     y0 = 30 + n * NEST
     width = _column_x(n) + n * NEST + XMARGIN
     height = y0 + c * YPITCH + n * NEST + 30
-
-    def xy(point: int) -> tuple[int, int]:
-        # point ids are level * n + (column - 1) from the tracer
-        level, col0 = divmod(point, n)
-        return _column_x(col0 + 1), y0 + level * YPITCH
-
+    walks = list(_walk_circles(state.arcs))
+    if len(walks) != len(state.circles):
+        raise OracleError(
+            f"arcs close into {len(walks)} circles, state has {len(state.circles)}"
+        )
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}"'
         f' height="{height}" viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
-    for circle in state.circles:
-        first = state.arcs[circle.arcs[0]]
-        start = first.ends[1 if circle.arc_reversed[0] else 0]
-        sx, sy = xy(start)
-        pieces = [f"M {sx} {sy}"]
-        for arc_id, reverse in zip(circle.arcs, circle.arc_reversed):
-            pieces.append(_arc_path(state.arcs[arc_id], reverse, n, c, y0))
-        pieces.append("Z")
+    for circle, walk in zip(state.circles, walks):
+        # grid point ids are level * n + (column - 1), as in AllAState.arcs
+        level, col0 = divmod(walk[0][0].ends[0], n)
+        pieces = [f"M {_column_x(col0 + 1)} {y0 + level * YPITCH}"]
+        pieces += [_arc_path(arc, reverse, n, c, y0) for arc, reverse in walk]
         color = CLASS_COLORS[circle.klass]
         parts.append(
             f'<path id="circle-{circle.id}" class="{circle.klass.value}"'
-            f' d="{" ".join(pieces)}" fill="none" stroke="{color}"'
+            f' d="{" ".join(pieces)} Z" fill="none" stroke="{color}"'
             ' stroke-width="2"/>'
         )
     for seg in state.segments:

@@ -8,6 +8,8 @@ letter joins the two strands above the crossing (a *cap*) and below it
 (a *cup*), leaving a vertical A-segment between cap and cup.  Smoothing every
 crossing turns the diagram into a disjoint union of embedded circles, the
 state circles, each with a winding number 0 or 1 around the annulus core.
+:func:`resolve_all_A` finds them by union-find (Tarjan, 1975) in one sweep
+down the braid; only the SVG renderer builds and walks the arcs.
 
 The circles carry a taxonomy driven by their *support* (the set of twist-
 region columns contributing a cap or cup to the circle):
@@ -26,11 +28,11 @@ e - v feeds every volume bound downstream.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .errors import OracleError, PreconditionError
+from .errors import PreconditionError
 from .words import SyllableWord
 
 __all__ = [
@@ -80,7 +82,7 @@ class Arc:
 
     ``column`` is the generator index for caps and cups and the strand
     position for pass and closure arcs.  ``level`` is the letter index, or -1
-    for closure arcs.  ``ends`` are internal grid-point ids used for tracing;
+    for closure arcs.  ``ends`` are grid-point ids, level * n + column - 1;
     for closure arcs the pair is (bottom point, top point).
     """
 
@@ -107,16 +109,12 @@ class Segment:
 
 @dataclass(frozen=True)
 class StateCircle:
-    """A state circle: its arcs in traversal order, winding, and class.
-
-    ``arc_reversed[i]`` says arc ``arcs[i]`` is traversed from its second end
-    to its first.  ``winding`` is the absolute homology degree around the
-    annulus, always 0 or 1 for an embedded circle.
-    """
+    """A state circle: its id (circles are numbered by their smallest arc
+    ids), winding (the absolute homology degree around the annulus, 0 or 1
+    for an embedded circle), support (the columns of its caps and cups) and
+    class."""
 
     id: int
-    arcs: tuple[int, ...]
-    arc_reversed: tuple[bool, ...]
     winding: int
     support: frozenset[int]
     klass: CircleClass = CircleClass.UNCLASSIFIED
@@ -134,12 +132,36 @@ class ReducedStateGraph:
 
 @dataclass(frozen=True)
 class AllAState:
-    """The full all-A state of one closed-braid diagram."""
+    """The full all-A state of one closed-braid diagram; arcs built on demand."""
 
     word: SyllableWord
     circles: tuple[StateCircle, ...]
     segments: tuple[Segment, ...]
-    arcs: tuple[Arc, ...]
+
+    @property
+    def arcs(self) -> tuple[Arc, ...]:
+        """Every arc, built on each call: letter i owns ids i*n ... i*n + n - 1
+        (its cap and cup when negative, then its passes by column), the n
+        closure arcs come last, and grid point level * n + column - 1 sits
+        above letter ``level``.  :func:`resolve_all_A` relies on this order."""
+        n, specs, level = self.n, [], 0
+        for g, r in self.word.syllables:
+            for _ in range(abs(r)):
+                top, bottom = level * n - 1, (level + 1) * n - 1
+                if r < 0:
+                    specs.append((ArcKind.CAP, g, level, (top + g, top + g + 1)))
+                    specs.append((ArcKind.CUP, g, level, (bottom + g, bottom + g + 1)))
+                specs += [
+                    (ArcKind.PASS, col, level, (top + col, bottom + col))
+                    for col in range(1, n + 1)
+                    if r > 0 or not g <= col <= g + 1
+                ]
+                level += 1
+        specs += [
+            (ArcKind.CLOSURE, col, -1, (level * n + col - 1, col - 1))
+            for col in range(1, n + 1)
+        ]
+        return tuple(Arc(i, *spec) for i, spec in enumerate(specs))
 
     @property
     def n(self) -> int:
@@ -162,117 +184,69 @@ class AllAState:
         return self.census[CircleClass.NON_ESSENTIAL_WANDERING]
 
 
-def _expand_letters(word: SyllableWord) -> list[tuple[int, int, int]]:
-    letters: list[tuple[int, int, int]] = []
-    for si, (m, r) in enumerate(word.syllables):
-        letters.extend([(m, 1 if r > 0 else -1, si)] * abs(r))
-    return letters
-
-
 def resolve_all_A(word: SyllableWord) -> AllAState:
     """Smooth every crossing the A-way and trace the state circles.
 
-    Circles come back unclassified; run :func:`classify_circles` for the
-    taxonomy.  Works for any syllable word, reduced or not.
+    One sweep down the braid keeps a union-find label per column: a negative
+    letter unions columns g and g+1 (its cap) and gives both a fresh label
+    (its cup); the closure unions each column's bottom and top labels.  A
+    label is named by its smallest arc id (see :attr:`AllAState.arcs`) and a
+    union keeps the smaller name, so sorted roots number the circles in arc
+    order; winding is the parity of a circle's closure arcs.  Circles come
+    back unclassified (see :func:`classify_circles`); any syllable word works.
     """
     n = word.n
-    letters = _expand_letters(word)
-    c = len(letters)
+    # a top label is the first letter's arc in its column: the cap, or a pass
+    # after a negative letter's cap and cup; g = 0 reads every column's pass
+    # (or, for the empty word, its closure arc) as arc id j
+    g = word.syllables[0][0] if word.syllables and word.syllables[0][1] < 0 else 0
+    top = [j + 2 if j < g - 1 else 0 if j <= g else j for j in range(n)]
+    parent = {label: label for label in top}
 
-    def point(level: int, col: int) -> int:
-        return level * n + (col - 1)
+    def find(label: int) -> int:
+        while (up := parent[label]) != label:
+            parent[label] = label = parent[up]
+        return label
 
-    arcs: list[Arc] = []
-    pass_at: dict[tuple[int, int], int] = {}  # (letter, column) -> arc id
-    cap_at: dict[int, int] = {}
-    cup_at: dict[int, int] = {}
+    def union(a: int, b: int) -> int:
+        a, b = sorted((find(a), find(b)))
+        parent[b] = a
+        return a
 
-    def add(kind: ArcKind, column: int, level: int, ends: tuple[int, int]) -> int:
-        arc = Arc(len(arcs), kind, column, level, ends)
-        arcs.append(arc)
-        return arc.id
+    labels = top.copy()
+    raw: list[tuple[int, SegmentOrientation, int, int]] = []  # one per letter
+    for si, (g, r) in enumerate(word.syllables):
+        for _ in range(abs(r)):
+            if r > 0:
+                ends = labels[g - 1], labels[g]
+                orientation = SegmentOrientation.HORIZONTAL
+            else:
+                cup = len(raw) * n + 1
+                ends = union(labels[g - 1], labels[g]), cup
+                parent[cup] = labels[g - 1] = labels[g] = cup
+                orientation = SegmentOrientation.VERTICAL
+            raw.append((si, orientation, *ends))
+    for bottom, label in zip(labels, top):
+        union(bottom, label)
 
-    for idx, (g, sign, _si) in enumerate(letters):
-        if sign < 0:
-            cap_at[idx] = add(
-                ArcKind.CAP, g, idx, (point(idx, g), point(idx, g + 1))
-            )
-            cup_at[idx] = add(
-                ArcKind.CUP, g, idx, (point(idx + 1, g), point(idx + 1, g + 1))
-            )
-            smoothed = (g, g + 1)
-        else:
-            smoothed = ()
-        for col in range(1, n + 1):
-            if col in smoothed:
-                continue
-            pass_at[(idx, col)] = add(
-                ArcKind.PASS, col, idx, (point(idx, col), point(idx + 1, col))
-            )
-    for col in range(1, n + 1):
-        add(ArcKind.CLOSURE, col, -1, (point(c, col), point(0, col)))
-
-    if c == 0:
-        # each closure arc is already a full circle around the annulus
-        circles = tuple(
-            StateCircle(j, (arcs[j].id,), (False,), 1, frozenset())
-            for j in range(n)
-        )
-        return AllAState(word, circles, (), tuple(arcs))
-
-    incident: dict[int, list[tuple[int, int]]] = defaultdict(list)
-    for arc in arcs:
-        incident[arc.ends[0]].append((arc.id, 0))
-        incident[arc.ends[1]].append((arc.id, 1))
-
-    circle_of = [-1] * len(arcs)
-    circles: list[StateCircle] = []
-    for start in range(len(arcs)):
-        if circle_of[start] != -1:
-            continue
-        cid = len(circles)
-        seq: list[int] = []
-        flips: list[bool] = []
-        winding = 0
-        support: set[int] = set()
-        ai, from_end = start, 0
-        while True:
-            circle_of[ai] = cid
-            arc = arcs[ai]
-            seq.append(ai)
-            flips.append(from_end == 1)
-            if arc.kind is ArcKind.CLOSURE:
-                # bottom-to-top traversal counts +1 around the annulus
-                winding += 1 if from_end == 0 else -1
-            elif arc.kind is not ArcKind.PASS:
-                support.add(arc.column)
-            exit_point = arc.ends[1 - from_end]
-            first, second = incident[exit_point]
-            ai, from_end = second if first[0] == ai else first
-            if ai == start and from_end == 0:
-                break
-        if abs(winding) > 1:
-            raise OracleError(
-                f"embedded state circle traced with winding {winding}"
-            )
-        circles.append(
-            StateCircle(cid, tuple(seq), tuple(flips), abs(winding), frozenset(support))
-        )
-
-    segments: list[Segment] = []
-    for idx, (g, sign, si) in enumerate(letters):
-        if sign > 0:
-            ends = (
-                circle_of[pass_at[(idx, g)]],
-                circle_of[pass_at[(idx, g + 1)]],
-            )
-            orientation = SegmentOrientation.HORIZONTAL
-        else:
-            ends = (circle_of[cap_at[idx]], circle_of[cup_at[idx]])
-            orientation = SegmentOrientation.VERTICAL
-        segments.append(Segment(idx, si, orientation, ends))
-
-    return AllAState(word, tuple(circles), tuple(segments), tuple(arcs))
+    closures = Counter(find(label) for label in top)
+    support: dict[int, set[int]] = defaultdict(set)
+    for si, orientation, a, b in raw:
+        if orientation is SegmentOrientation.VERTICAL:
+            g = word.syllables[si][0]
+            support[find(a)].add(g)
+            support[find(b)].add(g)
+    roots = sorted({find(label) for label in parent})
+    circle_of = {root: cid for cid, root in enumerate(roots)}
+    circles = tuple(
+        StateCircle(cid, closures[root] % 2, frozenset(support[root]))
+        for cid, root in enumerate(roots)
+    )
+    segments = tuple(
+        Segment(crossing, si, orientation, (circle_of[find(a)], circle_of[find(b)]))
+        for crossing, (si, orientation, a, b) in enumerate(raw)
+    )
+    return AllAState(word, circles, segments)
 
 
 def classify_circles(state: AllAState) -> AllAState:

@@ -1,14 +1,17 @@
-"""SVG rendering: structure, determinism, and class styling."""
+"""SVG rendering: structure, determinism, pinned bytes, and class styling."""
 
+import hashlib
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import pytest
 
+from braidvol.errors import OracleError
 from braidvol.render import CLASS_COLORS, render_state_svg
 from braidvol.states import CircleClass, classify_circles, resolve_all_A
 from braidvol.words import SyllableWord
 
-from conftest import ladder
+from conftest import ladder, word_of
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -85,6 +88,29 @@ def test_rendering_is_deterministic():
     _, first = rendered(word)
     _, second = rendered(word)
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "word, digest",
+    [
+        (ladder(2), "6d8c779ef4981d20ece49bdbf45d22e9c9473a56b2dbde8afe536196f893703c"),
+        (
+            word_of("s1^3 s2^-3 s1^2 s2^-4"),
+            "5fb8cb3ce5d900922f7e1f24e79f6c9dae11126b6fae8ce4fe1c8a38ca0216ee",
+        ),
+    ],
+)
+def test_svg_bytes_are_pinned(word, digest):
+    # the SHA-256 of the whole document: any change to a coordinate, to the
+    # order of circles or arcs, or to the markup shows up here
+    _, svg = rendered(word)
+    assert hashlib.sha256(svg.encode()).hexdigest() == digest
+
+
+def test_circle_list_that_disagrees_with_the_arcs_is_refused():
+    state, _ = rendered(ladder(2))
+    with pytest.raises(OracleError):
+        render_state_svg(replace(state, circles=state.circles[:-1]))
 
 
 def test_every_class_color_is_a_hex_triplet():

@@ -3,15 +3,26 @@
 The census pins below were worked out by hand on the flat diagrams: a
 positive letter contributes two pass arcs and a horizontal segment, a
 negative letter a cap/cup pair and a vertical segment; circles are read off
-by walking arc endpoints, then sorted into the five classes by support and
-winding.
+by one union-find sweep down the braid, then sorted into the five classes by
+support and winding.  The walk over arc endpoints that the sweep replaced is
+kept here as an oracle, and the two must agree on every word.
 """
+
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from braidvol.errors import OracleError
+from braidvol.generate import GeneratorSpec, generate_words
 from braidvol.states import (
+    AllAState,
+    Arc,
+    ArcKind,
     CircleClass,
+    Segment,
+    SegmentOrientation,
+    StateCircle,
     check_oc_identity,
     classify_circles,
     is_A_adequate,
@@ -140,12 +151,149 @@ def test_oc_identity_not_applicable_off_family():
     assert check_oc_identity(state) is None
 
 
+def walk_oracle(word):
+    """The arc-walking tracer the sweep replaced, as an independent oracle.
+
+    Builds one arc per pass, cap, cup and closure, joins arcs at shared grid
+    points, and walks each circle from its smallest unvisited arc, summing
+    signed closure crossings.  Returns the arcs and an unclassified state.
+    """
+    n = word.n
+    letters = [
+        (m, 1 if r > 0 else -1, si)
+        for si, (m, r) in enumerate(word.syllables)
+        for _ in range(abs(r))
+    ]
+    c = len(letters)
+
+    def point(level, col):
+        return level * n + (col - 1)
+
+    arcs = []
+    pass_at, cap_at, cup_at = {}, {}, {}
+
+    def add(kind, column, level, ends):
+        arcs.append(Arc(len(arcs), kind, column, level, ends))
+        return len(arcs) - 1
+
+    for idx, (g, sign, _) in enumerate(letters):
+        smoothed = ()
+        if sign < 0:
+            cap_at[idx] = add(ArcKind.CAP, g, idx, (point(idx, g), point(idx, g + 1)))
+            cup_at[idx] = add(
+                ArcKind.CUP, g, idx, (point(idx + 1, g), point(idx + 1, g + 1))
+            )
+            smoothed = (g, g + 1)
+        for col in range(1, n + 1):
+            if col not in smoothed:
+                pass_at[(idx, col)] = add(
+                    ArcKind.PASS, col, idx, (point(idx, col), point(idx + 1, col))
+                )
+    for col in range(1, n + 1):
+        add(ArcKind.CLOSURE, col, -1, (point(c, col), point(0, col)))
+
+    incident = defaultdict(list)
+    for arc in arcs:
+        incident[arc.ends[0]].append((arc.id, 0))
+        incident[arc.ends[1]].append((arc.id, 1))
+    circle_of = [-1] * len(arcs)
+    circles = []
+    for start in range(len(arcs)):
+        if circle_of[start] != -1:
+            continue
+        cid = len(circles)
+        winding, support = 0, set()
+        ai, from_end = start, 0
+        while True:
+            circle_of[ai] = cid
+            arc = arcs[ai]
+            if arc.kind is ArcKind.CLOSURE:
+                # bottom-to-top traversal counts +1 around the annulus
+                winding += 1 if from_end == 0 else -1
+            elif arc.kind is not ArcKind.PASS:
+                support.add(arc.column)
+            # leave by the other end, into the other arc end at that point
+            first, second = incident[arc.ends[1 - from_end]]
+            ai, from_end = second if first == (ai, 1 - from_end) else first
+            if ai == start and from_end == 0:
+                break
+        if abs(winding) > 1:
+            raise OracleError(f"embedded state circle traced with winding {winding}")
+        circles.append(StateCircle(cid, abs(winding), frozenset(support)))
+
+    segments = []
+    for idx, (g, sign, si) in enumerate(letters):
+        if sign > 0:
+            ends = (circle_of[pass_at[(idx, g)]], circle_of[pass_at[(idx, g + 1)]])
+            orientation = SegmentOrientation.HORIZONTAL
+        else:
+            ends = (circle_of[cap_at[idx]], circle_of[cup_at[idx]])
+            orientation = SegmentOrientation.VERTICAL
+        segments.append(Segment(idx, si, orientation, ends))
+    return tuple(arcs), AllAState(word, tuple(circles), tuple(segments))
+
+
+def assert_sweep_matches_oracle(word):
+    arcs, expected = walk_oracle(word)
+    state = resolve_all_A(word)
+    assert state.circles == expected.circles
+    assert state.segments == expected.segments
+    assert state.arcs == arcs
+    classified, oracle_classified = classify_circles(state), classify_circles(expected)
+    assert classified.circles == oracle_classified.circles
+    assert classified.census == oracle_classified.census
+
+
+any_n_word_st = st.integers(min_value=1, max_value=6).flatmap(
+    lambda n: st.builds(
+        SyllableWord,
+        st.just(n),
+        st.lists(
+            st.tuples(
+                st.integers(min_value=1, max_value=max(n - 1, 1)),
+                st.integers(min_value=-6, max_value=6).filter(lambda r: r != 0),
+            ),
+            max_size=12 if n > 1 else 0,
+        ).map(tuple),
+    )
+)
+
+
+@given(any_n_word_st)
+@settings(max_examples=300)
+def test_sweep_matches_the_walk_oracle(word):
+    # unreduced words keep adjacent syllables of one generator and letters
+    # that cancel across the closure; the reduced form is checked as well
+    assert_sweep_matches_oracle(word)
+    assert_sweep_matches_oracle(cyclically_reduce_into_syllables(word))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_sweep_matches_the_walk_oracle_on_the_empty_word(n):
+    assert_sweep_matches_oracle(SyllableWord(n, ()))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8])
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    half=st.integers(min_value=7, max_value=100),
+)
+@settings(max_examples=8, deadline=None)
+def test_sweep_matches_the_walk_oracle_on_generated_words(n, seed, half):
+    spec = GeneratorSpec(n=n, syllable_count=2 * half, seed=seed)
+    assert_sweep_matches_oracle(generate_words(spec)[0])
+
+
 @given(word_st)
 @settings(max_examples=120)
-def test_circles_partition_the_arcs(word):
+def test_arcs_are_numbered_n_per_letter(word):
     state = resolve_all_A(word)
-    seen = [arc_id for circle in state.circles for arc_id in circle.arcs]
-    assert sorted(seen) == sorted(a.id for a in state.arcs)
+    n, c = word.n, word.crossings
+    assert [arc.id for arc in state.arcs] == list(range((c + 1) * n))
+    for i in range(c):
+        assert {arc.level for arc in state.arcs[i * n : (i + 1) * n]} == {i}
+    closure = state.arcs[c * n :]
+    assert all(arc.kind is ArcKind.CLOSURE and arc.level == -1 for arc in closure)
 
 
 @given(word_st)
