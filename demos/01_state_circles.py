@@ -8,7 +8,7 @@ result is a collection of circles, and the whole analysis pipeline starts
 from counting and classifying them.
 """
 
-from braidvol.states import classify_circles, resolve_all_A, twist_counts
+from braidvol.states import resolve_all_A, twist_counts
 from braidvol.words import (
     SyllableWord,
     cyclically_reduce_into_syllables,
@@ -22,9 +22,9 @@ word = cyclically_reduce_into_syllables(parse_braid("s1^-3 s2^-3 s1^-3 s2^-3", n
 print("word:", word.as_text(), " strands:", word.n)
 
 # resolve_all_A sweeps down the diagram letter by letter, merging the
-# strands each cap joins into one circle; classify_circles then tags every
-# circle with one of six classes.
-state = classify_circles(resolve_all_A(word))
+# strands each cap joins into one circle, and tags every circle with one of
+# six classes as it is traced.
+state = resolve_all_A(word)
 
 print("crossings:", state.crossings)
 print("twist counts (t, t+, t-):", twist_counts(state.word))
@@ -49,7 +49,7 @@ print()
 # Mixed signs shift the census: positive syllables produce medium inner
 # circles, and one wandering circle always survives on three strands.
 mixed = SyllableWord(3, ((1, 3), (2, -3), (1, 2), (2, -4)))
-mixed_state = classify_circles(resolve_all_A(mixed))
+mixed_state = resolve_all_A(mixed)
 print("word:", mixed.as_text())
 for klass, count in mixed_state.census.items():
     if count:

@@ -10,12 +10,12 @@ data.  This demo runs the gate and evaluates every bound that applies.
 
 from braidvol.bounds import cor_bounds, jones_bounds, three_braid_s_bounds, volume_bounds
 from braidvol.families import check_main_lemma
-from braidvol.states import classify_circles, reduced_graph, resolve_all_A
+from braidvol.states import reduced_graph, resolve_all_A
 from braidvol.words import SyllableWord
 
 
 def pipeline(word):
-    state = classify_circles(resolve_all_A(word))
+    state = resolve_all_A(word)
     return state, reduced_graph(state)
 
 

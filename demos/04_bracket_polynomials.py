@@ -12,7 +12,7 @@ the reduced state graph.
 """
 
 from braidvol.bracket import kauffman_bracket, stable_penultimate_coefficient
-from braidvol.states import classify_circles, reduced_graph, resolve_all_A
+from braidvol.states import reduced_graph, resolve_all_A
 from braidvol.words import SyllableWord
 
 # small classics first
@@ -39,5 +39,5 @@ print("top coefficient:", summary.top_coefficient)
 print("|penultimate coefficient|:", summary.penultimate_abs)
 
 # ... and matches the reduced graph computed without any polynomial at all
-graph = reduced_graph(classify_circles(resolve_all_A(word)))
+graph = reduced_graph(resolve_all_A(word))
 print("1 + neg_chi from the state graph:", 1 + graph.neg_chi)

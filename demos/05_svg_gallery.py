@@ -10,7 +10,7 @@ the same word always yields byte-identical SVG.
 import pathlib
 
 from braidvol.render import CLASS_COLORS, render_state_svg
-from braidvol.states import classify_circles, resolve_all_A
+from braidvol.states import resolve_all_A
 from braidvol.words import SyllableWord
 
 OUT = pathlib.Path(__file__).resolve().parent / "svg_out"
@@ -29,7 +29,7 @@ gallery = {
 }
 
 for name, word in gallery.items():
-    state = classify_circles(resolve_all_A(word))
+    state = resolve_all_A(word)
     svg = render_state_svg(state)
     path = OUT / f"{name}.svg"
     path.write_text(svg, encoding="utf-8")

@@ -61,7 +61,6 @@ from .states import (
     CircleClass,
     ReducedStateGraph,
     StateCircle,
-    check_oc_identity,
     classify_circles,
     is_A_adequate,
     is_connected_closure,
@@ -108,7 +107,6 @@ __all__ = [
     "analyze",
     "bracket_summary",
     "check_main_lemma",
-    "check_oc_identity",
     "classify_circles",
     "conjugate_3braids",
     "cor_bounds",

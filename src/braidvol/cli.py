@@ -32,7 +32,7 @@ from .generate import GeneratorSpec, generate_words
 from .render import render_state_svg
 from .report import SCHEMA, analyze, circle_detail, schreier_block, verify
 from .schreier import schreier_normal_form
-from .states import classify_circles, is_A_adequate, resolve_all_A
+from .states import is_A_adequate, resolve_all_A
 from .words import SyllableWord, cyclically_reduce_into_syllables, parse_braid
 
 __all__ = ["main", "entry"]
@@ -220,7 +220,7 @@ def cmd_bracket(args: argparse.Namespace) -> int:
 
 def cmd_state(args: argparse.Namespace) -> int:
     word = _parse_word(args.word, args.n)
-    state = classify_circles(resolve_all_A(word))
+    state = resolve_all_A(word)
     if args.svg is not None:
         with open(args.svg, "w", encoding="utf-8") as handle:
             handle.write(render_state_svg(state))

@@ -45,9 +45,13 @@ from .errors import OracleError, PreconditionError
 from .families import check_main_lemma
 from .words import MAX_STRANDS, MAX_WORD_LETTERS, SyllableWord
 
-__all__ = ["GeneratorSpec", "generate_words", "MAX_COUNT"]
+__all__ = ["GeneratorSpec", "generate_words", "MAX_COUNT", "MAX_WIDE_SYLLABLES"]
 
 MAX_COUNT = 1_000  # words per spec
+# syllables per spec (syllable_count * count) for n >= 4, where one word
+# costs about O(t^2 * n) in its syllable count t: one 2,000-syllable word at
+# n = 32 took 45 s on a 2-core machine (Python 3.11), 1,250 took 17 s
+MAX_WIDE_SYLLABLES = 2_000
 
 
 @dataclass(frozen=True)
@@ -96,6 +100,12 @@ class GeneratorSpec:
         if self.count > MAX_COUNT:
             raise PreconditionError(
                 f"count {self.count} is above the limit of {MAX_COUNT}"
+            )
+        total = self.syllable_count * self.count
+        if self.n >= 4 and total > MAX_WIDE_SYLLABLES:
+            raise PreconditionError(
+                f"{total} syllables (syllable count times count) is above the"
+                f" limit of {MAX_WIDE_SYLLABLES} for n >= 4"
             )
 
 

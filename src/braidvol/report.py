@@ -38,7 +38,6 @@ from .schreier import (
 from .states import (
     AllAState,
     CircleClass,
-    classify_circles,
     is_A_adequate,
     is_connected_closure,
     reduced_graph,
@@ -101,7 +100,7 @@ def analyze(
     checked family when the direct diagram checks (adequacy, two-edge-loop,
     connectivity, t >= 2) all hold but primeness has to be taken on faith.
     """
-    state = classify_circles(resolve_all_A(word))
+    state = resolve_all_A(word)
     graph = reduced_graph(state)
     t, t_plus, t_minus = twist_counts(word)
     lemma = check_main_lemma(word)
@@ -216,7 +215,7 @@ def verify(
         raise PreconditionError(
             f"verify needs a family word; {word.as_text()!r} fails the checker"
         )
-    state = classify_circles(resolve_all_A(word))
+    state = resolve_all_A(word)
     graph = reduced_graph(state)
     t, t_plus, t_minus = twist_counts(word)
     census = state.census

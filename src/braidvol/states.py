@@ -9,7 +9,8 @@ letter joins the two strands above the crossing (a *cap*) and below it
 crossing turns the diagram into a disjoint union of embedded circles, the
 state circles, each with a winding number 0 or 1 around the annulus core.
 :func:`resolve_all_A` finds them by union-find (Tarjan, 1975) in one sweep
-down the braid; only the SVG renderer builds and walks the arcs.
+down the braid and classifies each as it is traced; only the SVG renderer
+builds and walks the arcs.
 
 The circles carry a taxonomy driven by their *support* (the set of twist-
 region columns contributing a cap or cup to the circle):
@@ -28,8 +29,8 @@ e - v feeds every volume bound downstream.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
-from dataclasses import dataclass, replace
+from collections import defaultdict
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import PreconditionError
@@ -51,7 +52,6 @@ __all__ = [
     "twist_counts",
     "is_connected_closure",
     "reduced_graph",
-    "check_oc_identity",
 ]
 
 
@@ -117,7 +117,7 @@ class StateCircle:
     id: int
     winding: int
     support: frozenset[int]
-    klass: CircleClass = CircleClass.UNCLASSIFIED
+    klass: CircleClass
 
 
 @dataclass(frozen=True)
@@ -192,8 +192,10 @@ def resolve_all_A(word: SyllableWord) -> AllAState:
     (its cup); the closure unions each column's bottom and top labels.  A
     label is named by its smallest arc id (see :attr:`AllAState.arcs`) and a
     union keeps the smaller name, so sorted roots number the circles in arc
-    order; winding is the parity of a circle's closure arcs.  Circles come
-    back unclassified (see :func:`classify_circles`); any syllable word works.
+    order; winding is the parity of a circle's closure arcs.  The last loop
+    maps each segment's labels to circles and gathers each circle's support
+    and incident segments, so every circle is built once, already classified
+    (see :func:`_klass`); any syllable word works.
     """
     n = word.n
     # a top label is the first letter's arc in its column: the cap, or a pass
@@ -229,61 +231,62 @@ def resolve_all_A(word: SyllableWord) -> AllAState:
     for bottom, label in zip(labels, top):
         union(bottom, label)
 
-    closures = Counter(find(label) for label in top)
-    support: dict[int, set[int]] = defaultdict(set)
-    for si, orientation, a, b in raw:
-        if orientation is SegmentOrientation.VERTICAL:
-            g = word.syllables[si][0]
-            support[find(a)].add(g)
-            support[find(b)].add(g)
     roots = sorted({find(label) for label in parent})
     circle_of = {root: cid for cid, root in enumerate(roots)}
+    winding = [0] * len(roots)  # the parity of each circle's closure arcs
+    for label in top:
+        winding[circle_of[find(label)]] ^= 1
+    support: list[set[int]] = [set() for _ in roots]
+    incident: list[list[Segment]] = [[] for _ in roots]
+    segments = []
+    for crossing, (si, orientation, a, b) in enumerate(raw):
+        ends = circle_of[find(a)], circle_of[find(b)]
+        seg = Segment(crossing, si, orientation, ends)
+        segments.append(seg)
+        for cid in set(ends):
+            incident[cid].append(seg)
+            if orientation is SegmentOrientation.VERTICAL:
+                support[cid].add(word.syllables[si][0])
     circles = tuple(
-        StateCircle(cid, closures[root] % 2, frozenset(support[root]))
-        for cid, root in enumerate(roots)
+        StateCircle(
+            cid, winding[cid], frozenset(columns), _klass(columns, winding[cid], segs)
+        )
+        for cid, (columns, segs) in enumerate(zip(support, incident))
     )
-    segments = tuple(
-        Segment(crossing, si, orientation, (circle_of[find(a)], circle_of[find(b)]))
-        for crossing, (si, orientation, a, b) in enumerate(raw)
-    )
-    return AllAState(word, circles, segments)
+    return AllAState(word, circles, tuple(segments))
+
+
+def _klass(support: set[int], winding: int, segs: list[Segment]) -> CircleClass:
+    """The circle taxonomy, in order: empty support is nonwandering; support
+    meeting two or more columns wanders (essential iff winding 1);
+    single-column support is a small inner circle when its only two incident
+    segments are the vertical segments of consecutive crossings in one
+    negative syllable, else medium inner when contractible, else
+    unclassified."""
+    if not support:
+        return CircleClass.NONWANDERING
+    if len(support) >= 2:
+        if winding == 1:
+            return CircleClass.ESSENTIAL_WANDERING
+        return CircleClass.NON_ESSENTIAL_WANDERING
+    if (
+        len(segs) == 2
+        and all(s.orientation is SegmentOrientation.VERTICAL for s in segs)
+        and segs[0].syllable == segs[1].syllable
+        and abs(segs[0].crossing - segs[1].crossing) == 1
+    ):
+        return CircleClass.SMALL_INNER
+    if winding == 0:
+        return CircleClass.MEDIUM_INNER
+    return CircleClass.UNCLASSIFIED
 
 
 def classify_circles(state: AllAState) -> AllAState:
-    """Fill in the circle taxonomy; returns a new state, input untouched.
-
-    Rules, in order: empty support is nonwandering; support meeting two or
-    more columns wanders (essential iff winding 1); single-column support is
-    a small inner circle when its only two incident segments are the vertical
-    segments of consecutive crossings in one negative syllable, else medium
-    inner when contractible, else left unclassified.
-    """
-    incident: dict[int, list[Segment]] = defaultdict(list)
-    for seg in state.segments:
-        for cid in set(seg.endpoints):
-            incident[cid].append(seg)
-
-    def klass_of(circle: StateCircle) -> CircleClass:
-        if not circle.support:
-            return CircleClass.NONWANDERING
-        if len(circle.support) >= 2:
-            if circle.winding == 1:
-                return CircleClass.ESSENTIAL_WANDERING
-            return CircleClass.NON_ESSENTIAL_WANDERING
-        segs = incident[circle.id]
-        if (
-            len(segs) == 2
-            and all(s.orientation is SegmentOrientation.VERTICAL for s in segs)
-            and segs[0].syllable == segs[1].syllable
-            and abs(segs[0].crossing - segs[1].crossing) == 1
-        ):
-            return CircleClass.SMALL_INNER
-        if circle.winding == 0:
-            return CircleClass.MEDIUM_INNER
-        return CircleClass.UNCLASSIFIED
-
-    circles = tuple(replace(c, klass=klass_of(c)) for c in state.circles)
-    return replace(state, circles=circles)
+    """Return ``state`` unchanged: :func:`resolve_all_A` classifies every
+    circle where it traces it.  Kept only because the perfbench traced
+    replay (``perfbench/spans.py``) still times this call; it goes when that
+    replay changes."""
+    return state
 
 
 def is_A_adequate(state: AllAState) -> bool:
@@ -341,25 +344,3 @@ def reduced_graph(state: AllAState) -> ReducedStateGraph:
     v = len(state.circles)
     e = len(pairs)
     return ReducedStateGraph(v, e, e - v, len(state.segments))
-
-
-def check_oc_identity(state: AllAState) -> bool | None:
-    """Whether e(G') - v(G') = t(D) - #(circles other than small inner).
-
-    Returns None (not applicable) unless the word is cyclically reduced and
-    the state is fully classified, A-adequate, TELC, and connected.
-    """
-    if not state.word.cyclically_reduced:
-        return None
-    census = state.census
-    if census[CircleClass.UNCLASSIFIED]:
-        return None
-    if not (
-        is_A_adequate(state)
-        and satisfies_TELC(state)
-        and is_connected_closure(state.word)
-    ):
-        return None
-    t, _, _ = twist_counts(state.word)
-    others = len(state.circles) - census[CircleClass.SMALL_INNER]
-    return reduced_graph(state).neg_chi == t - others

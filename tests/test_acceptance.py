@@ -33,7 +33,6 @@ from braidvol.schreier import (
 )
 from braidvol.states import (
     CircleClass,
-    classify_circles,
     is_A_adequate,
     is_connected_closure,
     reduced_graph,
@@ -54,7 +53,7 @@ def test_criterion_1_ladder_family():
     for m in range(2, 6):
         word = ladder(m)
         assert check_main_lemma(word).passed
-        state = classify_circles(resolve_all_A(word))
+        state = resolve_all_A(word)
         census = {k.value: v for k, v in state.census.items() if v}
         assert census == {"small_inner": 4 * m, "essential_wandering": 1}
         graph = reduced_graph(state)
@@ -153,7 +152,7 @@ def test_criterion_5_structural_suite():
                 seed=1000 * n + i,
             )
             word = generate_words(spec)[0]
-            state = classify_circles(resolve_all_A(word))
+            state = resolve_all_A(word)
             graph = reduced_graph(state)
             t, t_plus, _ = twist_counts(word)
             census = state.census
@@ -193,7 +192,7 @@ def test_criterion_6_bracket_oracle_identity():
     for n, text in ORACLE_CORPUS:
         word = word_of(text, n)
         assert word.crossings <= 18
-        state = classify_circles(resolve_all_A(word))
+        state = resolve_all_A(word)
         assert is_A_adequate(state)
         graph = reduced_graph(state)
         summary = stable_penultimate_coefficient(word)

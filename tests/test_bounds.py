@@ -21,7 +21,7 @@ from braidvol.bounds import (
 from braidvol.errors import OracleError, PreconditionError
 from braidvol.families import check_main_lemma
 from braidvol.generate import GeneratorSpec, generate_words
-from braidvol.states import classify_circles, reduced_graph, resolve_all_A
+from braidvol.states import reduced_graph, resolve_all_A
 from braidvol.words import SyllableWord
 
 from conftest import ladder, word_of
@@ -30,7 +30,7 @@ TOL = 1e-9
 
 
 def bound_inputs(word):
-    state = classify_circles(resolve_all_A(word))
+    state = resolve_all_A(word)
     return word, state, reduced_graph(state)
 
 

@@ -187,6 +187,7 @@ def test_exit_code_3_on_input_limits(capsys):
         ["state", f"s{MAX_STRANDS}"],
         ["bracket", "s1", "--n", "9"],
         ["gen", "--n", "3", "--syllables", "4", "--count", str(MAX_COUNT + 1)],
+        ["gen", "--n", "4", "--syllables", "1000", "--count", "3"],
     ):
         code, out, err = run(capsys, argv)
         assert code == 3, argv

@@ -16,7 +16,6 @@ from braidvol.errors import PreconditionError
 from braidvol.families import check_main_lemma, stoimenow_A_adequate_3braid
 from braidvol.generate import GeneratorSpec, generate_words
 from braidvol.states import (
-    classify_circles,
     is_A_adequate,
     is_connected_closure,
     resolve_all_A,
@@ -123,7 +122,7 @@ def test_family_words_have_the_implied_properties():
     for w in words:
         report = check_main_lemma(w)
         assert report.passed
-        state = classify_circles(resolve_all_A(w))
+        state = resolve_all_A(w)
         assert is_A_adequate(state)
         assert satisfies_TELC(state)
         assert is_connected_closure(w)

@@ -7,6 +7,7 @@ from braidvol.errors import PreconditionError
 from braidvol.families import check_main_lemma
 from braidvol.generate import (
     MAX_COUNT,
+    MAX_WIDE_SYLLABLES,
     GeneratorSpec,
     _has_unthreaded_bridge,
     generate_words,
@@ -67,6 +68,18 @@ def test_infeasible_specs_rejected():
         GeneratorSpec(n=3, syllable_count=4, positive_cap=MAX_WORD_LETTERS)
     with pytest.raises(PreconditionError, match="limit"):
         GeneratorSpec(n=3, syllable_count=4, count=MAX_COUNT + 1)
+    # for n >= 4 a word costs about the square of its syllable count, so the
+    # syllables of a whole spec are capped; n = 3 is linear and uncapped
+    with pytest.raises(PreconditionError, match="limit"):
+        GeneratorSpec(n=4, syllable_count=MAX_WIDE_SYLLABLES // 2, count=3)
+    with pytest.raises(PreconditionError, match="limit"):
+        GeneratorSpec(
+            n=MAX_STRANDS, syllable_count=MAX_WIDE_SYLLABLES + 1, negative_cap=4
+        )
+    GeneratorSpec(n=3, syllable_count=MAX_WIDE_SYLLABLES, negative_cap=4, count=2)
+    # the largest accepted n >= 4 spec is built but not generated here: one
+    # word at 32 strands takes about 45 s
+    GeneratorSpec(n=MAX_STRANDS, syllable_count=MAX_WIDE_SYLLABLES, negative_cap=5)
     # the largest spec inside the limits still generates parseable words
     spec = GeneratorSpec(
         n=3, syllable_count=MAX_WORD_LETTERS // 8, negative_cap=8, seed=3

@@ -8,7 +8,7 @@ import pytest
 
 from braidvol.errors import OracleError
 from braidvol.render import CLASS_COLORS, render_state_svg
-from braidvol.states import CircleClass, classify_circles, resolve_all_A
+from braidvol.states import CircleClass, resolve_all_A
 from braidvol.words import SyllableWord
 
 from conftest import ladder, word_of
@@ -17,7 +17,7 @@ SVG = "{http://www.w3.org/2000/svg}"
 
 
 def rendered(word):
-    state = classify_circles(resolve_all_A(word))
+    state = resolve_all_A(word)
     return state, render_state_svg(state)
 
 

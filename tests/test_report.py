@@ -6,9 +6,11 @@ import time
 import pytest
 
 from braidvol import bracket, states
+from braidvol.bounds import jones_bounds, volume_bounds
 from braidvol.errors import CrossingLimitError, PreconditionError
 from braidvol.generate import GeneratorSpec, generate_words
 from braidvol.report import SCHEMA, analyze, verify
+from braidvol.states import reduced_graph, resolve_all_A
 from braidvol.words import SyllableWord
 
 from conftest import count_calls, ladder, word_of
@@ -205,6 +207,30 @@ def test_verify_result_serializes():
     assert d["word"] == "s1^-3 s2^-3 s1^-3 s2^-3"
     assert all(set(c) == {"name", "pass", "detail"} for c in d["checks"])
     json.dumps(d)
+
+
+@pytest.mark.parametrize("n", [4, 5, 8])
+def test_bounds_on_the_traced_state_match_analyze(n):
+    # m, the count of non-essential wandering circles, enters every volume
+    # bound; a state whose circles were left unclassified would read m = 0
+    # and give a larger, unsound lower bound
+    checked = 0
+    for seed in range(12):
+        word = generate_words(GeneratorSpec(n=n, syllable_count=30, seed=seed))[0]
+        report = analyze(word)
+        if report["m"] == 0:
+            continue
+        state = resolve_all_A(word)
+        graph = reduced_graph(state)
+        assert volume_bounds(word, state, graph).to_json_dict() == report["bounds"]
+        if report["jones_bounds"] is None:
+            with pytest.raises(PreconditionError):
+                jones_bounds(word, state, graph)
+        else:
+            jones = jones_bounds(word, state, graph).to_json_dict()
+            assert jones == report["jones_bounds"]
+        checked += 1
+    assert checked >= 6
 
 
 if __name__ == "__main__":
