@@ -8,9 +8,11 @@ letter joins the two strands above the crossing (a *cap*) and below it
 (a *cup*), leaving a vertical A-segment between cap and cup.  Smoothing every
 crossing turns the diagram into a disjoint union of embedded circles, the
 state circles, each with a winding number 0 or 1 around the annulus core.
-:func:`resolve_all_A` finds them by union-find (Tarjan, 1975) in one sweep
-down the braid and classifies each as it is traced; only the SVG renderer
-builds and walks the arcs.
+:func:`resolve_all_A` finds them in one sweep down the braid that works one
+syllable at a time: union-find (Tarjan, 1975) joins labels once per twist
+region, the small circles stacked inside a negative region are built
+directly, and each circle is classified as it is traced; only the SVG
+renderer builds and walks the arcs.
 
 The circles carry a taxonomy driven by their *support* (the set of twist-
 region columns contributing a cap or cup to the circle):
@@ -32,6 +34,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .errors import PreconditionError
 from .words import SyllableWord
@@ -171,31 +174,45 @@ class AllAState:
     def crossings(self) -> int:
         return self.word.crossings
 
-    @property
-    def census(self) -> dict[CircleClass, int]:
-        counts = {klass: 0 for klass in CircleClass}
+    @cached_property
+    def _counts(self) -> dict[CircleClass, int]:
+        counts = dict.fromkeys(CircleClass, 0)
         for circle in self.circles:
             counts[circle.klass] += 1
         return counts
 
     @property
+    def census(self) -> dict[CircleClass, int]:
+        """The number of circles of each class, counted once per state; each
+        call returns a fresh copy."""
+        return dict(self._counts)
+
+    @property
     def m(self) -> int:
         """Number of nonessential wandering circles."""
-        return self.census[CircleClass.NON_ESSENTIAL_WANDERING]
+        return self._counts[CircleClass.NON_ESSENTIAL_WANDERING]
 
 
 def resolve_all_A(word: SyllableWord) -> AllAState:
     """Smooth every crossing the A-way and trace the state circles.
 
-    One sweep down the braid keeps a union-find label per column: a negative
-    letter unions columns g and g+1 (its cap) and gives both a fresh label
-    (its cup); the closure unions each column's bottom and top labels.  A
-    label is named by its smallest arc id (see :attr:`AllAState.arcs`) and a
-    union keeps the smaller name, so sorted roots number the circles in arc
-    order; winding is the parity of a circle's closure arcs.  The last loop
-    maps each segment's labels to circles and gathers each circle's support
-    and incident segments, so every circle is built once, already classified
-    (see :func:`_klass`); any syllable word works.
+    One sweep down the braid keeps a union-find label per column and does
+    its work one syllable at a time.  A positive syllable leaves every label
+    where it was, so its segments all join one label pair.  A negative
+    syllable sigma_g^-k unions columns g and g+1 once (its first cap) and
+    leaves the fresh label of its last cup on both; the k - 1 circles in
+    between, each the cup of one letter and the cap of the next, close
+    inside the syllable and are built directly as small inner circles of
+    support {g} and winding 0.  The closure unions each column's bottom and
+    top labels.  A label is named by its smallest arc id (see
+    :attr:`AllAState.arcs`) and a union keeps the smaller name, so sorted
+    roots number the circles in arc order: an interior circle's root is its
+    cup's id, and the roots of the circles that leave their syllable (the
+    boundary circles) are merged in with them.  Winding is the parity of a
+    circle's closure arcs; the last loop maps each syllable's labels to
+    circles and gathers each boundary circle's support and incident
+    segments, so every circle is built once, already classified (see
+    :func:`_klass`); any syllable word works.
     """
     n = word.n
     # a top label is the first letter's arc in its column: the cap, or a pass
@@ -216,44 +233,72 @@ def resolve_all_A(word: SyllableWord) -> AllAState:
         return a
 
     labels = top.copy()
-    raw: list[tuple[int, SegmentOrientation, int, int]] = []  # one per letter
-    for si, (g, r) in enumerate(word.syllables):
-        for _ in range(abs(r)):
-            if r > 0:
-                ends = labels[g - 1], labels[g]
-                orientation = SegmentOrientation.HORIZONTAL
-            else:
-                cup = len(raw) * n + 1
-                ends = union(labels[g - 1], labels[g]), cup
-                parent[cup] = labels[g - 1] = labels[g] = cup
-                orientation = SegmentOrientation.VERTICAL
-            raw.append((si, orientation, *ends))
+    # one run per syllable: its first crossing and two labels, the pair it
+    # joins when positive, the first cap's root and the last cup when negative
+    runs: list[tuple[int, int, int, int, int]] = []
+    interior: list[int] = []  # the roots of the circles closed in a syllable
+    crossing = 0
+    for g, r in word.syllables:
+        if r > 0:
+            runs.append((crossing, g, r, labels[g - 1], labels[g]))
+        else:
+            cap = union(labels[g - 1], labels[g])
+            cup = (crossing - r - 1) * n + 1
+            interior += range(crossing * n + 1, cup, n)
+            parent[cup] = labels[g - 1] = labels[g] = cup
+            runs.append((crossing, g, r, cap, cup))
+        crossing += abs(r)
     for bottom, label in zip(labels, top):
         union(bottom, label)
 
-    roots = sorted({find(label) for label in parent})
-    circle_of = {root: cid for cid, root in enumerate(roots)}
-    winding = [0] * len(roots)  # the parity of each circle's closure arcs
+    boundary = {find(label) for label in parent}
+    roots = sorted([*interior, *boundary])
+    circle_of = dict(zip(roots, range(len(roots))))
+    circle_of_label = {label: circle_of[find(label)] for label in parent}
+    # only the boundary circles gather winding, support and incident segments
+    winding = {circle_of[root]: 0 for root in boundary}  # closure-arc parity
     for label in top:
-        winding[circle_of[find(label)]] ^= 1
-    support: list[set[int]] = [set() for _ in roots]
-    incident: list[list[Segment]] = [[] for _ in roots]
-    segments = []
-    for crossing, (si, orientation, a, b) in enumerate(raw):
-        ends = circle_of[find(a)], circle_of[find(b)]
-        seg = Segment(crossing, si, orientation, ends)
-        segments.append(seg)
-        for cid in set(ends):
-            incident[cid].append(seg)
-            if orientation is SegmentOrientation.VERTICAL:
-                support[cid].add(word.syllables[si][0])
-    circles = tuple(
-        StateCircle(
-            cid, winding[cid], frozenset(columns), _klass(columns, winding[cid], segs)
+        winding[circle_of_label[label]] ^= 1
+    support: dict[int, set[int]] = {cid: set() for cid in winding}
+    incident: dict[int, list[Segment]] = {cid: [] for cid in winding}
+    single = [frozenset((g,)) for g in range(n)]
+    circles: list[StateCircle | None] = [None] * len(roots)
+    segments: list[Segment] = []
+    for si, (first, g, r, label_a, label_b) in enumerate(runs):
+        ends = a, b = circle_of_label[label_a], circle_of_label[label_b]
+        if r > 0:
+            for i in range(first, first + r):
+                segments.append(Segment(i, si, SegmentOrientation.HORIZONTAL, ends))
+            incident[a] += segments[first:]
+            if b != a:
+                incident[b] += segments[first:]
+            continue
+        support[a].add(g)
+        support[b].add(g)
+        if r == -1:  # most letters of a random word: skip building a chain
+            seg =Segment(first, si, SegmentOrientation.VERTICAL, ends)
+            segments.append(seg)
+            incident[a].append(seg)
+            if b != a:
+                incident[b].append(seg)
+            continue
+        # the interior roots are the ids of the cups above the last, label_b
+        inner = list(map(circle_of.__getitem__, range(first * n + 1, label_b, n)))
+        chain = [a, *inner, b]
+        segments += [
+            Segment(i, si, SegmentOrientation.VERTICAL, pair)
+            for i, pair in enumerate(zip(chain, chain[1:]), first)
+        ]
+        for cid in inner:
+            circles[cid] = StateCircle(cid, 0, single[g], CircleClass.SMALL_INNER)
+        incident[a].append(segments[first])
+        incident[b].append(segments[-1])
+    for cid, turns in winding.items():
+        columns = support[cid]
+        circles[cid] = StateCircle(
+            cid, turns, frozenset(columns), _klass(columns, turns, incident[cid])
         )
-        for cid, (columns, segs) in enumerate(zip(support, incident))
-    )
-    return AllAState(word, circles, tuple(segments))
+    return AllAState(word, tuple(circles), tuple(segments))
 
 
 def _klass(support: set[int], winding: int, segs: list[Segment]) -> CircleClass:

@@ -94,11 +94,13 @@ class SyllableWord:
 
 
 # Input limits for parse_braid, checked on the parsed integers, so that
-# hostile input such as "s1^-1000000000" fails at once.  Parsing and
-# reduction work per syllable; the letter limit bounds the layers that still
-# work per letter: the label sweep of states.resolve_all_A, the (c + 1) * n
-# arcs the SVG renderer walks, the bracket sweep and schreier.to_xy.  Both
-# sit well above the sizes analyze is used at (about 1000 crossings, n <= 8).
+# hostile input such as "s1^-1000000000" fails at once.  Parsing, reduction
+# and the union-find of states.resolve_all_A work per syllable; the letter
+# limit bounds the layers that still work per letter: the segments and the
+# circles closed inside twist regions that resolve_all_A builds, the
+# (c + 1) * n arcs the SVG renderer walks, the bracket sweep and
+# schreier.to_xy.  Both sit well above the sizes analyze is used at (about
+# 1000 crossings, n <= 8).
 MAX_WORD_LETTERS = 10_000
 MAX_STRANDS = 32
 

@@ -1,6 +1,8 @@
 """The analyze/verify pipeline: schema stability and identity checks."""
 
+import hashlib
 import json
+import random
 import time
 
 import pytest
@@ -11,7 +13,7 @@ from braidvol.errors import CrossingLimitError, PreconditionError
 from braidvol.generate import GeneratorSpec, generate_words
 from braidvol.report import SCHEMA, analyze, verify
 from braidvol.states import reduced_graph, resolve_all_A
-from braidvol.words import SyllableWord
+from braidvol.words import SyllableWord, cyclically_reduce_into_syllables
 
 from conftest import count_calls, ladder, word_of
 
@@ -231,6 +233,33 @@ def test_bounds_on_the_traced_state_match_analyze(n):
             assert jones == report["jones_bounds"]
         checked += 1
     assert checked >= 6
+
+
+def digest_corpus():
+    """Generated family words at n = 3, 4, 5 and 8 with up to 60 syllables,
+    then 50 seeded random words on 2 to 6 strands with exponents up to 12."""
+    words = []
+    for n in (3, 4, 5, 8):
+        for syllables in (2 * n, 30, 60):
+            spec = GeneratorSpec(n=n, syllable_count=syllables, seed=n, count=2)
+            words += generate_words(spec)
+    rng = random.Random("analyze-digest")
+    for _ in range(50):
+        n = rng.randint(2, 6)
+        syllables = tuple(
+            (rng.randint(1, n - 1), rng.choice((-1, 1)) * rng.randint(1, 12))
+            for _ in range(rng.randint(0, 14))
+        )
+        words.append(cyclically_reduce_into_syllables(SyllableWord(n, syllables)))
+    return words
+
+
+def test_analyze_output_bytes_are_pinned():
+    # the digest was taken before resolve_all_A swept whole syllables, so a
+    # pass shows the syllable sweep leaves every report byte-identical
+    lines = "\n".join(json.dumps(analyze(word)) for word in digest_corpus())
+    digest = hashlib.sha256(lines.encode()).hexdigest()
+    assert digest == "f506f65f781b6ddd2d3f5331e3604eb030d6ac978980cf38ed02d1946a1c118c"
 
 
 if __name__ == "__main__":

@@ -3,10 +3,10 @@
 The census pins below were worked out by hand on the flat diagrams: a
 positive letter contributes two pass arcs and a horizontal segment, a
 negative letter a cap/cup pair and a vertical segment; circles are read off
-by one union-find sweep down the braid, which sorts each into the five
-classes by support and winding as it is traced.  The walk over arc endpoints
-and the separate classifying pass that the sweep replaced are kept here as
-oracles, and the two must agree on every word.
+by one union-find sweep down the braid, one syllable at a time, which sorts
+each into the five classes by support and winding as it is traced.  The
+walk over arc endpoints and the separate classifying pass that the sweep
+replaced are kept here as oracles, and the two must agree on every word.
 """
 
 from collections import defaultdict
@@ -38,10 +38,8 @@ from braidvol.words import SyllableWord, cyclically_reduce_into_syllables
 
 from conftest import ladder, word_of
 
-syllable_st = st.tuples(
-    st.integers(min_value=1, max_value=4),
-    st.integers(min_value=-6, max_value=6).filter(lambda r: r != 0),
-)
+exponent_st = st.integers(min_value=-20, max_value=20).filter(lambda r: r != 0)
+syllable_st = st.tuples(st.integers(min_value=1, max_value=4), exponent_st)
 word_st = st.builds(
     lambda syls: cyclically_reduce_into_syllables(SyllableWord(5, tuple(syls))),
     st.lists(syllable_st, max_size=10),
@@ -303,6 +301,16 @@ def assert_sweep_matches_oracle(word):
     assert state.arcs == arcs
 
 
+def chain_syllables(draws):
+    """Syllables from (generator, exponent, repeat) draws: a repeat takes the
+    generator of the syllable before it, so the word keeps adjacent
+    syllables of one generator unmerged."""
+    syllables = []
+    for g, r, repeat in draws:
+        syllables.append((syllables[-1][0] if repeat and syllables else g, r))
+    return tuple(syllables)
+
+
 any_n_word_st = st.integers(min_value=1, max_value=6).flatmap(
     lambda n: st.builds(
         SyllableWord,
@@ -310,10 +318,11 @@ any_n_word_st = st.integers(min_value=1, max_value=6).flatmap(
         st.lists(
             st.tuples(
                 st.integers(min_value=1, max_value=max(n - 1, 1)),
-                st.integers(min_value=-6, max_value=6).filter(lambda r: r != 0),
+                exponent_st,
+                st.booleans(),
             ),
             max_size=12 if n > 1 else 0,
-        ).map(tuple),
+        ).map(chain_syllables),
     )
 )
 
@@ -325,6 +334,59 @@ def test_sweep_matches_the_walk_oracle(word):
     # that cancel across the closure; the reduced form is checked as well
     assert_sweep_matches_oracle(word)
     assert_sweep_matches_oracle(cyclically_reduce_into_syllables(word))
+
+
+@pytest.mark.parametrize(
+    "word, census",
+    [
+        # both circles of s1^-2 are small: the one inside the syllable and the
+        # wraparound one through the closure
+        (SyllableWord(2, ((1, -2),)), {"small_inner": 2}),
+        # at s1^-3 the wraparound circle meets the first and last segments,
+        # which are not consecutive, so it is medium
+        (SyllableWord(2, ((1, -3),)), {"small_inner": 2, "medium_inner": 1}),
+        # a long negative first syllable: its top labels start at the cap,
+        # and the pass circles' roots 2 and 3 sort between its inner roots
+        (
+            SyllableWord(4, ((2, -4), (3, 2))),
+            {"small_inner": 3, "medium_inner": 1, "nonwandering": 2},
+        ),
+        # an all-positive word closes no circle inside a syllable
+        (SyllableWord(3, ((1, 3), (2, 2), (1, 1))), {"nonwandering": 3}),
+    ],
+)
+def test_syllable_sweep_special_cases(word, census):
+    assert_sweep_matches_oracle(word)
+    assert census_by_name(resolve_all_A(word)) == census
+
+
+def test_circle_between_two_syllables_of_one_generator_is_medium():
+    # unreduced s1^-3 s1^-2: the last cup of the first syllable and the
+    # first cap of the second bound one circle, met by the vertical segments
+    # of consecutive crossings, but of two syllables, so it is not small
+    word = SyllableWord(3, ((1, -3), (1, -2), (2, -3)))
+    assert_sweep_matches_oracle(word)
+    state = resolve_all_A(word)
+    assert census_by_name(state) == {
+        "small_inner": 5,
+        "medium_inner": 1,
+        "essential_wandering": 1,
+    }
+    below, above = state.segments[2].endpoints[1], state.segments[3].endpoints[0]
+    assert below == above
+    assert state.circles[below].klass is CircleClass.MEDIUM_INNER
+
+
+def test_census_is_counted_once_and_copied():
+    state = resolve_all_A(word_of("s1^-3 s2^-3 s3^-3 s2^-3 s1^-3 s3^-3", 4))
+    m = state.m
+    census = state.census
+    assert census[CircleClass.NON_ESSENTIAL_WANDERING] == m == 1
+    census[CircleClass.NON_ESSENTIAL_WANDERING] += 5
+    census.clear()
+    assert state.m == m
+    assert state.census[CircleClass.NON_ESSENTIAL_WANDERING] == m
+    assert state.census is not state.census
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 6])
