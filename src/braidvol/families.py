@@ -109,23 +109,15 @@ def _neighborhood_failure(
     def exp(j: int) -> int:
         return syl[j % t][1]
 
-    if m_i == 1:
-        clause = "2a"
-        # boundary syllable: one long negative sigma_2 syllable on each side
+    if m_i in (1, n - 1):
+        # boundary syllable: sigma_1 is also sigma_{n-1} at n = 2 and takes 2a
+        clause, want = ("2a", 2) if m_i == 1 else ("2c", n - 2)
         for j in (i - 1, i + 1):
             if exp(j) > -3:
                 return Cond2Failure(i, clause, f"neighbor exponent {exp(j)} > -3")
-            if gen(j) != 2:
-                return Cond2Failure(i, clause, f"neighbor generator {gen(j)} != 2")
-        return None
-    if m_i == n - 1:
-        clause = "2c"
-        for j in (i - 1, i + 1):
-            if exp(j) > -3:
-                return Cond2Failure(i, clause, f"neighbor exponent {exp(j)} > -3")
-            if gen(j) != n - 2:
+            if gen(j) != want:
                 return Cond2Failure(
-                    i, clause, f"neighbor generator {gen(j)} != {n - 2}"
+                    i, clause, f"neighbor generator {gen(j)} != {want}"
                 )
         return None
     clause = "2b"

@@ -7,7 +7,7 @@ representative C^k * eta with eta a cyclic word in x, y, y^2 containing no
 xx and no yyy.  The pipeline is
 
     sigma word  -->  positive xy word  -->  reduce xx -> C^(-1), yyy -> C
-                -->  classify the residue eta  -->  rewrite eta in sigmas.
+                -->  group the residue's y-runs  -->  rewrite eta in sigmas.
 
 Substitutions: sigma_1 = y^2 x, sigma_2 = x y^2, sigma_1^(-1) = x y,
 sigma_2^(-1) = y x.  The reduced residue is one of
@@ -16,7 +16,8 @@ sigma_2^(-1) = y x.  The reduced residue is one of
     (xy)^p | (xy^2)^q | y | y^2 | x | empty,
 
 which translate to sigma_1^(-p1) sigma_2^(q1) ..., sigma_1^p, sigma_1 sigma_2,
-(sigma_1 sigma_2)^2, C^(-1) sigma_1 sigma_2 sigma_1, and the identity.  The
+(sigma_1 sigma_2)^2, C^(-1) sigma_1 sigma_2 sigma_1, and the identity; the
+(p_i, q_i) are the lengths of the groups of y-runs y and y^2.  The
 generic pair list is canonicalized to its lexicographically least rotation, so
 two 3-braids are conjugate iff their forms compare equal.
 
@@ -45,8 +46,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import groupby
 from typing import NamedTuple
 
+from . import words
 from .errors import PreconditionError
 from .families import check_main_lemma
 from .words import SyllableWord, cyclically_reduce_into_syllables
@@ -69,6 +72,7 @@ __all__ = [
 
 X = "x"
 Y = "y"
+_Y_RUNS = {(Y, 1), (Y, 2)}
 
 
 @dataclass(frozen=True)
@@ -141,15 +145,8 @@ class SchreierForm:
 
     @property
     def exponent_sum(self) -> int:
-        base = {
-            EtaKind.GENERIC: sum(q - p for p, q in self.pairs),
-            EtaKind.POWER_SIGMA1: self.power,
-            EtaKind.SIGMA12: 2,
-            EtaKind.SIGMA121: 3,
-            EtaKind.SIGMA1212: 4,
-            EtaKind.EMPTY: 0,
-        }[self.kind]
-        return 6 * self.k + base
+        """6k plus the exponent sum of eta, read off the expanded word."""
+        return words.exponent_sum(self.to_braid_word())
 
     def to_braid_word(self) -> SyllableWord:
         """Expand back to a word, C as (sigma_1 sigma_2 sigma_1)^2."""
@@ -253,17 +250,14 @@ def normalize_xy(xy: XYWord) -> XYWord:
             stack[0][1] = residue
         else:
             stack.pop(0)
-    if len(stack) == 1:
-        ch, count = stack[0]
-        residue = modulo(ch, count)
-        stack = [[ch, residue]] if residue else []
     return XYWord(tuple((ch, count) for ch, count in stack), j)
 
 
 def to_sigma_form(xy: XYWord) -> SchreierForm:
     """Translate a reduced xy residue into its sigma-side normal form.
 
-    The input must already be normalized.  The lone residue x picks up one
+    The input must already be normalized, else ValueError.  Longer residues
+    are read by grouping their y-runs.  The lone residue x picks up one
     extra central factor: x = C^(-1) sigma_1 sigma_2 sigma_1.
     """
     runs, j = xy.runs, xy.j
@@ -280,42 +274,24 @@ def to_sigma_form(xy: XYWord) -> SchreierForm:
         if count == 2:
             return SchreierForm(k=j, kind=EtaKind.SIGMA1212)
         raise ValueError("residue not normalized")
-    # alternating runs: read off the y-exponent following each x, cyclically
-    total = len(runs)
-    blocks: list[int] = []
-    for i, (ch, count) in enumerate(runs):
-        if ch != X:
-            continue
-        if count != 1:
-            raise ValueError("residue not normalized")
-        nxt_ch, nxt_count = runs[(i + 1) % total]
-        if nxt_ch != Y or nxt_count > 2:
-            raise ValueError("residue not normalized")
-        blocks.append(nxt_count)
-    if all(b == 1 for b in blocks):  # (xy)^p = sigma_1^(-p)
-        return SchreierForm(k=j, kind=EtaKind.POWER_SIGMA1, power=-len(blocks))
-    if all(b == 2 for b in blocks):  # (xy^2)^q = sigma_2^q ~ sigma_1^q
-        return SchreierForm(k=j, kind=EtaKind.POWER_SIGMA1, power=len(blocks))
-    count_blocks = len(blocks)
+    # x^1 alternates with y^1 or y^2: one slice is the x-runs, one the y-runs
+    xs, ys = runs[0::2], runs[1::2]
+    if runs[0][0] == Y:
+        xs, ys = ys, xs
+    if len(xs) != len(ys) or set(xs) != {(X, 1)} or not set(ys) <= _Y_RUNS:
+        raise ValueError("residue not normalized")
+    if (Y, 2) not in ys:  # (xy)^p = sigma_1^(-p)
+        return SchreierForm(k=j, kind=EtaKind.POWER_SIGMA1, power=-len(ys))
+    if (Y, 1) not in ys:  # (xy^2)^q = sigma_2^q ~ sigma_1^q
+        return SchreierForm(k=j, kind=EtaKind.POWER_SIGMA1, power=len(ys))
+    # start at a 1 after a 2, so the groups alternate 1s and 2s in pairs
     start = next(
-        i
-        for i in range(count_blocks)
-        if blocks[i] == 1 and blocks[i - 1] == 2
+        i for i, run in enumerate(ys) if run == (Y, 1) and ys[i - 1] == (Y, 2)
     )
-    seq = [blocks[(start + i) % count_blocks] for i in range(count_blocks)]
-    pairs: list[tuple[int, int]] = []
-    i = 0
-    while i < count_blocks:
-        p = 0
-        while i < count_blocks and seq[i] == 1:
-            p += 1
-            i += 1
-        q = 0
-        while i < count_blocks and seq[i] == 2:
-            q += 1
-            i += 1
-        pairs.append((p, q))
-    return SchreierForm(k=j, kind=EtaKind.GENERIC, pairs=tuple(pairs))
+    groups = groupby(ys[start:] + ys[:start])
+    lengths = [len(list(group)) for _, group in groups]
+    pairs = tuple(zip(lengths[0::2], lengths[1::2]))
+    return SchreierForm(k=j, kind=EtaKind.GENERIC, pairs=pairs)
 
 
 def schreier_normal_form(word: SyllableWord) -> SchreierForm:

@@ -141,12 +141,13 @@ class AllAState:
     circles: tuple[StateCircle, ...]
     segments: tuple[Segment, ...]
 
-    @property
+    @cached_property
     def arcs(self) -> tuple[Arc, ...]:
-        """Every arc, built on each call: letter i owns ids i*n ... i*n + n - 1
-        (its cap and cup when negative, then its passes by column), the n
-        closure arcs come last, and grid point level * n + column - 1 sits
-        above letter ``level``.  :func:`resolve_all_A` relies on this order."""
+        """Every arc, built on first access and kept: letter i owns ids
+        i*n ... i*n + n - 1 (its cap and cup when negative, then its passes
+        by column), the n closure arcs come last, and grid point
+        level * n + column - 1 sits above letter ``level``.
+        :func:`resolve_all_A` relies on this order."""
         n, specs, level = self.n, [], 0
         for g, r in self.word.syllables:
             for _ in range(abs(r)):

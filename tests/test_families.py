@@ -67,6 +67,34 @@ def test_interior_positive_needs_both_flanking_generators():
     assert any(f.clause == "2b" for f in report.cond2_failures)
 
 
+def cond2(word):
+    return [
+        (f.syllable, f.clause, f.reason)
+        for f in check_main_lemma(word).cond2_failures
+    ]
+
+
+def test_boundary_clause_failures_are_pinned():
+    # clause 2a: sigma_1 wants a long negative sigma_2 on each side, checked
+    # before then after; a short neighbour, then a wrong generator (n = 5)
+    assert cond2(SyllableWord(5, ((1, 2), (2, -2), (3, -3), (4, -3), (2, -3)))) == [
+        (0, "2a", "neighbor exponent -2 > -3")
+    ]
+    assert cond2(SyllableWord(5, ((1, 2), (3, -3), (2, -3), (4, -3), (2, -3)))) == [
+        (0, "2a", "neighbor generator 3 != 2")
+    ]
+    # clause 2c: sigma_{n-1} wants sigma_{n-2}; sigma_4 next to sigma_2 at n = 5
+    assert cond2(SyllableWord(5, ((4, 2), (3, -3), (1, -3), (2, -3)))) == [
+        (0, "2c", "neighbor generator 2 != 3")
+    ]
+    # at n = 3, sigma_2 is sigma_{n-1}: a short sigma_1 neighbour fails 2c
+    assert cond2(SyllableWord(3, ((1, -3), (2, 2), (1, -2), (2, -3)))) == [
+        (1, "2c", "neighbor exponent -2 > -3")
+    ]
+    # at n = 2, sigma_1 is also sigma_{n-1}; it takes clause 2a
+    assert cond2(word_of("s1", 2)) == [(0, "2a", "neighbor exponent 1 > -3")]
+
+
 def test_twist_floor_excludes_short_words():
     # two syllables leave no room for a second complete window, and t = 2
     # sits under the floor 2(n-1) = 4

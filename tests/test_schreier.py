@@ -6,7 +6,9 @@ direct-read shortcuts on family words, and the hyperbolicity decision.
 """
 
 import functools
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -83,6 +85,56 @@ def test_to_sigma_form_degenerate_residues():
         k=2, kind=EtaKind.SIGMA1212
     )
     assert to_sigma_form(XYWord((), 3)) == SchreierForm(k=3, kind=EtaKind.EMPTY)
+
+
+@pytest.mark.parametrize(
+    "runs",
+    [
+        (("x", 1), ("y", 1), ("x", 1)),  # odd number of alternating runs
+        (("x", 2), ("y", 1)),  # an x-run of 2
+        (("x", 1), ("y", 1), ("x", 1), ("y", 3)),  # a y-run of 3 after an x
+        (("x", 1), ("x", 1), ("y", 1), ("y", 2)),  # two adjacent x-runs
+        (("x", 1), ("y", 2), ("y", 2), ("y", 3)),  # y-runs of 2 and 3 after the y^2
+        (("y", 1), ("y", 1)),  # no x at all
+    ],
+)
+def test_to_sigma_form_rejects_unnormalized_residues(runs):
+    with pytest.raises(ValueError, match="residue not normalized"):
+        to_sigma_form(XYWord(runs))
+
+
+xy_word_st = st.builds(
+    XYWord,
+    st.lists(
+        st.tuples(st.sampled_from(["x", "y"]), st.integers(1, 7)), max_size=12
+    ).map(tuple),
+    st.integers(-3, 3),
+)
+
+
+@given(xy_word_st)
+def test_normalized_residue_alternates_and_is_read(xy):
+    reduced = normalize_xy(xy)
+    assert normalize_xy(reduced) == reduced
+    runs = reduced.runs
+    for i, (ch, count) in enumerate(runs):
+        assert count <= (1 if ch == "x" else 2)
+        if len(runs) >= 2:
+            assert ch != runs[i - 1][0]
+    to_sigma_form(reduced)
+
+
+def test_short_words_normal_forms_are_pinned():
+    # every letter word of length <= 7 on +-1, +-2 (21,845 words)
+    digest = hashlib.sha256()
+    for length in range(8):
+        for letters in itertools.product([1, -1, 2, -2], repeat=length):
+            form = schreier_normal_form(braid3(letters))
+            blob = json.dumps(form.to_json_dict(), sort_keys=True)
+            digest.update(f"{blob} {form.exponent_sum}\n".encode())
+    assert digest.hexdigest() == (
+        "0a9ee29aa5d9bb053fd79b80c7fc74f758edcfeb7fa6f82eb2c64bde63cef9c6"
+    )
 
 
 def test_form_validation():

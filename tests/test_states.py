@@ -389,6 +389,17 @@ def test_census_is_counted_once_and_copied():
     assert state.census is not state.census
 
 
+def test_arcs_are_built_once_and_never_compared():
+    word = word_of("s1^-3 s2^2 s1^-3 s2^-4")
+    state = resolve_all_A(word)
+    arcs = state.arcs
+    assert state.arcs is arcs
+    fresh = resolve_all_A(word)
+    assert fresh == state and hash(fresh) == hash(state)
+    copy = replace(state)
+    assert copy == state and copy.arcs == arcs and copy.arcs is not arcs
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 6])
 def test_sweep_matches_the_walk_oracle_on_the_empty_word(n):
     assert_sweep_matches_oracle(SyllableWord(n, ()))
