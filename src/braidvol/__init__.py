@@ -51,9 +51,7 @@ from .schreier import (
     direct_read_s,
     hyperbolicity_of_form,
     is_hyperbolic_closure_3braid,
-    normalize_xy,
     schreier_normal_form,
-    to_sigma_form,
     to_xy,
 )
 from .states import (
@@ -123,7 +121,6 @@ __all__ = [
     "jones_bounds",
     "kauffman_bracket",
     "mirror",
-    "normalize_xy",
     "parse_braid",
     "reduced_graph",
     "render_state_svg",
@@ -134,7 +131,6 @@ __all__ = [
     "stable_penultimate_coefficient",
     "stoimenow_A_adequate_3braid",
     "three_braid_s_bounds",
-    "to_sigma_form",
     "to_xy",
     "turaev_genus_bounds",
     "twist_counts",

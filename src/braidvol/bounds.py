@@ -14,8 +14,10 @@ Lower bounds are reported raw, even when the formula goes nonpositive for
 small t- relative to n + m; ``effective_lower`` carries the clamp so the
 vacuous cases stay visible.  ``volume_bounds`` and ``jones_bounds`` take the
 word with its all-A state and reduced graph and read m and e - v from those;
-each re-runs the family gate (``check_main_lemma``) on the word as its input
-check and recounts t, t+ and t- from it.
+each runs the family gate (``check_main_lemma``) on the word as its input
+check and recounts t, t+ and t- from it.  ``report.analyze`` has already
+gated the word, so it calls their ungated bodies ``_volume_bounds`` and
+``_jones_bounds``.
 """
 
 from __future__ import annotations
@@ -148,8 +150,14 @@ def volume_bounds(
     overhead n + m - 2, and loses the weak form (plus a t+ penalty) when
     positive syllables sit in interior generators.
     """
-    gate = check_main_lemma(word)
-    _require_family(gate, False)
+    _require_family(check_main_lemma(word), False)
+    return _volume_bounds(word, state, graph)
+
+
+def _volume_bounds(
+    word: SyllableWord, state: AllAState, graph: ReducedStateGraph
+) -> VolumeBounds:
+    """``volume_bounds`` on a word that already passed the family gate."""
     n = word.n
     t, t_plus, t_minus = twist_counts(word)
     m = state.m
@@ -199,8 +207,14 @@ def jones_bounds(
     Only the n = 3 and boundary-positive cases tie beta' to the volume;
     interior positive syllables with n >= 4 are refused.
     """
-    gate = check_main_lemma(word)
-    _require_family(gate, False)
+    _require_family(check_main_lemma(word), False)
+    return _jones_bounds(word, state, graph)
+
+
+def _jones_bounds(
+    word: SyllableWord, state: AllAState, graph: ReducedStateGraph
+) -> VolumeBounds:
+    """``jones_bounds`` on a word that already passed the family gate."""
     n = word.n
     if n >= 4 and not boundary_positive(word):
         raise PreconditionError(

@@ -13,12 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bounds import (
+    _jones_bounds,
+    _volume_bounds,
     boundary_positive,
     cor_bounds,
-    jones_bounds,
     three_braid_s_bounds,
     turaev_genus_bounds,
-    volume_bounds,
 )
 from .bracket import (
     DEFAULT_MAX_CROSSINGS,
@@ -30,8 +30,8 @@ from .errors import PreconditionError
 from .families import check_main_lemma, stoimenow_A_adequate_3braid
 from .schreier import (
     SchreierForm,
-    direct_read_k,
-    direct_read_s,
+    _read_k,
+    _read_s,
     hyperbolicity_of_form,
     schreier_normal_form,
 )
@@ -61,16 +61,26 @@ SCHEMA = "braidvol/1"
 
 
 def circle_detail(state: AllAState) -> list[dict]:
-    """Per-circle detail of a report: id, class, winding and support."""
-    return [
-        {
-            "id": circle.id,
-            "class": circle.klass.value,
-            "winding": circle.winding,
-            "support": sorted(circle.support),
-        }
-        for circle in state.circles
-    ]
+    """Per-circle detail of a report: id, class, winding and support.
+
+    Most circles are inner circles that share one support per column, so
+    each distinct support is sorted once; every dict gets its own list.
+    """
+    ordered: dict[frozenset[int], list[int]] = {}
+    detail = []
+    for circle in state.circles:
+        support = ordered.get(circle.support)
+        if support is None:
+            support = ordered[circle.support] = sorted(circle.support)
+        detail.append(
+            {
+                "id": circle.id,
+                "class": circle.klass.value,
+                "winding": circle.winding,
+                "support": support.copy(),
+            }
+        )
+    return detail
 
 
 def schreier_block(form: SchreierForm) -> dict:
@@ -110,7 +120,7 @@ def analyze(
 
     bounds_block = None
     if lemma.passed:
-        bounds_block = volume_bounds(word, state, graph).to_json_dict()
+        bounds_block = _volume_bounds(word, state, graph).to_json_dict()
     elif assume_prime and adequate and telc and connected and t >= 2:
         bounds_block = cor_bounds(
             graph.neg_chi, t, assume_hypotheses=True
@@ -119,7 +129,7 @@ def analyze(
     jones_block = None
     if lemma.passed:
         try:
-            jones_block = jones_bounds(word, state, graph).to_json_dict()
+            jones_block = _jones_bounds(word, state, graph).to_json_dict()
         except PreconditionError:
             jones_block = None  # interior positives with n >= 4
 
@@ -273,8 +283,8 @@ def verify(
             "exactly one wandering-or-nonwandering circle",
         )
         form = schreier_normal_form(word)
-        k_direct = direct_read_k(word)
-        s_direct = direct_read_s(word)
+        k_direct = _read_k(word)
+        s_direct = _read_s(word)
         add(
             "k_direct",
             k_direct == form.k,

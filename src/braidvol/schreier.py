@@ -4,22 +4,33 @@ B_3 is generated by x = (sigma_1 sigma_2 sigma_1)^(-1) and y = sigma_1
 sigma_2, with C = x^(-2) = y^3 generating the center.  Modulo the center the
 group is the free product Z/2 * Z/3, so every conjugacy class has a unique
 representative C^k * eta with eta a cyclic word in x, y, y^2 containing no
-xx and no yyy.  The pipeline is
-
-    sigma word  -->  positive xy word  -->  reduce xx -> C^(-1), yyy -> C
-                -->  group the residue's y-runs  -->  rewrite eta in sigmas.
+xx and no yyy.
 
 Substitutions: sigma_1 = y^2 x, sigma_2 = x y^2, sigma_1^(-1) = x y,
-sigma_2^(-1) = y x.  The reduced residue is one of
+sigma_2^(-1) = y x.  The image of one syllable is already reduced:
+
+    sigma_1^(-p) = (xy)^p               sigma_2^q    = (xy^2)^q
+    sigma_1^p    = y^2 (xy^2)^(p-1) x   sigma_2^(-q) = y (xy)^(q-1) x,
+
+so xx -> C^(-1) and yyy -> C can fire only where syllables meet.  The
+normal form is one stack sweep over the syllables, which never expands a
+word into letters.  The stack holds the reduced prefix as a leading y-run,
+blocks [a, m] = (x y^a)^m and a trailing x; each syllable pushes at most
+those three items.  A reduction where syllables meet takes one unit off the
+end of a block.  A cascade (for example through sigma_1 sigma_2 sigma_1 ...)
+goes on one unit at a time, except that (x y^b)^M x (x y^a)^m with
+a + b = 3 cancels min(M, m) units at once, each xx paid back by a yyy.  The
+cyclic seam is closed by moving units from the bottom of the stack to the
+top while the two ends share a letter.  The reduced residue is one of
 
     (xy)^p1 (xy^2)^q1 ... (xy)^ps (xy^2)^qs   (the generic shape)
     (xy)^p | (xy^2)^q | y | y^2 | x | empty,
 
 which translate to sigma_1^(-p1) sigma_2^(q1) ..., sigma_1^p, sigma_1 sigma_2,
 (sigma_1 sigma_2)^2, C^(-1) sigma_1 sigma_2 sigma_1, and the identity; the
-(p_i, q_i) are the lengths of the groups of y-runs y and y^2.  The
-generic pair list is canonicalized to its lexicographically least rotation, so
-two 3-braids are conjugate iff their forms compare equal.
+(p_i, q_i) are the m of the blocks with a = 1 and a = 2.  The generic pair
+list is canonicalized to its lexicographically least rotation (Booth's
+algorithm), so two 3-braids are conjugate iff their forms compare equal.
 
 The closure of a 3-braid is hyperbolic iff its form is generic and the braid
 is not conjugate to sigma_1^p sigma_2^q.  Conjugate braids share their form,
@@ -46,7 +57,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import groupby
 from typing import NamedTuple
 
 from . import words
@@ -60,8 +70,6 @@ __all__ = [
     "SchreierForm",
     "HyperbolicityResult",
     "to_xy",
-    "normalize_xy",
-    "to_sigma_form",
     "schreier_normal_form",
     "direct_read_k",
     "direct_read_s",
@@ -72,12 +80,15 @@ __all__ = [
 
 X = "x"
 Y = "y"
-_Y_RUNS = {(Y, 1), (Y, 2)}
 
 
 @dataclass(frozen=True)
 class XYWord:
-    """A cyclic positive word in x, y as run-length pairs, times C^j."""
+    """A cyclic positive word in x, y as run-length pairs, times C^j.
+
+    The normal form no longer builds one; perfbench's ``schreier.xy_length``
+    count, which reads ``to_xy(word).length``, is its only remaining reader.
+    """
 
     runs: tuple[tuple[str, int], ...]
     j: int = 0
@@ -104,7 +115,26 @@ class EtaKind(str, Enum):
 def _least_rotation(
     pairs: tuple[tuple[int, int], ...]
 ) -> tuple[tuple[int, int], ...]:
-    return min(pairs[i:] + pairs[:i] for i in range(len(pairs)))
+    """The lexicographically least rotation, by Booth's algorithm
+    ("Lexicographically least circular substrings", Inf. Proc. Letters 10,
+    1980): one failure-function pass over the doubled list, O(s)."""
+    doubled = pairs + pairs
+    fail = [-1] * len(doubled)
+    k = 0  # start of the least rotation found so far
+    for j in range(1, len(doubled)):
+        c = doubled[j]
+        i = fail[j - k - 1]
+        while i != -1 and c != doubled[k + i + 1]:
+            if c < doubled[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if i == -1 and c != doubled[k]:
+            if c < doubled[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return doubled[k : k + len(pairs)]
 
 
 @dataclass(frozen=True)
@@ -203,7 +233,9 @@ def to_xy(word: SyllableWord) -> XYWord:
 
     The input is cyclically reduced first (a conjugacy-safe move).  A
     syllable repeats one two-run letter image, so only its first run can
-    merge with the run before it.
+    merge with the run before it.  The normal form works on syllables and
+    never calls this; perfbench's ``schreier.xy_length`` count is its only
+    remaining reader.
     """
     word = _require_3braid(word)
     runs: list[tuple[str, int]] = []
@@ -218,90 +250,130 @@ def to_xy(word: SyllableWord) -> XYWord:
     return XYWord(tuple(runs))
 
 
-def normalize_xy(xy: XYWord) -> XYWord:
-    """Exhaustively apply xx -> C^(-1) and yyy -> C, cyclically.
-
-    Each application is an equality in B_3 (x^2 = C^(-1), y^3 = C), so the
-    result represents the same element; j tracks the central exponent.  The
-    residue has every x-run equal to 1 and every y-run at most 2, cyclically.
-    """
-    j = xy.j
-
-    def modulo(ch: str, count: int) -> int:
-        nonlocal j
-        if ch == X:
-            j -= count // 2
-            return count % 2
-        j += count // 3
-        return count % 3
-
-    stack: list[list] = []
-    for ch, count in xy.runs:
-        if stack and stack[-1][0] == ch:
-            count += stack.pop()[1]
-        count = modulo(ch, count)
-        if count:
-            stack.append([ch, count])
-    # the seam: first and last runs are cyclically adjacent
-    while len(stack) >= 2 and stack[0][0] == stack[-1][0]:
-        ch, count = stack.pop()
-        residue = modulo(ch, stack[0][1] + count)
-        if residue:
-            stack[0][1] = residue
-        else:
-            stack.pop(0)
-    return XYWord(tuple((ch, count) for ch, count in stack), j)
-
-
-def to_sigma_form(xy: XYWord) -> SchreierForm:
-    """Translate a reduced xy residue into its sigma-side normal form.
-
-    The input must already be normalized, else ValueError.  Longer residues
-    are read by grouping their y-runs.  The lone residue x picks up one
-    extra central factor: x = C^(-1) sigma_1 sigma_2 sigma_1.
-    """
-    runs, j = xy.runs, xy.j
-    if not runs:
-        return SchreierForm(k=j, kind=EtaKind.EMPTY)
-    if len(runs) == 1:
-        ch, count = runs[0]
-        if ch == X:
-            if count != 1:
-                raise ValueError("residue not normalized")
-            return SchreierForm(k=j - 1, kind=EtaKind.SIGMA121)
-        if count == 1:
-            return SchreierForm(k=j, kind=EtaKind.SIGMA12)
-        if count == 2:
-            return SchreierForm(k=j, kind=EtaKind.SIGMA1212)
-        raise ValueError("residue not normalized")
-    # x^1 alternates with y^1 or y^2: one slice is the x-runs, one the y-runs
-    xs, ys = runs[0::2], runs[1::2]
-    if runs[0][0] == Y:
-        xs, ys = ys, xs
-    if len(xs) != len(ys) or set(xs) != {(X, 1)} or not set(ys) <= _Y_RUNS:
-        raise ValueError("residue not normalized")
-    if (Y, 2) not in ys:  # (xy)^p = sigma_1^(-p)
-        return SchreierForm(k=j, kind=EtaKind.POWER_SIGMA1, power=-len(ys))
-    if (Y, 1) not in ys:  # (xy^2)^q = sigma_2^q ~ sigma_1^q
-        return SchreierForm(k=j, kind=EtaKind.POWER_SIGMA1, power=len(ys))
-    # start at a 1 after a 2, so the groups alternate 1s and 2s in pairs
-    start = next(
-        i for i, run in enumerate(ys) if run == (Y, 1) and ys[i - 1] == (Y, 2)
-    )
-    groups = groupby(ys[start:] + ys[:start])
-    lengths = [len(list(group)) for _, group in groups]
-    pairs = tuple(zip(lengths[0::2], lengths[1::2]))
-    return SchreierForm(k=j, kind=EtaKind.GENERIC, pairs=pairs)
+# syllable image as y^head (x y^a)^(|r| + offset) x^tail, keyed by
+# (generator, positive); see the module docstring
+_SYLLABLE_IMAGE = {
+    (1, False): (0, 1, 0, False),  # sigma_1^(-p) = (xy)^p
+    (2, True): (0, 2, 0, False),  # sigma_2^q = (xy^2)^q
+    (1, True): (2, 2, -1, True),  # sigma_1^p = y^2 (xy^2)^(p-1) x
+    (2, False): (1, 1, -1, True),  # sigma_2^(-q) = y (xy)^(q-1) x
+}
 
 
 def schreier_normal_form(word: SyllableWord) -> SchreierForm:
-    """The conjugacy normal form of a 3-braid word.
+    """The conjugacy normal form of a 3-braid word, in one block sweep.
 
     >>> form = schreier_normal_form(SyllableWord(3, ((1, -3), (2, -3))))
     >>> form.k, form.kind.value, form.pairs
     (-1, 'generic', ((1, 1), (1, 1)))
     """
-    return to_sigma_form(normalize_xy(to_xy(word)))
+    word = _require_3braid(word)
+    j = 0  # the exponent of C
+    lead = 0  # the leading y-run, 0 to 2
+    blocks: list[list[int]] = []  # [a, m] = (x y^a)^m, neighbours differ in a
+    tail = False  # a trailing x
+
+    def push_unit(a: int, m: int = 1) -> None:
+        if blocks and blocks[-1][0] == a:
+            blocks[-1][1] += m
+        else:
+            blocks.append([a, m])
+
+    def pop_unit(at: int) -> int:
+        block = blocks[at]
+        if block[1] == 1:
+            del blocks[at]
+        else:
+            block[1] -= 1
+        return block[0]
+
+    def push_y(c: int) -> None:
+        nonlocal j, lead, tail
+        if tail:
+            tail = False
+            push_unit(c)
+        elif blocks:  # y^c meets the y^a that ends the last unit
+            total = pop_unit(-1) + c
+            if total == 3:
+                j += 1
+                tail = True  # that unit's x is now on top
+            else:
+                j += total // 3
+                push_unit(total % 3)
+        else:
+            j += (lead + c) // 3
+            lead = (lead + c) % 3
+
+    def push_block(a: int, m: int) -> None:
+        nonlocal j, tail
+        while m and tail:  # the block's first x meets the trailing x
+            if blocks and blocks[-1][0] + a == 3:
+                # (x y^b) x . (x y^a) = x y^b C^(-1) y^a = x: a unit of
+                # each cancels and j is unchanged
+                last = blocks[-1]
+                cut = min(m, last[1])
+                m -= cut
+                last[1] -= cut
+                if not last[1]:
+                    blocks.pop()
+                continue
+            j -= 1
+            tail = False
+            m -= 1
+            push_y(a)
+        if m:
+            push_unit(a, m)
+
+    for g, r in word.syllables:
+        head, a, offset, x_tail = _SYLLABLE_IMAGE[g, r > 0]
+        if head:
+            push_y(head)
+        if abs(r) + offset:
+            push_block(a, abs(r) + offset)
+        if x_tail:
+            if tail:
+                j -= 1
+            tail = not tail
+
+    # the seam: the top of the stack is cyclically followed by its bottom
+    while True:
+        if lead and tail:  # rotate the trailing x to the front: x y^lead
+            if blocks and blocks[0][0] == lead:
+                blocks[0][1] += 1
+            else:
+                blocks.insert(0, [lead, 1])
+            lead, tail = 0, False
+        elif lead and blocks:  # move the leading y-run to the top
+            c, lead = lead, 0
+            push_y(c)
+            continue
+        elif tail and blocks:  # x . x y^a = C^(-1) y^a
+            j -= 1
+            tail = False
+            push_y(pop_unit(0))
+            continue
+        break
+
+    if not blocks:
+        if tail:  # x = C^(-1) sigma_1 sigma_2 sigma_1
+            return SchreierForm(k=j - 1, kind=EtaKind.SIGMA121)
+        if lead:
+            kind = EtaKind.SIGMA12 if lead == 1 else EtaKind.SIGMA1212
+            return SchreierForm(k=j, kind=kind)
+        return SchreierForm(k=j, kind=EtaKind.EMPTY)
+    if len(blocks) > 1 and blocks[0][0] == blocks[-1][0]:
+        blocks[0][1] += blocks.pop()[1]
+    if len(blocks) == 1:  # (xy)^p = sigma_1^(-p); (xy^2)^q = sigma_2^q ~ sigma_1^q
+        a, m = blocks[0]
+        return SchreierForm(
+            k=j, kind=EtaKind.POWER_SIGMA1, power=-m if a == 1 else m
+        )
+    # the blocks alternate a = 1 and a = 2; pair them from a 1-block
+    counts = [m for _, m in blocks]
+    if blocks[0][0] == 2:
+        counts = counts[1:] + counts[:1]
+    pairs = tuple(zip(counts[0::2], counts[1::2]))
+    return SchreierForm(k=j, kind=EtaKind.GENERIC, pairs=pairs)
 
 
 def _family_3braid(word: SyllableWord) -> SyllableWord:
@@ -318,7 +390,17 @@ def direct_read_k(word: SyllableWord) -> int:
     k is minus the number of cyclic adjacencies (sigma_2 long syllable
     followed by sigma_1 long syllable).
     """
-    word = _family_3braid(word)
+    return _read_k(_family_3braid(word))
+
+
+def _read_k(word: SyllableWord) -> int:
+    """``direct_read_k`` on a gated family 3-braid word."""
+    # The paper reads k off the word.  In the block sweep of
+    # schreier_normal_form, sigma_2^(-q) = y (xy)^(q-1) x followed by
+    # sigma_1^(-p) = (xy)^p is the one place where family syllables meet at
+    # which the sweep gives up a C^(-1): x x -> C^(-1), and the y's that meet
+    # then make y^2, not yyy.  Every other meeting in a family word is
+    # already reduced.
     syl = word.syllables
     t = len(syl)
     count = 0
@@ -332,7 +414,11 @@ def direct_read_k(word: SyllableWord) -> int:
 
 def direct_read_s(word: SyllableWord) -> int:
     """Read s off a family 3-braid word: the negative twist-region count."""
-    word = _family_3braid(word)
+    return _read_s(_family_3braid(word))
+
+
+def _read_s(word: SyllableWord) -> int:
+    """``direct_read_s`` on a gated family 3-braid word."""
     return sum(1 for _, r in word.syllables if r < 0)
 
 

@@ -94,13 +94,14 @@ class SyllableWord:
 
 
 # Input limits for parse_braid, checked on the parsed integers, so that
-# hostile input such as "s1^-1000000000" fails at once.  Parsing, reduction
-# and the union-find of states.resolve_all_A work per syllable; the letter
-# limit bounds the layers that still work per letter: the segments and the
+# hostile input such as "s1^-1000000000" fails at once.  Parsing, reduction,
+# the union-find of states.resolve_all_A and the Schreier normal form work
+# per syllable (the normal form's cascades, which cancel units where
+# syllables meet, are bounded by the letters they cancel); the letter limit
+# bounds the layers that still work per letter: the segments and the
 # circles closed inside twist regions that resolve_all_A builds, the
-# (c + 1) * n arcs the SVG renderer walks, the bracket sweep and
-# schreier.to_xy.  Both sit well above the sizes analyze is used at (about
-# 1000 crossings, n <= 8).
+# (c + 1) * n arcs the SVG renderer walks and the bracket sweep.  Both sit
+# well above the sizes analyze is used at (about 1000 crossings, n <= 8).
 MAX_WORD_LETTERS = 10_000
 MAX_STRANDS = 32
 

@@ -7,11 +7,12 @@ import time
 
 import pytest
 
-from braidvol import bracket, states
+from braidvol import bracket, families, states
 from braidvol.bounds import jones_bounds, volume_bounds
 from braidvol.errors import CrossingLimitError, PreconditionError
 from braidvol.generate import GeneratorSpec, generate_words
 from braidvol.report import SCHEMA, analyze, verify
+from braidvol.schreier import direct_read_k, direct_read_s
 from braidvol.states import reduced_graph, resolve_all_A
 from braidvol.words import SyllableWord, cyclically_reduce_into_syllables
 
@@ -195,6 +196,25 @@ def test_verify_traces_and_sweeps_once(monkeypatch):
         sweeps.clear()
         assert "bracket_oracle" in [c.name for c in verify(w).checks]
         assert traces == [w] and sweeps == [w], w.as_text()
+
+
+def test_analyze_and_verify_gate_a_family_word_once(monkeypatch):
+    gates = count_calls(monkeypatch, families, "check_main_lemma")
+    for w in ONCE_WORDS:
+        for run in (analyze, verify):
+            gates.clear()
+            run(w)
+            assert gates == [w], (run.__name__, w.as_text())
+    # the public bound and direct-read functions still gate on their own
+    w = ONCE_WORDS[0]
+    state = resolve_all_A(w)
+    graph = reduced_graph(state)
+    gates.clear()
+    volume_bounds(w, state, graph)
+    jones_bounds(w, state, graph)
+    direct_read_k(w)
+    direct_read_s(w)
+    assert gates == [w] * 4
 
 
 def test_verify_rejects_non_family_words():

@@ -1,8 +1,10 @@
 """Conjugacy normal forms for 3-braids.
 
-Covers the x/y rewriting pipeline stage by stage, the conjugacy-invariance
-properties of the composite (rotation, free insertion, braid relation), the
-direct-read shortcuts on family words, and the hyperbolicity decision.
+Covers the block sweep against a letter-level reference oracle (to_xy,
+normalize_xy, to_sigma_form, kept here stage by stage), the
+conjugacy-invariance properties of the normal form (rotation, free
+insertion, braid relation), the direct-read shortcuts on family words, and
+the hyperbolicity decision.
 """
 
 import functools
@@ -12,7 +14,7 @@ import json
 import random
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from braidvol import report, schreier
 from braidvol.errors import PreconditionError
@@ -27,9 +29,7 @@ from braidvol.schreier import (
     direct_read_s,
     hyperbolicity_of_form,
     is_hyperbolic_closure_3braid,
-    normalize_xy,
     schreier_normal_form,
-    to_sigma_form,
     to_xy,
 )
 from braidvol.words import SyllableWord, exponent_sum
@@ -43,7 +43,95 @@ def braid3(letters):
     return word_from_letters(letters, 3)
 
 
-# --- stage pins ---------------------------------------------------------
+# --- the letter-level oracle ---------------------------------------------
+# to_xy expands the word into xy runs, normalize_xy walks every run, and
+# to_sigma_form reads the residue.  The block sweep in schreier.py must give
+# the same form.
+
+_Y_RUNS = {("y", 1), ("y", 2)}
+
+
+def normalize_xy(xy: XYWord) -> XYWord:
+    """Exhaustively apply xx -> C^(-1) and yyy -> C, cyclically.
+
+    Each application is an equality in B_3 (x^2 = C^(-1), y^3 = C), so the
+    result represents the same element; j tracks the central exponent.  The
+    residue has every x-run equal to 1 and every y-run at most 2, cyclically.
+    """
+    j = xy.j
+
+    def modulo(ch: str, count: int) -> int:
+        nonlocal j
+        if ch == "x":
+            j -= count // 2
+            return count % 2
+        j += count // 3
+        return count % 3
+
+    stack: list[list] = []
+    for ch, count in xy.runs:
+        if stack and stack[-1][0] == ch:
+            count += stack.pop()[1]
+        count = modulo(ch, count)
+        if count:
+            stack.append([ch, count])
+    # the seam: first and last runs are cyclically adjacent
+    while len(stack) >= 2 and stack[0][0] == stack[-1][0]:
+        ch, count = stack.pop()
+        residue = modulo(ch, stack[0][1] + count)
+        if residue:
+            stack[0][1] = residue
+        else:
+            stack.pop(0)
+    return XYWord(tuple((ch, count) for ch, count in stack), j)
+
+
+def to_sigma_form(xy: XYWord) -> SchreierForm:
+    """Translate a reduced xy residue into its sigma-side normal form.
+
+    The input must already be normalized, else ValueError.  Longer residues
+    are read by grouping their y-runs.  The lone residue x picks up one
+    extra central factor: x = C^(-1) sigma_1 sigma_2 sigma_1.
+    """
+    runs, j = xy.runs, xy.j
+    if not runs:
+        return SchreierForm(k=j, kind=EtaKind.EMPTY)
+    if len(runs) == 1:
+        ch, count = runs[0]
+        if ch == "x":
+            if count != 1:
+                raise ValueError("residue not normalized")
+            return SchreierForm(k=j - 1, kind=EtaKind.SIGMA121)
+        if count == 1:
+            return SchreierForm(k=j, kind=EtaKind.SIGMA12)
+        if count == 2:
+            return SchreierForm(k=j, kind=EtaKind.SIGMA1212)
+        raise ValueError("residue not normalized")
+    # x^1 alternates with y^1 or y^2: one slice is the x-runs, one the y-runs
+    xs, ys = runs[0::2], runs[1::2]
+    if runs[0][0] == "y":
+        xs, ys = ys, xs
+    if len(xs) != len(ys) or set(xs) != {("x", 1)} or not set(ys) <= _Y_RUNS:
+        raise ValueError("residue not normalized")
+    if ("y", 2) not in ys:  # (xy)^p = sigma_1^(-p)
+        return SchreierForm(k=j, kind=EtaKind.POWER_SIGMA1, power=-len(ys))
+    if ("y", 1) not in ys:  # (xy^2)^q = sigma_2^q ~ sigma_1^q
+        return SchreierForm(k=j, kind=EtaKind.POWER_SIGMA1, power=len(ys))
+    # start at a 1 after a 2, so the groups alternate 1s and 2s in pairs
+    start = next(
+        i for i, run in enumerate(ys) if run == ("y", 1) and ys[i - 1] == ("y", 2)
+    )
+    groups = itertools.groupby(ys[start:] + ys[:start])
+    lengths = [len(list(group)) for _, group in groups]
+    pairs = tuple(zip(lengths[0::2], lengths[1::2]))
+    return SchreierForm(k=j, kind=EtaKind.GENERIC, pairs=pairs)
+
+
+def oracle_form(word):
+    return to_sigma_form(normalize_xy(to_xy(word)))
+
+
+# --- oracle stage pins ---------------------------------------------------
 
 
 def test_to_xy_substitutions():
@@ -124,6 +212,59 @@ def test_normalized_residue_alternates_and_is_read(xy):
     to_sigma_form(reduced)
 
 
+# --- the block sweep against the oracle ---------------------------------
+
+
+@st.composite
+def syllable_words3(draw):
+    """3-braid syllable words of 1-12 syllables with exponents up to 40:
+    alternating generators, or free ones whose repeats
+    cyclically_reduce_into_syllables must fold."""
+    exps = draw(
+        st.lists(st.integers(-40, 40).filter(bool), min_size=1, max_size=12)
+    )
+    if draw(st.booleans()):
+        first = draw(st.sampled_from([0, 1]))
+        gens = [1 + (first + i) % 2 for i in range(len(exps))]
+    else:
+        gens = draw(
+            st.lists(
+                st.sampled_from([1, 2]), min_size=len(exps), max_size=len(exps)
+            )
+        )
+    return SyllableWord(3, tuple(zip(gens, exps)))
+
+
+@given(syllable_words3())
+@settings(max_examples=400)
+def test_block_sweep_matches_the_letter_level_oracle(word):
+    assert schreier_normal_form(word) == oracle_form(word)
+
+
+@pytest.mark.parametrize(
+    "text, form",
+    [
+        # s1 s2 s1 (s2 s1 s2)^-1 cancels through a cascade of seams
+        ("s1 s2 s1 s2^-1 s1^-1 s2^-1", SchreierForm(k=0, kind=EtaKind.EMPTY)),
+        ("s1 s2 s1 s2 s1 s2", SchreierForm(k=1, kind=EtaKind.EMPTY)),  # C
+        (  # x = (s1 s2 s1)^-1 = C^-1 s1 s2 s1
+            "s1^-1 s2^-1 s1^-1",
+            SchreierForm(k=-1, kind=EtaKind.SIGMA121),
+        ),
+        # one syllable: the seam joins its block to itself
+        ("s1^-5", SchreierForm(k=0, kind=EtaKind.POWER_SIGMA1, power=-5)),
+        ("s2^4", SchreierForm(k=0, kind=EtaKind.POWER_SIGMA1, power=4)),
+        # the seam rotates the trailing x in front of the leading y-run
+        ("s1^5", SchreierForm(k=0, kind=EtaKind.POWER_SIGMA1, power=5)),
+        ("s2^-4", SchreierForm(k=0, kind=EtaKind.POWER_SIGMA1, power=-4)),
+    ],
+)
+def test_block_sweep_cascades_are_pinned(text, form):
+    word = word_of(text, 3)
+    assert schreier_normal_form(word) == form
+    assert oracle_form(word) == form
+
+
 def test_short_words_normal_forms_are_pinned():
     # every letter word of length <= 7 on +-1, +-2 (21,845 words)
     digest = hashlib.sha256()
@@ -171,6 +312,25 @@ def test_pair_list_is_stored_in_least_rotation():
         k=0, kind=EtaKind.GENERIC, pairs=((2, 1), (3, 1), (1, 1), (4, 1))
     )
     assert form.pairs == ((1, 1), (4, 1), (2, 1), (3, 1))
+
+
+pair_list_st = st.lists(
+    st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=30
+).map(tuple)
+periodic_pair_list_st = st.tuples(
+    st.lists(
+        st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=6
+    ),
+    st.integers(1, 5),
+).map(lambda period: tuple(period[0]) * period[1])
+
+
+@given(st.one_of(pair_list_st, periodic_pair_list_st))
+@example(((1, 1),) * 4)
+@example(((1, 2), (1, 1), (1, 2), (1, 1), (1, 1)))
+def test_least_rotation_is_the_least_of_all_rotations(pairs):
+    rotations = [pairs[i:] + pairs[:i] for i in range(len(pairs))]
+    assert schreier._least_rotation(pairs) == min(rotations)
 
 
 # --- composite properties ------------------------------------------------
