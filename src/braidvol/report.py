@@ -61,26 +61,16 @@ SCHEMA = "braidvol/1"
 
 
 def circle_detail(state: AllAState) -> list[dict]:
-    """Per-circle detail of a report: id, class, winding and support.
-
-    Most circles are inner circles that share one support per column, so
-    each distinct support is sorted once; every dict gets its own list.
-    """
-    ordered: dict[frozenset[int], list[int]] = {}
-    detail = []
-    for circle in state.circles:
-        support = ordered.get(circle.support)
-        if support is None:
-            support = ordered[circle.support] = sorted(circle.support)
-        detail.append(
-            {
-                "id": circle.id,
-                "class": circle.klass.value,
-                "winding": circle.winding,
-                "support": support.copy(),
-            }
-        )
-    return detail
+    """Per-circle detail of a report: id, class, winding and support."""
+    return [
+        {
+            "id": circle.id,
+            "class": circle.klass.value,
+            "winding": circle.winding,
+            "support": sorted(circle.support),
+        }
+        for circle in state.circles
+    ]
 
 
 def schreier_block(form: SchreierForm) -> dict:

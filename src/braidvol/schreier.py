@@ -18,10 +18,9 @@ word into letters.  The stack holds the reduced prefix as a leading y-run,
 blocks [a, m] = (x y^a)^m and a trailing x; each syllable pushes at most
 those three items.  A reduction where syllables meet takes one unit off the
 end of a block.  A cascade (for example through sigma_1 sigma_2 sigma_1 ...)
-goes on one unit at a time, except that (x y^b)^M x (x y^a)^m with
-a + b = 3 cancels min(M, m) units at once, each xx paid back by a yyy.  The
-cyclic seam is closed by moving units from the bottom of the stack to the
-top while the two ends share a letter.  The reduced residue is one of
+goes on one unit at a time.  The cyclic seam is closed by moving units from
+the bottom of the stack to the top while the two ends share a letter.  The
+reduced residue is one of
 
     (xy)^p1 (xy^2)^q1 ... (xy)^ps (xy^2)^qs   (the generic shape)
     (xy)^p | (xy^2)^q | y | y^2 | x | empty,
@@ -307,16 +306,6 @@ def schreier_normal_form(word: SyllableWord) -> SchreierForm:
     def push_block(a: int, m: int) -> None:
         nonlocal j, tail
         while m and tail:  # the block's first x meets the trailing x
-            if blocks and blocks[-1][0] + a == 3:
-                # (x y^b) x . (x y^a) = x y^b C^(-1) y^a = x: a unit of
-                # each cancels and j is unchanged
-                last = blocks[-1]
-                cut = min(m, last[1])
-                m -= cut
-                last[1] -= cut
-                if not last[1]:
-                    blocks.pop()
-                continue
             j -= 1
             tail = False
             m -= 1
