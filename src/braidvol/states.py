@@ -11,8 +11,10 @@ state circles, each with a winding number 0 or 1 around the annulus core.
 :func:`resolve_all_A` finds them in one sweep down the braid that works one
 syllable at a time: union-find (Tarjan, 1975) joins labels once per twist
 region, the small circles stacked inside a negative region are built
-directly, and each circle is classified as it is traced; only the SVG
-renderer builds and walks the arcs.
+directly, and each circle is classified as it is traced.  The state keeps
+one record per twist region, not one object per crossing; the A-segments
+(:attr:`AllAState.segments`) and the arcs (:attr:`AllAState.arcs`) are
+built only on demand, and only the SVG renderer asks for them.
 
 The circles carry a taxonomy driven by their *support* (the set of twist-
 region columns contributing a cap or cup to the circle):
@@ -26,12 +28,15 @@ region columns contributing a cap or cup to the circle):
 
 A-segments double as the edges of the state graph on the circles; collapsing
 parallel edges gives the reduced graph whose negative Euler characteristic
-e - v feeds every volume bound downstream.
+e - v feeds every volume bound downstream.  Its edge count, A-adequacy and
+the two-edge loop condition are all read per twist region (Futer,
+Kalfagianni and Purcell, "Guts of surfaces and the colored Jones
+polynomial", 2013), in one pass over the records (see
+:attr:`AllAState.regions`).
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -135,11 +140,39 @@ class ReducedStateGraph:
 
 @dataclass(frozen=True)
 class AllAState:
-    """The full all-A state of one closed-braid diagram; arcs built on demand."""
+    """The full all-A state of one closed-braid diagram, one record per
+    twist region; segments and arcs are built on demand.
+
+    ``regions[i]`` describes syllable ``i`` as ``(first, r, ids)``: its first
+    crossing, its exponent and the circles it joins.  A positive syllable or
+    a lone negative letter (r = -1) joins one pair, ``ids = (a, b)``; every
+    one of its segments has endpoints ``(a, b)``.  A longer negative
+    syllable chains ``ids = (a, inner..., b)`` down through the |r| - 1
+    small circles stacked inside it, and its i-th segment joins
+    ``ids[i]`` to ``ids[i + 1]``.
+    """
 
     word: SyllableWord
     circles: tuple[StateCircle, ...]
-    segments: tuple[Segment, ...]
+    regions: tuple[tuple[int, int, tuple[int, ...]], ...]
+
+    @cached_property
+    def segments(self) -> tuple[Segment, ...]:
+        """Every A-segment in crossing order, built from the regions on
+        first access and kept."""
+        segments: list[Segment] = []
+        for si, (first, r, ids) in enumerate(self.regions):
+            if r > 0:
+                segments += [
+                    Segment(i, si, SegmentOrientation.HORIZONTAL, ids)
+                    for i in range(first, first + r)
+                ]
+            else:
+                segments += [
+                    Segment(i, si, SegmentOrientation.VERTICAL, pair)
+                    for i, pair in enumerate(zip(ids, ids[1:]), first)
+                ]
+        return tuple(segments)
 
     @cached_property
     def arcs(self) -> tuple[Arc, ...]:
@@ -174,6 +207,33 @@ class AllAState:
     @property
     def crossings(self) -> int:
         return self.word.crossings
+
+    @cached_property
+    def _graph(self) -> tuple[bool, bool, int]:
+        """(A-adequate, TELC, reduced edge count), read in one pass over the
+        regions.  A chain's segments all meet one of its inner circles,
+        which no other region meets, so a chain never self-joins and its
+        pairs are its own; they are |r| distinct pairs, except that an
+        r = -2 chain with a = b runs both segments between the same two
+        circles, a two-edge loop of a negative region.  The pair regions
+        self-join when a = b, and share a pair exactly when two of them
+        join the same two circles."""
+        adequate, telc, chain_edges = True, True, 0
+        pairs = set()
+        pair_regions = 0
+        for _, r, ids in self.regions:
+            if len(ids) == 2:
+                a, b = ids
+                adequate = adequate and a != b
+                pairs.add((a, b) if a <= b else (b, a))
+                pair_regions += 1
+            else:
+                chain_edges -= r
+                if r == -2 and ids[0] == ids[2]:
+                    telc = False
+                    chain_edges -= 1
+        telc = telc and len(pairs) == pair_regions
+        return adequate, telc, len(pairs) + chain_edges
 
     @cached_property
     def _counts(self) -> dict[CircleClass, int]:
@@ -211,9 +271,12 @@ def resolve_all_A(word: SyllableWord) -> AllAState:
     cup's id, and the roots of the circles that leave their syllable (the
     boundary circles) are merged in with them.  Winding is the parity of a
     circle's closure arcs; the last loop maps each syllable's labels to
-    circles and gathers each boundary circle's support and incident
-    segments, so every circle is built once, already classified (see
-    :func:`_klass`); any syllable word works.
+    circles, records the region (see :attr:`AllAState.regions`) and gathers
+    each boundary circle's support and incident segments, so every circle
+    is built once, already classified (see :func:`_klass`); any syllable
+    word works.  No per-crossing object is built: the segments come from
+    the regions on demand, and :func:`reduced_graph` and the predicates
+    read the regions.
     """
     n = word.n
     # a top label is the first letter's arc in its column: the cap, or a pass
@@ -261,67 +324,62 @@ def resolve_all_A(word: SyllableWord) -> AllAState:
     for label in top:
         winding[circle_of_label[label]] ^= 1
     support: dict[int, set[int]] = {cid: set() for cid in winding}
-    incident: dict[int, list[Segment]] = {cid: [] for cid in winding}
+    # an incident vertical segment is (syllable, crossing); a positive region
+    # leaves one None for all its horizontal segments, as one already rules
+    # out a small inner circle
+    incident: dict[int, list[tuple[int, int] | None]] = {
+        cid: [] for cid in winding
+    }
     single = [frozenset((g,)) for g in range(n)]
     circles: list[StateCircle | None] = [None] * len(roots)
-    segments: list[Segment] = []
+    regions: list[tuple[int, int, tuple[int, ...]]] = []
     for si, (first, g, r, label_a, label_b) in enumerate(runs):
-        ends = a, b = circle_of_label[label_a], circle_of_label[label_b]
+        a, b = circle_of_label[label_a], circle_of_label[label_b]
         if r > 0:
-            for i in range(first, first + r):
-                segments.append(Segment(i, si, SegmentOrientation.HORIZONTAL, ends))
-            incident[a] += segments[first:]
-            if b != a:
-                incident[b] += segments[first:]
+            incident[a].append(None)
+            incident[b].append(None)
+            regions.append((first, r, (a, b)))
             continue
         support[a].add(g)
         support[b].add(g)
+        incident[a].append((si, first))
+        incident[b].append((si, first - r - 1))
         if r == -1:  # most letters of a random word: skip building a chain
-            seg =Segment(first, si, SegmentOrientation.VERTICAL, ends)
-            segments.append(seg)
-            incident[a].append(seg)
-            if b != a:
-                incident[b].append(seg)
+            regions.append((first, r, (a, b)))
             continue
         # the interior roots are the ids of the cups above the last, label_b
         inner = list(map(circle_of.__getitem__, range(first * n + 1, label_b, n)))
-        chain = [a, *inner, b]
-        segments += [
-            Segment(i, si, SegmentOrientation.VERTICAL, pair)
-            for i, pair in enumerate(zip(chain, chain[1:]), first)
-        ]
         for cid in inner:
             circles[cid] = StateCircle(cid, 0, single[g], CircleClass.SMALL_INNER)
-        incident[a].append(segments[first])
-        incident[b].append(segments[-1])
+        regions.append((first, r, (a, *inner, b)))
     for cid, turns in winding.items():
         columns = support[cid]
         circles[cid] = StateCircle(
             cid, turns, frozenset(columns), _klass(columns, turns, incident[cid])
         )
-    return AllAState(word, tuple(circles), tuple(segments))
+    return AllAState(word, tuple(circles), tuple(regions))
 
 
-def _klass(support: set[int], winding: int, segs: list[Segment]) -> CircleClass:
+def _klass(
+    support: set[int], winding: int, incident: list[tuple[int, int] | None]
+) -> CircleClass:
     """The circle taxonomy, in order: empty support is nonwandering; support
     meeting two or more columns wanders (essential iff winding 1);
     single-column support is a small inner circle when its only two incident
     segments are the vertical segments of consecutive crossings in one
-    negative syllable, else medium inner when contractible, else
-    unclassified."""
+    negative syllable (``incident`` holds (syllable, crossing) per vertical
+    segment and None for horizontal ones), else medium inner when
+    contractible, else unclassified."""
     if not support:
         return CircleClass.NONWANDERING
     if len(support) >= 2:
         if winding == 1:
             return CircleClass.ESSENTIAL_WANDERING
         return CircleClass.NON_ESSENTIAL_WANDERING
-    if (
-        len(segs) == 2
-        and all(s.orientation is SegmentOrientation.VERTICAL for s in segs)
-        and segs[0].syllable == segs[1].syllable
-        and abs(segs[0].crossing - segs[1].crossing) == 1
-    ):
-        return CircleClass.SMALL_INNER
+    if len(incident) == 2 and None not in incident:
+        (syllable, crossing), (other, next_crossing) = incident
+        if syllable == other and abs(crossing - next_crossing) == 1:
+            return CircleClass.SMALL_INNER
     if winding == 0:
         return CircleClass.MEDIUM_INNER
     return CircleClass.UNCLASSIFIED
@@ -336,8 +394,8 @@ def classify_circles(state: AllAState) -> AllAState:
 
 
 def is_A_adequate(state: AllAState) -> bool:
-    """No A-segment joins a circle to itself."""
-    return all(a != b for a, b in (s.endpoints for s in state.segments))
+    """No A-segment joins a circle to itself: no pair region has a = b."""
+    return state._graph[0]
 
 
 def satisfies_TELC(state: AllAState) -> bool:
@@ -346,20 +404,10 @@ def satisfies_TELC(state: AllAState) -> bool:
     Every set of two or more segments joining the same circle pair must come
     from a single positive syllable (the parallel rungs of a short twist
     region); two vertical segments of a long region landing on one pair
-    violate it.
+    violate it.  Per region: no two pair regions join the same two circles,
+    and no r = -2 chain closes on one circle.
     """
-    groups: dict[tuple[int, int], list[Segment]] = defaultdict(list)
-    for seg in state.segments:
-        a, b = seg.endpoints
-        groups[(a, b) if a <= b else (b, a)].append(seg)
-    for group in groups.values():
-        if len(group) < 2:
-            continue
-        if any(s.orientation is not SegmentOrientation.HORIZONTAL for s in group):
-            return False
-        if len({s.syllable for s in group}) != 1:
-            return False
-    return True
+    return state._graph[1]
 
 
 def twist_counts(word: SyllableWord) -> tuple[int, int, int]:
@@ -383,10 +431,6 @@ def is_connected_closure(word: SyllableWord) -> bool:
 
 def reduced_graph(state: AllAState) -> ReducedStateGraph:
     """Collapse parallel A-segments; vertices are the state circles."""
-    pairs = {
-        (a, b) if a <= b else (b, a)
-        for a, b in (s.endpoints for s in state.segments)
-    }
     v = len(state.circles)
-    e = len(pairs)
-    return ReducedStateGraph(v, e, e - v, len(state.segments))
+    e = state._graph[2]
+    return ReducedStateGraph(v, e, e - v, state.crossings)

@@ -13,7 +13,12 @@ from braidvol.errors import CrossingLimitError, PreconditionError
 from braidvol.generate import GeneratorSpec, generate_words
 from braidvol.report import SCHEMA, analyze, verify
 from braidvol.schreier import direct_read_k, direct_read_s
-from braidvol.states import reduced_graph, resolve_all_A
+from braidvol.states import (
+    is_A_adequate,
+    reduced_graph,
+    resolve_all_A,
+    satisfies_TELC,
+)
 from braidvol.words import SyllableWord, cyclically_reduce_into_syllables
 
 from conftest import count_calls, ladder, word_of
@@ -215,6 +220,28 @@ def test_analyze_and_verify_gate_a_family_word_once(monkeypatch):
     direct_read_k(w)
     direct_read_s(w)
     assert gates == [w] * 4
+
+
+def test_hot_paths_build_no_per_crossing_objects(monkeypatch):
+    # analyze, verify and the predicates read the twist-region records; the
+    # segments and arcs are left for the SVG renderer to build
+    kept = []
+
+    def keeping(word):
+        kept.append(resolve_all_A(word))
+        return kept[-1]
+
+    monkeypatch.setattr("braidvol.report.resolve_all_A", keeping)
+    for w in ONCE_WORDS:
+        analyze(w, bracket=True)
+        verify(w)
+    state = resolve_all_A(ONCE_WORDS[1])
+    is_A_adequate(state)
+    satisfies_TELC(state)
+    reduced_graph(state)
+    assert len(kept) == 2 * len(ONCE_WORDS)
+    for state in [*kept, state]:
+        assert "segments" not in vars(state) and "arcs" not in vars(state)
 
 
 def test_verify_rejects_non_family_words():

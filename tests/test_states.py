@@ -7,6 +7,9 @@ by one union-find sweep down the braid, one syllable at a time, which sorts
 each into the five classes by support and winding as it is traced.  The
 walk over arc endpoints and the separate classifying pass that the sweep
 replaced are kept here as oracles, and the two must agree on every word.
+So are the per-segment definitions of A-adequacy, the two-edge loop
+condition and the reduced graph, which the state now reads per twist
+region.
 """
 
 from collections import defaultdict
@@ -19,10 +22,10 @@ from braidvol.errors import OracleError, PreconditionError
 from braidvol.generate import GeneratorSpec, generate_words
 from braidvol.report import verify
 from braidvol.states import (
-    AllAState,
     Arc,
     ArcKind,
     CircleClass,
+    ReducedStateGraph,
     Segment,
     SegmentOrientation,
     StateCircle,
@@ -174,8 +177,8 @@ def walk_oracle(word):
 
     Builds one arc per pass, cap, cup and closure, joins arcs at shared grid
     points, and walks each circle from its smallest unvisited arc, summing
-    signed closure crossings.  Returns the arcs and a state whose circles
-    are all ``UNCLASSIFIED`` (see :func:`classify_oracle`).
+    signed closure crossings.  Returns the arcs, the circles, all
+    ``UNCLASSIFIED`` (see :func:`classify_oracle`), and the segments.
     """
     n = word.n
     letters = [
@@ -251,10 +254,10 @@ def walk_oracle(word):
             ends = (circle_of[cap_at[idx]], circle_of[cup_at[idx]])
             orientation = SegmentOrientation.VERTICAL
         segments.append(Segment(idx, si, orientation, ends))
-    return tuple(arcs), AllAState(word, tuple(circles), tuple(segments))
+    return tuple(arcs), tuple(circles), tuple(segments)
 
 
-def classify_oracle(state):
+def classify_oracle(circles, segments):
     """The classifying pass the sweep absorbed, as an independent oracle.
 
     Rules, in order: empty support is nonwandering; support meeting two or
@@ -264,7 +267,7 @@ def classify_oracle(state):
     inner when contractible, else unclassified.
     """
     incident = defaultdict(list)
-    for seg in state.segments:
+    for seg in segments:
         for cid in set(seg.endpoints):
             incident[cid].append(seg)
 
@@ -287,18 +290,54 @@ def classify_oracle(state):
             return CircleClass.MEDIUM_INNER
         return CircleClass.UNCLASSIFIED
 
-    circles = tuple(replace(c, klass=klass_of(c)) for c in state.circles)
-    return replace(state, circles=circles)
+    return tuple(replace(c, klass=klass_of(c)) for c in circles)
 
 
 def assert_sweep_matches_oracle(word):
-    arcs, expected = walk_oracle(word)
-    expected = classify_oracle(expected)
+    arcs, circles, expected_segments = walk_oracle(word)
+    expected_circles = classify_oracle(circles, expected_segments)
     state = resolve_all_A(word)
-    assert state.circles == expected.circles
-    assert state.census == expected.census
-    assert state.segments == expected.segments
+    assert state.circles == expected_circles
+    assert state.census == {
+        k: sum(c.klass is k for c in expected_circles) for k in CircleClass
+    }
+    assert state.segments == expected_segments
     assert state.arcs == arcs
+
+
+def adequate_oracle(segments):
+    """A-adequacy per segment: no segment joins a circle to itself."""
+    return all(a != b for a, b in (s.endpoints for s in segments))
+
+
+def telc_oracle(segments):
+    """The two-edge loop condition per segment: two or more segments on one
+    circle pair must all be horizontal and of one syllable."""
+    groups = defaultdict(list)
+    for seg in segments:
+        groups[frozenset(seg.endpoints)].append(seg)
+    return all(
+        len(group) < 2
+        or (
+            all(s.orientation is SegmentOrientation.HORIZONTAL for s in group)
+            and len({s.syllable for s in group}) == 1
+        )
+        for group in groups.values()
+    )
+
+
+def reduced_graph_oracle(vertices, segments):
+    """The reduced graph per segment: one edge per distinct circle pair."""
+    e = len({frozenset(s.endpoints) for s in segments})
+    return ReducedStateGraph(vertices, e, e - vertices, len(segments))
+
+
+def assert_regions_match_segment_oracles(word):
+    _, circles, segments = walk_oracle(word)
+    state = resolve_all_A(word)
+    assert is_A_adequate(state) == adequate_oracle(segments)
+    assert satisfies_TELC(state) == telc_oracle(segments)
+    assert reduced_graph(state) == reduced_graph_oracle(len(circles), segments)
 
 
 def chain_syllables(draws):
@@ -334,6 +373,38 @@ def test_sweep_matches_the_walk_oracle(word):
     # that cancel across the closure; the reduced form is checked as well
     assert_sweep_matches_oracle(word)
     assert_sweep_matches_oracle(cyclically_reduce_into_syllables(word))
+
+
+@given(any_n_word_st)
+@settings(max_examples=300)
+def test_region_predicates_match_the_segment_oracles(word):
+    assert_regions_match_segment_oracles(word)
+    assert_regions_match_segment_oracles(cyclically_reduce_into_syllables(word))
+
+
+@pytest.mark.parametrize(
+    "word, adequate, telc, edges",
+    [
+        # both segments of s1^-2 join circles 0 and 1: a two-edge loop of a
+        # negative region, and one reduced edge
+        (SyllableWord(2, ((1, -2),)), True, False, 1),
+        # a lone negative crossing joins its one circle to itself
+        (SyllableWord(2, ((1, -1),)), False, True, 1),
+        # both s1 regions join circles 0 and 1, both s2 regions 1 and 2
+        (word_of("s1^2 s2^2 s1^3 s2^3"), True, False, 2),
+        # s2^-1 joins the circles s1 joins; the r = -3 chains close on one
+        # circle each but keep three distinct pairs
+        (word_of("s1 s2^-1 s1^-3 s2^-3"), True, False, 7),
+    ],
+)
+def test_region_predicate_pins(word, adequate, telc, edges):
+    assert_regions_match_segment_oracles(word)
+    state = resolve_all_A(word)
+    assert is_A_adequate(state) is adequate
+    assert satisfies_TELC(state) is telc
+    graph = reduced_graph(state)
+    assert graph.edges == edges
+    assert graph.unreduced_edges == word.crossings
 
 
 @pytest.mark.parametrize(
@@ -398,6 +469,9 @@ def test_arcs_are_built_once_and_never_compared():
     assert fresh == state and hash(fresh) == hash(state)
     copy = replace(state)
     assert copy == state and copy.arcs == arcs and copy.arcs is not arcs
+    segments = state.segments
+    assert state.segments is segments
+    assert copy.segments == segments and copy.segments is not segments
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 6])
@@ -452,6 +526,7 @@ def test_small_circles_count_internal_adjacencies(word):
 @settings(max_examples=120)
 def test_segment_bookkeeping(word):
     state = resolve_all_A(word)
+    assert len(state.regions) == len(word.syllables)
     assert len(state.segments) == word.crossings
 
 
