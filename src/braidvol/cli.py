@@ -222,8 +222,10 @@ def cmd_state(args: argparse.Namespace) -> int:
     word = _parse_word(args.word, args.n)
     state = resolve_all_A(word)
     if args.svg is not None:
+        # render before opening, so a failed render leaves the file alone
+        svg = render_state_svg(state)
         with open(args.svg, "w", encoding="utf-8") as handle:
-            handle.write(render_state_svg(state))
+            handle.write(svg)
     census = {k.value: v for k, v in state.census.items()}
     detail = circle_detail(state)
     payload = {

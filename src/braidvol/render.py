@@ -3,24 +3,18 @@
 Strand columns sit at a fixed x-pitch, letters at a fixed y-pitch, and the
 n closure arcs nest around the right side of the braid box (column n
 innermost).  Every state circle becomes one closed ``<path>`` stroked in its
-class color; every A-segment becomes one dashed line.  Coordinates are pure
-integers, so output is byte-identical for a given word.
+class color, drawn by walking plain arc ids (numbered by
+:func:`~braidvol.states.arc_table`) from grid point to grid point; every
+A-segment becomes one dashed line, read from its twist region.  Coordinates
+are pure integers, so output is byte-identical for a given word.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from collections.abc import Iterator
 
 from .errors import OracleError
-from .states import (
-    AllAState,
-    Arc,
-    ArcKind,
-    CircleClass,
-    Segment,
-    SegmentOrientation,
-)
+from .states import CAP, CLOSURE, PASS, AllAState, CircleClass, arc_table
 
 __all__ = ["render_state_svg", "CLASS_COLORS"]
 
@@ -44,28 +38,30 @@ def _column_x(col: int) -> int:
     return XMARGIN + (col - 1) * XPITCH
 
 
-def _arc_path(arc: Arc, reverse: bool, n: int, c: int, y0: int) -> str:
-    """Path commands for one arc, entry point excluded (already current)."""
+def _arc_path(
+    kind: int, column: int, level: int, reverse: int, n: int, c: int, y0: int
+) -> str:
+    """Path commands for one arc, entry point excluded (already current);
+    ``reverse`` is 1 when the arc is walked from its second end."""
 
     def y_of(level: int) -> int:
         return y0 + level * YPITCH
 
-    if arc.kind is ArcKind.PASS:
-        level = arc.level + (0 if reverse else 1)
-        return f"L {_column_x(arc.column)} {y_of(level)}"
-    if arc.kind in (ArcKind.CAP, ArcKind.CUP):
-        xa, xb = _column_x(arc.column), _column_x(arc.column + 1)
-        if arc.kind is ArcKind.CAP:
-            y = y_of(arc.level)
+    if kind == PASS:
+        return f"L {_column_x(column)} {y_of(level + (0 if reverse else 1))}"
+    if kind != CLOSURE:
+        xa, xb = _column_x(column), _column_x(column + 1)
+        if kind == CAP:
+            y = y_of(level)
             ctrl = y + BULGE
         else:
-            y = y_of(arc.level + 1)
+            y = y_of(level + 1)
             ctrl = y - BULGE
         target = xa if reverse else xb
         return f"Q {(xa + xb) // 2} {ctrl} {target} {y}"
     # closure arc: around the right side, bottom to top (or reversed)
-    x = _column_x(arc.column)
-    off = NEST * (n - arc.column + 1)
+    x = _column_x(column)
+    off = NEST * (n - column + 1)
     xr = _column_x(n) + off
     yb = y_of(c) + off
     yt = y0 - off
@@ -75,40 +71,41 @@ def _arc_path(arc: Arc, reverse: bool, n: int, c: int, y0: int) -> str:
     return " ".join(f"L {px} {py}" for px, py in corners)
 
 
-def _walk_circles(arcs: tuple[Arc, ...]) -> Iterator[list[tuple[Arc, bool]]]:
-    """Each circle's arcs in walking order, flagged when walked backwards.
+def _walk_circles(ends: list[int]) -> Iterator[list[int]]:
+    """Each circle as the arc ends it enters its arcs by, in walking order.
 
-    A walk starts at the smallest arc not yet walked, from its first end, so
-    the walks come out in the circle order of ``resolve_all_A``.
+    Arc end ``2 * id + e`` is end e of arc ``id``, at grid point
+    ``ends[2 * id + e]``; a walk that enters by end 1 runs the arc
+    backwards.  A walk starts at the smallest arc not yet walked, from its
+    first end, so the walks come out in the circle order of
+    ``resolve_all_A``.
     """
-    incident: dict[int, list[tuple[int, int]]] = defaultdict(list)
-    for arc in arcs:
-        for end in (0, 1):
-            incident[arc.ends[end]].append((arc.id, end))
-    walked: set[int] = set()
-    for start in arcs:
-        if start.id in walked:
+    # the two arc ends at grid point p are slots[2 * p] and slots[2 * p + 1]
+    slots = sorted(range(len(ends)), key=ends.__getitem__)
+    walked = bytearray(len(ends) // 2)
+    for start in range(len(walked)):
+        if walked[start]:
             continue
-        walk, entry = [], (start.id, 0)
-        while not walk or entry != (start.id, 0):
-            arc = arcs[entry[0]]
-            walked.add(arc.id)
-            walk.append((arc, entry[1] == 1))
+        walk, entry = [], 2 * start
+        while not walk or entry != 2 * start:
+            walked[entry >> 1] = 1
+            walk.append(entry)
             # leave by the other end, into the other arc end at that point
-            leave = (arc.id, 1 - entry[1])
-            first, second = incident[arc.ends[leave[1]]]
-            entry = second if first == leave else first
+            leave = entry ^ 1
+            point = 2 * ends[leave]
+            entry = slots[point] + slots[point + 1] - leave
         yield walk
 
 
 def render_state_svg(state: AllAState) -> str:
-    """A self-contained SVG document for a traced (ideally classified) state."""
+    """A self-contained SVG document for a state from ``resolve_all_A``."""
     n = state.n
     c = state.crossings
     y0 = 30 + n * NEST
     width = _column_x(n) + n * NEST + XMARGIN
     height = y0 + c * YPITCH + n * NEST + 30
-    walks = list(_walk_circles(state.arcs))
+    kinds, columns, levels, ends = arc_table(state.word)
+    walks = list(_walk_circles(ends))
     if len(walks) != len(state.circles):
         raise OracleError(
             f"arcs close into {len(walks)} circles, state has {len(state.circles)}"
@@ -119,28 +116,36 @@ def render_state_svg(state: AllAState) -> str:
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
     for circle, walk in zip(state.circles, walks):
-        # grid point ids are level * n + (column - 1), as in AllAState.arcs
-        level, col0 = divmod(walk[0][0].ends[0], n)
+        # grid point ids are level * n + (column - 1), as in arc_table
+        level, col0 = divmod(ends[walk[0]], n)
         pieces = [f"M {_column_x(col0 + 1)} {y0 + level * YPITCH}"]
-        pieces += [_arc_path(arc, reverse, n, c, y0) for arc, reverse in walk]
+        for entry in walk:
+            a = entry >> 1
+            pieces.append(
+                _arc_path(kinds[a], columns[a], levels[a], entry & 1, n, c, y0)
+            )
         color = CLASS_COLORS[circle.klass]
         parts.append(
             f'<path id="circle-{circle.id}" class="{circle.klass.value}"'
             f' d="{" ".join(pieces)} Z" fill="none" stroke="{color}"'
             ' stroke-width="2"/>'
         )
-    for seg in state.segments:
-        parts.append(_segment_line(state, seg, y0))
+    crossing = 0
+    for g, r in state.word.syllables:
+        parts += [
+            _segment_line(i, g, r > 0, y0) for i in range(crossing, crossing + abs(r))
+        ]
+        crossing += abs(r)
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
-def _segment_line(state: AllAState, seg: Segment, y0: int) -> str:
-    level_y = y0 + seg.crossing * YPITCH
-    # recover the generator column from the syllable the segment came from
-    gen, _ = state.word.syllables[seg.syllable]
+def _segment_line(crossing: int, gen: int, positive: bool, y0: int) -> str:
+    """The A-segment of a crossing: horizontal between the passes of a
+    positive letter, vertical between the cap and cup of a negative one."""
+    level_y = y0 + crossing * YPITCH
     xa, xb = _column_x(gen), _column_x(gen + 1)
-    if seg.orientation is SegmentOrientation.HORIZONTAL:
+    if positive:
         ym = level_y + YPITCH // 2
         x1, y1, x2, y2 = xa, ym, xb, ym
     else:
@@ -148,7 +153,7 @@ def _segment_line(state: AllAState, seg: Segment, y0: int) -> str:
         x1, y1 = xm, level_y + BULGE // 2
         x2, y2 = xm, level_y + YPITCH - BULGE // 2
     return (
-        f'<line class="segment-{seg.crossing}" x1="{x1}" y1="{y1}"'
+        f'<line class="segment-{crossing}" x1="{x1}" y1="{y1}"'
         f' x2="{x2}" y2="{y2}" stroke="#495057" stroke-width="2"'
         ' stroke-dasharray="5 4"/>'
     )

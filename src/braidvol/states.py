@@ -12,9 +12,9 @@ state circles, each with a winding number 0 or 1 around the annulus core.
 syllable at a time: union-find (Tarjan, 1975) joins labels once per twist
 region, the small circles stacked inside a negative region are built
 directly, and each circle is classified as it is traced.  The state keeps
-one record per twist region, not one object per crossing; the A-segments
-(:attr:`AllAState.segments`) and the arcs (:attr:`AllAState.arcs`) are
-built only on demand, and only the SVG renderer asks for them.
+one record per twist region and builds no object per crossing or per arc.
+The arcs are numbered once, by :func:`arc_table`, which the sweep names its
+labels by and the SVG renderer walks.
 
 The circles carry a taxonomy driven by their *support* (the set of twist-
 region columns contributing a cap or cup to the circle):
@@ -45,15 +45,16 @@ from .errors import PreconditionError
 from .words import SyllableWord
 
 __all__ = [
-    "ArcKind",
-    "SegmentOrientation",
     "CircleClass",
-    "Arc",
-    "Segment",
     "StateCircle",
     "AllAState",
     "ReducedStateGraph",
     "resolve_all_A",
+    "arc_table",
+    "PASS",
+    "CAP",
+    "CUP",
+    "CLOSURE",
     "classify_circles",
     "is_A_adequate",
     "satisfies_TELC",
@@ -63,18 +64,6 @@ __all__ = [
 ]
 
 
-class ArcKind(str, Enum):
-    PASS = "pass"
-    CAP = "cap"
-    CUP = "cup"
-    CLOSURE = "closure"
-
-
-class SegmentOrientation(str, Enum):
-    HORIZONTAL = "horizontal"  # A-segment of a positive crossing
-    VERTICAL = "vertical"  # A-segment of a negative crossing
-
-
 class CircleClass(str, Enum):
     SMALL_INNER = "small_inner"
     MEDIUM_INNER = "medium_inner"
@@ -82,37 +71,6 @@ class CircleClass(str, Enum):
     NON_ESSENTIAL_WANDERING = "non_essential_wandering"
     NONWANDERING = "nonwandering"
     UNCLASSIFIED = "unclassified"
-
-
-@dataclass(frozen=True)
-class Arc:
-    """One smooth piece of the state: pass, cap, cup, or closure arc.
-
-    ``column`` is the generator index for caps and cups and the strand
-    position for pass and closure arcs.  ``level`` is the letter index, or -1
-    for closure arcs.  ``ends`` are grid-point ids, level * n + column - 1;
-    for closure arcs the pair is (bottom point, top point).
-    """
-
-    id: int
-    kind: ArcKind
-    column: int
-    level: int
-    ends: tuple[int, int]
-
-
-@dataclass(frozen=True)
-class Segment:
-    """An A-segment: crossing id, owning syllable, orientation, endpoints.
-
-    Endpoints are circle ids; they coincide exactly when the segment joins a
-    circle to itself, the obstruction to A-adequacy.
-    """
-
-    crossing: int
-    syllable: int
-    orientation: SegmentOrientation
-    endpoints: tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -141,7 +99,7 @@ class ReducedStateGraph:
 @dataclass(frozen=True)
 class AllAState:
     """The full all-A state of one closed-braid diagram, one record per
-    twist region; segments and arcs are built on demand.
+    twist region; no per-crossing or per-arc object is built.
 
     ``regions[i]`` describes syllable ``i`` as ``(first, r, ids)``: its first
     crossing, its exponent and the circles it joins.  A positive syllable or
@@ -156,49 +114,13 @@ class AllAState:
     circles: tuple[StateCircle, ...]
     regions: tuple[tuple[int, int, tuple[int, ...]], ...]
 
-    @cached_property
-    def segments(self) -> tuple[Segment, ...]:
-        """Every A-segment in crossing order, built from the regions on
-        first access and kept."""
-        segments: list[Segment] = []
-        for si, (first, r, ids) in enumerate(self.regions):
-            if r > 0:
-                segments += [
-                    Segment(i, si, SegmentOrientation.HORIZONTAL, ids)
-                    for i in range(first, first + r)
-                ]
-            else:
-                segments += [
-                    Segment(i, si, SegmentOrientation.VERTICAL, pair)
-                    for i, pair in enumerate(zip(ids, ids[1:]), first)
-                ]
-        return tuple(segments)
-
-    @cached_property
-    def arcs(self) -> tuple[Arc, ...]:
-        """Every arc, built on first access and kept: letter i owns ids
-        i*n ... i*n + n - 1 (its cap and cup when negative, then its passes
-        by column), the n closure arcs come last, and grid point
-        level * n + column - 1 sits above letter ``level``.
-        :func:`resolve_all_A` relies on this order."""
-        n, specs, level = self.n, [], 0
-        for g, r in self.word.syllables:
-            for _ in range(abs(r)):
-                top, bottom = level * n - 1, (level + 1) * n - 1
-                if r < 0:
-                    specs.append((ArcKind.CAP, g, level, (top + g, top + g + 1)))
-                    specs.append((ArcKind.CUP, g, level, (bottom + g, bottom + g + 1)))
-                specs += [
-                    (ArcKind.PASS, col, level, (top + col, bottom + col))
-                    for col in range(1, n + 1)
-                    if r > 0 or not g <= col <= g + 1
-                ]
-                level += 1
-        specs += [
-            (ArcKind.CLOSURE, col, -1, (level * n + col - 1, col - 1))
-            for col in range(1, n + 1)
-        ]
-        return tuple(Arc(i, *spec) for i, spec in enumerate(specs))
+    @property
+    def arcs(self) -> range:
+        """The arc ids, ``range((crossings + 1) * n)`` (see :func:`arc_table`).
+        Kept only because the perfbench traced replay
+        (``perfbench/spans.py``) counts them; it goes when that replay
+        changes."""
+        return range((self.crossings + 1) * self.n)
 
     @property
     def n(self) -> int:
@@ -254,6 +176,53 @@ class AllAState:
         return self._counts[CircleClass.NON_ESSENTIAL_WANDERING]
 
 
+PASS, CAP, CUP, CLOSURE = range(4)  # the arc kinds of arc_table
+
+
+def arc_table(
+    word: SyllableWord,
+) -> tuple[bytearray, list[int], list[int], list[int]]:
+    """The arcs of the all-A state by id, as flat columns
+    ``(kinds, columns, levels, ends)``.
+
+    Letter i owns ids i*n ... i*n + n - 1: its cap and cup when negative,
+    then its passes by column; the n closure arcs come last.  ``kinds``
+    holds :data:`PASS`, :data:`CAP`, :data:`CUP` or :data:`CLOSURE`;
+    ``columns``
+    holds the generator of a cap or cup and the strand position of a pass
+    or closure arc; ``levels`` holds the letter, or -1 for a closure arc.
+    Grid point level * n + column - 1 sits above letter ``level``, and arc
+    ``id`` runs from grid point ``ends[2 * id]`` to ``ends[2 * id + 1]``:
+    left to right along a cap or cup, down a pass, and from the bottom of
+    the braid up to its top along a closure arc.  Every grid point ends
+    exactly two arcs.  :func:`resolve_all_A` names its labels by these ids.
+    """
+    n = word.n
+    kinds, columns, levels, ends = bytearray(), [], [], []
+    level = 0
+    for g, r in word.syllables:
+        passes = [col for col in range(1, n + 1) if r > 0 or not g <= col <= g + 1]
+        letter_kinds = bytes([PASS] * n if r > 0 else [CAP, CUP] + [PASS] * (n - 2))
+        letter_columns = passes if r > 0 else [g, g, *passes]
+        # the letter's ends, less level * n - 1
+        offsets = [] if r > 0 else [g, g + 1, n + g, n + g + 1]
+        for col in passes:
+            offsets += (col, n + col)
+        for _ in range(abs(r)):
+            kinds += letter_kinds
+            columns += letter_columns
+            levels += [level] * n
+            top = level * n - 1
+            ends += [top + offset for offset in offsets]
+            level += 1
+    kinds += bytes([CLOSURE] * n)
+    columns += range(1, n + 1)
+    levels += [-1] * n
+    for col in range(n):
+        ends += (level * n + col, col)
+    return kinds, columns, levels, ends
+
+
 def resolve_all_A(word: SyllableWord) -> AllAState:
     """Smooth every crossing the A-way and trace the state circles.
 
@@ -266,7 +235,7 @@ def resolve_all_A(word: SyllableWord) -> AllAState:
     inside the syllable and are built directly as small inner circles of
     support {g} and winding 0.  The closure unions each column's bottom and
     top labels.  A label is named by its smallest arc id (see
-    :attr:`AllAState.arcs`) and a union keeps the smaller name, so sorted
+    :func:`arc_table`) and a union keeps the smaller name, so sorted
     roots number the circles in arc order: an interior circle's root is its
     cup's id, and the roots of the circles that leave their syllable (the
     boundary circles) are merged in with them.  Winding is the parity of a
@@ -274,9 +243,8 @@ def resolve_all_A(word: SyllableWord) -> AllAState:
     circles, records the region (see :attr:`AllAState.regions`) and gathers
     each boundary circle's support and incident segments, so every circle
     is built once, already classified (see :func:`_klass`); any syllable
-    word works.  No per-crossing object is built: the segments come from
-    the regions on demand, and :func:`reduced_graph` and the predicates
-    read the regions.
+    word works.  No per-crossing or per-arc object is built:
+    :func:`reduced_graph` and the predicates read the regions.
     """
     n = word.n
     # a top label is the first letter's arc in its column: the cap, or a pass

@@ -226,6 +226,23 @@ def test_state_writes_svg(capsys, tmp_path):
     assert len(root.findall("{http://www.w3.org/2000/svg}path")) == 5
 
 
+def test_state_keeps_the_old_svg_when_rendering_fails(capsys, tmp_path, monkeypatch):
+    target = tmp_path / "state.svg"
+    target.write_text("<svg>old</svg>", encoding="utf-8")
+
+    def broken(state):
+        raise OracleError("forced")
+
+    monkeypatch.setattr(cli, "render_state_svg", broken)
+    code, out, err = run(
+        capsys, ["state", "s1^-3 s2^-3", "--n", "3", "--svg", str(target)]
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: internal check failed: forced\n"
+    assert target.read_text(encoding="utf-8") == "<svg>old</svg>"
+
+
 def test_state_census_json(capsys):
     code, out, _ = run(capsys, ["state", "s1^-3 s2^-3", "--n", "3", "--json"])
     assert code == 0

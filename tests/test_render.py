@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 
 from braidvol.errors import OracleError
+from braidvol.generate import GeneratorSpec, generate_words
 from braidvol.render import CLASS_COLORS, render_state_svg
 from braidvol.states import CircleClass, resolve_all_A
 from braidvol.words import SyllableWord
@@ -14,6 +15,10 @@ from braidvol.words import SyllableWord
 from conftest import ladder, word_of
 
 SVG = "{http://www.w3.org/2000/svg}"
+
+
+def generated(n, syllables, seed):
+    return generate_words(GeneratorSpec(n=n, syllable_count=syllables, seed=seed))[0]
 
 
 def rendered(word):
@@ -97,6 +102,40 @@ def test_rendering_is_deterministic():
         (
             word_of("s1^3 s2^-3 s1^2 s2^-4"),
             "5fb8cb3ce5d900922f7e1f24e79f6c9dae11126b6fae8ce4fe1c8a38ca0216ee",
+        ),
+        # generated family words: boundary-positive blocks at n = 4 and 5
+        # (the generator places no interior-positive block there), an
+        # interior-positive block s4 at n = 8
+        (
+            generated(4, 8, 23),
+            "ec6482942f8a211781afc3c8ac97b853f3865f4f5477e5dcb42ef3705598a4cd",
+        ),
+        (
+            generated(5, 10, 15),
+            "cb39bff48211d359d2946aa20c5c66cd18a1675ee0c9156dd517becf2e1e2e4f",
+        ),
+        (
+            generated(8, 19, 149),
+            "a55f096cb4bd2b1cb2f6741312c574ac65d6395998cdf01a37806f72ad2385dd",
+        ),
+        # an interior-positive block at n = 5, written by hand
+        (
+            word_of("s3^2 s2^-3 s4^-3 s3^-4 s2^-3 s4^-4 s1^-3", 5),
+            "31d63b8790a52cf184b76e685797a091a190d1e6dc00afcba25d120823c76f78",
+        ),
+        # unreduced: two adjacent syllables of one generator
+        (
+            SyllableWord(3, ((1, -3), (1, -2), (2, -3))),
+            "c0162ad6b038bb6c469901be1022652676a46f97a1ca111ad20cf15e1b5e63fb",
+        ),
+        # a small circle that wraps through the closure
+        (
+            SyllableWord(2, ((1, -2),)),
+            "d313412b98900cdd1eaf6b6c57e3502a7fa32edea46cf99b57f3826ee68ac295",
+        ),
+        (
+            SyllableWord(1, ()),
+            "5dde6fdbeb7309ac956654506eaaa0e3466b738d8ede735cb07eed4daeec7ff7",
         ),
     ],
 )

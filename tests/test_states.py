@@ -9,26 +9,31 @@ walk over arc endpoints and the separate classifying pass that the sweep
 replaced are kept here as oracles, and the two must agree on every word.
 So are the per-segment definitions of A-adequacy, the two-edge loop
 condition and the reduced graph, which the state now reads per twist
-region.
+region.  The oracle's arcs and segments are its own frozen types, defined
+here: the state builds neither, and the SVG renderer walks plain arc ids,
+which must visit the oracle's arcs in the oracle's order.
 """
 
 from collections import defaultdict
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from enum import Enum
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from braidvol.errors import OracleError, PreconditionError
 from braidvol.generate import GeneratorSpec, generate_words
+from braidvol.render import _walk_circles
 from braidvol.report import verify
 from braidvol.states import (
-    Arc,
-    ArcKind,
+    CAP,
+    CLOSURE,
+    CUP,
+    PASS,
     CircleClass,
     ReducedStateGraph,
-    Segment,
-    SegmentOrientation,
     StateCircle,
+    arc_table,
     classify_circles,
     is_A_adequate,
     is_connected_closure,
@@ -47,6 +52,68 @@ word_st = st.builds(
     lambda syls: cyclically_reduce_into_syllables(SyllableWord(5, tuple(syls))),
     st.lists(syllable_st, max_size=10),
 )
+
+
+class ArcKind(str, Enum):
+    PASS = "pass"
+    CAP = "cap"
+    CUP = "cup"
+    CLOSURE = "closure"
+
+
+class SegmentOrientation(str, Enum):
+    HORIZONTAL = "horizontal"  # A-segment of a positive crossing
+    VERTICAL = "vertical"  # A-segment of a negative crossing
+
+
+@dataclass(frozen=True)
+class Arc:
+    """One smooth piece of the state: pass, cap, cup, or closure arc.
+
+    ``column`` is the generator index for caps and cups and the strand
+    position for pass and closure arcs.  ``level`` is the letter index, or -1
+    for closure arcs.  ``ends`` are grid-point ids, level * n + column - 1;
+    for closure arcs the pair is (bottom point, top point).
+    """
+
+    id: int
+    kind: ArcKind
+    column: int
+    level: int
+    ends: tuple[int, int]
+
+
+@dataclass(frozen=True)
+class Segment:
+    """An A-segment: crossing id, owning syllable, orientation, endpoints.
+
+    Endpoints are circle ids; they coincide exactly when the segment joins a
+    circle to itself, the obstruction to A-adequacy.
+    """
+
+    crossing: int
+    syllable: int
+    orientation: SegmentOrientation
+    endpoints: tuple[int, int]
+
+
+def segments_of(state):
+    """Every A-segment of ``state`` in crossing order, expanded from its
+    twist-region records: a pair region's segments all join its pair, and a
+    chain's i-th segment joins its i-th and (i + 1)-th circles."""
+    segments = []
+    for si, (first, r, ids) in enumerate(state.regions):
+        if r > 0:
+            segments += [
+                Segment(i, si, SegmentOrientation.HORIZONTAL, ids)
+                for i in range(first, first + r)
+            ]
+        else:
+            segments += [
+                Segment(i, si, SegmentOrientation.VERTICAL, pair)
+                for i, pair in enumerate(zip(ids, ids[1:]), first)
+            ]
+    return tuple(segments)
 
 
 def census_by_name(state):
@@ -164,7 +231,7 @@ def test_wraparound_circle_of_a_length_two_syllable_is_small():
     state = resolve_all_A(SyllableWord(2, ((1, -2),)))
     assert census_by_name(state) == {"small_inner": 2}
     # a vertical segment's endpoints are (cap circle, cup circle)
-    assert [s.endpoints for s in state.segments] == [(0, 1), (1, 0)]
+    assert [s.endpoints for s in segments_of(state)] == [(0, 1), (1, 0)]
 
 
 def test_classify_circles_returns_its_argument():
@@ -177,8 +244,9 @@ def walk_oracle(word):
 
     Builds one arc per pass, cap, cup and closure, joins arcs at shared grid
     points, and walks each circle from its smallest unvisited arc, summing
-    signed closure crossings.  Returns the arcs, the circles, all
-    ``UNCLASSIFIED`` (see :func:`classify_oracle`), and the segments.
+    signed closure crossings.  Returns the arcs, each circle's walk as
+    (arc id, walked backwards) pairs, the circles, all ``UNCLASSIFIED``
+    (see :func:`classify_oracle`), and the segments.
     """
     n = word.n
     letters = [
@@ -219,15 +287,16 @@ def walk_oracle(word):
         incident[arc.ends[0]].append((arc.id, 0))
         incident[arc.ends[1]].append((arc.id, 1))
     circle_of = [-1] * len(arcs)
-    circles = []
+    walks, circles = [], []
     for start in range(len(arcs)):
         if circle_of[start] != -1:
             continue
         cid = len(circles)
-        winding, support = 0, set()
+        winding, support, walk = 0, set(), []
         ai, from_end = start, 0
         while True:
             circle_of[ai] = cid
+            walk.append((ai, from_end == 1))
             arc = arcs[ai]
             if arc.kind is ArcKind.CLOSURE:
                 # bottom-to-top traversal counts +1 around the annulus
@@ -241,6 +310,7 @@ def walk_oracle(word):
                 break
         if abs(winding) > 1:
             raise OracleError(f"embedded state circle traced with winding {winding}")
+        walks.append(walk)
         circles.append(
             StateCircle(cid, abs(winding), frozenset(support), CircleClass.UNCLASSIFIED)
         )
@@ -254,7 +324,7 @@ def walk_oracle(word):
             ends = (circle_of[cap_at[idx]], circle_of[cup_at[idx]])
             orientation = SegmentOrientation.VERTICAL
         segments.append(Segment(idx, si, orientation, ends))
-    return tuple(arcs), tuple(circles), tuple(segments)
+    return tuple(arcs), walks, tuple(circles), tuple(segments)
 
 
 def classify_oracle(circles, segments):
@@ -293,16 +363,43 @@ def classify_oracle(circles, segments):
     return tuple(replace(c, klass=klass_of(c)) for c in circles)
 
 
+ARC_KIND_CODES = {
+    ArcKind.PASS: PASS,
+    ArcKind.CAP: CAP,
+    ArcKind.CUP: CUP,
+    ArcKind.CLOSURE: CLOSURE,
+}
+
+
+def assert_render_walk_matches_oracle(word, arcs, walks):
+    """The arc numbering the sweep and the renderer share is the oracle's,
+    and the renderer's walk over plain ids visits, circle by circle, the
+    oracle's arcs in order and in the same direction."""
+    kinds, columns, levels, ends = arc_table(word)
+    assert [
+        (i, kinds[i], columns[i], levels[i], (ends[2 * i], ends[2 * i + 1]))
+        for i in range(len(kinds))
+    ] == [
+        (arc.id, ARC_KIND_CODES[arc.kind], arc.column, arc.level, arc.ends)
+        for arc in arcs
+    ]
+    assert [
+        [(entry >> 1, entry & 1 == 1) for entry in walk]
+        for walk in _walk_circles(ends)
+    ] == walks
+
+
 def assert_sweep_matches_oracle(word):
-    arcs, circles, expected_segments = walk_oracle(word)
+    arcs, walks, circles, expected_segments = walk_oracle(word)
     expected_circles = classify_oracle(circles, expected_segments)
     state = resolve_all_A(word)
     assert state.circles == expected_circles
     assert state.census == {
         k: sum(c.klass is k for c in expected_circles) for k in CircleClass
     }
-    assert state.segments == expected_segments
-    assert state.arcs == arcs
+    assert segments_of(state) == expected_segments
+    assert state.arcs == range(len(arcs))
+    assert_render_walk_matches_oracle(word, arcs, walks)
 
 
 def adequate_oracle(segments):
@@ -333,7 +430,7 @@ def reduced_graph_oracle(vertices, segments):
 
 
 def assert_regions_match_segment_oracles(word):
-    _, circles, segments = walk_oracle(word)
+    _, _, circles, segments = walk_oracle(word)
     state = resolve_all_A(word)
     assert is_A_adequate(state) == adequate_oracle(segments)
     assert satisfies_TELC(state) == telc_oracle(segments)
@@ -443,7 +540,8 @@ def test_circle_between_two_syllables_of_one_generator_is_medium():
         "medium_inner": 1,
         "essential_wandering": 1,
     }
-    below, above = state.segments[2].endpoints[1], state.segments[3].endpoints[0]
+    segments = segments_of(state)
+    below, above = segments[2].endpoints[1], segments[3].endpoints[0]
     assert below == above
     assert state.circles[below].klass is CircleClass.MEDIUM_INNER
 
@@ -460,18 +558,15 @@ def test_census_is_counted_once_and_copied():
     assert state.census is not state.census
 
 
-def test_arcs_are_built_once_and_never_compared():
+def test_state_equality_sees_only_its_three_fields():
     word = word_of("s1^-3 s2^2 s1^-3 s2^-4")
     state = resolve_all_A(word)
-    arcs = state.arcs
-    assert state.arcs is arcs
+    state.census  # fills the cached census, which equality must not see
     fresh = resolve_all_A(word)
     assert fresh == state and hash(fresh) == hash(state)
     copy = replace(state)
-    assert copy == state and copy.arcs == arcs and copy.arcs is not arcs
-    segments = state.segments
-    assert state.segments is segments
-    assert copy.segments == segments and copy.segments is not segments
+    assert copy == state and hash(copy) == hash(state)
+    assert state.arcs == range((word.crossings + 1) * word.n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 6])
@@ -492,14 +587,9 @@ def test_sweep_matches_the_walk_oracle_on_generated_words(n, seed, half):
 
 @given(word_st)
 @settings(max_examples=120)
-def test_arcs_are_numbered_n_per_letter(word):
-    state = resolve_all_A(word)
-    n, c = word.n, word.crossings
-    assert [arc.id for arc in state.arcs] == list(range((c + 1) * n))
-    for i in range(c):
-        assert {arc.level for arc in state.arcs[i * n : (i + 1) * n]} == {i}
-    closure = state.arcs[c * n :]
-    assert all(arc.kind is ArcKind.CLOSURE and arc.level == -1 for arc in closure)
+def test_render_walk_visits_the_oracle_arcs(word):
+    arcs, walks, _, _ = walk_oracle(word)
+    assert_render_walk_matches_oracle(word, arcs, walks)
 
 
 @given(word_st)
@@ -527,7 +617,7 @@ def test_small_circles_count_internal_adjacencies(word):
 def test_segment_bookkeeping(word):
     state = resolve_all_A(word)
     assert len(state.regions) == len(word.syllables)
-    assert len(state.segments) == word.crossings
+    assert len(segments_of(state)) == word.crossings
 
 
 if __name__ == "__main__":
