@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import OracleError, PreconditionError
-from .families import MainLemmaReport, check_main_lemma
+from .families import check_main_lemma
 from .states import AllAState, ReducedStateGraph, twist_counts
 from .words import SyllableWord
 
@@ -102,31 +102,25 @@ class VolumeBounds:
         }
 
 
-def _require_family(gate: MainLemmaReport | None, override: bool) -> None:
-    if override:
-        return
-    if gate is None or not gate.passed:
-        raise PreconditionError(
-            "bounds need a word passing the family checker"
-            " (or an explicit hypothesis override)"
-        )
+def _require_family(word: SyllableWord) -> None:
+    if not check_main_lemma(word).passed:
+        raise PreconditionError("bounds need a word passing the family checker")
 
 
-def cor_bounds(
-    neg_chi: int,
-    t: int,
-    gate: MainLemmaReport | None = None,
-    assume_hypotheses: bool = False,
-) -> VolumeBounds:
+def cor_bounds(neg_chi: int, t: int, assume_hypotheses: bool = False) -> VolumeBounds:
     """v8 * (e' - v) <= vol <= 10 * v3 * (t - 1).
 
     Valid for connected, prime, A-adequate diagrams satisfying the two-edge
-    loop condition with t >= 2; those hypotheses arrive either as a passing
-    family report or as an explicit override flag.
+    loop condition with t >= 2.  The counts alone cannot show those
+    hypotheses, so the caller attests them with ``assume_hypotheses=True``;
+    without it the bound is refused.
     """
     if t < 2:
         raise PreconditionError(f"the two-sided bound needs t >= 2, got {t}")
-    _require_family(gate, assume_hypotheses)
+    if not assume_hypotheses:
+        raise PreconditionError(
+            "the Cor bound needs its hypotheses attested (assume_hypotheses=True)"
+        )
     return VolumeBounds(
         case=BoundCase.COR,
         lower=V8 * neg_chi,
@@ -150,7 +144,7 @@ def volume_bounds(
     overhead n + m - 2, and loses the weak form (plus a t+ penalty) when
     positive syllables sit in interior generators.
     """
-    _require_family(check_main_lemma(word), False)
+    _require_family(word)
     return _volume_bounds(word, state, graph)
 
 
@@ -207,7 +201,7 @@ def jones_bounds(
     Only the n = 3 and boundary-positive cases tie beta' to the volume;
     interior positive syllables with n >= 4 are refused.
     """
-    _require_family(check_main_lemma(word), False)
+    _require_family(word)
     return _jones_bounds(word, state, graph)
 
 

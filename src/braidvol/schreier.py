@@ -61,6 +61,7 @@ from typing import NamedTuple
 from . import words
 from .errors import PreconditionError
 from .families import check_main_lemma
+from .states import twist_counts
 from .words import SyllableWord, cyclically_reduce_into_syllables
 
 __all__ = [
@@ -85,8 +86,11 @@ Y = "y"
 class XYWord:
     """A cyclic positive word in x, y as run-length pairs, times C^j.
 
-    The normal form no longer builds one; perfbench's ``schreier.xy_length``
-    count, which reads ``to_xy(word).length``, is its only remaining reader.
+    The normal form never builds one.  It stays public for the perfbench
+    ``schreier.xy_length`` count, which reads ``to_xy(word).length``; when
+    that count goes, this class and :func:`to_xy` move into the
+    letter-level test oracle beside ``normalize_xy``, which also starts
+    from them.
     """
 
     runs: tuple[tuple[str, int], ...]
@@ -233,8 +237,9 @@ def to_xy(word: SyllableWord) -> XYWord:
     The input is cyclically reduced first (a conjugacy-safe move).  A
     syllable repeats one two-run letter image, so only its first run can
     merge with the run before it.  The normal form works on syllables and
-    never calls this; perfbench's ``schreier.xy_length`` count is its only
-    remaining reader.
+    never calls this; the letter-level test oracle starts from it, and it
+    stays public for the perfbench ``schreier.xy_length`` count (see
+    :class:`XYWord`).
     """
     word = _require_3braid(word)
     runs: list[tuple[str, int]] = []
@@ -403,12 +408,7 @@ def _read_k(word: SyllableWord) -> int:
 
 def direct_read_s(word: SyllableWord) -> int:
     """Read s off a family 3-braid word: the negative twist-region count."""
-    return _read_s(_family_3braid(word))
-
-
-def _read_s(word: SyllableWord) -> int:
-    """``direct_read_s`` on a gated family 3-braid word."""
-    return sum(1 for _, r in word.syllables if r < 0)
+    return twist_counts(_family_3braid(word))[2]
 
 
 def conjugate_3braids(a: SyllableWord, b: SyllableWord) -> bool:

@@ -241,9 +241,9 @@ def resolve_all_A(word: SyllableWord) -> AllAState:
     boundary circles) are merged in with them.  Winding is the parity of a
     circle's closure arcs; the last loop maps each syllable's labels to
     circles, records the region (see :attr:`AllAState.regions`) and gathers
-    each boundary circle's support and incident segments, so every circle
-    is built once, already classified (see :func:`_klass`); any syllable
-    word works.  No per-crossing or per-arc object is built:
+    each boundary circle's support and region ends, so every circle is
+    built once, already classified (see :func:`_klass`); any syllable word
+    works.  No per-crossing or per-arc object is built:
     :func:`reduced_graph` and the predicates read the regions.
     """
     n = word.n
@@ -287,31 +287,25 @@ def resolve_all_A(word: SyllableWord) -> AllAState:
     roots = sorted([*interior, *boundary])
     circle_of = dict(zip(roots, range(len(roots))))
     circle_of_label = {label: circle_of[find(label)] for label in parent}
-    # only the boundary circles gather winding, support and incident segments
+    # only the boundary circles gather winding, support and region ends
     winding = {circle_of[root]: 0 for root in boundary}  # closure-arc parity
     for label in top:
         winding[circle_of_label[label]] ^= 1
     support: dict[int, set[int]] = {cid: set() for cid in winding}
-    # an incident vertical segment is (syllable, crossing); a positive region
-    # leaves one None for all its horizontal segments, as one already rules
-    # out a small inner circle
-    incident: dict[int, list[tuple[int, int] | None]] = {
-        cid: [] for cid in winding
-    }
+    ends = dict.fromkeys(winding, 0)  # region ends on each boundary circle
+    wraps = set()  # circles that both ends of one r = -2 region land on
     single = [frozenset((g,)) for g in range(n)]
     circles: list[StateCircle | None] = [None] * len(roots)
     regions: list[tuple[int, int, tuple[int, ...]]] = []
-    for si, (first, g, r, label_a, label_b) in enumerate(runs):
+    for first, g, r, label_a, label_b in runs:
         a, b = circle_of_label[label_a], circle_of_label[label_b]
+        ends[a] += 1
+        ends[b] += 1
         if r > 0:
-            incident[a].append(None)
-            incident[b].append(None)
             regions.append((first, r, (a, b)))
             continue
         support[a].add(g)
         support[b].add(g)
-        incident[a].append((si, first))
-        incident[b].append((si, first - r - 1))
         if r == -1:  # most letters of a random word: skip building a chain
             regions.append((first, r, (a, b)))
             continue
@@ -319,35 +313,33 @@ def resolve_all_A(word: SyllableWord) -> AllAState:
         inner = list(map(circle_of.__getitem__, range(first * n + 1, label_b, n)))
         for cid in inner:
             circles[cid] = StateCircle(cid, 0, single[g], CircleClass.SMALL_INNER)
+        if r == -2 and a == b:
+            wraps.add(a)
         regions.append((first, r, (a, *inner, b)))
     for cid, turns in winding.items():
         columns = support[cid]
+        wrapped = cid in wraps and ends[cid] == 2
         circles[cid] = StateCircle(
-            cid, turns, frozenset(columns), _klass(columns, turns, incident[cid])
+            cid, turns, frozenset(columns), _klass(columns, turns, wrapped)
         )
     return AllAState(word, tuple(circles), tuple(regions))
 
 
-def _klass(
-    support: set[int], winding: int, incident: list[tuple[int, int] | None]
-) -> CircleClass:
+def _klass(support: set[int], winding: int, wrapped: bool) -> CircleClass:
     """The circle taxonomy, in order: empty support is nonwandering; support
     meeting two or more columns wanders (essential iff winding 1);
-    single-column support is a small inner circle when its only two incident
-    segments are the vertical segments of consecutive crossings in one
-    negative syllable (``incident`` holds (syllable, crossing) per vertical
-    segment and None for horizontal ones), else medium inner when
-    contractible, else unclassified."""
+    single-column support is a small inner circle when ``wrapped`` (the
+    only region ends on the circle are both ends of one r = -2 region, so
+    it closes between its two consecutive crossings through the closure),
+    else medium inner when contractible, else unclassified."""
     if not support:
         return CircleClass.NONWANDERING
     if len(support) >= 2:
         if winding == 1:
             return CircleClass.ESSENTIAL_WANDERING
         return CircleClass.NON_ESSENTIAL_WANDERING
-    if len(incident) == 2 and None not in incident:
-        (syllable, crossing), (other, next_crossing) = incident
-        if syllable == other and abs(crossing - next_crossing) == 1:
-            return CircleClass.SMALL_INNER
+    if wrapped:
+        return CircleClass.SMALL_INNER
     if winding == 0:
         return CircleClass.MEDIUM_INNER
     return CircleClass.UNCLASSIFIED

@@ -19,7 +19,6 @@ from braidvol.bounds import (
     volume_bounds,
 )
 from braidvol.errors import OracleError, PreconditionError
-from braidvol.families import check_main_lemma
 from braidvol.generate import GeneratorSpec, generate_words
 from braidvol.states import reduced_graph, resolve_all_A
 from braidvol.words import SyllableWord
@@ -74,18 +73,11 @@ def test_cor_bounds_requires_twist_two():
 
 
 def test_cor_bounds_requires_gate_or_override():
-    with pytest.raises(PreconditionError):
+    # the counts cannot show the hypotheses, so the caller attests them
+    with pytest.raises(PreconditionError, match="attested"):
         cor_bounds(1, 2)
-    # a passing family report is the other way in
-    report = check_main_lemma(ladder(2))
-    assert report.passed
-    b = cor_bounds(3, 4, gate=report)
-    assert abs(b.lower - 3 * V8) < TOL
-    # a failing report does not unlock anything
-    bad = check_main_lemma(word_of("s1^-2 s2^-3"))
-    assert not bad.passed
-    with pytest.raises(PreconditionError):
-        cor_bounds(1, 2, gate=bad)
+    with pytest.raises(PreconditionError, match="attested"):
+        cor_bounds(1, 2, assume_hypotheses=False)
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +154,9 @@ def test_volume_bounds_ordering_is_checked_by_raising():
 
 
 def test_volume_bounds_gate_failure():
-    with pytest.raises(PreconditionError):
-        volume_bounds(*bound_inputs(word_of("s1^-2 s2^-3")))
+    for bounds in (volume_bounds, jones_bounds):
+        with pytest.raises(PreconditionError, match="family checker"):
+            bounds(*bound_inputs(word_of("s1^-2 s2^-3")))
 
 
 # ---------------------------------------------------------------------------

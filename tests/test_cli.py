@@ -9,7 +9,7 @@ import pytest
 from braidvol import bracket, cli, states
 from braidvol.errors import OracleError
 from braidvol.generate import MAX_COUNT
-from braidvol.report import VerifyCheck, VerifyResult
+from braidvol.report import VerifyCheck, VerifyResult, verify
 from braidvol.words import MAX_STRANDS, MAX_WORD_LETTERS
 
 from conftest import count_calls
@@ -43,6 +43,28 @@ def test_analyze_text_output(capsys):
     assert "neg_chi=3" in out
     assert "N3: 10.991587 <= vol <= 30.448248" in out
     assert "k=-2 s=4" in out
+
+
+TEXT_LINES = [
+    (
+        ["analyze", "s1^-3 s2^-3 s1^-3 s2^-3", "--bracket"],
+        0,
+        "bracket     top 1*A^28, |penultimate|=4",
+    ),
+    (
+        ["check", "s1^2 s2^-2 s1^-3 s2^-3", "--n", "3"],
+        3,
+        "cond2       False  syllable 0 (2a): neighbor exponent -2 > -3",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,code,line", TEXT_LINES)
+def test_text_output_lines(capsys, argv, code, line):
+    got, out, err = run(capsys, argv)
+    assert got == code
+    assert line in out.splitlines()
+    assert err == ""
 
 
 def test_exit_code_2_on_parse_error(capsys):
@@ -91,6 +113,19 @@ def test_verify_passes_and_prints_checks(capsys):
     names = [c["name"] for c in payload["checks"]]
     assert "bracket_oracle" in names
     assert "one_wanderer" in names
+
+
+def test_verify_json_carries_the_schema_tag(capsys):
+    word = "s1^-3 s2^-3 s1^-3 s2^-3"
+    code, out, _ = run(capsys, ["verify", word, "--json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert next(iter(payload)) == "schema"
+    assert payload["schema"] == "braidvol/1"
+    # the tag is the CLI's: the library dict keeps its three keys
+    library = verify(cli._parse_word(word, None)).to_json_dict()
+    assert payload == {"schema": "braidvol/1", **library}
+    assert list(library) == ["word", "pass", "checks"]
 
 
 def test_verify_exit_code_1_when_an_identity_fails(capsys, monkeypatch):
@@ -145,6 +180,22 @@ def test_batch_refuses_undecodable_input(capsys, tmp_path):
     assert out == ""
     assert err.startswith(f"error: {path} is not UTF-8 text")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["batch", "{tmp}/missing.txt"],
+        ["state", "s1^-3 s2^-3", "--svg", "{tmp}/missing/state.svg"],
+    ],
+)
+def test_unreadable_or_unwritable_path_exits_1(capsys, tmp_path, argv):
+    code, out, err = run(capsys, [arg.format(tmp=tmp_path) for arg in argv])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: [Errno 2] ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 BATCH_ERROR_KINDS = [

@@ -95,6 +95,14 @@ def test_boundary_clause_failures_are_pinned():
     assert cond2(word_of("s1", 2)) == [(0, "2a", "neighbor exponent 1 > -3")]
 
 
+def test_interior_clause_names_the_side_that_fails():
+    # clause 2b: sigma_2 at n = 4 wants sigma_1 and sigma_3 in the two
+    # syllables before it and in the two after; here the after side is {3, 2}
+    assert cond2(SyllableWord(4, ((1, -3), (3, -3), (2, 2), (3, -3), (2, -3)))) == [
+        (2, "2b", "generators after are [2, 3]")
+    ]
+
+
 def test_twist_floor_excludes_short_words():
     # two syllables leave no room for a second complete window, and t = 2
     # sits under the floor 2(n-1) = 4
@@ -131,6 +139,12 @@ def test_stoimenow_out_of_scope_for_short_words():
 def test_stoimenow_rejects_other_widths():
     with pytest.raises(PreconditionError):
         stoimenow_A_adequate_3braid(word_of("s1^-3 s2^-3 s3^-3"))
+
+
+def test_stoimenow_rejects_unreduced_words():
+    w = SyllableWord(3, ((1, -3), (1, -2), (2, -3)))
+    with pytest.raises(PreconditionError, match="needs a cyclically reduced word"):
+        stoimenow_A_adequate_3braid(w)
 
 
 exponent_st = st.integers(min_value=-4, max_value=4).filter(lambda e: e != 0)

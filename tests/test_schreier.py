@@ -287,6 +287,10 @@ def test_form_validation():
         SchreierForm(k=0, kind=EtaKind.POWER_SIGMA1, power=0)
     with pytest.raises(ValueError):
         XYWord((("z", 1),))
+    with pytest.raises(ValueError, match="pairs only apply to the generic form"):
+        SchreierForm(k=0, kind=EtaKind.EMPTY, pairs=((1, 1),))
+    with pytest.raises(ValueError, match="power only applies to the power form"):
+        SchreierForm(k=0, kind=EtaKind.GENERIC, pairs=((1, 1),), power=2)
 
 
 def test_normal_form_pins():
@@ -413,6 +417,11 @@ def test_direct_read_pins():
 def test_direct_reads_are_gated():
     with pytest.raises(PreconditionError):
         direct_read_k(word_of("s1^-2 s2^-3 s1^-3 s2^-3"))
+    # a passing 4-braid family word is still not a 3-braid
+    wide = word_of("s2^2 s1^-3 s3^-3 s2^-4 s1^-3 s3^-4")
+    for read in (direct_read_k, direct_read_s):
+        with pytest.raises(PreconditionError, match="direct reads need n = 3"):
+            read(wide)
 
 
 def test_direct_reads_match_the_algorithm():

@@ -180,6 +180,8 @@ def test_twist_counts():
     assert twist_counts(word_of("s1^3 s2^-3 s1^2 s2^-4")) == (4, 2, 2)
     assert twist_counts(ladder(3)) == (6, 0, 6)
     assert twist_counts(SyllableWord(3, ())) == (0, 0, 0)
+    with pytest.raises(PreconditionError, match="need a cyclically reduced word"):
+        twist_counts(SyllableWord(3, ((1, -3), (1, -2), (2, -3))))
 
 
 def test_connectivity():

@@ -169,6 +169,18 @@ def test_parse_refuses_overlong_numbers_as_syntax():
         parse_braid("s1^" + "9" * 5000)
 
 
+@pytest.mark.parametrize(
+    "n,syllables,message",
+    [
+        (0, (), "strand count must be >= 1, got 0"),
+        (3, ((1, 0),), "syllable exponent must be nonzero"),
+    ],
+)
+def test_syllable_word_refuses_bad_fields(n, syllables, message):
+    with pytest.raises(BraidSyntaxError, match=message):
+        SyllableWord(n, syllables)
+
+
 def test_syllable_word_as_text_round_trip():
     w = cyclically_reduce_into_syllables(parse_braid("s1^3 s2^-4"))
     assert w.as_text() == "s1^3 s2^-4"
