@@ -13,7 +13,8 @@ Subcommands::
 
 Exit codes: 0 success; 1 an identity check failed, an internal check
 failed (``OracleError``: a bug, not bad input) or a file could not be read;
-2 parse or usage error (a ``batch`` file that is not UTF-8 text included);
+2 parse or usage error (a ``batch`` file that is not UTF-8 text and a
+``--max-crossings`` below 0 included);
 3 precondition gate (family checker, crossing cap, strand count, input
 limits).  ``batch`` reports a failed line as an error row whose
 ``error_kind`` is syntax, precondition, oracle or internal.
@@ -40,6 +41,18 @@ __all__ = ["main", "entry"]
 
 def _parse_word(text: str, n: int | None) -> SyllableWord:
     return cyclically_reduce_into_syllables(parse_braid(text, n))
+
+
+def _crossing_cap(text: str) -> int:
+    """The ``--max-crossings`` value: an int of at least 0, else a usage
+    error (exit 2) rather than a cap that refuses or skips every word."""
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {cap}")
+    return cap
 
 
 def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
@@ -289,7 +302,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     word.add_argument("--json", action="store_true", help="JSON output")
     cap = argparse.ArgumentParser(add_help=False)
-    cap.add_argument("--max-crossings", type=int, default=DEFAULT_MAX_CROSSINGS)
+    cap.add_argument(
+        "--max-crossings", type=_crossing_cap, default=DEFAULT_MAX_CROSSINGS
+    )
     analysis = argparse.ArgumentParser(add_help=False, parents=[cap])
     analysis.add_argument(
         "--bracket", action="store_true", help="run the bracket oracle"

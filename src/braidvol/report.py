@@ -59,16 +59,21 @@ __all__ = [
 SCHEMA = "braidvol/1"
 
 
+# each circle class's report name, read without the enum's value descriptor
+_CLASS_NAMES = {klass: klass.value for klass in CircleClass}
+
+
 def circle_detail(state: AllAState) -> list[dict]:
     """Per-circle detail of a report: id, class, winding and support."""
+    names = _CLASS_NAMES
     return [
         {
-            "id": circle.id,
-            "class": circle.klass.value,
-            "winding": circle.winding,
-            "support": sorted(circle.support),
+            "id": cid,
+            "class": names[klass],
+            "winding": winding,
+            "support": sorted(support),
         }
-        for circle in state.circles
+        for cid, winding, support, klass in state.circles
     ]
 
 

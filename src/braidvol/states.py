@@ -11,10 +11,13 @@ state circles, each with a winding number 0 or 1 around the annulus core.
 :func:`resolve_all_A` finds them in one sweep down the braid that works one
 syllable at a time: union-find (Tarjan, 1975) joins labels once per twist
 region, the small circles stacked inside a negative region are built
-directly, and each circle is classified as it is traced.  The state keeps
-one record per twist region and builds no object per crossing or per arc.
-The arcs are numbered once, by :func:`arc_table`, which the sweep names its
-labels by and the SVG renderer walks.
+directly, and each circle is classified as it is traced.  A circle is a
+:class:`StateCircle` named tuple; the small inner circles, almost every
+circle of a long family word, are made as plain tuples of their fields with
+no constructor call each, and those of one region share its support.  The
+state keeps one record per twist region and builds no object per crossing
+or per arc.  The arcs are numbered once, by :func:`arc_table`, which the
+sweep names its labels by and the SVG renderer walks.
 
 The circles carry a taxonomy driven by their *support* (the set of twist-
 region columns contributing a cap or cup to the circle):
@@ -40,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import PreconditionError
 from .words import SyllableWord
@@ -73,12 +77,13 @@ class CircleClass(str, Enum):
     UNCLASSIFIED = "unclassified"
 
 
-@dataclass(frozen=True)
-class StateCircle:
+class StateCircle(NamedTuple):
     """A state circle: its id (circles are numbered by their smallest arc
     ids), winding (the absolute homology degree around the annulus, 0 or 1
     for an embedded circle), support (the columns of its caps and cups) and
-    class."""
+    class.  An immutable named tuple ``(id, winding, support, klass)``: it
+    compares and hashes by value, unpacks like a tuple, and ``_replace``
+    returns a changed copy."""
 
     id: int
     winding: int
@@ -160,8 +165,8 @@ class AllAState:
     @cached_property
     def _counts(self) -> dict[CircleClass, int]:
         counts = dict.fromkeys(CircleClass, 0)
-        for circle in self.circles:
-            counts[circle.klass] += 1
+        for _, _, _, klass in self.circles:
+            counts[klass] += 1
         return counts
 
     @property
@@ -233,18 +238,21 @@ def resolve_all_A(word: SyllableWord) -> AllAState:
     leaves the fresh label of its last cup on both; the k - 1 circles in
     between, each the cup of one letter and the cap of the next, close
     inside the syllable and are built directly as small inner circles of
-    support {g} and winding 0.  The closure unions each column's bottom and
-    top labels.  A label is named by its smallest arc id (see
-    :func:`arc_table`) and a union keeps the smaller name, so sorted
-    roots number the circles in arc order: an interior circle's root is its
-    cup's id, and the roots of the circles that leave their syllable (the
-    boundary circles) are merged in with them.  Winding is the parity of a
-    circle's closure arcs; the last loop maps each syllable's labels to
-    circles, records the region (see :attr:`AllAState.regions`) and gathers
-    each boundary circle's support and region ends, so every circle is
-    built once, already classified (see :func:`_klass`); any syllable word
-    works.  No per-crossing or per-arc object is built:
-    :func:`reduced_graph` and the predicates read the regions.
+    support {g} and winding 0: each is ``tuple.__new__(StateCircle, ...)``
+    over its four fields, skipping the named tuple's Python-level
+    ``__new__``, and all of them share the syllable's one ``frozenset({g})``.
+    The closure unions each column's bottom and top labels.  A label is
+    named by its smallest arc id (see :func:`arc_table`) and a union keeps
+    the smaller name, so sorted roots number the circles in arc order: an
+    interior circle's root is its cup's id, and the roots of the circles
+    that leave their syllable (the boundary circles) are merged in with
+    them.  Winding is the parity of a circle's closure arcs; the last loop
+    maps each syllable's labels to circles, records the region (see
+    :attr:`AllAState.regions`) and gathers each boundary circle's support
+    and region ends, so every circle is built once, already classified (see
+    :func:`_klass`); any syllable word works.  No per-crossing or per-arc
+    object is built: :func:`reduced_graph` and the predicates read the
+    regions.
     """
     n = word.n
     # a top label is the first letter's arc in its column: the cap, or a pass
@@ -295,6 +303,8 @@ def resolve_all_A(word: SyllableWord) -> AllAState:
     ends = dict.fromkeys(winding, 0)  # region ends on each boundary circle
     wraps = set()  # circles that both ends of one r = -2 region land on
     single = [frozenset((g,)) for g in range(n)]
+    # tuple.__new__ skips the named tuple's Python-level __new__ per circle
+    new_tuple, small_inner = tuple.__new__, CircleClass.SMALL_INNER
     circles: list[StateCircle | None] = [None] * len(roots)
     regions: list[tuple[int, int, tuple[int, ...]]] = []
     for first, g, r, label_a, label_b in runs:
@@ -311,8 +321,9 @@ def resolve_all_A(word: SyllableWord) -> AllAState:
             continue
         # the interior roots are the ids of the cups above the last, label_b
         inner = list(map(circle_of.__getitem__, range(first * n + 1, label_b, n)))
+        support_g = single[g]
         for cid in inner:
-            circles[cid] = StateCircle(cid, 0, single[g], CircleClass.SMALL_INNER)
+            circles[cid] = new_tuple(StateCircle, (cid, 0, support_g, small_inner))
         if r == -2 and a == b:
             wraps.add(a)
         regions.append((first, r, (a, *inner, b)))

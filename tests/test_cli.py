@@ -97,6 +97,32 @@ def test_exit_code_3_on_gate_failures(capsys):
     assert code == 3
 
 
+LADDER = ["s1^-3 s2^-3 s1^-3 s2^-3", "--n", "3"]
+
+
+@pytest.mark.parametrize(
+    "command,extra",
+    [("analyze", ["--bracket"]), ("batch", []), ("verify", []), ("bracket", [])],
+)
+def test_negative_crossing_cap_is_a_usage_error(capsys, tmp_path, command, extra):
+    # a cap below 0 would refuse every word (analyze --bracket, bracket) or
+    # skip the bracket oracle (verify); every subcommand taking it refuses it
+    words = tmp_path / "words.txt"
+    words.write_text(LADDER[0] + "\n")
+    target = [str(words), "--n", "3"] if command == "batch" else LADDER
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, *target, *extra, "--max-crossings", "-5"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --max-crossings: must be at least 0, got -5" in captured.err
+    # 0 is a cap, not a usage error: the 12-crossing ladder is above it
+    if command == "bracket":
+        code, _, err = run(capsys, [command, *target, "--max-crossings", "0"])
+        assert code == 3
+        assert "above the cap of 0" in err
+
+
 def test_check_passes_family_word(capsys):
     code, out, _ = run(capsys, ["check", "s1^-3 s2^-3 s1^-3 s2^-3", "--json"])
     assert code == 0

@@ -11,7 +11,7 @@ from braidvol import bracket, families, states
 from braidvol.bounds import jones_bounds, volume_bounds
 from braidvol.errors import CrossingLimitError, PreconditionError
 from braidvol.generate import GeneratorSpec, generate_words
-from braidvol.report import SCHEMA, analyze, verify
+from braidvol.report import SCHEMA, analyze, circle_detail, verify
 from braidvol.schreier import direct_read_k, direct_read_s
 from braidvol.states import (
     is_A_adequate,
@@ -307,6 +307,26 @@ def test_analyze_output_bytes_are_pinned():
     lines = "\n".join(json.dumps(analyze(word)) for word in digest_corpus())
     digest = hashlib.sha256(lines.encode()).hexdigest()
     assert digest == "f506f65f781b6ddd2d3f5331e3604eb030d6ac978980cf38ed02d1946a1c118c"
+
+
+def test_analyze_output_bytes_are_pinned_at_benchmark_sizes():
+    # family words of 200 syllables (about 900 to 1,100 crossings), the
+    # largest the benchmark corpora hold, two seeds per strand count; at
+    # n >= 4 each spec stays inside the generator's 2,000-syllable fence.
+    # The digest was taken while StateCircle was a frozen dataclass, so a
+    # pass shows the tuple-built circles leave reports and circle detail
+    # byte-identical.
+    digest = hashlib.sha256()
+    for n in (3, 4, 5, 8):
+        for seed in (1, 2):
+            spec = GeneratorSpec(n=n, syllable_count=200, seed=seed, count=1)
+            for word in generate_words(spec):
+                digest.update(json.dumps(analyze(word)).encode())
+                digest.update(json.dumps(circle_detail(resolve_all_A(word))).encode())
+    assert (
+        digest.hexdigest()
+        == "7e3e81e0db641aec0ba182590f58ea2e9abe89ba3abe45960f083a820db063e7"
+    )
 
 
 if __name__ == "__main__":

@@ -161,6 +161,27 @@ def test_circle_support_and_winding_detail():
     assert all(c.winding == 0 and len(c.support) == 1 for c in smalls)
 
 
+def test_state_circle_is_an_immutable_value():
+    assert StateCircle._fields == ("id", "winding", "support", "klass")
+    # the sweep builds small inner circles without the constructor; they are
+    # still StateCircles, equal to and hashing like constructed ones
+    state = resolve_all_A(ladder(1))
+    circle = next(c for c in state.circles if c.klass is CircleClass.SMALL_INNER)
+    assert type(circle) is StateCircle
+    cid, winding, support, klass = circle
+    built = StateCircle(cid, winding, frozenset(support), klass)
+    assert circle == built and hash(circle) == hash(built)
+    assert repr(circle) == (
+        f"StateCircle(id={cid}, winding=0, support=frozenset({{1}}), klass={klass!r})"
+    )
+    with pytest.raises(AttributeError):
+        circle.winding = 1
+    moved = circle._replace(klass=CircleClass.MEDIUM_INNER)
+    assert type(moved) is StateCircle and moved is not circle
+    assert moved == (cid, winding, support, CircleClass.MEDIUM_INNER)
+    assert circle.klass is CircleClass.SMALL_INNER
+
+
 def test_adequacy_pins():
     assert is_A_adequate(resolve_all_A(ladder(1)))
     assert is_A_adequate(resolve_all_A(word_of("s1^3", 2)))
@@ -362,7 +383,7 @@ def classify_oracle(circles, segments):
             return CircleClass.MEDIUM_INNER
         return CircleClass.UNCLASSIFIED
 
-    return tuple(replace(c, klass=klass_of(c)) for c in circles)
+    return tuple(c._replace(klass=klass_of(c)) for c in circles)
 
 
 ARC_KIND_CODES = {
