@@ -48,6 +48,15 @@ DEFAULT_MAX_CROSSINGS = 100
 MAX_BRACKET_STRANDS = 8
 
 
+def _require_cap(max_crossings: int) -> None:
+    """Refuse a negative crossing cap, which would refuse or skip every
+    diagram."""
+    if max_crossings < 0:
+        raise PreconditionError(
+            f"max_crossings must be at least 0, got {max_crossings}"
+        )
+
+
 @dataclass(frozen=True)
 class LaurentPolynomial:
     """A Laurent polynomial in one variable with integer coefficients.
@@ -68,18 +77,6 @@ class LaurentPolynomial:
     @classmethod
     def from_dict(cls, coeffs: dict[int, int]) -> LaurentPolynomial:
         return cls(tuple(coeffs.items()))
-
-    @classmethod
-    def monomial(cls, degree: int, coeff: int = 1) -> LaurentPolynomial:
-        return cls(((degree, coeff),))
-
-    @classmethod
-    def zero(cls) -> LaurentPolynomial:
-        return cls()
-
-    @classmethod
-    def one(cls) -> LaurentPolynomial:
-        return cls(((0, 1),))
 
     def coefficient(self, degree: int) -> int:
         for d, c in self.terms:
@@ -102,9 +99,6 @@ class LaurentPolynomial:
         if not self.terms:
             raise ValueError("zero polynomial has no degree")
         return self.terms[0][0]
-
-    def scaled(self, factor: int) -> LaurentPolynomial:
-        return LaurentPolynomial(tuple((d, c * factor) for d, c in self.terms))
 
     def inverted_variable(self) -> LaurentPolynomial:
         """Substitute A -> A^(-1)."""
@@ -177,9 +171,10 @@ def kauffman_bracket(
     braid joins top point i to bottom point i, and k closure cycles weigh
     delta^(k-1).  At most Catalan(n) matchings are alive at a time, so the
     cost is O(c * Catalan(n) * degree span); diagrams above
-    ``max_crossings`` or on more than ``MAX_BRACKET_STRANDS`` strands are
-    refused with a PreconditionError.
+    ``max_crossings`` or on more than ``MAX_BRACKET_STRANDS`` strands, and a
+    negative ``max_crossings``, are refused with a PreconditionError.
     """
+    _require_cap(max_crossings)
     c = word.crossings
     if c > max_crossings:
         raise CrossingLimitError(c, max_crossings)

@@ -11,39 +11,51 @@ ever cyclically adjacent, so each positive is flanked by long negative
 syllables of the other generator.
 
 For n >= 4 the base word is two full sweeps sigma_1 ... sigma_(n-1), all
-negative.  Extra syllables come from three insertion shapes:
+negative, and the word is built in one left-to-right pass over it.  The
+gap after each base syllable gets its planned insertions as the pass
+reaches it; one that does not fit there waits for the next gap.  Three
+insertion shapes:
 
-* a lone negative syllable anywhere its generator differs from both
-  neighbors (+1);
-* a boundary-positive block, sigma_1^p sigma_2^r after a sigma_2 syllable
+* a lone negative syllable (+1);
+* a boundary-positive block, sigma_1^p sigma_2^r after a negative sigma_2
   (or mirrored at n-1), so the positive sits between two long negative
   neighbors (+2);
 * an interior-positive block sigma_(g-1) sigma_(g+1) sigma_g^p sigma_(g-1)
-  sigma_(g+1), all four companions long negative (+5).  At n = 4 and 5
-  this block is never placed: every gap leaves one of its companions
-  facing a syllable of its own generator across a far-commuting one, which
-  the bridge rule below refuses (seeds 0-99 at 12, 20 and 40 syllables:
-  none of 300 words at either n, 8 of 300 at n = 6).  So generated n = 4
-  and 5 words have boundary positives only.
+  sigma_(g+1), each pair in either order, all four companions long
+  negative (+5).  Where it would leave sigma_(g-1) or sigma_(g+1) open
+  before the next base syllable (see below), it takes one planned lone
+  negative as a trailing sigma_g^r, as in sigma_2 [sigma_1 sigma_3
+  sigma_2^p sigma_1 sigma_3] sigma_2^r sigma_3 at n = 4.
 
-Gaps inside previously placed positive blocks are off limits to later
-insertions, which is what keeps the required neighborhoods intact.
+Each positive's required neighbors are inside its block or just before it,
+and nothing is inserted into what the pass has already emitted, so the
+neighborhoods stay intact.
 
-Insertions are also rejected when they would leave two negative syllables
-of the same generator g facing each other across nothing but far-commuting
-syllables: the closing smoothing of one and the opening smoothing of the
-other would then join into an extra inner circle on columns g, g+1.  Such
-circles are fine when the strands pass through a positive syllable on the
-way (those are exactly the inner circles the positive syllables account
-for) but are never created otherwise, so the medium-circle census stays
-pinned to the positive syllable count.  When no insertion point survives
-the rejection rules the assembly is retried from scratch with fresh draws.
+The bridge rule: two negative syllables of the same generator g must not
+face each other across nothing but far-commuting syllables, since the
+closing smoothing of one and the opening smoothing of the other would then
+join into an extra inner circle on columns g, g+1.  Such circles are fine
+when the strands pass through a positive syllable on the way (those are
+exactly the inner circles the positive syllables account for) but are
+never created otherwise, so the medium-circle census stays pinned to the
+positive syllable count.  The pass reads the rule backwards with one flag
+per generator g: unknown until a syllable on generators g-1..g+1 is
+placed, then open exactly while the last such syllable is a negative
+sigma_g, and closed otherwise.  A negative sigma_g goes in only on a closed
+flag, so some syllable on g-1..g+1 always comes before it and no bridge
+runs back across the closure seam.  An open flag h is safe before the next
+base syllable sigma_b when h != b and not (h = 1 and b > 2): the sweep then
+closes it with a sigma_(h+-1) before any base sigma_h.  The last gap reads
+b = 1, the word's first syllable, which closes the seam.  There a lone
+negative sigma_(p+-1) always fits after the last negative sigma_p (p >= 2),
+so the last gap takes the lone negatives still due and, as lone negatives,
+the blocks no gap took: no assembly is ever retried.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import OracleError, PreconditionError
@@ -53,10 +65,11 @@ from .words import MAX_STRANDS, MAX_WORD_LETTERS, SyllableWord
 __all__ = ["GeneratorSpec", "generate_words", "MAX_COUNT", "MAX_WIDE_SYLLABLES"]
 
 MAX_COUNT = 1_000  # words per spec
-# syllables per spec (syllable_count * count) for n >= 4, where one word
-# costs about O(t^2 * n) in its syllable count t: one 2,000-syllable word at
-# n = 32 took 45 s on a 2-core machine (Python 3.11), 1,250 took 17 s
-MAX_WIDE_SYLLABLES = 2_000
+# syllables per spec (syllable_count * count) for n >= 4, a hostile-input
+# limit: a word costs O(t * n) in its syllable count t, about 12 us per
+# syllable at n = 32, so `braidvol gen --n 32` at this limit took 2.5 s and
+# 34 MB on a 2-core machine (Python 3.11)
+MAX_WIDE_SYLLABLES = 200_000
 
 
 @dataclass(frozen=True)
@@ -171,17 +184,12 @@ def _scan_bridge(
     return False
 
 
-def _has_unthreaded_bridge(
-    word: Sequence[tuple[int, int]],
-    positions: Iterable[int] | None = None,
-) -> bool:
-    """True if some negative syllable (at ``positions``, default all)
-    closes up with a same-generator neighbor per :func:`_scan_bridge`."""
-    idx = range(len(word)) if positions is None else positions
+def _has_unthreaded_bridge(word: Sequence[tuple[int, int]]) -> bool:
+    """True if some negative syllable closes up with a same-generator
+    neighbor per :func:`_scan_bridge`."""
     return any(
-        word[i][1] < 0
-        and (_scan_bridge(word, i, +1) or _scan_bridge(word, i, -1))
-        for i in idx
+        r < 0 and (_scan_bridge(word, i, +1) or _scan_bridge(word, i, -1))
+        for i, (_, r) in enumerate(word)
     )
 
 
@@ -199,136 +207,94 @@ def _generate_3(spec: GeneratorSpec, rng: random.Random) -> SyllableWord:
 
 
 def _generate_wide(spec: GeneratorSpec, rng: random.Random) -> SyllableWord:
-    for _ in range(64):
-        word = _assemble_wide(spec, rng)
-        if word is not None:
-            return word
-    raise OracleError(
-        f"could not assemble an n={spec.n} word with"
-        f" {spec.syllable_count} syllables"
-    )
-
-
-def _assemble_wide(
-    spec: GeneratorSpec, rng: random.Random
-) -> SyllableWord | None:
     n = spec.n
-    word: list[tuple[int, int]] = [
-        (g, _neg(spec, rng)) for _ in range(2) for g in range(1, n)
-    ]
-    extra = spec.syllable_count - len(word)
+    base = [g for _ in range(2) for g in range(1, n)]
+    gaps = len(base)
+    # split the extra length into block sizes 5 (interior) and 2 (boundary);
+    # the rest are lone negatives, each due at a random gap
+    spare = spec.syllable_count - gaps  # lone negatives not yet placed
+    plan: list[list[int]] = [[] for _ in base]
+    for size, chance in ((5, 0.35), (2, 0.5)):
+        while spare >= size and rng.random() < chance:
+            plan[rng.randrange(gaps)].append(size)
+            spare -= size
+    due = [0] * gaps
+    for _ in range(spare):
+        due[rng.randrange(gaps)] += 1
 
-    # split the extra length into block sizes 5 / 2 / 1
-    blocks: list[str] = []
-    budget = extra
-    # at most half the base gaps take positive blocks, so lone negative
-    # syllables always find an unprotected gap afterwards
-    max_positive_blocks = n - 1
-    while budget >= 5 and n >= 4 and len(blocks) < max_positive_blocks:
-        if rng.random() < 0.35:
-            blocks.append("interior")
-            budget -= 5
-        else:
-            break
-    while budget >= 2 and len(blocks) < max_positive_blocks:
-        if rng.random() < 0.5:
-            blocks.append("boundary")
-            budget -= 2
-        else:
-            break
-    singles = budget
+    word: list[tuple[int, int]] = []
+    # flag[g]: None (unknown) until a syllable on generators g-1..g+1 is
+    # placed, then True (open) exactly while the last one is a negative
+    # sigma_g, else False (closed)
+    flag: list[bool | None] = [None] * (n + 1)
+    b = 1  # the next base generator
 
-    # positive blocks go to distinct gaps of the all-negative base word
-    base_gaps = rng.sample(range(len(word)), len(blocks)) if blocks else []
-    protected: set[int] = set()
-    for kind, gap in sorted(
-        zip(blocks, base_gaps), key=lambda pair: -pair[1]
-    ):
-        block = _positive_block(kind, spec, rng, n, word, gap)
-        if block is not None:
-            trial = word[:gap] + block + word[gap:]
-            new_negatives = [
-                gap + k for k, (_, r) in enumerate(block) if r < 0
-            ]
-            if _has_unthreaded_bridge(trial, new_negatives):
-                block = None
-        if block is None:
-            singles += 5 if kind == "interior" else 2
-            continue
-        word[gap:gap] = block
-        width = len(block)
-        protected = {p if p < gap else p + width for p in protected}
-        protected.update(range(gap, gap + width + 1))
+    def put(g: int, r: int) -> None:
+        word.append((g, r))
+        flag[g - 1] = flag[g + 1] = False
+        flag[g] = r < 0
 
-    for _ in range(singles):
-        inserted = _insert_single_negative(spec, rng, word, protected)
-        if inserted is None:
-            return None
-        word, protected = inserted
+    def safe(h: int) -> bool:
+        # an open flag h is closed by sigma_(h+-1) before any base sigma_h
+        return h != b and not (h == 1 and b > 2)
 
-    return SyllableWord(n, tuple(word))
+    def single() -> bool:
+        choices = [g for g in range(1, n) if flag[g] is False and safe(g)]
+        if not choices:
+            return False
+        put(rng.choice(choices), _neg(spec, rng))
+        return True
 
-
-def _positive_block(
-    kind: str,
-    spec: GeneratorSpec,
-    rng: random.Random,
-    n: int,
-    word: list[tuple[int, int]],
-    gap: int,
-) -> list[tuple[int, int]] | None:
-    before = word[gap - 1][0]
-    after = word[gap % len(word)][0]
-    if kind == "interior":
+    def block(size: int) -> bool:
+        nonlocal spare
+        if size == 2:
+            # a positive sigma_e, e = 1 (n - 1), between two negative
+            # sigma_p, p = 2 (n - 2); the last syllable is always negative
+            p = word[-1][0]
+            ends = [e for e in (1, n - 1) if abs(e - p) == 1]
+            if not ends or not safe(p):
+                return False
+            put(rng.choice(ends), _pos(spec, rng))
+            put(p, _neg(spec, rng))
+            return True
+        # an interior positive sigma_g framed by negative sigma_(g-1) and
+        # sigma_(g+1) on each side
         choices = [
             g
             for g in range(2, n - 1)
-            if before != g - 1 and after != g + 1
+            if flag[g - 1] is False
+            and flag[g + 1] is False
+            and ((safe(g - 1) and safe(g + 1)) or (spare > 0 and safe(g)))
         ]
         if not choices:
-            return None
+            return False
         g = rng.choice(choices)
-        return [
-            (g - 1, _neg(spec, rng)),
-            (g + 1, _neg(spec, rng)),
-            (g, _pos(spec, rng)),
-            (g - 1, _neg(spec, rng)),
-            (g + 1, _neg(spec, rng)),
-        ]
-    # boundary: sigma_1^p needs a sigma_2 on each side, mirrored at n-1
-    options = []
-    if before == 2 and after != 2:
-        options.append([(1, _pos(spec, rng)), (2, _neg(spec, rng))])
-    if before == n - 2 and after != n - 2:
-        options.append(
-            [(n - 1, _pos(spec, rng)), (n - 2, _neg(spec, rng))]
-        )
-    if not options:
-        return None
-    return rng.choice(options)
+        for h in rng.sample((g - 1, g + 1), 2):
+            put(h, _neg(spec, rng))
+        put(g, _pos(spec, rng))
+        for h in rng.sample((g - 1, g + 1), 2):
+            put(h, _neg(spec, rng))
+        if not (safe(g - 1) and safe(g + 1)):
+            spare -= 1  # a trailing sigma_g^-r closes both
+            put(g, _neg(spec, rng))
+        return True
 
-
-def _insert_single_negative(
-    spec: GeneratorSpec,
-    rng: random.Random,
-    word: list[tuple[int, int]],
-    protected: set[int],
-) -> tuple[list[tuple[int, int]], set[int]] | None:
-    t = len(word)
-    candidates = []
-    for gap in range(t):
-        if gap in protected:
-            continue
-        before = word[gap - 1][0]
-        after = word[gap % t][0]
-        candidates.extend(
-            (gap, g) for g in range(1, spec.n) if g not in (before, after)
-        )
-    rng.shuffle(candidates)
-    for gap, g in candidates:
-        trial = word[:gap] + [(g, _neg(spec, rng))] + word[gap:]
-        if _has_unthreaded_bridge(trial, [gap]):
-            continue
-        protected = {p if p < gap else p + 1 for p in protected}
-        return trial, protected
-    return None
+    carried: list[int] = []  # block sizes waiting for a gap
+    owed = 0  # lone negatives due at the gaps passed so far
+    for k, g in enumerate(base):
+        put(g, _neg(spec, rng))
+        b = base[(k + 1) % gaps]
+        carried = [size for size in carried + plan[k] if not block(size)]
+        owed += due[k]
+        while owed and spare and single():
+            owed -= 1
+            spare -= 1
+    # blocks no gap took become lone negatives, which the last gap always
+    # takes: a sigma_(p+-1) fits after its last negative sigma_p, p >= 2
+    for _ in range(spare + sum(carried)):
+        if not single():
+            raise OracleError(
+                f"no gap takes a lone negative in an n={n} word with"
+                f" {spec.syllable_count} syllables"
+            )
+    return SyllableWord(n, tuple(word))

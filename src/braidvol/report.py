@@ -23,6 +23,7 @@ from .bounds import (
 from .bracket import (
     DEFAULT_MAX_CROSSINGS,
     MAX_BRACKET_STRANDS,
+    _require_cap,
     bracket_summary,
     kauffman_bracket,
 )
@@ -103,7 +104,9 @@ def analyze(
     ``assume_prime`` lets the generic volume bounds run on words outside the
     checked family when the direct diagram checks (adequacy, two-edge-loop,
     connectivity, t >= 2) all hold but primeness has to be taken on faith.
+    A negative ``max_crossings`` raises PreconditionError.
     """
+    _require_cap(max_crossings)
     state = resolve_all_A(word)
     graph = reduced_graph(state)
     t, t_plus, t_minus = twist_counts(word)
@@ -212,8 +215,10 @@ def verify(
 
     Requires a word that passes the family checker (the identities are
     only guaranteed there); raises PreconditionError otherwise.  The bracket
-    oracle is skipped above ``max_crossings`` or ``MAX_BRACKET_STRANDS``.
+    oracle is skipped above ``max_crossings`` or ``MAX_BRACKET_STRANDS``; a
+    negative ``max_crossings`` raises PreconditionError.
     """
+    _require_cap(max_crossings)
     lemma = check_main_lemma(word)
     if not lemma.passed:
         raise PreconditionError(

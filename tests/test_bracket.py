@@ -110,7 +110,7 @@ def as_dict(poly):
 
 
 def test_unknot_normalization():
-    assert kauffman_bracket(SyllableWord(1, ())) == LaurentPolynomial.one()
+    assert kauffman_bracket(SyllableWord(1, ())) == LaurentPolynomial(((0, 1),))
 
 
 def test_two_strand_unlink_is_delta():
@@ -137,6 +137,14 @@ def test_crossing_cap():
         kauffman_bracket(ladder(17))  # 102 crossings
     assert "100" in str(info.value)
     assert kauffman_bracket(ladder(2), max_crossings=12) is not None
+
+
+def test_negative_crossing_cap_is_refused():
+    # a cap below 0 is a bad argument, not a diagram above the cap
+    with pytest.raises(PreconditionError, match="max_crossings") as info:
+        kauffman_bracket(ladder(2), max_crossings=-1)
+    assert not isinstance(info.value, CrossingLimitError)
+    assert kauffman_bracket(SyllableWord(2, ()), max_crossings=0) is not None
 
 
 def test_strand_bound():
@@ -174,8 +182,9 @@ def test_summary_checks_the_degree_ends():
     assert bracket_summary(poly, state) == stable_penultimate_coefficient(w)
     with pytest.raises(OracleError, match="top degree"):
         bracket_summary(kauffman_bracket(ladder(2)), state)
+    doubled = LaurentPolynomial(tuple((d, 2 * c) for d, c in poly.terms))
     with pytest.raises(OracleError, match="top coefficient"):
-        bracket_summary(poly.scaled(2), state)
+        bracket_summary(doubled, state)
     inadequate = word_of("s1^-1 s2^-3")
     with pytest.raises(PreconditionError):
         bracket_summary(kauffman_bracket(inadequate), resolve_all_A(inadequate))
@@ -190,9 +199,8 @@ def test_polynomial_plumbing():
     assert p.terms == ((0, -1), (4, 2))
     assert p.coefficient(4) == 2 and p.coefficient(6) == 0
     assert p.max_degree == 4 and p.min_degree == 0
-    assert p.scaled(3).coefficient(4) == 6
-    assert LaurentPolynomial.zero().is_zero
-    assert str(LaurentPolynomial.monomial(-2, 5)) == "-2:5"
+    assert LaurentPolynomial().is_zero
+    assert str(LaurentPolynomial(((-2, 5),))) == "-2:5"
 
 
 # --- oracle agreement and structure ---------------------------------------

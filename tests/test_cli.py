@@ -8,7 +8,7 @@ import pytest
 
 from braidvol import bracket, cli, states
 from braidvol.errors import OracleError
-from braidvol.generate import MAX_COUNT
+from braidvol.generate import MAX_COUNT, MAX_WIDE_SYLLABLES
 from braidvol.report import VerifyCheck, VerifyResult, verify
 from braidvol.words import MAX_STRANDS, MAX_WORD_LETTERS
 
@@ -264,7 +264,10 @@ def test_exit_code_3_on_input_limits(capsys):
         ["state", f"s{MAX_STRANDS}"],
         ["bracket", "s1", "--n", "9"],
         ["gen", "--n", "3", "--syllables", "4", "--count", str(MAX_COUNT + 1)],
-        ["gen", "--n", "4", "--syllables", "1000", "--count", "3"],
+        [
+            "gen", "--n", "4", "--syllables", "1000",
+            "--count", str(MAX_WIDE_SYLLABLES // 1000 + 1),
+        ],
     ):
         code, out, err = run(capsys, argv)
         assert code == 3, argv

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from braidvol.errors import PreconditionError
 from braidvol.families import check_main_lemma
+from braidvol.report import analyze, verify
 from braidvol.generate import (
     MAX_COUNT,
     MAX_WIDE_SYLLABLES,
@@ -25,8 +26,8 @@ def test_seed_pins():
     assert w.syllables == ((1, -7), (2, 1), (1, -5), (2, 1))
     w = generate_words(GeneratorSpec(n=4, syllable_count=9, seed=11))[0]
     assert w.syllables == (
-        (2, -3), (1, -6), (2, -7), (3, -7), (2, -7),
-        (3, -6), (1, -6), (2, -7), (3, -7),
+        (1, -6), (2, -7), (3, -7), (1, -4), (2, -4),
+        (3, 2), (2, -3), (3, -6), (2, -4),
     )
 
 
@@ -68,18 +69,26 @@ def test_infeasible_specs_rejected():
         GeneratorSpec(n=3, syllable_count=4, positive_cap=MAX_WORD_LETTERS)
     with pytest.raises(PreconditionError, match="limit"):
         GeneratorSpec(n=3, syllable_count=4, count=MAX_COUNT + 1)
-    # for n >= 4 a word costs about the square of its syllable count, so the
-    # syllables of a whole spec are capped; n = 3 is linear and uncapped
-    with pytest.raises(PreconditionError, match="limit"):
-        GeneratorSpec(n=4, syllable_count=MAX_WIDE_SYLLABLES // 2, count=3)
-    with pytest.raises(PreconditionError, match="limit"):
+    # for n >= 4 a syllable costs up to about three times as much as at
+    # n = 3, so the syllables of a whole spec are capped; n = 3 is uncapped
+    wide = f"limit of {MAX_WIDE_SYLLABLES} for n >= 4"
+    over = MAX_WIDE_SYLLABLES // 2_000 + 1
+    with pytest.raises(PreconditionError, match=wide):
+        GeneratorSpec(n=4, syllable_count=2_000, negative_cap=5, count=over)
+    with pytest.raises(PreconditionError, match=wide):
         GeneratorSpec(
-            n=MAX_STRANDS, syllable_count=MAX_WIDE_SYLLABLES + 1, negative_cap=4
+            n=MAX_STRANDS, syllable_count=2_000, negative_cap=5, count=over
         )
-    GeneratorSpec(n=3, syllable_count=MAX_WIDE_SYLLABLES, negative_cap=4, count=2)
-    # the largest accepted n >= 4 spec is built but not generated here: one
-    # word at 32 strands takes about 45 s
-    GeneratorSpec(n=MAX_STRANDS, syllable_count=MAX_WIDE_SYLLABLES, negative_cap=5)
+    GeneratorSpec(n=3, syllable_count=2_000, negative_cap=5, count=over)
+    # the largest accepted n >= 4 spec is built but not generated here (it
+    # takes about 2.5 s at 32 strands); one word of it generates at once
+    GeneratorSpec(
+        n=MAX_STRANDS, syllable_count=2_000, negative_cap=5, count=over - 1
+    )
+    (word,) = generate_words(
+        GeneratorSpec(n=MAX_STRANDS, syllable_count=2_000, negative_cap=5)
+    )
+    assert len(word.syllables) == 2_000
     # the largest spec inside the limits still generates parseable words
     spec = GeneratorSpec(
         n=3, syllable_count=MAX_WORD_LETTERS // 8, negative_cap=8, seed=3
@@ -90,7 +99,7 @@ def test_infeasible_specs_rejected():
 
 @settings(max_examples=80, deadline=None)
 @given(
-    st.integers(3, 6),
+    st.integers(3, 8),
     st.integers(0, 4),
     st.integers(0, 10_000),
     st.integers(3, 6),
@@ -117,6 +126,25 @@ def test_generated_words_keep_every_promise(n, extra, seed, neg_cap, pos_cap):
                 assert 1 <= r <= pos_cap
         assert check_main_lemma(w).passed
         assert not _has_unthreaded_bridge(w.syllables)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_interior_positives_are_generated_and_verified(n):
+    # an interior positive is the only word shape that reaches clause 2b of
+    # the gate, the t+ <= medium <= 2t+ census range of verify and the
+    # refusal of the beta'-form bounds; verify runs the bracket oracle on
+    # the words of at most 100 crossings
+    interior = 0
+    for syllables in (20, 40):
+        for seed in range(100):
+            spec = GeneratorSpec(n=n, syllable_count=syllables, seed=seed)
+            (word,) = generate_words(spec)
+            if not any(r > 0 and 1 < g < n - 1 for g, r in word.syllables):
+                continue
+            interior += 1
+            assert verify(word).passed, word.as_text()
+            assert analyze(word)["jones_bounds"] is None
+    assert interior >= 20  # at least one word in ten
 
 
 @settings(max_examples=30, deadline=None)

@@ -103,19 +103,35 @@ def test_rendering_is_deterministic():
             word_of("s1^3 s2^-3 s1^2 s2^-4"),
             "5fb8cb3ce5d900922f7e1f24e79f6c9dae11126b6fae8ce4fe1c8a38ca0216ee",
         ),
-        # generated family words: boundary-positive blocks at n = 4 and 5
-        # (the generator places no interior-positive block there), an
+        # family words from the earlier shuffle-and-insert generator, kept as
+        # literals: boundary-positive blocks at n = 4 and 5, an
         # interior-positive block s4 at n = 8
         (
-            generated(4, 8, 23),
+            SyllableWord(
+                4,
+                ((1, -5), (2, -3), (3, 2), (2, -5), (3, -3), (1, -7), (2, -5), (3, -6)),
+            ),
             "ec6482942f8a211781afc3c8ac97b853f3865f4f5477e5dcb42ef3705598a4cd",
         ),
         (
-            generated(5, 10, 15),
+            SyllableWord(
+                5,
+                (
+                    (1, -4), (2, -3), (1, 3), (2, -4), (3, -7),
+                    (4, -8), (1, -3), (2, -4), (3, -4), (4, -3),
+                ),
+            ),
             "cb39bff48211d359d2946aa20c5c66cd18a1675ee0c9156dd517becf2e1e2e4f",
         ),
         (
-            generated(8, 19, 149),
+            SyllableWord(
+                8,
+                (
+                    (1, -3), (3, -6), (5, -4), (4, 1), (3, -6), (5, -3), (2, -3),
+                    (3, -5), (4, -6), (5, -4), (6, -4), (7, -3), (1, -3), (2, -4),
+                    (3, -7), (4, -3), (5, -6), (6, -3), (7, -3),
+                ),
+            ),
             "a55f096cb4bd2b1cb2f6741312c574ac65d6395998cdf01a37806f72ad2385dd",
         ),
         # an interior-positive block at n = 5, written by hand
@@ -136,6 +152,20 @@ def test_rendering_is_deterministic():
         (
             SyllableWord(1, ()),
             "5dde6fdbeb7309ac956654506eaaa0e3466b738d8ede735cb07eed4daeec7ff7",
+        ),
+        # generated family words: all negative at n = 4 and 5 (two base
+        # sweeps and lone negatives), an interior-positive block s3 at n = 8
+        (
+            generated(4, 8, 23),
+            "a55c5263521a93a72048402a295942743fbf2249de5e051204acc06fd38cad40",
+        ),
+        (
+            generated(5, 10, 15),
+            "c2b9a16e19e146e28cc74e0b86de682025cb24f9673b0cf3389bf9c9fafabe62",
+        ),
+        (
+            generated(8, 19, 149),
+            "b03c82604bfa335a7a73477bb9fbc167fa5b239129f62a2f83e85db55f33ad91",
         ),
     ],
 )

