@@ -41,7 +41,7 @@ from .families import (
 )
 from .generate import GeneratorSpec, generate_words
 from .render import render_state_svg
-from .report import SCHEMA, analyze, verify
+from .report import SCHEMA, analyze, analyze_line, verify
 from .schreier import (
     EtaKind,
     SchreierForm,
@@ -103,6 +103,7 @@ __all__ = [
     "VolumeBounds",
     "XYWord",
     "analyze",
+    "analyze_line",
     "bracket_summary",
     "check_main_lemma",
     "classify_circles",

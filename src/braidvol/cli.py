@@ -31,7 +31,14 @@ from .errors import BraidSyntaxError, OracleError, PreconditionError
 from .families import check_main_lemma, stoimenow_A_adequate_3braid
 from .generate import GeneratorSpec, generate_words
 from .render import render_state_svg
-from .report import SCHEMA, analyze, circle_detail, schreier_block, verify
+from .report import (
+    SCHEMA,
+    analyze,
+    analyze_line,
+    circle_detail,
+    schreier_block,
+    verify,
+)
 from .schreier import schreier_normal_form
 from .states import is_A_adequate, resolve_all_A
 from .words import SyllableWord, cyclically_reduce_into_syllables, parse_braid
@@ -62,17 +69,17 @@ def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
         print("\n".join(lines))
 
 
-def _analyze(text: str, args: argparse.Namespace) -> dict:
-    return analyze(
-        _parse_word(text, args.n),
-        bracket=args.bracket,
-        max_crossings=args.max_crossings,
-        assume_prime=args.unsafe_assume_prime,
-    )
+def _analysis_options(args: argparse.Namespace) -> dict:
+    """The ``analyze`` keywords that ``analyze`` and ``batch`` share."""
+    return {
+        "bracket": args.bracket,
+        "max_crossings": args.max_crossings,
+        "assume_prime": args.unsafe_assume_prime,
+    }
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    report = _analyze(args.word, args)
+    report = analyze(_parse_word(args.word, args.n), **_analysis_options(args))
     census = report["circles"]["census"]
     lines = [
         f"word        {report['word'] or '(empty)'}   n={report['n']}",
@@ -131,16 +138,18 @@ def _failure(exc: Exception) -> tuple[int, str, str]:
     return 1, "internal", "error: "  # main lets these propagate
 
 
-def _batch_line(raw: str, args: argparse.Namespace) -> dict:
+def _batch_line(raw: str, args: argparse.Namespace) -> str:
     try:
-        return _analyze(raw, args)
+        return analyze_line(_parse_word(raw, args.n), **_analysis_options(args))
     except Exception as exc:  # per-line isolation by contract
-        return {
-            "schema": SCHEMA,
-            "word": raw,
-            "error": str(exc),
-            "error_kind": _failure(exc)[1],
-        }
+        return json.dumps(
+            {
+                "schema": SCHEMA,
+                "word": raw,
+                "error": str(exc),
+                "error_kind": _failure(exc)[1],
+            }
+        )
 
 
 def cmd_batch(args: argparse.Namespace) -> int:
@@ -154,7 +163,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
     except UnicodeDecodeError as exc:
         raise BraidSyntaxError(f"{args.path} is not UTF-8 text: {exc}") from exc
     for row in rows:
-        print(json.dumps(_batch_line(row, args)))
+        print(_batch_line(row, args))
     return 0
 
 

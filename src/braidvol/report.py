@@ -3,6 +3,9 @@
 ``analyze`` runs every applicable stage for a word and returns a plain dict
 with a stable key set: analyses that do not apply (wrong strand count,
 failed gate, not requested) are present as ``None``, never missing.
+``analyze_line`` returns the same report as its ``json.dumps`` text, the
+``batch`` line, and writes the circle detail straight from the state
+circles instead of building one dict per circle.
 ``verify`` re-derives the cross-identities that tie the stages together and
 reports them check by check; it is the engine behind the ``verify``
 subcommand.
@@ -10,6 +13,7 @@ subcommand.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 from .bounds import (
@@ -27,7 +31,7 @@ from .bracket import (
     bracket_summary,
     kauffman_bracket,
 )
-from .errors import PreconditionError
+from .errors import OracleError, PreconditionError
 from .families import check_main_lemma, stoimenow_A_adequate_3braid
 from .schreier import (
     SchreierForm,
@@ -50,6 +54,7 @@ from .words import SyllableWord
 __all__ = [
     "SCHEMA",
     "analyze",
+    "analyze_line",
     "circle_detail",
     "schreier_block",
     "verify",
@@ -89,6 +94,27 @@ def schreier_block(form: SchreierForm) -> dict:
     return block
 
 
+def _detail_text(state: AllAState) -> str:
+    """The text of ``json.dumps(circle_detail(state))`` between its
+    brackets.  Every circle after its id is one cached tail per (winding,
+    support, class); the small inner circles of one generator share one
+    support set, so a word has few distinct tails however many circles it
+    has."""
+    names = _CLASS_NAMES
+    tails: dict = {}
+    items = []
+    for cid, winding, support, klass in state.circles:
+        key = (winding, support, klass)
+        tail = tails.get(key)
+        if tail is None:
+            body = json.dumps(
+                {"class": names[klass], "winding": winding, "support": sorted(support)}
+            )
+            tail = tails[key] = ", " + body[1:]
+        items.append(f'{{"id": {cid}{tail}')
+    return ", ".join(items)
+
+
 def analyze(
     word: SyllableWord,
     *,
@@ -106,6 +132,49 @@ def analyze(
     connectivity, t >= 2) all hold but primeness has to be taken on faith.
     A negative ``max_crossings`` raises PreconditionError.
     """
+    report, state = _report(word, bracket, max_crossings, assume_prime)
+    report["circles"]["detail"] = circle_detail(state)
+    return report
+
+
+# the circle detail's place in the text of a report whose detail is empty;
+# no other block of a report has a "detail" key, and a string value cannot
+# hold the unescaped quotes
+_DETAIL_SLOT = '"detail": []'
+
+
+def analyze_line(
+    word: SyllableWord,
+    *,
+    bracket: bool = False,
+    max_crossings: int = DEFAULT_MAX_CROSSINGS,
+    assume_prime: bool = False,
+) -> str:
+    """``json.dumps(analyze(word, ...))``, byte for byte: the ``batch`` line.
+
+    The circle detail is written from the state circles without a dict per
+    circle (see ``_detail_text``); the rest of the report goes through
+    ``json.dumps``.  Takes and raises what ``analyze`` does.
+
+    >>> from braidvol.words import parse_braid
+    >>> w = parse_braid("s1^-3 s2^-3")
+    >>> analyze_line(w) == json.dumps(analyze(w))
+    True
+    """
+    report, state = _report(word, bracket, max_crossings, assume_prime)
+    parts = json.dumps(report).split(_DETAIL_SLOT)
+    if len(parts) != 2:
+        raise OracleError(
+            f"the report text holds {len(parts) - 1} empty circle details, not 1"
+        )
+    return f'{parts[0]}"detail": [{_detail_text(state)}]{parts[1]}'
+
+
+def _report(
+    word: SyllableWord, bracket: bool, max_crossings: int, assume_prime: bool
+) -> tuple[dict, AllAState]:
+    """The body of ``analyze``: the report with an empty circle detail, and
+    the state it was read from."""
     _require_cap(max_crossings)
     state = resolve_all_A(word)
     graph = reduced_graph(state)
@@ -157,7 +226,7 @@ def analyze(
         poly = kauffman_bracket(word, max_crossings)
         bracket_block = bracket_summary(poly, state).to_json_dict()
 
-    return {
+    report = {
         "schema": SCHEMA,
         "word": word.as_text(),
         "n": word.n,
@@ -166,7 +235,7 @@ def analyze(
         "twist": {"t": t, "t_plus": t_plus, "t_minus": t_minus},
         "circles": {
             "census": {k.value: v for k, v in state.census.items()},
-            "detail": circle_detail(state),
+            "detail": [],
         },
         "m": state.m,
         "adequate": adequate,
@@ -182,6 +251,7 @@ def analyze(
         "turaev": turaev_block,
         "bracket": bracket_block,
     }
+    return report, state
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .errors import BraidSyntaxError, PreconditionError
 
@@ -110,6 +111,7 @@ MAX_STRANDS = 32
 # characters with a bare ValueError, and anything near that length is far
 # beyond both limits anyway.
 _TOKEN = re.compile(r"^(?:(-?\d{1,18})|[sS](\d{1,18})(?:\^(-?\d{1,18}))?)$")
+_NONSPACE = re.compile(r"\S+")
 
 
 def parse_braid(text: str, n: int | None = None) -> SyllableWord:
@@ -122,8 +124,9 @@ def parse_braid(text: str, n: int | None = None) -> SyllableWord:
     omitted it is inferred as one more than the largest generator index
     used.
 
-    A word of more than ``MAX_WORD_LETTERS`` letters, or on more than
-    ``MAX_STRANDS`` strands (given or inferred), raises PreconditionError.
+    A word of more than ``MAX_WORD_LETTERS`` letters or tokens, or on more
+    than ``MAX_STRANDS`` strands (given or inferred), raises
+    PreconditionError.
 
     >>> parse_braid("s1^3 s2^-3 1 1 s3^-2 s2 s3").syllables
     ((1, 3), (2, -3), (1, 1), (1, 1), (3, -2), (2, 1), (3, 1))
@@ -132,9 +135,22 @@ def parse_braid(text: str, n: int | None = None) -> SyllableWord:
         raise PreconditionError(
             f"strand count {n} is above the limit of {MAX_STRANDS}"
         )
+    # k tokens take at least 2k - 1 characters, so a text of at most
+    # 2 * MAX_WORD_LETTERS holds no more tokens than the limit and is split
+    # whole; a longer one is read lazily, one token past the limit at most,
+    # so a hostile line is refused before it is split
+    if len(text) <= 2 * MAX_WORD_LETTERS:
+        tokens = text.split()
+    else:
+        found = islice(_NONSPACE.finditer(text), MAX_WORD_LETTERS + 1)
+        tokens = [match.group() for match in found]
+        if len(tokens) > MAX_WORD_LETTERS:
+            raise PreconditionError(
+                f"word has more than {MAX_WORD_LETTERS} tokens, the limit"
+            )
     syllables: list[tuple[int, int]] = []
     letters = 0
-    for token in text.split():
+    for token in tokens:
         match = _TOKEN.match(token)
         if match is None:
             raise BraidSyntaxError(f"cannot parse braid token {token!r}")

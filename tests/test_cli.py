@@ -234,17 +234,18 @@ BATCH_ERROR_KINDS = [
 
 @pytest.mark.parametrize("line,kind", BATCH_ERROR_KINDS)
 def test_batch_error_rows_name_their_kind(capsys, tmp_path, monkeypatch, line, kind):
-    # library bugs are faked: a real one would be fixed
-    real = cli.analyze
+    # library bugs are faked in the function batch calls: a real one would
+    # be fixed
+    real = cli.analyze_line
 
-    def analyze(word, **kwargs):
+    def analyze_line(word, **kwargs):
         if word.as_text() == "s1^-4 s2^-4":
             raise OracleError("forced")
         if word.as_text() == "s1^-5 s2^-5":
             raise ZeroDivisionError("forced")
         return real(word, **kwargs)
 
-    monkeypatch.setattr(cli, "analyze", analyze)
+    monkeypatch.setattr(cli, "analyze_line", analyze_line)
     path = tmp_path / "words.txt"
     path.write_text(f"s1^-3 s2^-3 s1^-3 s2^-3\n{line}\n", encoding="utf-8")
     code, out, _ = run(capsys, ["batch", str(path), "--n", "3"])
@@ -255,6 +256,7 @@ def test_batch_error_rows_name_their_kind(capsys, tmp_path, monkeypatch, line, k
     assert set(failed) == {"schema", "word", "error", "error_kind"}
     assert failed["word"] == line
     assert failed["error_kind"] == kind
+    assert out.splitlines()[1] == json.dumps(failed)  # the row's dict, as is
 
 
 def test_exit_code_3_on_input_limits(capsys):

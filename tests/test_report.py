@@ -3,15 +3,17 @@
 import hashlib
 import json
 import random
+import re
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from braidvol import bracket, families, states
 from braidvol.bounds import jones_bounds, volume_bounds
 from braidvol.errors import CrossingLimitError, PreconditionError
 from braidvol.generate import GeneratorSpec, generate_words
-from braidvol.report import SCHEMA, analyze, circle_detail, verify
+from braidvol.report import SCHEMA, analyze, analyze_line, circle_detail, verify
 from braidvol.schreier import direct_read_k, direct_read_s
 from braidvol.states import (
     is_A_adequate,
@@ -22,6 +24,7 @@ from braidvol.states import (
 from braidvol.words import SyllableWord, cyclically_reduce_into_syllables
 
 from conftest import count_calls, ladder, word_of
+from test_states import any_n_words, word_st
 
 # family words at n = 3 and n = 4, both under the bracket's caps
 ONCE_WORDS = [ladder(2), word_of("s2^2 s1^-3 s3^-3 s2^-4 s1^-3 s3^-4", 4)]
@@ -321,18 +324,61 @@ def test_analyze_output_bytes_are_pinned():
 def test_analyze_output_bytes_are_pinned_at_benchmark_sizes():
     # family words of 200 syllables (about 900 to 1,100 crossings), the
     # largest the benchmark corpora hold, two seeds per strand count, with
-    # their circle detail
+    # their circle detail; the batch line is the same text
     digest = hashlib.sha256()
     for n in (3, 4, 5, 8):
         for seed in (1, 2):
             spec = GeneratorSpec(n=n, syllable_count=200, seed=seed, count=1)
             for word in generate_words(spec):
-                digest.update(json.dumps(analyze(word)).encode())
+                text = json.dumps(analyze(word))
+                assert analyze_line(word) == text
+                digest.update(text.encode())
                 digest.update(json.dumps(circle_detail(resolve_all_A(word))).encode())
     assert (
         digest.hexdigest()
         == "58ed92ac8567ef02822a9d569e68e24c80404a6ae5de73daa61d64bfb59f64e4"
     )
+
+
+# generated family words at n = 3..8 reach the bound, Schreier and
+# Turaev blocks that random words seldom do
+family_word_st = st.builds(
+    lambda n, extra, seed: generate_words(
+        GeneratorSpec(n=n, syllable_count=2 * (n - 1) + 2 * extra, seed=seed)
+    )[0],
+    st.integers(3, 8),
+    st.integers(0, 6),
+    st.integers(0, 10_000),
+)
+
+LINE_OPTIONS = [
+    {},
+    {"bracket": True, "max_crossings": 30},  # a short sweep; longer words are refused
+    {"assume_prime": True},
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        any_n_words(8),
+        any_n_words(8).map(cyclically_reduce_into_syllables),
+        word_st,
+        family_word_st,
+        st.just(SyllableWord(1, ())),
+    ),
+    st.sampled_from(LINE_OPTIONS),
+)
+def test_analyze_line_is_the_dumped_report(word, options):
+    # n = 1..8 and the empty word included; analyze refuses an unreduced
+    # word, and the line must refuse it alike
+    try:
+        expected = json.dumps(analyze(word, **options))
+    except PreconditionError as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            analyze_line(word, **options)
+        return
+    assert analyze_line(word, **options) == expected
 
 
 if __name__ == "__main__":

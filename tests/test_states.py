@@ -470,20 +470,25 @@ def chain_syllables(draws):
     return tuple(syllables)
 
 
-any_n_word_st = st.integers(min_value=1, max_value=6).flatmap(
-    lambda n: st.builds(
-        SyllableWord,
-        st.just(n),
-        st.lists(
-            st.tuples(
-                st.integers(min_value=1, max_value=max(n - 1, 1)),
-                exponent_st,
-                st.booleans(),
-            ),
-            max_size=12 if n > 1 else 0,
-        ).map(chain_syllables),
+def any_n_words(max_n):
+    """Unreduced words on 1 to ``max_n`` strands, up to 12 syllables."""
+    return st.integers(min_value=1, max_value=max_n).flatmap(
+        lambda n: st.builds(
+            SyllableWord,
+            st.just(n),
+            st.lists(
+                st.tuples(
+                    st.integers(min_value=1, max_value=max(n - 1, 1)),
+                    exponent_st,
+                    st.booleans(),
+                ),
+                max_size=12 if n > 1 else 0,
+            ).map(chain_syllables),
+        )
     )
-)
+
+
+any_n_word_st = any_n_words(6)
 
 
 @given(any_n_word_st)

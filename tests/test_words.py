@@ -152,6 +152,25 @@ def test_parse_letter_limit_fails_before_expanding():
     assert peak < 8 * MAX_WORD_LETTERS
 
 
+def test_parse_token_limit_fails_before_splitting():
+    # the lazy read and the whole split meet at 2 * MAX_WORD_LETTERS chars
+    assert parse_braid("1 " * MAX_WORD_LETTERS).crossings == MAX_WORD_LETTERS
+    assert parse_braid("s1 " * MAX_WORD_LETTERS).crossings == MAX_WORD_LETTERS
+    with pytest.raises(PreconditionError, match=f"{MAX_WORD_LETTERS} tokens"):
+        parse_braid("s1^0 " * (MAX_WORD_LETTERS + 1))
+    # three million tokens, of no letters or of one letter each: splitting
+    # either line whole would take about 50 bytes per token
+    for text in ("s1^0 " * 3_000_000, "s1 " * 3_000_000):
+        tracemalloc.start()
+        try:
+            with pytest.raises(PreconditionError, match=f"{MAX_WORD_LETTERS} tokens"):
+                parse_braid(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(text) // 10
+
+
 def test_parse_strand_limit():
     assert parse_braid(f"s{MAX_STRANDS - 1}").n == MAX_STRANDS
     assert parse_braid("s1", MAX_STRANDS).n == MAX_STRANDS
