@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import islice
 
 from .errors import BraidSyntaxError, PreconditionError
 
@@ -135,22 +134,22 @@ def parse_braid(text: str, n: int | None = None) -> SyllableWord:
         raise PreconditionError(
             f"strand count {n} is above the limit of {MAX_STRANDS}"
         )
+    syllables: list[tuple[int, int]] = []
+    letters = 0
     # k tokens take at least 2k - 1 characters, so a text of at most
-    # 2 * MAX_WORD_LETTERS holds no more tokens than the limit and is split
-    # whole; a longer one is read lazily, one token past the limit at most,
-    # so a hostile line is refused before it is split
-    if len(text) <= 2 * MAX_WORD_LETTERS:
-        tokens = text.split()
-    else:
-        found = islice(_NONSPACE.finditer(text), MAX_WORD_LETTERS + 1)
-        tokens = [match.group() for match in found]
-        if len(tokens) > MAX_WORD_LETTERS:
+    # 2 * MAX_WORD_LETTERS characters cannot pass the token limit and is
+    # split whole, the faster read; a longer one is read lazily, so that a
+    # hostile line is refused before it is split
+    tokens = (
+        text.split()
+        if len(text) <= 2 * MAX_WORD_LETTERS
+        else (found.group() for found in _NONSPACE.finditer(text))
+    )
+    for count, token in enumerate(tokens):
+        if count == MAX_WORD_LETTERS:
             raise PreconditionError(
                 f"word has more than {MAX_WORD_LETTERS} tokens, the limit"
             )
-    syllables: list[tuple[int, int]] = []
-    letters = 0
-    for token in tokens:
         match = _TOKEN.match(token)
         if match is None:
             raise BraidSyntaxError(f"cannot parse braid token {token!r}")

@@ -1,9 +1,10 @@
-"""Shared fixtures: canonical words, the bracket-oracle corpus and a call
-counter."""
+"""Shared fixtures: canonical words, word strategies for hypothesis, the
+bracket-oracle corpus and a call counter."""
 
 import sys
 
 import pytest
+from hypothesis import strategies as st
 
 from braidvol.words import SyllableWord, parse_braid, cyclically_reduce_into_syllables
 
@@ -36,6 +37,43 @@ def count_calls(monkeypatch, module, name):
         if key.split(".")[0] == "braidvol" and getattr(loaded, name, None) is real:
             monkeypatch.setattr(loaded, name, counting)
     return calls
+
+
+exponent_st = st.integers(min_value=-20, max_value=20).filter(lambda r: r != 0)
+syllable_st = st.tuples(st.integers(min_value=1, max_value=4), exponent_st)
+# cyclically reduced words on 5 strands, up to 10 syllables
+word_st = st.builds(
+    lambda syls: cyclically_reduce_into_syllables(SyllableWord(5, tuple(syls))),
+    st.lists(syllable_st, max_size=10),
+)
+
+
+def chain_syllables(draws):
+    """Syllables from (generator, exponent, repeat) draws: a repeat takes the
+    generator of the syllable before it, so the word keeps adjacent
+    syllables of one generator unmerged."""
+    syllables = []
+    for g, r, repeat in draws:
+        syllables.append((syllables[-1][0] if repeat and syllables else g, r))
+    return tuple(syllables)
+
+
+def any_n_words(max_n):
+    """Unreduced words on 1 to ``max_n`` strands, up to 12 syllables."""
+    return st.integers(min_value=1, max_value=max_n).flatmap(
+        lambda n: st.builds(
+            SyllableWord,
+            st.just(n),
+            st.lists(
+                st.tuples(
+                    st.integers(min_value=1, max_value=max(n - 1, 1)),
+                    exponent_st,
+                    st.booleans(),
+                ),
+                max_size=12 if n > 1 else 0,
+            ).map(chain_syllables),
+        )
+    )
 
 
 # Fixed mixed-provenance corpus for the bracket/state cross-checks: every

@@ -23,8 +23,7 @@ from braidvol.states import (
 )
 from braidvol.words import SyllableWord, cyclically_reduce_into_syllables
 
-from conftest import count_calls, ladder, word_of
-from test_states import any_n_words, word_st
+from conftest import any_n_words, count_calls, ladder, word_of, word_st
 
 # family words at n = 3 and n = 4, both under the bracket's caps
 ONCE_WORDS = [ladder(2), word_of("s2^2 s1^-3 s3^-3 s2^-4 s1^-3 s3^-4", 4)]

@@ -44,15 +44,7 @@ from braidvol.states import (
 )
 from braidvol.words import SyllableWord, cyclically_reduce_into_syllables
 
-from conftest import ladder, word_of
-
-exponent_st = st.integers(min_value=-20, max_value=20).filter(lambda r: r != 0)
-syllable_st = st.tuples(st.integers(min_value=1, max_value=4), exponent_st)
-word_st = st.builds(
-    lambda syls: cyclically_reduce_into_syllables(SyllableWord(5, tuple(syls))),
-    st.lists(syllable_st, max_size=10),
-)
-
+from conftest import any_n_words, ladder, word_of, word_st
 
 class ArcKind(str, Enum):
     PASS = "pass"
@@ -458,34 +450,6 @@ def assert_regions_match_segment_oracles(word):
     assert is_A_adequate(state) == adequate_oracle(segments)
     assert satisfies_TELC(state) == telc_oracle(segments)
     assert reduced_graph(state) == reduced_graph_oracle(len(circles), segments)
-
-
-def chain_syllables(draws):
-    """Syllables from (generator, exponent, repeat) draws: a repeat takes the
-    generator of the syllable before it, so the word keeps adjacent
-    syllables of one generator unmerged."""
-    syllables = []
-    for g, r, repeat in draws:
-        syllables.append((syllables[-1][0] if repeat and syllables else g, r))
-    return tuple(syllables)
-
-
-def any_n_words(max_n):
-    """Unreduced words on 1 to ``max_n`` strands, up to 12 syllables."""
-    return st.integers(min_value=1, max_value=max_n).flatmap(
-        lambda n: st.builds(
-            SyllableWord,
-            st.just(n),
-            st.lists(
-                st.tuples(
-                    st.integers(min_value=1, max_value=max(n - 1, 1)),
-                    exponent_st,
-                    st.booleans(),
-                ),
-                max_size=12 if n > 1 else 0,
-            ).map(chain_syllables),
-        )
-    )
 
 
 any_n_word_st = any_n_words(6)

@@ -153,11 +153,18 @@ def test_parse_letter_limit_fails_before_expanding():
 
 
 def test_parse_token_limit_fails_before_splitting():
-    # the lazy read and the whole split meet at 2 * MAX_WORD_LETTERS chars
+    # the whole split and the lazy read meet at 2 * MAX_WORD_LETTERS chars
     assert parse_braid("1 " * MAX_WORD_LETTERS).crossings == MAX_WORD_LETTERS
     assert parse_braid("s1 " * MAX_WORD_LETTERS).crossings == MAX_WORD_LETTERS
     with pytest.raises(PreconditionError, match=f"{MAX_WORD_LETTERS} tokens"):
         parse_braid("s1^0 " * (MAX_WORD_LETTERS + 1))
+    # on either read tokens are checked in order: a bad token before the
+    # limit is a syntax error however long the line, and one past the limit
+    # is never read
+    with pytest.raises(BraidSyntaxError, match="'x'"):
+        parse_braid("x " + "s1 " * 3 * MAX_WORD_LETTERS)
+    with pytest.raises(PreconditionError, match=f"{MAX_WORD_LETTERS} tokens"):
+        parse_braid("s1^0 " * MAX_WORD_LETTERS + "x")
     # three million tokens, of no letters or of one letter each: splitting
     # either line whole would take about 50 bytes per token
     for text in ("s1^0 " * 3_000_000, "s1 " * 3_000_000):
