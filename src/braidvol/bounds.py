@@ -15,9 +15,10 @@ small t- relative to n + m; ``effective_lower`` carries the clamp so the
 vacuous cases stay visible.  ``volume_bounds`` and ``jones_bounds`` take the
 word with its all-A state and reduced graph and read m and e - v from those;
 each runs the family gate (``check_main_lemma``) on the word as its input
-check and recounts t, t+ and t- from it.  ``report.analyze`` has already
-gated the word, so it calls their ungated bodies ``_volume_bounds`` and
-``_jones_bounds``.
+check.  Both share one ungated body, ``_family_bounds``, which reads t, t+,
+t-, n, m and e - v once and returns the pair, with None for the beta' form
+where it does not apply; ``report.analyze`` has already gated the word, so
+it calls that body.
 """
 
 from __future__ import annotations
@@ -145,52 +146,7 @@ def volume_bounds(
     positive syllables sit in interior generators.
     """
     _require_family(word)
-    return _volume_bounds(word, state, graph)
-
-
-def _volume_bounds(
-    word: SyllableWord, state: AllAState, graph: ReducedStateGraph
-) -> VolumeBounds:
-    """``volume_bounds`` on a word that already passed the family gate."""
-    n = word.n
-    t, t_plus, t_minus = twist_counts(word)
-    m = state.m
-    inputs = {
-        "t": t,
-        "t_plus": t_plus,
-        "t_minus": t_minus,
-        "n": n,
-        "m": m,
-        "neg_chi": graph.neg_chi,
-    }
-    upper = 10.0 * V3 * (t - 1)
-    if n == 3:
-        if graph.neg_chi != t_minus - 1:
-            raise OracleError(
-                f"n=3 reduced graph has e - v = {graph.neg_chi},"
-                f" expected t_minus - 1 = {t_minus - 1}"
-            )
-        return VolumeBounds(
-            case=BoundCase.N3,
-            lower=V8 * (t_minus - 1),
-            lower_weak=V8 / 2.0 * (t - 2),
-            upper=upper,
-            inputs=inputs,
-        )
-    if boundary_positive(word):
-        return VolumeBounds(
-            case=BoundCase.N4_BOUNDARY,
-            lower=V8 * (t_minus - (n + m - 2)),
-            lower_weak=V8 / 2.0 * (t - 2 * (n + m - 2)),
-            upper=upper,
-            inputs=inputs,
-        )
-    return VolumeBounds(
-        case=BoundCase.N4_GENERAL,
-        lower=V8 * (t_minus - t_plus - (n + m - 2)),
-        upper=upper,
-        inputs=inputs,
-    )
+    return _family_bounds(word, state, graph)[0]
 
 
 def jones_bounds(
@@ -202,36 +158,72 @@ def jones_bounds(
     interior positive syllables with n >= 4 are refused.
     """
     _require_family(word)
-    return _jones_bounds(word, state, graph)
-
-
-def _jones_bounds(
-    word: SyllableWord, state: AllAState, graph: ReducedStateGraph
-) -> VolumeBounds:
-    """``jones_bounds`` on a word that already passed the family gate."""
-    n = word.n
-    if n >= 4 and not boundary_positive(word):
+    jones = _family_bounds(word, state, graph)[1]
+    if jones is None:
         raise PreconditionError(
             "the beta'-form bounds do not cover interior positive syllables"
             " with n >= 4"
         )
+    return jones
+
+
+def _family_bounds(
+    word: SyllableWord, state: AllAState, graph: ReducedStateGraph
+) -> tuple[VolumeBounds, VolumeBounds | None]:
+    """``volume_bounds`` and ``jones_bounds`` on a word that already passed
+    the family gate, from one read of its counts.  The beta'-form bound is
+    None when a positive syllable sits on an interior generator at n >= 4."""
+    n = word.n
     t, t_plus, t_minus = twist_counts(word)
     m = state.m
-    beta_prime = 1 + graph.neg_chi
-    return VolumeBounds(
+    neg_chi = graph.neg_chi
+    inputs = {
+        "t": t,
+        "t_plus": t_plus,
+        "t_minus": t_minus,
+        "n": n,
+        "m": m,
+        "neg_chi": neg_chi,
+    }
+    upper = 10.0 * V3 * (t - 1)
+    if n == 3:
+        if neg_chi != t_minus - 1:
+            raise OracleError(
+                f"n=3 reduced graph has e - v = {neg_chi},"
+                f" expected t_minus - 1 = {t_minus - 1}"
+            )
+        volume = VolumeBounds(
+            case=BoundCase.N3,
+            lower=V8 * (t_minus - 1),
+            lower_weak=V8 / 2.0 * (t - 2),
+            upper=upper,
+            inputs=inputs,
+        )
+    elif boundary_positive(word):
+        volume = VolumeBounds(
+            case=BoundCase.N4_BOUNDARY,
+            lower=V8 * (t_minus - (n + m - 2)),
+            lower_weak=V8 / 2.0 * (t - 2 * (n + m - 2)),
+            upper=upper,
+            inputs=inputs,
+        )
+    else:
+        # interior positives at n >= 4: beta' is not tied to the volume
+        volume = VolumeBounds(
+            case=BoundCase.N4_GENERAL,
+            lower=V8 * (t_minus - t_plus - (n + m - 2)),
+            upper=upper,
+            inputs=inputs,
+        )
+        return volume, None
+    beta_prime = 1 + neg_chi
+    jones = VolumeBounds(
         case=BoundCase.JONES,
         lower=V8 * (beta_prime - 1),
         upper=20.0 * V3 * (beta_prime + n + m - 3.5),
-        inputs={
-            "t": t,
-            "t_plus": t_plus,
-            "t_minus": t_minus,
-            "n": n,
-            "m": m,
-            "neg_chi": graph.neg_chi,
-            "beta_prime": beta_prime,
-        },
+        inputs={**inputs, "beta_prime": beta_prime},
     )
+    return volume, jones
 
 
 def three_braid_s_bounds(

@@ -63,8 +63,9 @@ def _crossing_cap(text: str) -> int:
 
 
 def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
+    """Print the payload as JSON led by the schema tag, or else the lines."""
     if as_json:
-        print(json.dumps(payload, indent=2))
+        print(json.dumps({"schema": SCHEMA, **payload}, indent=2))
     else:
         print("\n".join(lines))
 
@@ -177,7 +178,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         count=args.count,
     )
     words = [word.as_text() for word in generate_words(spec)]
-    _emit({"schema": SCHEMA, "words": words}, args.json, words)
+    _emit({"words": words}, args.json, words)
     return 0
 
 
@@ -189,7 +190,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for check in result.checks
     ]
     lines.append(("pass" if result.passed else "FAIL") + f"  {result.word}")
-    _emit({"schema": SCHEMA, **result.to_json_dict()}, args.json, lines)
+    _emit(result.to_json_dict(), args.json, lines)
     return 0 if result.passed else 1
 
 
@@ -199,7 +200,7 @@ def cmd_schreier(args: argparse.Namespace) -> int:
         raise PreconditionError("schreier normal forms need n = 3")
     block = schreier_block(schreier_normal_form(word))
     text = word.as_text()
-    payload = {"schema": SCHEMA, "word": text, "schreier": block}
+    payload = {"word": text, "schreier": block}
     _emit(
         payload,
         args.json,
@@ -223,7 +224,6 @@ def cmd_bracket(args: argparse.Namespace) -> int:
     if is_A_adequate(state):
         summary = bracket_summary(poly, state).to_json_dict()
     payload = {
-        "schema": SCHEMA,
         "word": word.as_text(),
         "polynomial": str(poly),
         "summary": summary,
@@ -247,7 +247,6 @@ def cmd_state(args: argparse.Namespace) -> int:
     census = {k.value: v for k, v in state.census.items()}
     detail = circle_detail(state)
     payload = {
-        "schema": SCHEMA,
         "word": word.as_text(),
         "census": census,
         "m": state.m,
@@ -268,11 +267,7 @@ def cmd_state(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     word = _parse_word(args.word, args.n)
     lemma = check_main_lemma(word)
-    payload: dict = {
-        "schema": SCHEMA,
-        "word": word.as_text(),
-        "main_lemma": lemma.to_json_dict(),
-    }
+    payload: dict = {"word": word.as_text(), "main_lemma": lemma.to_json_dict()}
     if word.n == 3:
         payload["stoimenow"] = stoimenow_A_adequate_3braid(word)
     lines = [

@@ -36,7 +36,6 @@ from .words import (
 
 __all__ = [
     "Cond2Failure",
-    "ImpliedFlags",
     "MainLemmaReport",
     "check_main_lemma",
     "stoimenow_A_adequate_3braid",
@@ -52,15 +51,7 @@ class Cond2Failure:
     reason: str
 
 
-@dataclass(frozen=True)
-class ImpliedFlags:
-    """Diagram properties implied by family membership (all false if not)."""
-
-    connected: bool
-    prime: bool
-    a_adequate: bool
-    telc: bool
-    hyperbolic: bool
+_IMPLIED = ("connected", "prime", "a_adequate", "telc", "hyperbolic")
 
 
 @dataclass(frozen=True)
@@ -70,7 +61,6 @@ class MainLemmaReport:
     cond2_failures: tuple[Cond2Failure, ...]
     twist_ok: bool  # t >= 2(n-1)
     passed: bool
-    implied: ImpliedFlags
     nice_cyclic_near_miss: bool  # complete windows exist only cyclically
 
     def to_json_dict(self) -> dict:
@@ -83,13 +73,8 @@ class MainLemmaReport:
             ],
             "twist_ok": self.twist_ok,
             "pass": self.passed,
-            "implied": {
-                "connected": self.implied.connected,
-                "prime": self.implied.prime,
-                "a_adequate": self.implied.a_adequate,
-                "telc": self.implied.telc,
-                "hyperbolic": self.implied.hyperbolic,
-            },
+            # the diagram properties membership implies: all false if not
+            "implied": dict.fromkeys(_IMPLIED, self.passed),
             "nice_cyclic_near_miss": self.nice_cyclic_near_miss,
         }
 
@@ -161,7 +146,6 @@ def check_main_lemma(word: SyllableWord) -> MainLemmaReport:
         cond2_failures=tuple(failures),
         twist_ok=twist_ok,
         passed=passed,
-        implied=ImpliedFlags(passed, passed, passed, passed, passed),
         nice_cyclic_near_miss=near_miss,
     )
 

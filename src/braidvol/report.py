@@ -17,8 +17,7 @@ import json
 from dataclasses import dataclass
 
 from .bounds import (
-    _jones_bounds,
-    _volume_bounds,
+    _family_bounds,
     boundary_positive,
     cor_bounds,
     three_braid_s_bounds,
@@ -130,7 +129,8 @@ def analyze(
     ``assume_prime`` lets the generic volume bounds run on words outside the
     checked family when the direct diagram checks (adequacy, two-edge-loop,
     connectivity, t >= 2) all hold but primeness has to be taken on faith.
-    A negative ``max_crossings`` raises PreconditionError.
+    A negative ``max_crossings`` or a word that is not cyclically reduced
+    raises PreconditionError, the latter before the state is traced.
     """
     report, state = _report(word, bracket, max_crossings, assume_prime)
     report["circles"]["detail"] = circle_detail(state)
@@ -176,28 +176,25 @@ def _report(
     """The body of ``analyze``: the report with an empty circle detail, and
     the state it was read from."""
     _require_cap(max_crossings)
+    # refuses an unreduced word before the state is traced
+    t, t_plus, t_minus = twist_counts(word)
     state = resolve_all_A(word)
     graph = reduced_graph(state)
-    t, t_plus, t_minus = twist_counts(word)
     lemma = check_main_lemma(word)
     adequate = is_A_adequate(state)
     telc = satisfies_TELC(state)
     connected = is_connected_closure(word)
 
-    bounds_block = None
+    bounds_block = jones_block = None
     if lemma.passed:
-        bounds_block = _volume_bounds(word, state, graph).to_json_dict()
+        volume, jones = _family_bounds(word, state, graph)
+        bounds_block = volume.to_json_dict()
+        if jones is not None:  # None: interior positives with n >= 4
+            jones_block = jones.to_json_dict()
     elif assume_prime and adequate and telc and connected and t >= 2:
         bounds_block = cor_bounds(
             graph.neg_chi, t, assume_hypotheses=True
         ).to_json_dict()
-
-    jones_block = None
-    if lemma.passed:
-        try:
-            jones_block = _jones_bounds(word, state, graph).to_json_dict()
-        except PreconditionError:
-            jones_block = None  # interior positives with n >= 4
 
     stoimenow = stoimenow_A_adequate_3braid(word) if word.n == 3 else None
 

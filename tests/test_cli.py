@@ -141,15 +141,35 @@ def test_verify_passes_and_prints_checks(capsys):
     assert "one_wanderer" in names
 
 
-def test_verify_json_carries_the_schema_tag(capsys):
-    word = "s1^-3 s2^-3 s1^-3 s2^-3"
-    code, out, _ = run(capsys, ["verify", word, "--json"])
+FAMILY_WORD = "s1^-3 s2^-3 s1^-3 s2^-3"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", FAMILY_WORD],
+        ["gen", "--n", "3", "--syllables", "4"],
+        ["verify", FAMILY_WORD],
+        ["schreier", FAMILY_WORD],
+        ["bracket", FAMILY_WORD],
+        ["state", FAMILY_WORD],
+        ["check", FAMILY_WORD],
+    ],
+)
+def test_json_payload_starts_with_the_schema_tag(capsys, argv):
+    code, out, _ = run(capsys, argv + ["--json"])
     assert code == 0
     payload = json.loads(out)
     assert next(iter(payload)) == "schema"
     assert payload["schema"] == "braidvol/1"
+
+
+def test_verify_json_carries_the_schema_tag(capsys):
+    code, out, _ = run(capsys, ["verify", FAMILY_WORD, "--json"])
+    assert code == 0
+    payload = json.loads(out)
     # the tag is the CLI's: the library dict keeps its three keys
-    library = verify(cli._parse_word(word, None)).to_json_dict()
+    library = verify(cli._parse_word(FAMILY_WORD, None)).to_json_dict()
     assert payload == {"schema": "braidvol/1", **library}
     assert list(library) == ["word", "pass", "checks"]
 

@@ -32,15 +32,13 @@ def test_all_negative_family_word_passes():
     assert report.passed
     assert report.nice and report.cond1 and report.twist_ok
     assert report.cond2_failures == ()
-    assert all(
-        [
-            report.implied.connected,
-            report.implied.prime,
-            report.implied.a_adequate,
-            report.implied.telc,
-            report.implied.hyperbolic,
-        ]
-    )
+    assert report.to_json_dict()["implied"] == {
+        "connected": True,
+        "prime": True,
+        "a_adequate": True,
+        "telc": True,
+        "hyperbolic": True,
+    }
 
 
 def test_short_negative_syllable_fails_cond1():

@@ -269,28 +269,46 @@ def test_verify_result_serializes():
     json.dumps(d)
 
 
-@pytest.mark.parametrize("n", [4, 5, 8])
+@pytest.mark.parametrize("n", [3, 4, 5, 8])
 def test_bounds_on_the_traced_state_match_analyze(n):
-    # m, the count of non-essential wandering circles, enters every volume
-    # bound; a state whose circles were left unclassified would read m = 0
-    # and give a larger, unsound lower bound
-    checked = 0
+    # both bounds come from one body; the public functions must give the
+    # report's blocks, and the beta' form is null exactly where it is refused
+    with_m = 0
     for seed in range(12):
         word = generate_words(GeneratorSpec(n=n, syllable_count=30, seed=seed))[0]
         report = analyze(word)
-        if report["m"] == 0:
-            continue
         state = resolve_all_A(word)
         graph = reduced_graph(state)
         assert volume_bounds(word, state, graph).to_json_dict() == report["bounds"]
-        if report["jones_bounds"] is None:
-            with pytest.raises(PreconditionError):
+        interior = n >= 4 and any(
+            r > 0 and m not in (1, n - 1) for m, r in word.syllables
+        )
+        assert (report["jones_bounds"] is None) == interior
+        if interior:
+            with pytest.raises(PreconditionError, match="interior positive"):
                 jones_bounds(word, state, graph)
         else:
             jones = jones_bounds(word, state, graph).to_json_dict()
             assert jones == report["jones_bounds"]
-        checked += 1
-    assert checked >= 6
+        with_m += report["m"] != 0
+    # m, the count of non-essential wandering circles, enters every volume
+    # bound; a state whose circles were left unclassified would read m = 0
+    # and give a larger, unsound lower bound
+    if n >= 4:
+        assert with_m >= 6
+
+
+def test_unreduced_word_is_refused_before_the_state_is_traced(monkeypatch):
+    # s1^2 ... s1^-1 shares generator 1 across the cyclic seam
+    syllables = ((1, 2),) + tuple((g, -3) for g in range(2, 8)) + ((1, -1),)
+    word = SyllableWord(8, syllables)
+    assert not word.cyclically_reduced
+    traces = count_calls(monkeypatch, states, "resolve_all_A")
+    message = "twist counts need a cyclically reduced word"
+    for run in (analyze, analyze_line):
+        with pytest.raises(PreconditionError, match=f"^{message}$"):
+            run(word)
+    assert traces == []
 
 
 def digest_corpus():
