@@ -25,6 +25,7 @@ from .bracket import (
     BracketSummary,
     LaurentPolynomial,
     bracket_summary,
+    bracket_top,
     kauffman_bracket,
     stable_penultimate_coefficient,
 )
@@ -105,6 +106,7 @@ __all__ = [
     "analyze",
     "analyze_line",
     "bracket_summary",
+    "bracket_top",
     "check_main_lemma",
     "classify_circles",
     "conjugate_3braids",

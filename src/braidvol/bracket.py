@@ -9,32 +9,44 @@ of circles the smoothing leaves.  A positive letter's A-smoothing lets both
 strands pass straight through; a negative letter's A-smoothing joins them in
 a cap and a cup; B-smoothings are the other way around.
 
-The sum is never expanded state by state.  ``kauffman_bracket`` sweeps down
-the braid one letter at a time in the Temperley-Lieb picture (Kauffman,
-"State models and the Jones polynomial", Topology 26, 1987): partial states
-with the same non-crossing matching of the boundary points are merged, so
-the cost is O(c * Catalan(n) * degree span) rather than exponential in c.
-Coefficients are exact Python integers throughout.
+The sum is never expanded state by state.  ``_sweep`` goes down the braid
+one syllable (twist region) at a time in the Temperley-Lieb picture
+(Kauffman, "State models and the Jones polynomial", Topology 26, 1987):
+partial states with the same non-crossing matching of the boundary points
+are merged, so the cost is O(c * Catalan(n) * degree span) rather than
+exponential in c.  ``kauffman_bracket`` keeps every term.  ``bracket_top``
+keeps only what can reach the top five degrees, top - 4 to top with
+top = c + 2(|s_A| - 1), which bounds every state's degree (Lickorish,
+"An Introduction to Knot Theory", ch. 5): a term is dropped once the
+all-A smoothing of the rest of the braid cannot lift it to top - 4, so the
+degree window, not the degree span, sets the cost.  Coefficients are exact
+Python integers throughout.
 
 This module exists to cross-check the penultimate-coefficient identity
 |coeff(top - 4)| = 1 + (e' - v) of the reduced state graph on A-adequate
-diagrams.  Diagrams above ``DEFAULT_MAX_CROSSINGS`` (100) crossings are
-refused unless the caller raises the cap, and diagrams on more than
-``MAX_BRACKET_STRANDS`` (8) strands are refused always.
+diagrams (Dasbach-Lin), which needs only ``bracket_top``.  Words past the
+input limits of ``words.parse_braid`` are refused, diagrams above
+``DEFAULT_MAX_CROSSINGS`` (100) crossings are refused unless the caller
+raises the cap, and diagrams on more than ``MAX_BRACKET_STRANDS`` (8)
+strands are refused always.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cache
+from math import comb, inf
 
 from .errors import CrossingLimitError, OracleError, PreconditionError
 from .states import AllAState, is_A_adequate, resolve_all_A
-from .words import SyllableWord
+from .words import SyllableWord, require_input_limits
 
 __all__ = [
     "LaurentPolynomial",
     "BracketSummary",
     "kauffman_bracket",
+    "bracket_top",
     "bracket_summary",
     "stable_penultimate_coefficient",
     "DEFAULT_MAX_CROSSINGS",
@@ -43,8 +55,10 @@ __all__ = [
 
 DEFAULT_MAX_CROSSINGS = 100
 # Up to Catalan(n) matchings are alive at once, so the crossing cap alone
-# does not bound the sweep: near 100 crossings it took 1.4 s at n = 8 and
-# 14.9 s at n = 10 (2-core Xeon, Python 3.11).  Callers use n <= 6.
+# does not bound the full sweep: near 100 crossings kauffman_bracket took
+# 0.3 s (a 15-syllable family word) to 1.9 s (an 84-syllable random word)
+# at n = 8, and 1.6 s to 15 s at n = 10, where bracket_top took at most
+# 4 ms (2-core Xeon, Python 3.11).  Both share the limit.
 MAX_BRACKET_STRANDS = 8
 
 
@@ -130,36 +144,179 @@ class BracketSummary:
         }
 
 
-def _times_delta(poly: dict[int, int]) -> dict[int, int]:
-    """``poly * delta`` with delta = -A^2 - A^(-2)."""
-    out: dict[int, int] = {}
-    for d, coef in poly.items():
-        out[d + 2] = out.get(d + 2, 0) - coef
-        out[d - 2] = out.get(d - 2, 0) - coef
-    return out
+# _join and _closure_cycles are cached for the life of the process: they
+# only see matchings of at most MAX_BRACKET_STRANDS strands, of which there
+# are at most Catalan(8) = 1430 on each strand count
+@cache
+def _join(matching: tuple[int, ...], left: int) -> tuple[int, ...] | None:
+    """Cap bottom points ``left`` and ``left + 1``, then cup two new bottom
+    points together in their place.  None when the two were partners: a loop
+    closes and the matching is unchanged.  Otherwise their partners are
+    spliced and the joined matching is returned."""
+    right = left + 1
+    if matching[left] == right:
+        return None
+    joined = list(matching)
+    x, y = matching[left], matching[right]
+    joined[x], joined[y] = y, x
+    joined[left], joined[right] = right, left
+    return tuple(joined)
 
 
-def _accumulate(
-    into: dict[tuple[int, ...], dict[int, int]],
-    matching: tuple[int, ...],
-    poly: dict[int, int],
-    shift: int,
-) -> None:
-    """Add ``poly * A^shift`` to the entry of ``matching``."""
-    acc = into.setdefault(matching, {})
-    for d, coef in poly.items():
-        acc[d + shift] = acc.get(d + shift, 0) + coef
+@cache
+def _closure_cycles(matching: tuple[int, ...]) -> int:
+    """Cycles left when the braid closes: top point i joins bottom point
+    n + i."""
+    n = len(matching) // 2
+    seen = bytearray(2 * n)
+    cycles = 0
+    for start in range(n):
+        if seen[start]:
+            continue
+        cycles += 1
+        point = start
+        while not seen[point]:
+            seen[point] = 1
+            end = matching[point]
+            seen[end] = 1
+            point = end - n if end >= n else end + n
+    return cycles
+
+
+@cache
+def _delta_power(k: int) -> tuple[tuple[int, int], ...]:
+    """delta^k = (-1)^k (A^2 + A^(-2))^k, terms from the top degree down."""
+    return tuple((2 * k - 4 * i, (-1) ** k * comb(k, i)) for i in range(k + 1))
+
+
+def _all_A_gains(word: SyllableWord) -> Callable[[int, tuple[int, ...]], int]:
+    """``gain(i, matching)``: the degree that the all-A smoothing of the
+    syllables from ``i`` on, and the closure, add to a term whose matching
+    is ``matching``.  It follows that one matching through the join step: a
+    positive syllable sigma^k passes and adds k; a negative one sigma^(-k)
+    joins k times and adds k plus 2 per loop it closes, and every join
+    after the first closes one.  Switching one smoothing from A to B lowers
+    a - b by 2 and changes the loops by 1, so no other smoothing of the rest
+    of the braid adds more.  ``gain(0, identity)`` is top = c + 2(|s_A| - 1).
+    """
+    n = word.n
+    syllables = word.syllables
+    # known[i]: the gain of each matching met after i syllables; the
+    # closure's gain is read from the cached cycle count instead
+    known: list[dict[tuple[int, ...], int]] = [{} for _ in range(len(syllables) + 1)]
+
+    def gain(i: int, matching: tuple[int, ...]) -> int:
+        path = []  # (i, matching, added) up to the first known pair
+        total = known[i].get(matching)
+        while total is None:
+            if i == len(syllables):
+                total = 2 * (_closure_cycles(matching) - 1)
+                break
+            g, r = syllables[i]
+            added, after = r, matching
+            if r < 0:  # the A-smoothing of a negative letter is the join
+                joined = _join(matching, n + g - 1)
+                added = -3 * r if joined is None else -3 * r - 2
+                after = matching if joined is None else joined
+            path.append((i, matching, added))
+            i, matching = i + 1, after
+            total = known[i].get(matching)
+        for i, matching, added in reversed(path):
+            total += added
+            known[i][matching] = total
+        return total
+
+    return gain
+
+
+def _sweep(word: SyllableWord, depth: int | None) -> LaurentPolynomial:
+    """The terms of the bracket of the closure of ``word`` of degree at
+    least top - ``depth``, top = c + 2(|s_A| - 1), exactly; every term when
+    ``depth`` is None.
+
+    One step per syllable.  In the Temperley-Lieb algebra e^2 = delta * e,
+    so sigma^r = A^r * 1 + c_k * e with k = |r| and
+    c_k = sum over j < k of (-1)^j A^(s(k - 2 - 4j)), s the sign of r.  A
+    matching whose bottom points g and g+1 are partners is multiplied by the
+    monomial A^r + c_k * delta = (-1)^k A^(-3r); any other matching keeps
+    A^r and its joined matching gets c_k.
+
+    With a depth, a term is dropped as soon as it cannot reach the floor
+    top - depth: from its matching, the rest of the braid adds at most what
+    its all-A smoothing adds (``_all_A_gains``).  The sweep is linear in its
+    terms, so dropping them changes no coefficient at or above the floor.
+    """
+    n = word.n
+    identity = tuple(range(n, 2 * n)) + tuple(range(n))  # the empty braid
+    floor, gain = -inf, lambda i, matching: 0  # keep every term
+    if depth is not None:
+        gain = _all_A_gains(word)
+        floor = gain(0, identity) - depth
+    states: dict[tuple[int, ...], dict[int, int]] = {identity: {0: 1}}
+    for i, (g, r) in enumerate(word.syllables, 1):
+        k = abs(r)
+        loop_shift, loop_sign = -3 * r, -1 if k & 1 else 1
+        twist = [(k - 2 - 4 * j, -1 if j & 1 else 1) for j in range(k)]
+        if r < 0:  # A -> A^(-1); then the highest degree comes first again
+            twist = [(-e, sign) for e, sign in reversed(twist)]
+        left = n + g - 1
+        swept: dict[tuple[int, ...], dict[int, int]] = {}
+        for matching, poly in states.items():
+            joined = _join(matching, left)
+            bound = floor - gain(i, matching)
+            acc = swept.setdefault(matching, {})
+            if joined is None:
+                for d, coef in poly.items():
+                    d += loop_shift
+                    if d >= bound:
+                        acc[d] = acc.get(d, 0) + loop_sign * coef
+                continue
+            for d, coef in poly.items():
+                if d + r >= bound:
+                    acc[d + r] = acc.get(d + r, 0) + coef
+            bound = floor - gain(i, joined)
+            acc = swept.setdefault(joined, {})
+            for d, coef in poly.items():
+                for e, sign in twist:
+                    if d + e < bound:
+                        break
+                    acc[d + e] = acc.get(d + e, 0) + sign * coef
+        states = {matching: poly for matching, poly in swept.items() if poly}
+
+    total: dict[int, int] = {}
+    for matching, poly in states.items():
+        delta = _delta_power(_closure_cycles(matching) - 1)
+        for d, coef in poly.items():
+            for e, c in delta:
+                if d + e < floor:
+                    break
+                total[d + e] = total.get(d + e, 0) + c * coef
+    return LaurentPolynomial.from_dict(total)
+
+
+def _require_sweepable(word: SyllableWord, max_crossings: int) -> None:
+    """Refuse a word past the input limits, a negative cap, a diagram above
+    ``max_crossings`` and one on more than ``MAX_BRACKET_STRANDS`` strands."""
+    require_input_limits(word)
+    _require_cap(max_crossings)
+    if word.crossings > max_crossings:
+        raise CrossingLimitError(word.crossings, max_crossings)
+    if word.n > MAX_BRACKET_STRANDS:
+        raise PreconditionError(
+            f"{word.n} strands are above the bracket limit of {MAX_BRACKET_STRANDS}"
+        )
 
 
 def kauffman_bracket(
     word: SyllableWord, max_crossings: int = DEFAULT_MAX_CROSSINGS
 ) -> LaurentPolynomial:
-    """The Kauffman bracket of the closure of ``word``, exactly.
+    """The Kauffman bracket of the closure of ``word``, every term exactly.
 
-    One sweep down the braid in the Temperley-Lieb picture.  Boundary points
-    0..n-1 sit on top and n..2n-1 at the current bottom; the state maps each
-    non-crossing matching of these points to its Laurent coefficients.
-    Each letter sigma_g smooths two ways:
+    One sweep down the braid in the Temperley-Lieb picture, one step per
+    syllable (see ``_sweep``).  Boundary points 0..n-1 sit on top and
+    n..2n-1 at the current bottom; the state maps each non-crossing matching
+    of these points to its Laurent coefficients.  A letter sigma_g smooths
+    two ways:
 
     * pass: both strands go straight through, the matching is unchanged;
     * join: cap bottom points g and g+1 -- if they were partners a loop
@@ -170,56 +327,36 @@ def kauffman_bracket(
     join; the A-smoothing weighs A and the B-smoothing A^(-1).  Closing the
     braid joins top point i to bottom point i, and k closure cycles weigh
     delta^(k-1).  At most Catalan(n) matchings are alive at a time, so the
-    cost is O(c * Catalan(n) * degree span); diagrams above
-    ``max_crossings`` or on more than ``MAX_BRACKET_STRANDS`` strands, and a
-    negative ``max_crossings``, are refused with a PreconditionError.
+    cost is O(c * Catalan(n) * degree span); ``bracket_top`` returns the top
+    five degrees for much less.  A word past the input limits,
+    a diagram above ``max_crossings`` or on more than ``MAX_BRACKET_STRANDS``
+    strands, and a negative ``max_crossings`` are refused with a
+    PreconditionError.
     """
-    _require_cap(max_crossings)
-    c = word.crossings
-    if c > max_crossings:
-        raise CrossingLimitError(c, max_crossings)
-    n = word.n
-    if n > MAX_BRACKET_STRANDS:
-        raise PreconditionError(
-            f"{n} strands are above the bracket limit of {MAX_BRACKET_STRANDS}"
-        )
-    identity = tuple(range(n, 2 * n)) + tuple(range(n))
-    states: dict[tuple[int, ...], dict[int, int]] = {identity: {0: 1}}
-    for g in word.letters:
-        pass_shift = 1 if g > 0 else -1  # the A-smoothing weighs A^+1
-        left, right = n + abs(g) - 1, n + abs(g)
-        swept: dict[tuple[int, ...], dict[int, int]] = {}
-        for matching, poly in states.items():
-            _accumulate(swept, matching, poly, pass_shift)
-            if matching[left] == right:
-                _accumulate(swept, matching, _times_delta(poly), -pass_shift)
-                continue
-            joined = list(matching)
-            x, y = matching[left], matching[right]
-            joined[x], joined[y] = y, x
-            joined[left], joined[right] = right, left
-            _accumulate(swept, tuple(joined), poly, -pass_shift)
-        states = swept
+    _require_sweepable(word, max_crossings)
+    return _sweep(word, None)
 
-    total: dict[int, int] = {}
-    for matching, poly in states.items():
-        seen = bytearray(2 * n)
-        cycles = 0
-        for start in range(n):
-            if seen[start]:
-                continue
-            cycles += 1
-            point = start
-            while not seen[point]:
-                seen[point] = 1
-                end = matching[point]
-                seen[end] = 1
-                point = end - n if end >= n else end + n
-        for _ in range(cycles - 1):
-            poly = _times_delta(poly)
-        for d, coef in poly.items():
-            total[d] = total.get(d, 0) + coef
-    return LaurentPolynomial.from_dict(total)
+
+def bracket_top(
+    word: SyllableWord, max_crossings: int = DEFAULT_MAX_CROSSINGS
+) -> LaurentPolynomial:
+    """The terms of the bracket of degree at least top - 4, exactly, where
+    top = c + 2(|s_A| - 1) bounds the degree of every state's term.
+
+    The same sweep as ``kauffman_bracket``, with the floor top - 4: terms
+    that cannot reach it are dropped as the sweep goes, so the work stays
+    near the top of the polynomial.  |s_A| is counted here, by following the
+    all-A matching through the sweep's join step, not read from ``states``.
+    Refuses what ``kauffman_bracket`` refuses.
+
+    >>> from braidvol.words import parse_braid
+    >>> print(bracket_top(parse_braid("s1^-3 s2^-3")))
+    10:-2 14:1
+    >>> print(kauffman_bracket(parse_braid("s1^-3 s2^-3")))
+    -10:1 -2:2 2:-2 6:1 10:-2 14:1
+    """
+    _require_sweepable(word, max_crossings)
+    return _sweep(word, 4)
 
 
 def _require_adequate(state: AllAState) -> None:
@@ -238,9 +375,11 @@ def bracket_summary(
     ``state``.  The top degree of the bracket of an A-adequate diagram is
     c + 2(|s_A| - 1) with top coefficient of absolute value 1, and the next
     nonzero coefficient sits exactly four degrees below; its absolute value
-    is the quantity the volume bounds consume.  Both facts are checked
-    (raises OracleError), not assumed, and a state that is not A-adequate
-    raises PreconditionError.
+    is the quantity the volume bounds consume.  The top degree and top
+    coefficient are checked (raises OracleError), not assumed, and a state
+    that is not A-adequate raises PreconditionError.  Only the degrees top
+    and top - 4 are read (beside the check that no term lies above top), so
+    the terms ``bracket_top`` returns serve as well as the whole bracket.
     """
     _require_adequate(state)
     num_circles = len(state.circles)
@@ -268,8 +407,9 @@ def stable_penultimate_coefficient(
     word: SyllableWord, max_crossings: int = DEFAULT_MAX_CROSSINGS
 ) -> BracketSummary:
     """``bracket_summary`` of ``word``: trace its all-A state, refuse a
-    diagram that is not A-adequate before sweeping, then sweep the bracket
-    once."""
+    diagram that is not A-adequate before sweeping, then sweep the top of
+    the bracket once (``bracket_top``)."""
+    require_input_limits(word)
     state = resolve_all_A(word)
     _require_adequate(state)
-    return bracket_summary(kauffman_bracket(word, max_crossings), state)
+    return bracket_summary(bracket_top(word, max_crossings), state)

@@ -15,6 +15,7 @@ from collections.abc import Iterator
 
 from .errors import OracleError
 from .states import CAP, CLOSURE, PASS, AllAState, CircleClass, arc_table
+from .words import require_input_limits
 
 __all__ = ["render_state_svg", "CLASS_COLORS"]
 
@@ -98,7 +99,9 @@ def _walk_circles(ends: list[int]) -> Iterator[list[int]]:
 
 
 def render_state_svg(state: AllAState) -> str:
-    """A self-contained SVG document for a state from ``resolve_all_A``."""
+    """A self-contained SVG document for a state from ``resolve_all_A``.
+    A state of a word past the input limits raises PreconditionError."""
+    require_input_limits(state.word)
     n = state.n
     c = state.crossings
     y0 = 30 + n * NEST

@@ -28,7 +28,7 @@ from .bracket import (
     MAX_BRACKET_STRANDS,
     _require_cap,
     bracket_summary,
-    kauffman_bracket,
+    bracket_top,
 )
 from .errors import OracleError, PreconditionError
 from .families import check_main_lemma, stoimenow_A_adequate_3braid
@@ -48,7 +48,7 @@ from .states import (
     satisfies_TELC,
     twist_counts,
 )
-from .words import SyllableWord
+from .words import SyllableWord, require_input_limits
 
 __all__ = [
     "SCHEMA",
@@ -124,13 +124,17 @@ def analyze(
     """Full analysis report for one word.
 
     ``bracket`` opts into the Kauffman-bracket oracle, a Temperley-Lieb
-    sweep of cost O(c * Catalan(n) * degree span), refused above
-    ``max_crossings`` (default 100) or ``MAX_BRACKET_STRANDS`` (8) strands.
+    sweep one syllable at a time that keeps only the terms that can reach
+    the top five degrees (``bracket_top``), so its cost is at most
+    O(c * Catalan(n) * degree span); it is refused above ``max_crossings``
+    (default 100) or ``MAX_BRACKET_STRANDS`` (8) strands.
     ``assume_prime`` lets the generic volume bounds run on words outside the
     checked family when the direct diagram checks (adequacy, two-edge-loop,
     connectivity, t >= 2) all hold but primeness has to be taken on faith.
-    A negative ``max_crossings`` or a word that is not cyclically reduced
-    raises PreconditionError, the latter before the state is traced.
+    A word past the input limits of ``parse_braid`` (``MAX_WORD_LETTERS``
+    letters, ``MAX_STRANDS`` strands), a negative ``max_crossings`` or a word
+    that is not cyclically reduced raises PreconditionError before the state
+    is traced.
     """
     report, state = _report(word, bracket, max_crossings, assume_prime)
     report["circles"]["detail"] = circle_detail(state)
@@ -175,6 +179,7 @@ def _report(
 ) -> tuple[dict, AllAState]:
     """The body of ``analyze``: the report with an empty circle detail, and
     the state it was read from."""
+    require_input_limits(word)
     _require_cap(max_crossings)
     # refuses an unreduced word before the state is traced
     t, t_plus, t_minus = twist_counts(word)
@@ -220,7 +225,7 @@ def _report(
 
     bracket_block = None
     if bracket and adequate:
-        poly = kauffman_bracket(word, max_crossings)
+        poly = bracket_top(word, max_crossings)
         bracket_block = bracket_summary(poly, state).to_json_dict()
 
     report = {
@@ -283,8 +288,10 @@ def verify(
     Requires a word that passes the family checker (the identities are
     only guaranteed there); raises PreconditionError otherwise.  The bracket
     oracle is skipped above ``max_crossings`` or ``MAX_BRACKET_STRANDS``; a
-    negative ``max_crossings`` raises PreconditionError.
+    negative ``max_crossings`` or a word past the input limits raises
+    PreconditionError.
     """
+    require_input_limits(word)
     _require_cap(max_crossings)
     lemma = check_main_lemma(word)
     if not lemma.passed:
@@ -363,7 +370,7 @@ def verify(
             f" == t- {t_minus}",
         )
     if word.crossings <= max_crossings and word.n <= MAX_BRACKET_STRANDS:
-        summary = bracket_summary(kauffman_bracket(word, max_crossings), state)
+        summary = bracket_summary(bracket_top(word, max_crossings), state)
         add(
             "bracket_oracle",
             summary.penultimate_abs == 1 + graph.neg_chi,

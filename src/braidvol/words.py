@@ -34,6 +34,7 @@ __all__ = [
     "MAX_WORD_LETTERS",
     "SyllableWord",
     "parse_braid",
+    "require_input_limits",
     "mirror",
     "cyclically_reduce_into_syllables",
     "exponent_sum",
@@ -113,6 +114,27 @@ _TOKEN = re.compile(r"^(?:(-?\d{1,18})|[sS](\d{1,18})(?:\^(-?\d{1,18}))?)$")
 _NONSPACE = re.compile(r"\S+")
 
 
+def _strand_limit_error(n: int) -> PreconditionError:
+    return PreconditionError(f"strand count {n} is above the limit of {MAX_STRANDS}")
+
+
+_LETTER_LIMIT = f"word has more than {MAX_WORD_LETTERS} letters, the limit"
+
+
+def require_input_limits(word: SyllableWord) -> None:
+    """Refuse a word on more than ``MAX_STRANDS`` strands or of more than
+    ``MAX_WORD_LETTERS`` letters with ``parse_braid``'s PreconditionError.
+
+    ``SyllableWord`` itself is unchecked (a Schreier form's braid word may
+    run a few letters past the limit), so the library's entry points call
+    this before any work that grows with n or with the letters.
+    """
+    if word.n > MAX_STRANDS:
+        raise _strand_limit_error(word.n)
+    if word.crossings > MAX_WORD_LETTERS:
+        raise PreconditionError(_LETTER_LIMIT)
+
+
 def parse_braid(text: str, n: int | None = None) -> SyllableWord:
     """Parse a whitespace-separated braid word into syllables, as given.
 
@@ -131,9 +153,7 @@ def parse_braid(text: str, n: int | None = None) -> SyllableWord:
     ((1, 3), (2, -3), (1, 1), (1, 1), (3, -2), (2, 1), (3, 1))
     """
     if n is not None and n > MAX_STRANDS:
-        raise PreconditionError(
-            f"strand count {n} is above the limit of {MAX_STRANDS}"
-        )
+        raise _strand_limit_error(n)
     syllables: list[tuple[int, int]] = []
     letters = 0
     # k tokens take at least 2k - 1 characters, so a text of at most
@@ -169,9 +189,7 @@ def parse_braid(text: str, n: int | None = None) -> SyllableWord:
             )
         letters += abs(r)
         if letters > MAX_WORD_LETTERS:
-            raise PreconditionError(
-                f"word has more than {MAX_WORD_LETTERS} letters, the limit"
-            )
+            raise PreconditionError(_LETTER_LIMIT)
         syllables.append((m, r))
     if n is None:
         n = max((m for m, _ in syllables), default=0) + 1
@@ -191,7 +209,8 @@ def cyclically_reduce_into_syllables(word: SyllableWord) -> SyllableWord:
     syllables then meet across the closure seam: cancelling ones vanish, and
     otherwise they merge into the first syllable, except that a longer last
     syllable of the opposite sign survives in last place.  That is where
-    cancelling letter pairs one at a time across the seam leaves it.
+    cancelling letter pairs one at a time across the seam leaves it.  A word
+    in which nothing merges is returned as it is, the same object.
 
     >>> cyclically_reduce_into_syllables(parse_braid("-2 1 1 1 2")).syllables
     ((1, 3),)
@@ -214,6 +233,8 @@ def cyclically_reduce_into_syllables(word: SyllableWord) -> SyllableWord:
             stack.append((m, merged))
         else:
             stack[lo] = (m, merged)
+    if lo == 0 and len(stack) == len(word.syllables):
+        return word  # nothing merged: already reduced, and validated
     return SyllableWord(word.n, tuple(stack[lo:]))
 
 

@@ -24,6 +24,7 @@ from braidvol.bounds import (
 from braidvol.bracket import stable_penultimate_coefficient
 from braidvol.families import check_main_lemma, stoimenow_A_adequate_3braid
 from braidvol.generate import GeneratorSpec, generate_words
+from braidvol.report import verify
 from braidvol.schreier import (
     EtaKind,
     direct_read_k,
@@ -219,6 +220,24 @@ def test_criterion_6_bracket_identity_at_generator_sizes(n, syllable_counts):
             assert summary.penultimate_abs == 1 + graph.neg_chi
     assert len(crossings) >= 10
     assert min(crossings) < 40 and max(crossings) > 60
+    assert time.monotonic() - start < 30.0
+
+
+def test_criterion_6_bracket_identity_at_200_syllables():
+    # the generator's largest words, 894 to 1,119 crossings: the top of the
+    # bracket is swept within the window of degrees that can reach top - 4
+    start = time.monotonic()
+    crossings = []
+    for n in (3, 4, 5, 8):
+        for seed in (1, 2):
+            spec = GeneratorSpec(n=n, syllable_count=200, seed=seed, count=2)
+            for word in generate_words(spec):
+                crossings.append(word.crossings)
+                result = verify(word, max_crossings=2000)
+                checks = {c.name: c.passed for c in result.checks}
+                assert checks.get("bracket_oracle") is True, word.as_text()
+                assert result.passed, word.as_text()
+    assert min(crossings) > 800
     assert time.monotonic() - start < 30.0
 
 

@@ -1,11 +1,16 @@
 """Kauffman bracket state sum and the stable penultimate coefficient.
 
-The reference oracle here is deliberately a different algorithm from the
-package's Temperley-Lieb sweep: a two-term skein recursion that resolves one
+Two oracles check the package's syllable sweep.  The first is deliberately
+a different algorithm: a two-term skein recursion that resolves one
 crossing at a time into an event list of cap/cup merges, counting leaf
-circles with a strand simulator.  Agreement between the two on every word
-is the real test; the literal pins are hand computations.
+circles with a strand simulator.  The second is the Temperley-Lieb sweep
+one letter at a time, keeping every degree, as the package computed the
+bracket before it stepped per syllable and dropped degrees below the top
+five.  Agreement on every word is the real test; the literal pins are hand
+computations.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,10 +21,12 @@ from braidvol.bracket import (
     MAX_BRACKET_STRANDS,
     LaurentPolynomial,
     bracket_summary,
+    bracket_top,
     kauffman_bracket,
     stable_penultimate_coefficient,
 )
 from braidvol.errors import CrossingLimitError, OracleError, PreconditionError
+from braidvol.generate import GeneratorSpec, generate_words
 from braidvol.states import reduced_graph, resolve_all_A
 from braidvol.words import SyllableWord, cyclically_reduce_into_syllables, mirror
 
@@ -102,8 +109,77 @@ def skein_bracket(word):
     return total
 
 
+def _times_delta(poly):
+    """``poly * delta`` with delta = -A^2 - A^(-2)."""
+    out = {}
+    for d, coef in poly.items():
+        out[d + 2] = out.get(d + 2, 0) - coef
+        out[d - 2] = out.get(d - 2, 0) - coef
+    return out
+
+
+def _accumulate(into, matching, poly, shift):
+    """Add ``poly * A^shift`` to the entry of ``matching``."""
+    acc = into.setdefault(matching, {})
+    for d, coef in poly.items():
+        acc[d + shift] = acc.get(d + shift, 0) + coef
+
+
+def letter_sweep(word):
+    """Bracket by the Temperley-Lieb sweep one letter at a time, every
+    degree kept.  Boundary points 0..n-1 sit on top and n..2n-1 at the
+    current bottom; each letter either passes both strands through or
+    joins bottom points g and g+1 (a loop, times delta, when they were
+    partners) and cups two new ones."""
+    n = word.n
+    identity = tuple(range(n, 2 * n)) + tuple(range(n))
+    states = {identity: {0: 1}}
+    for g in word.letters:
+        pass_shift = 1 if g > 0 else -1  # the A-smoothing weighs A^+1
+        left, right = n + abs(g) - 1, n + abs(g)
+        swept = {}
+        for matching, poly in states.items():
+            _accumulate(swept, matching, poly, pass_shift)
+            if matching[left] == right:
+                _accumulate(swept, matching, _times_delta(poly), -pass_shift)
+                continue
+            joined = list(matching)
+            x, y = matching[left], matching[right]
+            joined[x], joined[y] = y, x
+            joined[left], joined[right] = right, left
+            _accumulate(swept, tuple(joined), poly, -pass_shift)
+        states = swept
+
+    total = {}
+    for matching, poly in states.items():
+        seen = bytearray(2 * n)
+        cycles = 0
+        for start in range(n):
+            if seen[start]:
+                continue
+            cycles += 1
+            point = start
+            while not seen[point]:
+                seen[point] = 1
+                end = matching[point]
+                seen[end] = 1
+                point = end - n if end >= n else end + n
+        for _ in range(cycles - 1):
+            poly = _times_delta(poly)
+        for d, coef in poly.items():
+            total[d] = total.get(d, 0) + coef
+    return {d: c for d, c in total.items() if c}
+
+
 def as_dict(poly):
     return dict(poly.terms)
+
+
+def top_of(terms, word):
+    """The terms of degree at least top - 4, top = c + 2(|s_A| - 1) with
+    |s_A| read from the traced state."""
+    top = word.crossings + 2 * (len(resolve_all_A(word).circles) - 1)
+    return {d: c for d, c in terms.items() if d >= top - 4}
 
 
 # --- pins -----------------------------------------------------------------
@@ -169,7 +245,7 @@ def test_penultimate_pins():
 
 
 def test_penultimate_requires_adequacy(monkeypatch):
-    sweeps = count_calls(monkeypatch, bracket, "kauffman_bracket")
+    sweeps = count_calls(monkeypatch, bracket, "_sweep")
     with pytest.raises(PreconditionError):
         stable_penultimate_coefficient(word_of("s1^-1 s2^-3"))
     assert sweeps == []  # refused before any sweep
@@ -221,6 +297,42 @@ small_word_st = st.integers(min_value=1, max_value=6).flatmap(_words_on)
 @settings(max_examples=60, deadline=None)
 def test_state_sum_matches_skein_recursion(word):
     assert as_dict(kauffman_bracket(word)) == skein_bracket(word)
+
+
+@given(small_word_st)
+@settings(max_examples=100, deadline=None)
+def test_top_terms_match_skein_recursion(word):
+    assert as_dict(bracket_top(word)) == top_of(skein_bracket(word), word)
+
+
+def _sweep_corpus():
+    """Generated family words of at most 100 crossings at n = 3 to 6, and
+    seeded random words of short syllables at the same n."""
+    words = []
+    for n in (3, 4, 5, 6):
+        for syllables in (2 * n, 12, 16, 20):
+            spec = GeneratorSpec(n=n, syllable_count=syllables, seed=syllables, count=3)
+            words += [w for w in generate_words(spec) if w.crossings <= 100]
+    rng = random.Random("letter-sweep")
+    for n in (3, 4, 5, 6):
+        for length in (12, 40):
+            syllables = tuple(
+                (rng.randint(1, n - 1), rng.choice((-1, 1)) * rng.randint(1, 4))
+                for _ in range(length)
+            )
+            words.append(cyclically_reduce_into_syllables(SyllableWord(n, syllables)))
+    return words
+
+
+def test_syllable_sweep_matches_the_letter_sweep():
+    words = _sweep_corpus()
+    assert len(words) >= 40
+    assert {w.n for w in words} == {3, 4, 5, 6}
+    assert max(w.crossings for w in words) > 90
+    for word in words:
+        full = letter_sweep(word)
+        assert as_dict(kauffman_bracket(word)) == full, word.as_text()
+        assert as_dict(bracket_top(word)) == top_of(full, word), word.as_text()
 
 
 @given(small_word_st)

@@ -363,7 +363,7 @@ def test_bracket_prints_polynomial_and_summary(capsys):
 
 
 def test_bracket_sweeps_and_traces_once(capsys, monkeypatch):
-    sweeps = count_calls(monkeypatch, bracket, "kauffman_bracket")
+    sweeps = count_calls(monkeypatch, bracket, "_sweep")
     traces = count_calls(monkeypatch, states, "resolve_all_A")
     classified = count_calls(monkeypatch, states, "classify_circles")
     code, out, _ = run(capsys, ["bracket", "s1^-3 s2^-3 s1^-3 s2^-3", "--json"])

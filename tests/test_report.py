@@ -21,7 +21,8 @@ from braidvol.states import (
     resolve_all_A,
     satisfies_TELC,
 )
-from braidvol.words import SyllableWord, cyclically_reduce_into_syllables
+from braidvol.render import render_state_svg
+from braidvol.words import MAX_STRANDS, SyllableWord, cyclically_reduce_into_syllables
 
 from conftest import any_n_words, count_calls, ladder, word_of, word_st
 
@@ -206,7 +207,7 @@ def test_verify_skips_bracket_above_the_strand_bound():
 
 def test_verify_traces_and_sweeps_once(monkeypatch):
     traces = count_calls(monkeypatch, states, "resolve_all_A")
-    sweeps = count_calls(monkeypatch, bracket, "kauffman_bracket")
+    sweeps = count_calls(monkeypatch, bracket, "_sweep")
     for w in ONCE_WORDS:
         traces.clear()
         sweeps.clear()
@@ -309,6 +310,33 @@ def test_unreduced_word_is_refused_before_the_state_is_traced(monkeypatch):
         with pytest.raises(PreconditionError, match=f"^{message}$"):
             run(word)
     assert traces == []
+
+
+def test_library_entry_points_refuse_words_past_the_input_limits(monkeypatch):
+    # built directly, these words skip parse_braid's limits; a million
+    # letters once took analyze 26 s and 392 MB before it answered
+    huge = SyllableWord(3, ((1, -10**6), (2, -3)))
+    wide = SyllableWord(MAX_STRANDS + 1, tuple((g, -3) for g in range(1, MAX_STRANDS + 1)))
+    traces = count_calls(monkeypatch, states, "resolve_all_A")
+    entry_points = (
+        analyze,
+        analyze_line,
+        verify,
+        bracket.kauffman_bracket,
+        bracket.bracket_top,
+        bracket.stable_penultimate_coefficient,
+    )
+    for word, message in ((huge, "letters, the limit"), (wide, "strand count")):
+        for run in entry_points:
+            start = time.perf_counter()
+            with pytest.raises(PreconditionError, match=message):
+                run(word)
+            assert time.perf_counter() - start < 0.1, run.__name__
+    assert traces == []
+    # the renderer takes a state; one of a word on too many strands is
+    # cheap to trace and still refused
+    with pytest.raises(PreconditionError, match="strand count"):
+        render_state_svg(resolve_all_A(wide))
 
 
 def digest_corpus():

@@ -20,6 +20,7 @@ from braidvol.words import (
     is_nice,
     mirror,
     parse_braid,
+    require_input_limits,
 )
 
 from conftest import word_from_letters
@@ -190,6 +191,20 @@ def test_parse_strand_limit():
         parse_braid("s1", 10**12)
 
 
+def test_library_input_limits_use_the_parse_messages():
+    require_input_limits(SyllableWord(MAX_STRANDS, ((1, MAX_WORD_LETTERS),)))
+    with pytest.raises(PreconditionError) as parsed:
+        parse_braid("s1", MAX_STRANDS + 1)
+    with pytest.raises(PreconditionError) as built:
+        require_input_limits(SyllableWord(MAX_STRANDS + 1, ()))
+    assert str(built.value) == str(parsed.value)
+    with pytest.raises(PreconditionError) as parsed:
+        parse_braid(f"s1^-{MAX_WORD_LETTERS + 1}")
+    with pytest.raises(PreconditionError) as built:
+        require_input_limits(SyllableWord(3, ((1, -MAX_WORD_LETTERS), (2, -1))))
+    assert str(built.value) == str(parsed.value)
+
+
 def test_parse_refuses_overlong_numbers_as_syntax():
     with pytest.raises(BraidSyntaxError):
         parse_braid("s1^" + "9" * 5000)
@@ -261,7 +276,16 @@ def test_mirror_is_an_involution():
 def test_reduction_is_idempotent(letters):
     once = cyclically_reduce_into_syllables(braid_of(letters))
     again = cyclically_reduce_into_syllables(once)
-    assert once == again
+    assert again is once
+
+
+def test_reduced_word_comes_back_as_the_same_object():
+    family = SyllableWord(3, ((1, -3), (2, 2), (1, -4), (2, -3)))
+    assert cyclically_reduce_into_syllables(family) is family
+    # the longer last syllable outlives the first across the seam: the stack
+    # keeps its length, but the word changes
+    seam = SyllableWord(3, ((1, 1), (2, -3), (1, -2)))
+    assert cyclically_reduce_into_syllables(seam).syllables == ((2, -3), (1, -1))
 
 
 @given(letters_st)
