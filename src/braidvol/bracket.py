@@ -25,10 +25,11 @@ Python integers throughout.
 This module exists to cross-check the penultimate-coefficient identity
 |coeff(top - 4)| = 1 + (e' - v) of the reduced state graph on A-adequate
 diagrams (Dasbach-Lin), which needs only ``bracket_top``.  Words past the
-input limits of ``words.parse_braid`` are refused, diagrams above
-``DEFAULT_MAX_CROSSINGS`` (100) crossings are refused unless the caller
-raises the cap, and diagrams on more than ``MAX_BRACKET_STRANDS`` (8)
-strands are refused always.
+input limits of ``words.parse_braid`` and diagrams on more than
+``MAX_BRACKET_STRANDS`` (8) strands are refused.  ``kauffman_bracket``
+also refuses diagrams above ``DEFAULT_MAX_CROSSINGS`` (100) crossings
+unless the caller raises the cap; ``bracket_top`` needs no cap, since the
+input limits already bound its window.
 """
 
 from __future__ import annotations
@@ -53,22 +54,17 @@ __all__ = [
     "MAX_BRACKET_STRANDS",
 ]
 
+# the whole polynomial's cap: kauffman_bracket keeps every degree, while
+# bracket_top's window is bounded by the input limits alone (at most 0.8 s
+# on 10,000-letter words at n = 8, 2-core Xeon, Python 3.11)
 DEFAULT_MAX_CROSSINGS = 100
 # Up to Catalan(n) matchings are alive at once, so the crossing cap alone
 # does not bound the full sweep: near 100 crossings kauffman_bracket took
 # 0.3 s (a 15-syllable family word) to 1.9 s (an 84-syllable random word)
 # at n = 8, and 1.6 s to 15 s at n = 10, where bracket_top took at most
-# 4 ms (2-core Xeon, Python 3.11).  Both share the limit.
+# 4 ms.  Both share the limit, which also bounds the cached _join: at
+# n = 32 one top sweep filled it with 370,000 matchings.
 MAX_BRACKET_STRANDS = 8
-
-
-def _require_cap(max_crossings: int) -> None:
-    """Refuse a negative crossing cap, which would refuse or skip every
-    diagram."""
-    if max_crossings < 0:
-        raise PreconditionError(
-            f"max_crossings must be at least 0, got {max_crossings}"
-        )
 
 
 @dataclass(frozen=True)
@@ -294,13 +290,10 @@ def _sweep(word: SyllableWord, depth: int | None) -> LaurentPolynomial:
     return LaurentPolynomial.from_dict(total)
 
 
-def _require_sweepable(word: SyllableWord, max_crossings: int) -> None:
-    """Refuse a word past the input limits, a negative cap, a diagram above
-    ``max_crossings`` and one on more than ``MAX_BRACKET_STRANDS`` strands."""
+def _require_sweepable(word: SyllableWord) -> None:
+    """Refuse a word past the input limits and a diagram on more than
+    ``MAX_BRACKET_STRANDS`` strands."""
     require_input_limits(word)
-    _require_cap(max_crossings)
-    if word.crossings > max_crossings:
-        raise CrossingLimitError(word.crossings, max_crossings)
     if word.n > MAX_BRACKET_STRANDS:
         raise PreconditionError(
             f"{word.n} strands are above the bracket limit of {MAX_BRACKET_STRANDS}"
@@ -333,13 +326,19 @@ def kauffman_bracket(
     strands, and a negative ``max_crossings`` are refused with a
     PreconditionError.
     """
-    _require_sweepable(word, max_crossings)
+    # refused in this order: input limits, the cap, then the strand count
+    require_input_limits(word)
+    if max_crossings < 0:
+        raise PreconditionError(
+            f"max_crossings must be at least 0, got {max_crossings}"
+        )
+    if word.crossings > max_crossings:
+        raise CrossingLimitError(word.crossings, max_crossings)
+    _require_sweepable(word)
     return _sweep(word, None)
 
 
-def bracket_top(
-    word: SyllableWord, max_crossings: int = DEFAULT_MAX_CROSSINGS
-) -> LaurentPolynomial:
+def bracket_top(word: SyllableWord) -> LaurentPolynomial:
     """The terms of the bracket of degree at least top - 4, exactly, where
     top = c + 2(|s_A| - 1) bounds the degree of every state's term.
 
@@ -347,7 +346,10 @@ def bracket_top(
     that cannot reach it are dropped as the sweep goes, so the work stays
     near the top of the polynomial.  |s_A| is counted here, by following the
     all-A matching through the sweep's join step, not read from ``states``.
-    Refuses what ``kauffman_bracket`` refuses.
+    Takes no crossing cap, since the input limits already bound the window
+    (see ``DEFAULT_MAX_CROSSINGS``).  A word past the input limits or a
+    diagram on more than ``MAX_BRACKET_STRANDS`` strands is refused with a
+    PreconditionError.
 
     >>> from braidvol.words import parse_braid
     >>> print(bracket_top(parse_braid("s1^-3 s2^-3")))
@@ -355,7 +357,7 @@ def bracket_top(
     >>> print(kauffman_bracket(parse_braid("s1^-3 s2^-3")))
     -10:1 -2:2 2:-2 6:1 10:-2 14:1
     """
-    _require_sweepable(word, max_crossings)
+    _require_sweepable(word)
     return _sweep(word, 4)
 
 
@@ -403,13 +405,11 @@ def bracket_summary(
     )
 
 
-def stable_penultimate_coefficient(
-    word: SyllableWord, max_crossings: int = DEFAULT_MAX_CROSSINGS
-) -> BracketSummary:
+def stable_penultimate_coefficient(word: SyllableWord) -> BracketSummary:
     """``bracket_summary`` of ``word``: trace its all-A state, refuse a
     diagram that is not A-adequate before sweeping, then sweep the top of
     the bracket once (``bracket_top``)."""
     require_input_limits(word)
     state = resolve_all_A(word)
     _require_adequate(state)
-    return bracket_summary(bracket_top(word, max_crossings), state)
+    return bracket_summary(bracket_top(word), state)

@@ -14,9 +14,9 @@ Subcommands::
 Exit codes: 0 success; 1 an identity check failed, an internal check
 failed (``OracleError``: a bug, not bad input) or a file could not be read;
 2 parse or usage error (a ``batch`` file that is not UTF-8 text and a
-``--max-crossings`` below 0 included);
-3 precondition gate (family checker, crossing cap, strand count, input
-limits).  ``batch`` reports a failed line as an error row whose
+``bracket --max-crossings`` below 0 included);
+3 precondition gate (family checker, ``bracket``'s crossing cap, strand
+count, input limits).  ``batch`` reports a failed line as an error row whose
 ``error_kind`` is syntax, precondition, oracle or internal.
 """
 
@@ -52,7 +52,7 @@ def _parse_word(text: str, n: int | None) -> SyllableWord:
 
 def _crossing_cap(text: str) -> int:
     """The ``--max-crossings`` value: an int of at least 0, else a usage
-    error (exit 2) rather than a cap that refuses or skips every word."""
+    error (exit 2) rather than a cap that refuses every word."""
     try:
         cap = int(text)
     except ValueError:
@@ -74,7 +74,6 @@ def _analysis_options(args: argparse.Namespace) -> dict:
     """The ``analyze`` keywords that ``analyze`` and ``batch`` share."""
     return {
         "bracket": args.bracket,
-        "max_crossings": args.max_crossings,
         "assume_prime": args.unsafe_assume_prime,
     }
 
@@ -184,7 +183,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     word = _parse_word(args.word, args.n)
-    result = verify(word, max_crossings=args.max_crossings)
+    result = verify(word)
     lines = [
         f"{'ok  ' if check.passed else 'FAIL'} {check.name:<14} {check.detail}"
         for check in result.checks
@@ -305,11 +304,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--n", type=int, default=None, help="strand count (default: inferred)"
     )
     word.add_argument("--json", action="store_true", help="JSON output")
-    cap = argparse.ArgumentParser(add_help=False)
-    cap.add_argument(
-        "--max-crossings", type=_crossing_cap, default=DEFAULT_MAX_CROSSINGS
-    )
-    analysis = argparse.ArgumentParser(add_help=False, parents=[cap])
+    analysis = argparse.ArgumentParser(add_help=False)
     analysis.add_argument(
         "--bracket", action="store_true", help="run the bracket oracle"
     )
@@ -335,9 +330,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--positive-cap", type=int, default=4)
     p.add_argument("--json", action="store_true")
 
-    add("verify", cmd_verify, "Cross-check pipeline identities.", word, cap)
+    add("verify", cmd_verify, "Cross-check pipeline identities.", word)
     add("schreier", cmd_schreier, "3-braid normal form and hyperbolicity.", word)
-    add("bracket", cmd_bracket, "Exact Kauffman bracket.", word, cap)
+    p = add("bracket", cmd_bracket, "Exact Kauffman bracket.", word)
+    p.add_argument(
+        "--max-crossings", type=_crossing_cap, default=DEFAULT_MAX_CROSSINGS
+    )
     p = add("state", cmd_state, "Circle census and optional SVG.", word)
     p.add_argument("--svg", default=None, metavar="PATH", help="write SVG here")
     add("check", cmd_check, "Family gate query (exit 0/3).", word)

@@ -23,13 +23,7 @@ from .bounds import (
     three_braid_s_bounds,
     turaev_genus_bounds,
 )
-from .bracket import (
-    DEFAULT_MAX_CROSSINGS,
-    MAX_BRACKET_STRANDS,
-    _require_cap,
-    bracket_summary,
-    bracket_top,
-)
+from .bracket import MAX_BRACKET_STRANDS, bracket_summary, bracket_top
 from .errors import OracleError, PreconditionError
 from .families import check_main_lemma, stoimenow_A_adequate_3braid
 from .schreier import (
@@ -115,28 +109,23 @@ def _detail_text(state: AllAState) -> str:
 
 
 def analyze(
-    word: SyllableWord,
-    *,
-    bracket: bool = False,
-    max_crossings: int = DEFAULT_MAX_CROSSINGS,
-    assume_prime: bool = False,
+    word: SyllableWord, *, bracket: bool = False, assume_prime: bool = False
 ) -> dict:
     """Full analysis report for one word.
 
     ``bracket`` opts into the Kauffman-bracket oracle, a Temperley-Lieb
     sweep one syllable at a time that keeps only the terms that can reach
-    the top five degrees (``bracket_top``), so its cost is at most
-    O(c * Catalan(n) * degree span); it is refused above ``max_crossings``
-    (default 100) or ``MAX_BRACKET_STRANDS`` (8) strands.
+    the top five degrees (``bracket_top``), so its cost is set by that
+    window of degrees, not by the degree span; it is refused above
+    ``MAX_BRACKET_STRANDS`` (8) strands.
     ``assume_prime`` lets the generic volume bounds run on words outside the
     checked family when the direct diagram checks (adequacy, two-edge-loop,
     connectivity, t >= 2) all hold but primeness has to be taken on faith.
     A word past the input limits of ``parse_braid`` (``MAX_WORD_LETTERS``
-    letters, ``MAX_STRANDS`` strands), a negative ``max_crossings`` or a word
-    that is not cyclically reduced raises PreconditionError before the state
-    is traced.
+    letters, ``MAX_STRANDS`` strands) or a word that is not cyclically
+    reduced raises PreconditionError before the state is traced.
     """
-    report, state = _report(word, bracket, max_crossings, assume_prime)
+    report, state = _report(word, bracket, assume_prime)
     report["circles"]["detail"] = circle_detail(state)
     return report
 
@@ -148,11 +137,7 @@ _DETAIL_SLOT = '"detail": []'
 
 
 def analyze_line(
-    word: SyllableWord,
-    *,
-    bracket: bool = False,
-    max_crossings: int = DEFAULT_MAX_CROSSINGS,
-    assume_prime: bool = False,
+    word: SyllableWord, *, bracket: bool = False, assume_prime: bool = False
 ) -> str:
     """``json.dumps(analyze(word, ...))``, byte for byte: the ``batch`` line.
 
@@ -165,7 +150,7 @@ def analyze_line(
     >>> analyze_line(w) == json.dumps(analyze(w))
     True
     """
-    report, state = _report(word, bracket, max_crossings, assume_prime)
+    report, state = _report(word, bracket, assume_prime)
     parts = json.dumps(report).split(_DETAIL_SLOT)
     if len(parts) != 2:
         raise OracleError(
@@ -175,12 +160,11 @@ def analyze_line(
 
 
 def _report(
-    word: SyllableWord, bracket: bool, max_crossings: int, assume_prime: bool
+    word: SyllableWord, bracket: bool, assume_prime: bool
 ) -> tuple[dict, AllAState]:
     """The body of ``analyze``: the report with an empty circle detail, and
     the state it was read from."""
     require_input_limits(word)
-    _require_cap(max_crossings)
     # refuses an unreduced word before the state is traced
     t, t_plus, t_minus = twist_counts(word)
     state = resolve_all_A(word)
@@ -225,7 +209,7 @@ def _report(
 
     bracket_block = None
     if bracket and adequate:
-        poly = bracket_top(word, max_crossings)
+        poly = bracket_top(word)
         bracket_block = bracket_summary(poly, state).to_json_dict()
 
     report = {
@@ -280,19 +264,16 @@ class VerifyResult:
         }
 
 
-def verify(
-    word: SyllableWord, *, max_crossings: int = DEFAULT_MAX_CROSSINGS
-) -> VerifyResult:
+def verify(word: SyllableWord) -> VerifyResult:
     """Cross-check every identity the analysis stages promise each other.
 
     Requires a word that passes the family checker (the identities are
     only guaranteed there); raises PreconditionError otherwise.  The bracket
-    oracle is skipped above ``max_crossings`` or ``MAX_BRACKET_STRANDS``; a
-    negative ``max_crossings`` or a word past the input limits raises
-    PreconditionError.
+    oracle, read from the top five degrees (``bracket_top``), runs at every
+    crossing count and is skipped only above ``MAX_BRACKET_STRANDS`` (8)
+    strands; a word past the input limits raises PreconditionError.
     """
     require_input_limits(word)
-    _require_cap(max_crossings)
     lemma = check_main_lemma(word)
     if not lemma.passed:
         raise PreconditionError(
@@ -369,8 +350,8 @@ def verify(
             f"direct-read s {t_minus} == normal-form s {form.s}"
             f" == t- {t_minus}",
         )
-    if word.crossings <= max_crossings and word.n <= MAX_BRACKET_STRANDS:
-        summary = bracket_summary(bracket_top(word, max_crossings), state)
+    if word.n <= MAX_BRACKET_STRANDS:
+        summary = bracket_summary(bracket_top(word), state)
         add(
             "bracket_oracle",
             summary.penultimate_abs == 1 + graph.neg_chi,

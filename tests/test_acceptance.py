@@ -233,7 +233,7 @@ def test_criterion_6_bracket_identity_at_200_syllables():
             spec = GeneratorSpec(n=n, syllable_count=200, seed=seed, count=2)
             for word in generate_words(spec):
                 crossings.append(word.crossings)
-                result = verify(word, max_crossings=2000)
+                result = verify(word)
                 checks = {c.name: c.passed for c in result.checks}
                 assert checks.get("bracket_oracle") is True, word.as_text()
                 assert result.passed, word.as_text()
@@ -310,7 +310,7 @@ def test_criterion_9_cli_contract(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(
         cli,
         "verify",
-        lambda word, max_crossings: VerifyResult(
+        lambda word: VerifyResult(
             word="w", passed=False, checks=(VerifyCheck("forced", False, ""),)
         ),
     )

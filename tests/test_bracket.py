@@ -11,6 +11,7 @@ computations.
 """
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -231,8 +232,9 @@ def test_strand_bound():
     # minutes
     wide = SyllableWord(16, tuple((g, -3) for g in range(1, 16)))
     for word in (SyllableWord(9, ()), wide):
-        with pytest.raises(PreconditionError, match="limit of 8"):
-            kauffman_bracket(word)
+        for call in (kauffman_bracket, bracket_top, stable_penultimate_coefficient):
+            with pytest.raises(PreconditionError, match="limit of 8"):
+                call(word)
 
 
 def test_penultimate_pins():
@@ -322,6 +324,20 @@ def _sweep_corpus():
             )
             words.append(cyclically_reduce_into_syllables(SyllableWord(n, syllables)))
     return words
+
+
+def test_top_sweep_at_the_input_limit():
+    # 9,996 crossings at n = 8, one letter per syllable: the slowest shapes
+    # found for the top sweep, which takes no crossing cap
+    sweep = tuple((g, -1) for g in range(1, 8)) * 1428
+    negative = SyllableWord(8, sweep)
+    positive = mirror(negative)
+    for word in (negative, positive):
+        start = time.monotonic()
+        top = bracket_top(word)
+        assert time.monotonic() - start < 10.0
+    summary = bracket_summary(top, resolve_all_A(positive))
+    assert summary.c == 9996 and summary.top_degree == 9996 + 2 * 7
 
 
 def test_syllable_sweep_matches_the_letter_sweep():

@@ -105,19 +105,22 @@ LADDER = ["s1^-3 s2^-3 s1^-3 s2^-3", "--n", "3"]
     [("analyze", ["--bracket"]), ("batch", []), ("verify", []), ("bracket", [])],
 )
 def test_negative_crossing_cap_is_a_usage_error(capsys, tmp_path, command, extra):
-    # a cap below 0 would refuse every word (analyze --bracket, bracket) or
-    # skip the bracket oracle (verify); every subcommand taking it refuses it
+    # bracket, which sweeps the whole polynomial, refuses a cap below 0 (it
+    # would refuse every word); the others sweep only the top five degrees
+    # and take no cap, so any --max-crossings is a usage error there
     words = tmp_path / "words.txt"
     words.write_text(LADDER[0] + "\n")
     target = [str(words), "--n", "3"] if command == "batch" else LADDER
-    with pytest.raises(SystemExit) as exc:
-        cli.main([command, *target, *extra, "--max-crossings", "-5"])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "argument --max-crossings: must be at least 0, got -5" in captured.err
-    # 0 is a cap, not a usage error: the 12-crossing ladder is above it
+    for cap in ["-5"] if command == "bracket" else ["-5", "100"]:
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, *target, *extra, "--max-crossings", cap])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--max-crossings" in captured.err
     if command == "bracket":
+        assert "argument --max-crossings: must be at least 0, got -5" in captured.err
+        # 0 is a cap, not a usage error: the 12-crossing ladder is above it
         code, _, err = run(capsys, [command, *target, "--max-crossings", "0"])
         assert code == 3
         assert "above the cap of 0" in err
@@ -181,7 +184,7 @@ def test_verify_exit_code_1_when_an_identity_fails(capsys, monkeypatch):
         passed=False,
         checks=(VerifyCheck("circle_count", False, "forced"),),
     )
-    monkeypatch.setattr(cli, "verify", lambda word, max_crossings: broken)
+    monkeypatch.setattr(cli, "verify", lambda word: broken)
     code, out, _ = run(capsys, ["verify", "s1^-3 s2^-3 s1^-3 s2^-3"])
     assert code == 1
     assert "FAIL" in out
@@ -189,7 +192,7 @@ def test_verify_exit_code_1_when_an_identity_fails(capsys, monkeypatch):
 
 def test_internal_check_failure_exits_1_without_traceback(capsys, monkeypatch):
     # a library bug must not look like bad input (2) or a gate (3)
-    def broken(word, max_crossings):
+    def broken(word):
         raise OracleError("forced")
 
     monkeypatch.setattr(cli, "verify", broken)

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from braidvol import bracket, families, states
 from braidvol.bounds import jones_bounds, volume_bounds
-from braidvol.errors import CrossingLimitError, PreconditionError
+from braidvol.errors import PreconditionError
 from braidvol.generate import GeneratorSpec, generate_words
 from braidvol.report import SCHEMA, analyze, analyze_line, circle_detail, verify
 from braidvol.schreier import direct_read_k, direct_read_s
@@ -116,9 +116,8 @@ def test_bracket_block_is_opt_in():
     report = analyze(ladder(1), bracket=True)
     assert report["bracket"]["crossings"] == 6
     assert report["bracket"]["penultimate_abs"] == 2
-    with pytest.raises(CrossingLimitError):
-        analyze(ladder(2), bracket=True, max_crossings=10)
-    assert analyze(ladder(2), bracket=True, max_crossings=12)["bracket"]
+    # the top sweep takes no crossing cap
+    assert analyze(ladder(17), bracket=True)["bracket"]["crossings"] == 102
 
 
 def test_bracket_block_skipped_when_inadequate():
@@ -176,22 +175,23 @@ def test_verify_on_wide_word_drops_three_strand_checks():
     assert result.passed is True
 
 
-def test_verify_skips_bracket_above_the_cap():
-    result = verify(ladder(17))  # 102 crossings > default cap
-    assert "bracket_oracle" not in [c.name for c in result.checks]
+def test_verify_checks_bracket_above_100_crossings():
+    # 102 crossings, above the whole polynomial's default cap, which the
+    # top sweep does not take
+    result = verify(ladder(17))
+    checks = {c.name: c.passed for c in result.checks}
+    assert checks["bracket_oracle"] is True
     assert result.passed is True
-    assert "bracket_oracle" in [c.name for c in verify(ladder(4)).checks]
-    trimmed = verify(ladder(2), max_crossings=10)  # cap below 12 crossings
-    assert "bracket_oracle" not in [c.name for c in trimmed.checks]
 
 
-def test_negative_crossing_cap_is_refused():
-    # a cap below 0 would silently drop the bracket oracle from verify
-    for call in (verify, analyze):
-        with pytest.raises(PreconditionError, match="max_crossings"):
-            call(ladder(2), max_crossings=-1)
-    checks = verify(ladder(2), max_crossings=12).checks  # 12 crossings
-    assert "bracket_oracle" in [c.name for c in checks]
+def test_bracket_block_at_the_input_limit():
+    # a generated family word of 6,786 crossings, close to the 10,000-letter
+    # input limit at n = 8
+    spec = GeneratorSpec(n=8, syllable_count=1250, negative_cap=8, seed=1)
+    word = generate_words(spec)[0]
+    assert word.crossings == 6786
+    report = analyze(word, bracket=True)
+    assert report["bracket"]["penultimate_abs"] == 1 + report["neg_chi"]
 
 
 def test_verify_skips_bracket_above_the_strand_bound():
@@ -398,7 +398,7 @@ family_word_st = st.builds(
 
 LINE_OPTIONS = [
     {},
-    {"bracket": True, "max_crossings": 30},  # a short sweep; longer words are refused
+    {"bracket": True},
     {"assume_prime": True},
 ]
 
