@@ -384,7 +384,7 @@ def bracket_summary(
     the terms ``bracket_top`` returns serve as well as the whole bracket.
     """
     _require_adequate(state)
-    num_circles = len(state.circles)
+    num_circles = sum(state.census.values())
     top_degree = state.crossings + 2 * (num_circles - 1)
     if bracket.is_zero or bracket.max_degree != top_degree:
         raise OracleError(
@@ -406,10 +406,11 @@ def bracket_summary(
 
 
 def stable_penultimate_coefficient(word: SyllableWord) -> BracketSummary:
-    """``bracket_summary`` of ``word``: trace its all-A state, refuse a
-    diagram that is not A-adequate before sweeping, then sweep the top of
-    the bracket once (``bracket_top``)."""
-    require_input_limits(word)
+    """``bracket_summary`` of ``word``: refuse a word past the input limits
+    or on more than ``MAX_BRACKET_STRANDS`` strands before tracing its
+    all-A state, refuse a diagram that is not A-adequate before sweeping,
+    then sweep the top of the bracket once (``bracket_top``)."""
+    _require_sweepable(word)
     state = resolve_all_A(word)
     _require_adequate(state)
     return bracket_summary(bracket_top(word), state)

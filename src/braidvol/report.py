@@ -35,6 +35,7 @@ from .schreier import (
 from .states import (
     AllAState,
     CircleClass,
+    StateCircle,
     is_A_adequate,
     is_connected_closure,
     reduced_graph,
@@ -89,22 +90,37 @@ def schreier_block(form: SchreierForm) -> dict:
 
 def _detail_text(state: AllAState) -> str:
     """The text of ``json.dumps(circle_detail(state))`` between its
-    brackets.  Every circle after its id is one cached tail per (winding,
-    support, class); the small inner circles of one generator share one
-    support set, so a word has few distinct tails however many circles it
-    has."""
+    brackets, written from the state's pieces.  Every circle after its id
+    is one cached tail per (winding, support, class), and a run of small
+    inner circles is one join of its ids over its one tail, so the text is
+    assembled per boundary circle and per run, never per small circle."""
     names = _CLASS_NAMES
     tails: dict = {}
+
+    def tail(winding: int, support: frozenset[int], klass: CircleClass) -> str:
+        body = json.dumps(
+            {"class": names[klass], "winding": winding, "support": sorted(support)}
+        )
+        return ", " + body[1:]
+
+    runs: dict[int, tuple[str, str]] = {}  # per g: the run's tail and separator
     items = []
-    for cid, winding, support, klass in state.circles:
-        key = (winding, support, klass)
-        tail = tails.get(key)
-        if tail is None:
-            body = json.dumps(
-                {"class": names[klass], "winding": winding, "support": sorted(support)}
-            )
-            tail = tails[key] = ", " + body[1:]
-        items.append(f'{{"id": {cid}{tail}')
+    for piece in state.pieces:
+        if type(piece) is StateCircle:
+            cid, winding, support, klass = piece
+            key = (winding, support, klass)
+            text = tails.get(key)
+            if text is None:
+                text = tails[key] = tail(*key)
+            items.append(f'{{"id": {cid}{text}')
+            continue
+        first, count, g = piece
+        small = runs.get(g)
+        if small is None:
+            text = tail(0, frozenset((g,)), CircleClass.SMALL_INNER)
+            small = runs[g] = (text, text + ', {"id": ')
+        ids = small[1].join(map(str, range(first, first + count)))
+        items.append(f'{{"id": {ids}{small[0]}')
     return ", ".join(items)
 
 

@@ -10,14 +10,18 @@ crossing turns the diagram into a disjoint union of embedded circles, the
 state circles, each with a winding number 0 or 1 around the annulus core.
 :func:`resolve_all_A` finds them in one sweep down the braid that works one
 syllable at a time: union-find (Tarjan, 1975) joins labels once per twist
-region, the small circles stacked inside a negative region are built
-directly, and each circle is classified as it is traced.  A circle is a
-:class:`StateCircle` named tuple; the small inner circles, almost every
-circle of a long family word, are made as plain tuples of their fields with
-no constructor call each, and those of one region share its support.  The
-state keeps one record per twist region and builds no object per crossing
-or per arc.  The arcs are numbered once, by :func:`arc_table`, which the
-sweep names its labels by and the SVG renderer walks.
+region, and each boundary circle (one that leaves its syllable) is
+classified as it is traced.  The small circles stacked inside a negative
+region, almost every circle of a long family word, are never traced one by
+one: the state keeps them as runs of consecutive ids, the census and the
+reduced graph read the runs' counts, and the ``batch`` line writes each run
+in one piece.  A circle is a :class:`StateCircle` named tuple;
+:attr:`AllAState.circles` builds the full tuple of circles from the runs
+only when it is read (by the SVG renderer, ``analyze``'s circle detail and
+the tests).  The state keeps one record per twist region and builds no
+object per crossing or per arc.  The arcs are numbered once, by
+:func:`arc_table`, which the sweep names its labels by and the SVG
+renderer walks.
 
 The circles carry a taxonomy driven by their *support* (the set of twist-
 region columns contributing a cap or cup to the circle):
@@ -104,20 +108,30 @@ class ReducedStateGraph:
 @dataclass(frozen=True)
 class AllAState:
     """The full all-A state of one closed-braid diagram, one record per
-    twist region; no per-crossing or per-arc object is built.
+    twist region; no per-crossing, per-arc or per-small-circle object is
+    built.
 
-    ``regions[i]`` describes syllable ``i`` as ``(first, r, ids)``: its first
-    crossing, its exponent and the circles it joins.  A positive syllable or
-    a lone negative letter (r = -1) joins one pair, ``ids = (a, b)``; every
-    one of its segments has endpoints ``(a, b)``.  A longer negative
-    syllable chains ``ids = (a, inner..., b)`` down through the |r| - 1
-    small circles stacked inside it, and its i-th segment joins
-    ``ids[i]`` to ``ids[i + 1]``.
+    ``pieces`` lists the circles in id order.  A boundary circle is a
+    :class:`StateCircle`; the small inner circles stacked inside a negative
+    twist region sigma_g^r (r <= -2) are kept as runs ``(first, count, g)``
+    of consecutive ids, all small inner of support {g} and winding 0.  A
+    region's |r| - 1 inner circles form one run, or several where the ids
+    of boundary circles fall between them.  :attr:`circles` expands the
+    pieces into one tuple of circles, built only when it is read.
+
+    ``regions[i]`` describes syllable ``i`` as ``(first, r, (a, b))``: its
+    first crossing, its exponent and the two boundary circles it joins.  A
+    positive syllable or a lone negative letter (r = -1) joins the pair
+    ``(a, b)`` with each of its segments.  A longer negative syllable
+    chains its segments from ``a``, its first cap's circle, down through
+    its |r| - 1 inner circles, in id order, to ``b``, its last cup's
+    circle: in the chain ``a, inner..., b`` its i-th segment joins the i-th
+    circle to the (i + 1)-th.
     """
 
     word: SyllableWord
-    circles: tuple[StateCircle, ...]
-    regions: tuple[tuple[int, int, tuple[int, ...]], ...]
+    pieces: tuple[StateCircle | tuple[int, int, int], ...]
+    regions: tuple[tuple[int, int, tuple[int, int]], ...]
 
     @property
     def arcs(self) -> range:
@@ -136,6 +150,26 @@ class AllAState:
         return self.word.crossings
 
     @cached_property
+    def circles(self) -> tuple[StateCircle, ...]:
+        """Every circle in id order, the runs expanded.  The small inner
+        circles are built as ``tuple.__new__(StateCircle, ...)`` over their
+        four fields, skipping the named tuple's Python-level ``__new__``;
+        those of one run share one ``frozenset({g})``."""
+        new_tuple, small_inner = tuple.__new__, CircleClass.SMALL_INNER
+        circles: list[StateCircle] = []
+        for piece in self.pieces:
+            if type(piece) is StateCircle:
+                circles.append(piece)
+                continue
+            first, count, g = piece
+            support = frozenset((g,))
+            circles += [
+                new_tuple(StateCircle, (cid, 0, support, small_inner))
+                for cid in range(first, first + count)
+            ]
+        return tuple(circles)
+
+    @cached_property
     def _graph(self) -> tuple[bool, bool, int]:
         """(A-adequate, TELC, reduced edge count), read in one pass over the
         regions.  A chain's segments all meet one of its inner circles,
@@ -148,15 +182,14 @@ class AllAState:
         adequate, telc, chain_edges = True, True, 0
         pairs = set()
         pair_regions = 0
-        for _, r, ids in self.regions:
-            if len(ids) == 2:
-                a, b = ids
+        for _, r, (a, b) in self.regions:
+            if r >= -1:
                 adequate = adequate and a != b
                 pairs.add((a, b) if a <= b else (b, a))
                 pair_regions += 1
             else:
                 chain_edges -= r
-                if r == -2 and ids[0] == ids[2]:
+                if r == -2 and a == b:
                     telc = False
                     chain_edges -= 1
         telc = telc and len(pairs) == pair_regions
@@ -165,14 +198,17 @@ class AllAState:
     @cached_property
     def _counts(self) -> dict[CircleClass, int]:
         counts = dict.fromkeys(CircleClass, 0)
-        for _, _, _, klass in self.circles:
-            counts[klass] += 1
+        for piece in self.pieces:
+            if type(piece) is StateCircle:
+                counts[piece.klass] += 1
+            else:
+                counts[CircleClass.SMALL_INNER] += piece[1]
         return counts
 
     @property
     def census(self) -> dict[CircleClass, int]:
-        """The number of circles of each class, counted once per state; each
-        call returns a fresh copy."""
+        """The number of circles of each class, counted once per state from
+        the pieces; each call returns a fresh copy."""
         return dict(self._counts)
 
     @property
@@ -237,22 +273,23 @@ def resolve_all_A(word: SyllableWord) -> AllAState:
     syllable sigma_g^-k unions columns g and g+1 once (its first cap) and
     leaves the fresh label of its last cup on both; the k - 1 circles in
     between, each the cup of one letter and the cap of the next, close
-    inside the syllable and are built directly as small inner circles of
-    support {g} and winding 0: each is ``tuple.__new__(StateCircle, ...)``
-    over its four fields, skipping the named tuple's Python-level
-    ``__new__``, and all of them share the syllable's one ``frozenset({g})``.
+    inside the syllable as small inner circles of support {g} and winding
+    0, and are kept as a run ``(first id, k - 1, g)`` without a label each.
     The closure unions each column's bottom and top labels.  A label is
     named by its smallest arc id (see :func:`arc_table`) and a union keeps
-    the smaller name, so sorted roots number the circles in arc order: an
-    interior circle's root is its cup's id, and the roots of the circles
-    that leave their syllable (the boundary circles) are merged in with
-    them.  Winding is the parity of a circle's closure arcs; the last loop
-    maps each syllable's labels to circles, records the region (see
-    :attr:`AllAState.regions`) and gathers each boundary circle's support
-    and region ends, so every circle is built once, already classified (see
-    :func:`_klass`); any syllable word works.  No per-crossing or per-arc
-    object is built: :func:`reduced_graph` and the predicates read the
-    regions.
+    the smaller name, so circles are numbered in arc order: an inner
+    circle's smallest arc is its cup, ids first * n + 1 + j * n, and only
+    the roots of the boundary circles, O(t + n) of them, are sorted.  They
+    are merged with the runs in id order, and a run splits where a boundary
+    root falls between two of its cups (see :attr:`AllAState.pieces`).
+    Winding is the parity of a circle's closure arcs; the last loop maps
+    each syllable's labels to its two boundary circles, records the region
+    (see :attr:`AllAState.regions`) and gathers each boundary circle's
+    support and region ends, so every boundary circle is built once,
+    already classified (see :func:`_klass`); any syllable word works.  No
+    per-crossing, per-arc or per-small-circle object is built:
+    :func:`reduced_graph` and the predicates read the regions, the census
+    reads the runs' counts.
     """
     n = word.n
     # a top label is the first letter's arc in its column: the cap, or a pass
@@ -273,67 +310,79 @@ def resolve_all_A(word: SyllableWord) -> AllAState:
         return a
 
     labels = top.copy()
-    # one run per syllable: its first crossing and two labels, the pair it
+    # one record per syllable: its first crossing and two labels, the pair it
     # joins when positive, the first cap's root and the last cup when negative
-    runs: list[tuple[int, int, int, int, int]] = []
-    interior: list[int] = []  # the roots of the circles closed in a syllable
+    records: list[tuple[int, int, int, int, int]] = []
     crossing = 0
     for g, r in word.syllables:
         if r > 0:
-            runs.append((crossing, g, r, labels[g - 1], labels[g]))
+            records.append((crossing, g, r, labels[g - 1], labels[g]))
         else:
             cap = union(labels[g - 1], labels[g])
             cup = (crossing - r - 1) * n + 1
-            interior += range(crossing * n + 1, cup, n)
             parent[cup] = labels[g - 1] = labels[g] = cup
-            runs.append((crossing, g, r, cap, cup))
+            records.append((crossing, g, r, cap, cup))
         crossing += abs(r)
     for bottom, label in zip(labels, top):
         union(bottom, label)
 
-    boundary = {find(label) for label in parent}
-    roots = sorted([*interior, *boundary])
-    circle_of = dict(zip(roots, range(len(roots))))
-    circle_of_label = {label: circle_of[find(label)] for label in parent}
-    # only the boundary circles gather winding, support and region ends
-    winding = {circle_of[root]: 0 for root in boundary}  # closure-arc parity
+    # number the circles: merge the sorted boundary roots with each negative
+    # syllable's inner roots, the ids of its cups above the last, which run
+    # from first * n + 1 in steps of n; a boundary root between two of them
+    # splits the syllable's run.  ``order`` holds each boundary circle's id
+    # and each run, in id order; the sentinel is past every arc id.
+    root_of = {label: find(label) for label in parent}
+    roots = sorted(set(root_of.values()))
+    roots.append((crossing + 1) * n)
+    circle_of: dict[int, int] = {}
+    order: list[int | tuple[int, int, int]] = []
+    cid = i = 0
+    for first, g, r, _, last_cup in records:
+        root = first * n + 1
+        while r < -1 and root < last_cup:
+            while roots[i] < root:
+                circle_of[roots[i]] = cid
+                order.append(cid)
+                cid, i = cid + 1, i + 1
+            # the inner roots below both the next boundary root and the last cup
+            count = (min(roots[i], last_cup) - root - 1) // n + 1
+            order.append((cid, count, g))
+            cid, root = cid + count, root + count * n
+    for root in roots[i:-1]:
+        circle_of[root] = cid
+        order.append(cid)
+        cid += 1
+
+    circle_of_label = {label: circle_of[root] for label, root in root_of.items()}
+    winding = dict.fromkeys(circle_of.values(), 0)  # closure-arc parity
     for label in top:
         winding[circle_of_label[label]] ^= 1
     support: dict[int, set[int]] = {cid: set() for cid in winding}
     ends = dict.fromkeys(winding, 0)  # region ends on each boundary circle
     wraps = set()  # circles that both ends of one r = -2 region land on
-    single = [frozenset((g,)) for g in range(n)]
-    # tuple.__new__ skips the named tuple's Python-level __new__ per circle
-    new_tuple, small_inner = tuple.__new__, CircleClass.SMALL_INNER
-    circles: list[StateCircle | None] = [None] * len(roots)
-    regions: list[tuple[int, int, tuple[int, ...]]] = []
-    for first, g, r, label_a, label_b in runs:
+    regions: list[tuple[int, int, tuple[int, int]]] = []
+    for first, g, r, label_a, label_b in records:
         a, b = circle_of_label[label_a], circle_of_label[label_b]
         ends[a] += 1
         ends[b] += 1
-        if r > 0:
-            regions.append((first, r, (a, b)))
-            continue
-        support[a].add(g)
-        support[b].add(g)
-        if r == -1:  # most letters of a random word: skip building a chain
-            regions.append((first, r, (a, b)))
-            continue
-        # the interior roots are the ids of the cups above the last, label_b
-        inner = list(map(circle_of.__getitem__, range(first * n + 1, label_b, n)))
-        support_g = single[g]
-        for cid in inner:
-            circles[cid] = new_tuple(StateCircle, (cid, 0, support_g, small_inner))
-        if r == -2 and a == b:
-            wraps.add(a)
-        regions.append((first, r, (a, *inner, b)))
-    for cid, turns in winding.items():
-        columns = support[cid]
+        regions.append((first, r, (a, b)))
+        if r < 0:
+            support[a].add(g)
+            support[b].add(g)
+            if r == -2 and a == b:
+                wraps.add(a)
+
+    def boundary_circle(cid: int) -> StateCircle:
+        columns, turns = support[cid], winding[cid]
         wrapped = cid in wraps and ends[cid] == 2
-        circles[cid] = StateCircle(
+        return StateCircle(
             cid, turns, frozenset(columns), _klass(columns, turns, wrapped)
         )
-    return AllAState(word, tuple(circles), tuple(regions))
+
+    pieces = tuple(
+        boundary_circle(piece) if type(piece) is int else piece for piece in order
+    )
+    return AllAState(word, pieces, tuple(regions))
 
 
 def _klass(support: set[int], winding: int, wrapped: bool) -> CircleClass:
@@ -401,7 +450,8 @@ def is_connected_closure(word: SyllableWord) -> bool:
 
 
 def reduced_graph(state: AllAState) -> ReducedStateGraph:
-    """Collapse parallel A-segments; vertices are the state circles."""
-    v = len(state.circles)
+    """Collapse parallel A-segments; vertices are the state circles,
+    counted from the census."""
+    v = sum(state._counts.values())
     e = state._graph[2]
     return ReducedStateGraph(v, e, e - v, state.crossings)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import BraidSyntaxError, PreconditionError
 
@@ -82,8 +83,10 @@ class SyllableWord:
             out.extend([m if r > 0 else -m] * abs(r))
         return tuple(out)
 
-    @property
+    @cached_property
     def crossings(self) -> int:
+        """The letter count, summed once per word; not a field, so ``repr``,
+        equality and hashing do not see it."""
         return sum(abs(r) for _, r in self.syllables)
 
     def as_text(self) -> str:
@@ -100,10 +103,10 @@ class SyllableWord:
 # per syllable (the normal form's cascades, which cancel units where
 # syllables meet, are bounded by the letters they cancel); the letter limit
 # bounds the layers that still work per letter: the circles closed inside
-# twist regions that resolve_all_A builds, the SVG renderer's walk over the
-# (c + 1) * n arc ids and its one dashed line per crossing, and the bracket
-# sweep.  Both sit well above the sizes analyze is used at (about 1000
-# crossings, n <= 8).
+# twist regions that AllAState.circles builds when it is read, the SVG
+# renderer's walk over the (c + 1) * n arc ids and its one dashed line per
+# crossing, and the bracket sweep.  Both sit well above the sizes analyze is
+# used at (about 1000 crossings, n <= 8).
 MAX_WORD_LETTERS = 10_000
 MAX_STRANDS = 32
 

@@ -23,6 +23,14 @@ def ladder(m):
     return word_of("s1^-3 s2^-3 " * m, 3)
 
 
+def _patch_everywhere(monkeypatch, real, name, wrapper):
+    """Set ``name`` to ``wrapper`` in every braidvol module that binds
+    ``real`` under it."""
+    for key, loaded in list(sys.modules.items()):
+        if key.split(".")[0] == "braidvol" and getattr(loaded, name, None) is real:
+            monkeypatch.setattr(loaded, name, wrapper)
+
+
 def count_calls(monkeypatch, module, name):
     """Wrap ``module.name`` wherever a braidvol module binds it, and return
     the list that collects the first argument of every call."""
@@ -33,10 +41,22 @@ def count_calls(monkeypatch, module, name):
         calls.append(args[0])
         return real(*args, **kwargs)
 
-    for key, loaded in list(sys.modules.items()):
-        if key.split(".")[0] == "braidvol" and getattr(loaded, name, None) is real:
-            monkeypatch.setattr(loaded, name, counting)
+    _patch_everywhere(monkeypatch, real, name, counting)
     return calls
+
+
+def capture_returns(monkeypatch, module, name):
+    """Wrap ``module.name`` wherever a braidvol module binds it, and return
+    the list that collects what every call returns."""
+    real = getattr(module, name)
+    returns = []
+
+    def capturing(*args, **kwargs):
+        returns.append(real(*args, **kwargs))
+        return returns[-1]
+
+    _patch_everywhere(monkeypatch, real, name, capturing)
+    return returns
 
 
 exponent_st = st.integers(min_value=-20, max_value=20).filter(lambda r: r != 0)

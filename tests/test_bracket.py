@@ -16,7 +16,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braidvol import bracket
+from braidvol import bracket, states
 from braidvol.bracket import (
     DEFAULT_MAX_CROSSINGS,
     MAX_BRACKET_STRANDS,
@@ -28,7 +28,7 @@ from braidvol.bracket import (
 )
 from braidvol.errors import CrossingLimitError, OracleError, PreconditionError
 from braidvol.generate import GeneratorSpec, generate_words
-from braidvol.states import reduced_graph, resolve_all_A
+from braidvol.states import is_A_adequate, reduced_graph, resolve_all_A
 from braidvol.words import SyllableWord, cyclically_reduce_into_syllables, mirror
 
 from conftest import count_calls, ladder, word_from_letters, word_of
@@ -235,6 +235,20 @@ def test_strand_bound():
         for call in (kauffman_bracket, bracket_top, stable_penultimate_coefficient):
             with pytest.raises(PreconditionError, match="limit of 8"):
                 call(word)
+
+
+def test_strand_count_is_refused_before_the_state_is_traced(monkeypatch):
+    # s1^-1 glues a circle to itself, so on 8 strands the word is refused
+    # for adequacy; on 16 it is refused for its strands first, untraced
+    syllables = ((1, -1),) + tuple((g, -3) for g in range(2, 8))
+    with pytest.raises(PreconditionError, match="A-adequate"):
+        stable_penultimate_coefficient(SyllableWord(8, syllables))
+    wide = SyllableWord(16, syllables + tuple((g, -3) for g in range(8, 16)))
+    assert not is_A_adequate(resolve_all_A(wide))
+    traces = count_calls(monkeypatch, states, "resolve_all_A")
+    with pytest.raises(PreconditionError, match="limit of 8"):
+        stable_penultimate_coefficient(wide)
+    assert traces == []
 
 
 def test_penultimate_pins():

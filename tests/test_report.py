@@ -24,7 +24,14 @@ from braidvol.states import (
 from braidvol.render import render_state_svg
 from braidvol.words import MAX_STRANDS, SyllableWord, cyclically_reduce_into_syllables
 
-from conftest import any_n_words, count_calls, ladder, word_of, word_st
+from conftest import (
+    any_n_words,
+    capture_returns,
+    count_calls,
+    ladder,
+    word_of,
+    word_st,
+)
 
 # family words at n = 3 and n = 4, both under the bracket's caps
 ONCE_WORDS = [ladder(2), word_of("s2^2 s1^-3 s3^-3 s2^-4 s1^-3 s3^-4", 4)]
@@ -133,6 +140,27 @@ def test_analyze_with_bracket_traces_the_state_once(monkeypatch):
         traces.clear()
         assert analyze(w, bracket=True)["bracket"] is not None
         assert traces == [w], w.as_text()
+
+
+def test_batch_line_verify_and_bracket_summary_leave_the_circles_unbuilt(
+    monkeypatch,
+):
+    # the census, the reduced graph, the batch line and the bracket summary
+    # read the state's runs; only analyze's circle detail expands them
+    word = generate_words(GeneratorSpec(n=4, syllable_count=60, seed=1))[0]
+    made = capture_returns(monkeypatch, states, "resolve_all_A")
+    line = analyze_line(word)
+    result = verify(word)
+    assert result.passed
+    assert "bracket_oracle" in {check.name for check in result.checks}
+    summary = bracket.stable_penultimate_coefficient(word)
+    state = states.resolve_all_A(word)
+    assert bracket.bracket_summary(bracket.bracket_top(word), state) == summary
+    assert len(made) == 4
+    assert all("circles" not in vars(made_state) for made_state in made)
+    assert json.dumps(analyze(word)) == line
+    assert "circles" in vars(made[-1])
+    assert summary.num_all_A_circles == len(made[-1].circles)
 
 
 def test_assume_prime_unlocks_generic_bounds():

@@ -14,6 +14,7 @@ here: the state builds neither, and the SVG renderer walks plain arc ids,
 which must visit the oracle's arcs in the oracle's order.
 """
 
+import json
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -24,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 from braidvol.errors import OracleError, PreconditionError
 from braidvol.generate import GeneratorSpec, generate_words
 from braidvol.render import _walk_circles
-from braidvol.report import verify
+from braidvol.report import _detail_text, circle_detail, verify
 from braidvol.states import (
     CAP,
     CLOSURE,
@@ -92,19 +93,31 @@ class Segment:
 def segments_of(state):
     """Every A-segment of ``state`` in crossing order, expanded from its
     twist-region records: a pair region's segments all join its pair, and a
-    chain's i-th segment joins its i-th and (i + 1)-th circles."""
+    chain's i-th segment joins the i-th and (i + 1)-th circles of
+    ``a, inner..., b``, its inner circles read from its runs.  The runs
+    must come in region order, each of its region's generator, and make up
+    exactly |r| - 1 inner circles per chain."""
+    runs = iter([piece for piece in state.pieces if type(piece) is not StateCircle])
     segments = []
-    for si, (first, r, ids) in enumerate(state.regions):
+    for si, (first, r, (a, b)) in enumerate(state.regions):
         if r > 0:
             segments += [
-                Segment(i, si, SegmentOrientation.HORIZONTAL, ids)
+                Segment(i, si, SegmentOrientation.HORIZONTAL, (a, b))
                 for i in range(first, first + r)
             ]
-        else:
-            segments += [
-                Segment(i, si, SegmentOrientation.VERTICAL, pair)
-                for i, pair in enumerate(zip(ids, ids[1:]), first)
-            ]
+            continue
+        inner = []
+        while len(inner) < -r - 1:
+            start, count, g = next(runs)
+            assert g == state.word.syllables[si][0]
+            inner += range(start, start + count)
+        assert len(inner) == -r - 1
+        ids = (a, *inner, b)
+        segments += [
+            Segment(i, si, SegmentOrientation.VERTICAL, pair)
+            for i, pair in enumerate(zip(ids, ids[1:]), first)
+        ]
+    assert next(runs, None) is None
     return tuple(segments)
 
 
@@ -155,7 +168,7 @@ def test_circle_support_and_winding_detail():
 
 def test_state_circle_is_an_immutable_value():
     assert StateCircle._fields == ("id", "winding", "support", "klass")
-    # the sweep builds small inner circles without the constructor; they are
+    # the circles of a run are built without the constructor; they are
     # still StateCircles, equal to and hashing like constructed ones
     state = resolve_all_A(ladder(1))
     circle = next(c for c in state.circles if c.klass is CircleClass.SMALL_INNER)
@@ -520,6 +533,26 @@ def test_syllable_sweep_special_cases(word, census):
     assert census_by_name(resolve_all_A(word)) == census
 
 
+def test_boundary_roots_between_inner_roots_split_the_run():
+    # s2^-4 s3^2 on 4 strands: the pass circles of columns 1 and 4 have
+    # roots 2 and 3, between the inner roots 1 and 5 of s2^-4, so its three
+    # small inner circles come as two runs around circles 2 and 3
+    word = SyllableWord(4, ((2, -4), (3, 2)))
+    # the circles built from the runs, the census and the chain's segments
+    # against the walk oracle
+    assert_sweep_matches_oracle(word)
+    state = resolve_all_A(word)
+    assert [type(piece) is StateCircle for piece in state.pieces] == [
+        True, False, True, True, False
+    ]
+    assert [piece for piece in state.pieces if type(piece) is not StateCircle] == [
+        (1, 1, 2),
+        (4, 2, 2),
+    ]
+    assert state.regions == ((0, -4, (0, 0)), (4, 2, (0, 3)))
+    assert _detail_text(state) == json.dumps(circle_detail(state))[1:-1]
+
+
 def test_circle_between_two_syllables_of_one_generator_is_medium():
     # unreduced s1^-3 s1^-2: the last cup of the first syllable and the
     # first cap of the second bound one circle, met by the vertical segments
@@ -553,7 +586,8 @@ def test_census_is_counted_once_and_copied():
 def test_state_equality_sees_only_its_three_fields():
     word = word_of("s1^-3 s2^2 s1^-3 s2^-4")
     state = resolve_all_A(word)
-    state.census  # fills the cached census, which equality must not see
+    # fill the cached census and circles, which equality must not see
+    state.census, state.circles
     fresh = resolve_all_A(word)
     assert fresh == state and hash(fresh) == hash(state)
     copy = replace(state)
