@@ -154,7 +154,8 @@ def _batch_line(raw: str, args: argparse.Namespace) -> str:
 
 def cmd_batch(args: argparse.Namespace) -> int:
     try:
-        with open(args.path, encoding="utf-8") as handle:
+        # utf-8-sig: a byte order mark is dropped, not read into line 1
+        with open(args.path, encoding="utf-8-sig") as handle:
             rows = [
                 line.strip()
                 for line in handle

@@ -24,7 +24,9 @@ Two structural predicates on the reduced form drive everything downstream:
 
 from __future__ import annotations
 
+import operator
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -60,20 +62,30 @@ class SyllableWord:
 
     def __post_init__(self) -> None:
         if self.n < 1:
-            raise BraidSyntaxError(f"strand count must be >= 1, got {self.n}")
+            raise _strand_count_error(self.n)
         syl = tuple((int(m), int(r)) for m, r in self.syllables)
         object.__setattr__(self, "syllables", syl)
         for m, r in syl:
             if not 1 <= m <= self.n - 1:
-                raise BraidSyntaxError(
-                    f"syllable generator {m} is not a generator of B_{self.n}"
-                )
+                raise _generator_error(m, self.n)
             if r == 0:
                 raise BraidSyntaxError("syllable exponent must be nonzero")
-        reduced = all(
-            syl[i][0] != syl[(i + 1) % len(syl)][0] for i in range(len(syl))
-        ) if len(syl) >= 2 else True
-        object.__setattr__(self, "cyclically_reduced", reduced)
+        object.__setattr__(self, "cyclically_reduced", _no_cyclic_repeat(syl))
+
+    @classmethod
+    def _trusted(
+        cls, n: int, syllables: tuple[tuple[int, int], ...], reduced: bool
+    ) -> SyllableWord:
+        """A word from fields already checked: ``n >= 1``, int syllables of
+        generators 1..n-1 and nonzero exponents, and ``reduced`` equal to
+        what ``__post_init__`` would derive.  For the parser and the reducer,
+        which check as they build; the word equals, hashes and prints as
+        ``SyllableWord(n, syllables)``."""
+        word = object.__new__(cls)
+        object.__setattr__(word, "n", n)
+        object.__setattr__(word, "syllables", syllables)
+        object.__setattr__(word, "cyclically_reduced", reduced)
+        return word
 
     @property
     def letters(self) -> tuple[int, ...]:
@@ -90,30 +102,55 @@ class SyllableWord:
         return sum(abs(r) for _, r in self.syllables)
 
     def as_text(self) -> str:
-        """Render in the parseable ``s<m>^<r>`` form."""
+        """Render in the parseable ``s<m>^<r>`` form, each distinct syllable
+        once."""
+        text: dict[tuple[int, int], str] = {}
         parts = []
-        for m, r in self.syllables:
-            parts.append(f"s{m}" if r == 1 else f"s{m}^{r}")
+        for syllable in self.syllables:
+            part = text.get(syllable)
+            if part is None:
+                m, r = syllable
+                part = text[syllable] = f"s{m}" if r == 1 else f"s{m}^{r}"
+            parts.append(part)
         return " ".join(parts)
 
 
+def _no_cyclic_repeat(syllables: tuple[tuple[int, int], ...]) -> bool:
+    """Whether no two cyclically adjacent syllables share a generator."""
+    gens = [m for m, _ in syllables]
+    return len(gens) < 2 or all(map(operator.ne, gens, gens[1:] + gens[:1]))
+
+
+def _strand_count_error(n: int) -> BraidSyntaxError:
+    return BraidSyntaxError(f"strand count must be >= 1, got {n}")
+
+
+def _generator_error(m: int, n: int) -> BraidSyntaxError:
+    return BraidSyntaxError(f"syllable generator {m} is not a generator of B_{n}")
+
+
 # Input limits for parse_braid, checked on the parsed integers, so that
-# hostile input such as "s1^-1000000000" fails at once.  Parsing, reduction,
-# the union-find of states.resolve_all_A and the Schreier normal form work
-# per syllable (the normal form's cascades, which cancel units where
-# syllables meet, are bounded by the letters they cancel); the letter limit
-# bounds the layers that still work per letter: the circles closed inside
-# twist regions that AllAState.circles builds when it is read, the SVG
-# renderer's walk over the (c + 1) * n arc ids and its one dashed line per
-# crossing, and the bracket sweep.  Both sit well above the sizes analyze is
-# used at (about 1000 crossings, n <= 8).
+# hostile input such as "s1^-1000000000" fails at once.  parse_braid reads
+# each distinct token of a line once (a flat-letter word has at most
+# 2(n - 1) distinct tokens, a family word a few dozen), but counts tokens
+# and letters against these limits at every token, in order; it then
+# validates the word once, as a whole, and the reducer's output needs no
+# second validation.  Parsing, reduction, the union-find of
+# states.resolve_all_A and the Schreier normal form work per syllable (the
+# normal form's cascades, which cancel units where syllables meet, are
+# bounded by the letters they cancel); the letter limit bounds the layers
+# that still work per letter: the circles closed inside twist regions that
+# AllAState.circles builds when it is read, the SVG renderer's walk over the
+# (c + 1) * n arc ids and its one dashed line per crossing, and the bracket
+# sweep.  Both sit well above the sizes analyze is used at (about 1000
+# crossings, n <= 8).
 MAX_WORD_LETTERS = 10_000
 MAX_STRANDS = 32
 
 # Numbers have at most 18 digits: int() refuses digit strings past 4300
 # characters with a bare ValueError, and anything near that length is far
 # beyond both limits anyway.
-_TOKEN = re.compile(r"^(?:(-?\d{1,18})|[sS](\d{1,18})(?:\^(-?\d{1,18}))?)$")
+_TOKEN = re.compile(r"^(?:(-?[0-9]{1,18})|[sS]([0-9]{1,18})(?:\^(-?[0-9]{1,18}))?)$")
 _NONSPACE = re.compile(r"\S+")
 
 
@@ -143,10 +180,10 @@ def parse_braid(text: str, n: int | None = None) -> SyllableWord:
 
     Each token is either a signed integer (``3`` for sigma_3, ``-2`` for the
     inverse of sigma_2) or syllable notation ``s3^-2`` / ``S3`` (exponent
-    defaults to 1; a token of exponent 0 is dropped).  Every other token
-    becomes one syllable: nothing is merged or cancelled.  When ``n`` is
-    omitted it is inferred as one more than the largest generator index
-    used.
+    defaults to 1; a token of exponent 0 is dropped), with ASCII digits.
+    Every other token becomes one syllable: nothing is merged or cancelled.
+    When ``n`` is omitted it is inferred as one more than the largest
+    generator index used.
 
     A word of more than ``MAX_WORD_LETTERS`` letters or tokens, or on more
     than ``MAX_STRANDS`` strands (given or inferred), raises
@@ -157,46 +194,74 @@ def parse_braid(text: str, n: int | None = None) -> SyllableWord:
     """
     if n is not None and n > MAX_STRANDS:
         raise _strand_limit_error(n)
-    syllables: list[tuple[int, int]] = []
-    letters = 0
     # k tokens take at least 2k - 1 characters, so a text of at most
     # 2 * MAX_WORD_LETTERS characters cannot pass the token limit and is
     # split whole, the faster read; a longer one is read lazily, so that a
     # hostile line is refused before it is split
     tokens = (
-        text.split()
-        if len(text) <= 2 * MAX_WORD_LETTERS
-        else (found.group() for found in _NONSPACE.finditer(text))
+        text.split() if len(text) <= 2 * MAX_WORD_LETTERS else _lazy_tokens(text)
     )
-    for count, token in enumerate(tokens):
+    # token -> (syllable, letters): each distinct token is read once a line
+    read: dict[str, tuple[tuple[int, int], int]] = {}
+    syllables: list[tuple[int, int]] = []
+    letters = 0
+    for token in tokens:
+        entry = read.get(token)
+        if entry is None:
+            entry = read[token] = _read_token(token, n is None)
+        syllable, size = entry
+        if size:  # s40^0 adds no letter and no strand
+            letters += size
+            if letters > MAX_WORD_LETTERS:
+                raise PreconditionError(_LETTER_LIMIT)
+            syllables.append(syllable)
+    # generators in order of first use, so the first one out of range is
+    # the one SyllableWord would name
+    gens = [m for (m, _), size in read.values() if size]
+    if n is None:
+        n = max(gens, default=0) + 1
+    elif n < 1:
+        raise _strand_count_error(n)
+    else:
+        for m in gens:
+            if m > n - 1:
+                raise _generator_error(m, n)
+    syl = tuple(syllables)
+    return SyllableWord._trusted(n, syl, _no_cyclic_repeat(syl))
+
+
+def _lazy_tokens(text: str) -> Iterator[str]:
+    """The tokens of ``text`` one at a time, refusing the token past the
+    limit before it is read."""
+    for count, found in enumerate(_NONSPACE.finditer(text)):
         if count == MAX_WORD_LETTERS:
             raise PreconditionError(
                 f"word has more than {MAX_WORD_LETTERS} tokens, the limit"
             )
-        match = _TOKEN.match(token)
-        if match is None:
-            raise BraidSyntaxError(f"cannot parse braid token {token!r}")
-        if match.group(1) is not None:
-            g = int(match.group(1))
-            m, r = abs(g), (1 if g > 0 else -1)
-        else:
-            m = int(match.group(2))
-            r = int(match.group(3)) if match.group(3) is not None else 1
-        if m == 0:
-            raise BraidSyntaxError("generator index 0 is not valid")
-        if r == 0:  # s40^0 adds no letter and no strand
-            continue
-        if n is None and m >= MAX_STRANDS:
-            raise PreconditionError(
-                f"word needs {m + 1} strands, above the limit of {MAX_STRANDS}"
-            )
-        letters += abs(r)
-        if letters > MAX_WORD_LETTERS:
-            raise PreconditionError(_LETTER_LIMIT)
-        syllables.append((m, r))
-    if n is None:
-        n = max((m for m, _ in syllables), default=0) + 1
-    return SyllableWord(n, tuple(syllables))
+        yield found.group()
+
+
+def _read_token(token: str, infer_n: bool) -> tuple[tuple[int, int], int]:
+    """One token's syllable and letter count, refusing what no word may
+    hold: a token outside the grammar, generator 0 and, when the strand
+    count is inferred, a generator past ``MAX_STRANDS``."""
+    match = _TOKEN.match(token)
+    if match is None:
+        raise BraidSyntaxError(f"cannot parse braid token {token!r}")
+    letter, gen, exp = match.groups()
+    if letter is not None:
+        g = int(letter)
+        m, r = abs(g), (1 if g > 0 else -1)
+    else:
+        m = int(gen)
+        r = int(exp) if exp is not None else 1
+    if m == 0:
+        raise BraidSyntaxError("generator index 0 is not valid")
+    if r and infer_n and m >= MAX_STRANDS:
+        raise PreconditionError(
+            f"word needs {m + 1} strands, above the limit of {MAX_STRANDS}"
+        )
+    return (m, r), abs(r)
 
 
 def mirror(word: SyllableWord) -> SyllableWord:
@@ -238,7 +303,8 @@ def cyclically_reduce_into_syllables(word: SyllableWord) -> SyllableWord:
             stack[lo] = (m, merged)
     if lo == 0 and len(stack) == len(word.syllables):
         return word  # nothing merged: already reduced, and validated
-    return SyllableWord(word.n, tuple(stack[lo:]))
+    # merged and cancelled syllables of a valid word: reduced by construction
+    return SyllableWord._trusted(word.n, tuple(stack[lo:]), True)
 
 
 def exponent_sum(word: SyllableWord) -> int:

@@ -231,6 +231,18 @@ def test_batch_refuses_undecodable_input(capsys, tmp_path):
     assert err.count("\n") == 1
 
 
+def test_batch_reads_past_a_byte_order_mark(capsys, tmp_path):
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    text = "s1^-3 s2^-3 s1^-3 s2^-3\n# comment\ns1^3 s2^-3\n"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    code, out, _ = run(capsys, ["batch", str(marked), "--n", "3"])
+    assert code == 0
+    assert "error" not in out
+    assert out == run(capsys, ["batch", str(plain), "--n", "3"])[1]
+    assert len(out.splitlines()) == 2
+
+
 @pytest.mark.parametrize(
     "argv",
     [

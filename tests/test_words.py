@@ -1,6 +1,7 @@
 """Parsing, cyclic reduction, and word predicates."""
 
 import random
+import re
 import time
 import tracemalloc
 
@@ -72,6 +73,60 @@ def reduce_letter_by_letter(word):
     return tuple(syllables)
 
 
+def read_token_by_token(text, n=None):
+    """The word of ``text`` read one token at a time: each token through
+    the grammar and the limit checks in order, then the syllables through
+    ``SyllableWord``'s own validation."""
+    if n is not None and n > MAX_STRANDS:
+        raise PreconditionError(
+            f"strand count {n} is above the limit of {MAX_STRANDS}"
+        )
+    token_re = re.compile(
+        r"^(?:(-?[0-9]{1,18})|[sS]([0-9]{1,18})(?:\^(-?[0-9]{1,18}))?)$"
+    )
+    syllables = []
+    letters = 0
+    for count, token in enumerate(re.findall(r"\S+", text)):
+        if count == MAX_WORD_LETTERS:
+            raise PreconditionError(
+                f"word has more than {MAX_WORD_LETTERS} tokens, the limit"
+            )
+        match = token_re.match(token)
+        if match is None:
+            raise BraidSyntaxError(f"cannot parse braid token {token!r}")
+        if match.group(1) is not None:
+            g = int(match.group(1))
+            m, r = abs(g), (1 if g > 0 else -1)
+        else:
+            m = int(match.group(2))
+            r = int(match.group(3)) if match.group(3) is not None else 1
+        if m == 0:
+            raise BraidSyntaxError("generator index 0 is not valid")
+        if r == 0:
+            continue
+        if n is None and m >= MAX_STRANDS:
+            raise PreconditionError(
+                f"word needs {m + 1} strands, above the limit of {MAX_STRANDS}"
+            )
+        letters += abs(r)
+        if letters > MAX_WORD_LETTERS:
+            raise PreconditionError(
+                f"word has more than {MAX_WORD_LETTERS} letters, the limit"
+            )
+        syllables.append((m, r))
+    if n is None:
+        n = max((m for m, _ in syllables), default=0) + 1
+    return SyllableWord(n, tuple(syllables))
+
+
+def outcome(read, *args):
+    """What ``read(*args)`` returns, or the type and message it raises."""
+    try:
+        return read(*args)
+    except (BraidSyntaxError, PreconditionError) as exc:
+        return type(exc), str(exc)
+
+
 def cyclic_pair_by_rotation(word):
     """Whether some rotation has two disjoint complete windows, one
     rotation at a time."""
@@ -101,6 +156,33 @@ reducer_case_st = st.integers(min_value=2, max_value=5).flatmap(
         st.just(n), _letters_on(n, 40) | _seam_heavy(n)
     )
 )
+
+
+# a line repeats a few tokens, as braid words do: signed letters, syllables
+# of exponent 0 and of exponents large enough to pass the letter limit,
+# generators out of range or past the strand limit, and tokens outside the
+# grammar (non-ASCII digits among them)
+_generator_st = st.integers(min_value=0, max_value=MAX_STRANDS + 2)
+token_st = st.one_of(
+    st.builds(lambda g, s: str(s * g), _generator_st, st.sampled_from([1, -1])),
+    st.builds(
+        lambda case, g, k: f"{case}{g}" if k is None else f"{case}{g}^{k}",
+        st.sampled_from(["s", "S"]),
+        _generator_st,
+        st.none() | st.integers(min_value=-3, max_value=3) | st.sampled_from(
+            [4000, -6000, MAX_WORD_LETTERS, MAX_WORD_LETTERS + 1]
+        ),
+    ),
+    st.sampled_from(
+        ["x", "s", "s1^", "s1^^2", "1.5", "+1", "s-1", "-0", "s2^-0"]
+        + ["s\u0663", "\u0662", "s1^-\u0662"]  # non-ASCII digits
+    ),
+)
+line_st = st.tuples(
+    st.lists(token_st, min_size=1, max_size=6),
+    st.lists(st.integers(min_value=0, max_value=5), max_size=40),
+    st.sampled_from([" ", "  ", "\t", " \n "]),
+).map(lambda case: case[2].join(case[0][i % len(case[0])] for i in case[1]))
 
 
 def test_parse_numeric_form():
@@ -177,6 +259,59 @@ def test_parse_token_limit_fails_before_splitting():
         finally:
             tracemalloc.stop()
         assert peak < len(text) // 10
+
+
+def test_parse_refuses_non_ascii_digits():
+    for text in ("s\u0663^-\u0662 \u0661", "\u0663", "s1^-\u0662", "s\uff11"):
+        with pytest.raises(BraidSyntaxError, match="cannot parse braid token"):
+            parse_braid(text, 4)
+
+
+@given(line_st, st.none() | st.integers(min_value=-1, max_value=MAX_STRANDS + 1))
+@settings(max_examples=500)
+@example("s1^-3 s2^-3 s1^-3 s2^-3", None)
+@example("s5 s1 s5^0 s4", 3)  # the first generator out of range is named
+@example("s5^0 s1", 3)  # a token of exponent 0 is never range checked
+@example(f"s1^{MAX_WORD_LETTERS} s40 s1", 3)  # the letter limit comes first
+@example(f"s40^0 s40 s1^{MAX_WORD_LETTERS + 1}", None)
+@example("s1 s1 x", 0)  # the syntax error comes before the strand count
+@example("s1 s2", 0)
+@example("", None)
+def test_parse_matches_the_token_by_token_reader(text, n):
+    # words compare on n, syllables and cyclically_reduced
+    assert outcome(parse_braid, text, n) == outcome(read_token_by_token, text, n)
+
+
+def assert_same_word(built, public):
+    assert built == public and public == built
+    assert hash(built) == hash(public)
+    assert repr(built) == repr(public)
+    assert built.cyclically_reduced is public.cyclically_reduced
+    assert built.crossings == public.crossings
+    assert built.as_text() == public.as_text()
+
+
+@given(reducer_case_st)
+@settings(max_examples=300)
+@example((3, [1, 2, 2, -1]))
+@example((3, [1, -1]))
+def test_parsed_and_reduced_words_equal_public_constructor_words(case):
+    n, letters = case
+    parsed = parse_braid(" ".join(map(str, letters)), n)
+    assert_same_word(parsed, SyllableWord(n, parsed.syllables))
+    reduced = cyclically_reduce_into_syllables(parsed)
+    assert_same_word(reduced, SyllableWord(n, reduced.syllables))
+    syllabic = parse_braid(reduced.as_text(), n)
+    assert_same_word(syllabic, SyllableWord(n, reduced.syllables))
+    # the public constructor coerces what it is given
+    listed = SyllableWord(n, [list(syllable) for syllable in reduced.syllables])
+    assert_same_word(reduced, listed)
+    assert type(listed.syllables) is tuple
+
+
+def test_public_constructor_refuses_a_generator_out_of_range():
+    with pytest.raises(BraidSyntaxError, match="generator 3 is not a generator of B_3"):
+        SyllableWord(3, ((1, 1), (3, -1)))
 
 
 def test_parse_strand_limit():
