@@ -23,6 +23,7 @@ count, input limits).  ``batch`` reports a failed line as an error row whose
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -138,9 +139,9 @@ def _failure(exc: Exception) -> tuple[int, str, str]:
     return 1, "internal", "error: "  # main lets these propagate
 
 
-def _batch_line(raw: str, args: argparse.Namespace) -> str:
+def _batch_line(raw: str, n: int | None, options: dict) -> str:
     try:
-        return analyze_line(_parse_word(raw, args.n), **_analysis_options(args))
+        return analyze_line(_parse_word(raw, n), **options)
     except Exception as exc:  # per-line isolation by contract
         return json.dumps(
             {
@@ -163,8 +164,9 @@ def cmd_batch(args: argparse.Namespace) -> int:
             ]
     except UnicodeDecodeError as exc:
         raise BraidSyntaxError(f"{args.path} is not UTF-8 text: {exc}") from exc
+    options = _analysis_options(args)
     for row in rows:
-        print(_batch_line(row, args))
+        print(_batch_line(row, args.n, options))
     return 0
 
 
@@ -292,6 +294,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0 if lemma.passed else 3
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="braidvol",
@@ -344,6 +347,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand and return its exit code.  The argument parser
+    is built once per process and shared by every call: parsing fills a
+    fresh namespace each time, so no option carries from one call to the
+    next."""
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -9,19 +9,21 @@ letter joins the two strands above the crossing (a *cap*) and below it
 crossing turns the diagram into a disjoint union of embedded circles, the
 state circles, each with a winding number 0 or 1 around the annulus core.
 :func:`resolve_all_A` finds them in one sweep down the braid that works one
-syllable at a time: union-find (Tarjan, 1975) joins labels once per twist
-region, and each boundary circle (one that leaves its syllable) is
-classified as it is traced.  The small circles stacked inside a negative
-region, almost every circle of a long family word, are never traced one by
-one: the state keeps them as runs of consecutive ids, the census and the
-reduced graph read the runs' counts, and the ``batch`` line writes each run
-in one piece.  A circle is a :class:`StateCircle` named tuple;
-:attr:`AllAState.circles` builds the full tuple of circles from the runs
-only when it is read (by the SVG renderer, ``analyze``'s circle detail and
-the tests).  The state keeps one record per twist region and builds no
-object per crossing or per arc.  The arcs are numbered once, by
-:func:`arc_table`, which the sweep names its labels by and the SVG
-renderer walks.
+syllable at a time: a union-find (Tarjan, 1975) on flat lists joins compact
+nodes, one per column's top label and one per negative syllable's last
+cup, once per twist region.  A second pass over the syllables numbers the
+circles, records each region and classifies each boundary circle (one that
+leaves its syllable); no dict is keyed by arc id.  The small circles
+stacked inside a negative region, almost every circle of a long family
+word, get no node and are never traced one by one: the state keeps them as
+runs of consecutive ids, the census and the reduced graph read the runs'
+counts, and the ``batch`` line writes each run in one piece.  A circle is
+a :class:`StateCircle` named tuple; :attr:`AllAState.circles` builds the
+full tuple of circles from the runs only when it is read (by the SVG
+renderer, ``analyze``'s circle detail and the tests).  The state keeps
+one record per twist region and builds no object per crossing or per arc.
+The arcs are numbered once, by :func:`arc_table`, which the sweep names
+its nodes by and the SVG renderer walks.
 
 The circles carry a taxonomy driven by their *support* (the set of twist-
 region columns contributing a cap or cup to the circle):
@@ -236,7 +238,7 @@ def arc_table(
     ``id`` runs from grid point ``ends[2 * id]`` to ``ends[2 * id + 1]``:
     left to right along a cap or cup, down a pass, and from the bottom of
     the braid up to its top along a closure arc.  Every grid point ends
-    exactly two arcs.  :func:`resolve_all_A` names its labels by these ids.
+    exactly two arcs.  :func:`resolve_all_A` names its nodes by these ids.
     """
     n = word.n
     kinds, columns, levels, ends = bytearray(), [], [], []
@@ -267,117 +269,131 @@ def arc_table(
 def resolve_all_A(word: SyllableWord) -> AllAState:
     """Smooth every crossing the A-way and trace the state circles.
 
-    One sweep down the braid keeps a union-find label per column and does
-    its work one syllable at a time.  A positive syllable leaves every label
-    where it was, so its segments all join one label pair.  A negative
-    syllable sigma_g^-k unions columns g and g+1 once (its first cap) and
-    leaves the fresh label of its last cup on both; the k - 1 circles in
-    between, each the cup of one letter and the cap of the next, close
-    inside the syllable as small inner circles of support {g} and winding
-    0, and are kept as a run ``(first id, k - 1, g)`` without a label each.
-    The closure unions each column's bottom and top labels.  A label is
-    named by its smallest arc id (see :func:`arc_table`) and a union keeps
-    the smaller name, so circles are numbered in arc order: an inner
-    circle's smallest arc is its cup, ids first * n + 1 + j * n, and only
-    the roots of the boundary circles, O(t + n) of them, are sorted.  They
-    are merged with the runs in id order, and a run splits where a boundary
-    root falls between two of its cups (see :attr:`AllAState.pieces`).
-    Winding is the parity of a circle's closure arcs; the last loop maps
-    each syllable's labels to its two boundary circles, records the region
-    (see :attr:`AllAState.regions`) and gathers each boundary circle's
-    support and region ends, so every boundary circle is built once,
-    already classified (see :func:`_klass`); any syllable word works.  No
-    per-crossing, per-arc or per-small-circle object is built:
+    One sweep down the braid does its work one syllable at a time, with a
+    union-find (Tarjan, 1975) on flat lists over compact node ids: node j
+    < n is column j's top label, and each negative syllable adds one node,
+    its last cup.  A node is named by an arc id (see :func:`arc_table`) and
+    a union keeps the root with the smaller name, so every circle's root
+    is named by its smallest arc and circles are numbered in arc order.
+    A positive syllable leaves every column's node where it was, so its
+    segments all join one node pair.  A negative syllable sigma_g^-k
+    unions the nodes of columns g and g+1 once (its first cap) and puts its
+    cup node on both; the k - 1 circles in between, each the cup of one
+    letter and the cap of the next, close inside the syllable as small
+    inner circles of support {g} and winding 0.  They get no node: named
+    by their cups, ids first * n + 1 + j * n, they are kept as a run
+    ``(first id, k - 1, g)``.  The closure unions each column's bottom
+    node with its top node.
+
+    One more pass over the syllables does the rest, in arc order.  The
+    roots of the boundary circles, O(t + n) of them, are sorted by name; a
+    syllable numbers its runs and every root named by an arc of its
+    letters or above, in id order, so a run splits where a root falls
+    between two of its cups (see :attr:`AllAState.pieces`).  It then
+    records its two boundary circles (see :attr:`AllAState.regions`) and
+    adds to their support and region ends.  Winding is the parity of a
+    circle's closure arcs.  Every per-node value is a list indexed by
+    node, so no dict is keyed by arc id, and every boundary circle is built
+    once, already classified (see :func:`_klass`); any syllable word works.
+    No per-crossing, per-arc or per-small-circle object is built:
     :func:`reduced_graph` and the predicates read the regions, the census
     reads the runs' counts.
     """
     n = word.n
-    # a top label is the first letter's arc in its column: the cap, or a pass
-    # after a negative letter's cap and cup; g = 0 reads every column's pass
-    # (or, for the empty word, its closure arc) as arc id j
+    # node j is column j's top label, named by the first letter's arc in that
+    # column: the cap, or a pass after a negative letter's cap and cup; g = 0
+    # names every column's pass (or, for the empty word, its closure arc) j
     g = word.syllables[0][0] if word.syllables and word.syllables[0][1] < 0 else 0
-    top = [j + 2 if j < g - 1 else 0 if j <= g else j for j in range(n)]
-    parent = {label: label for label in top}
+    name = [j + 2 if j < g - 1 else 0 if j <= g else j for j in range(n)]
+    parent = list(range(n))
 
-    def find(label: int) -> int:
-        while (up := parent[label]) != label:
-            parent[label] = label = parent[up]
-        return label
+    def find(node: int) -> int:
+        while (up := parent[node]) != node:
+            parent[node] = node = parent[up]
+        return node
 
-    def union(a: int, b: int) -> int:
-        a, b = sorted((find(a), find(b)))
+    def union(a: int, b: int) -> None:
+        a, b = find(a), find(b)
+        if name[b] < name[a]:
+            a, b = b, a
         parent[b] = a
-        return a
 
-    labels = top.copy()
-    # one record per syllable: its first crossing and two labels, the pair it
-    # joins when positive, the first cap's root and the last cup when negative
+    labels = list(range(n))  # each column's live node
+    # one record per syllable: its first crossing and two nodes, the pair it
+    # joins when positive, the first cap's and the last cup's when negative
     records: list[tuple[int, int, int, int, int]] = []
     crossing = 0
     for g, r in word.syllables:
         if r > 0:
             records.append((crossing, g, r, labels[g - 1], labels[g]))
         else:
-            cap = union(labels[g - 1], labels[g])
-            cup = (crossing - r - 1) * n + 1
-            parent[cup] = labels[g - 1] = labels[g] = cup
-            records.append((crossing, g, r, cap, cup))
+            cup = len(parent)
+            records.append((crossing, g, r, labels[g - 1], cup))
+            union(labels[g - 1], labels[g])
+            labels[g - 1] = labels[g] = cup
+            parent.append(cup)
+            name.append((crossing - r - 1) * n + 1)
         crossing += abs(r)
-    for bottom, label in zip(labels, top):
-        union(bottom, label)
+    for top, bottom in enumerate(labels):
+        union(bottom, top)
 
-    # number the circles: merge the sorted boundary roots with each negative
-    # syllable's inner roots, the ids of its cups above the last, which run
-    # from first * n + 1 in steps of n; a boundary root between two of them
-    # splits the syllable's run.  ``order`` holds each boundary circle's id
-    # and each run, in id order; the sentinel is past every arc id.
-    root_of = {label: find(label) for label in parent}
-    roots = sorted(set(root_of.values()))
-    roots.append((crossing + 1) * n)
-    circle_of: dict[int, int] = {}
-    order: list[int | tuple[int, int, int]] = []
-    cid = i = 0
-    for first, g, r, _, last_cup in records:
-        root = first * n + 1
-        while r < -1 and root < last_cup:
-            while roots[i] < root:
-                circle_of[roots[i]] = cid
-                order.append(cid)
-                cid, i = cid + 1, i + 1
-            # the inner roots below both the next boundary root and the last cup
-            count = (min(roots[i], last_cup) - root - 1) // n + 1
-            order.append((cid, count, g))
-            cid, root = cid + count, root + count * n
-    for root in roots[i:-1]:
-        circle_of[root] = cid
-        order.append(cid)
-        cid += 1
-
-    circle_of_label = {label: circle_of[root] for label, root in root_of.items()}
-    winding = dict.fromkeys(circle_of.values(), 0)  # closure-arc parity
-    for label in top:
-        winding[circle_of_label[label]] ^= 1
-    support: dict[int, set[int]] = {cid: set() for cid in winding}
-    ends = dict.fromkeys(winding, 0)  # region ends on each boundary circle
-    wraps = set()  # circles that both ends of one r = -2 region land on
+    root = [find(node) for node in range(len(parent))]
+    roots = [node for node, up in enumerate(root) if node == up]
+    roots.sort(key=name.__getitem__)
+    bounds = [name[node] for node in roots]
+    bounds.append((crossing + 1) * n)  # past every arc id
+    # per root: its circle's id, winding, support and region ends
+    circle_id = [0] * len(parent)
+    winding = [0] * len(parent)
+    for top in range(n):
+        winding[root[top]] ^= 1
+    support: list[set[int] | None] = [None] * len(parent)
+    for node in roots:
+        support[node] = set()
+    ends = [0] * len(parent)
+    wraps = set()  # roots that both ends of one r = -2 region land on
+    order: list[int | tuple[int, int, int]] = []  # roots and runs, in id order
     regions: list[tuple[int, int, tuple[int, int]]] = []
-    for first, g, r, label_a, label_b in records:
-        a, b = circle_of_label[label_a], circle_of_label[label_b]
+    cid = i = 0
+    for first, g, r, a, b in records:
+        # the inner circles' cups run from first * n + 1 in steps of n up to
+        # the last cup, which is not one of them; a positive syllable has none
+        inner = first * n + 1
+        last = inner - (r + 1) * n if r < 0 else inner
+        # every root named by an arc down to this syllable's last letter,
+        # each after the inner circles below it
+        while bounds[i] < (first + abs(r)) * n:
+            count = (min(bounds[i], last) - inner - 1) // n + 1
+            if count > 0:
+                order.append((cid, count, g))
+                cid, inner = cid + count, inner + count * n
+            circle_id[roots[i]] = cid
+            order.append(roots[i])
+            cid, i = cid + 1, i + 1
+        if inner < last:
+            count = (last - inner) // n
+            order.append((cid, count, g))
+            cid += count
+        a, b = root[a], root[b]
+        regions.append((first, r, (circle_id[a], circle_id[b])))
         ends[a] += 1
         ends[b] += 1
-        regions.append((first, r, (a, b)))
         if r < 0:
             support[a].add(g)
             support[b].add(g)
             if r == -2 and a == b:
                 wraps.add(a)
+    # roots are left only for the empty word: its n closure arcs
+    for node in roots[i:]:
+        circle_id[node] = cid
+        order.append(node)
+        cid += 1
 
-    def boundary_circle(cid: int) -> StateCircle:
-        columns, turns = support[cid], winding[cid]
-        wrapped = cid in wraps and ends[cid] == 2
-        return StateCircle(
-            cid, turns, frozenset(columns), _klass(columns, turns, wrapped)
-        )
+    def boundary_circle(node: int) -> StateCircle:
+        columns, turns = support[node], winding[node]
+        wrapped = node in wraps and ends[node] == 2
+        klass = _klass(columns, turns, wrapped)
+        return StateCircle(circle_id[node], turns, frozenset(columns), klass)
 
     pieces = tuple(
         boundary_circle(piece) if type(piece) is int else piece for piece in order

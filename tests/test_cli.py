@@ -243,6 +243,37 @@ def test_batch_reads_past_a_byte_order_mark(capsys, tmp_path):
     assert len(out.splitlines()) == 2
 
 
+def test_batch_calls_share_a_parser_and_leak_no_option(capsys, tmp_path, monkeypatch):
+    options = count_calls(monkeypatch, cli, "_analysis_options")
+    path = tmp_path / "words.txt"
+    words = ["s1^-3 s2^-3 s1^-3 s2^-3", "s1^-4 s2^-3", "s1^-3 s2^-5"]
+    path.write_text("\n".join(words) + "\n", encoding="utf-8")
+    assert cli._build_parser() is cli._build_parser()
+
+    code, out, _ = run(capsys, ["batch", str(path), "--bracket"])
+    assert code == 0
+    assert all(json.loads(row)["bracket"] is not None for row in out.splitlines())
+    code, out, _ = run(capsys, ["batch", str(path)])
+    assert code == 0
+    assert [json.loads(row)["bracket"] for row in out.splitlines()] == [None] * 3
+    # the options are read once per call, not once per line
+    assert len(options) == 2
+
+    # a usage error leaves the parser as it was
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["batch", str(path), "--n", "three"])
+    assert exit_info.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
+    assert run(capsys, ["batch", str(path)])[:2] == (0, out)
+
+    # --n from one call does not carry into the next
+    code, wide, _ = run(capsys, ["batch", str(path), "--n", "5"])
+    assert code == 0
+    assert [json.loads(row)["n"] for row in wide.splitlines()] == [5] * 3
+    assert run(capsys, ["batch", str(path)])[:2] == (0, out)
+    assert [json.loads(row)["n"] for row in out.splitlines()] == [3] * 3
+
+
 @pytest.mark.parametrize(
     "argv",
     [

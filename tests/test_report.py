@@ -9,7 +9,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braidvol import bracket, families, states
+from braidvol import bracket, families, report, states
 from braidvol.bounds import jones_bounds, volume_bounds
 from braidvol.errors import PreconditionError
 from braidvol.generate import GeneratorSpec, generate_words
@@ -22,7 +22,12 @@ from braidvol.states import (
     satisfies_TELC,
 )
 from braidvol.render import render_state_svg
-from braidvol.words import MAX_STRANDS, SyllableWord, cyclically_reduce_into_syllables
+from braidvol.words import (
+    MAX_STRANDS,
+    SyllableWord,
+    cyclically_reduce_into_syllables,
+    parse_braid,
+)
 
 from conftest import (
     any_n_words,
@@ -452,6 +457,41 @@ def test_analyze_line_is_the_dumped_report(word, options):
             analyze_line(word, **options)
         return
     assert analyze_line(word, **options) == expected
+
+
+def seeded_long_word():
+    """The seeded 10,000-letter n = 32 random word, reduced: the largest
+    circle ids a report writes within the input limits."""
+    rng = random.Random(1)
+    text = " ".join(
+        str(rng.choice((-1, 1)) * rng.randint(1, 31)) for _ in range(10_000)
+    )
+    return cyclically_reduce_into_syllables(parse_braid(text, 32))
+
+
+@pytest.mark.parametrize("long_first", [True, False])
+def test_analyze_line_is_the_dumped_report_in_either_order(monkeypatch, long_first):
+    # the id text table starts empty, and grows once for the long word:
+    # after it, or before it, the short word's line is still its report
+    monkeypatch.setattr(report, "_ID_TEXTS", [])
+    words = [seeded_long_word(), ladder(2)]
+    for word in words if long_first else words[::-1]:
+        assert analyze_line(word) == json.dumps(analyze(word))
+
+
+def test_id_text_table_grows_to_the_largest_circle_count(monkeypatch):
+    # the table never holds more ids than the largest state needs, and every
+    # state's circle count is at most its n plus its negative crossings
+    monkeypatch.setattr(report, "_ID_TEXTS", [])
+    circles = bound = 0
+    spec = GeneratorSpec(n=4, syllable_count=60, seed=3, count=2)
+    for word in [ladder(1), *generate_words(spec), seeded_long_word(), ladder(3)]:
+        analyze_line(word)
+        negative = sum(-r for _, r in word.syllables if r < 0)
+        circles = max(circles, sum(resolve_all_A(word).census.values()))
+        bound = max(bound, word.n + negative)
+        assert len(report._ID_TEXTS) == circles <= bound
+        assert report._ID_TEXTS == [str(i) for i in range(circles)]
 
 
 if __name__ == "__main__":

@@ -11,7 +11,9 @@ So are the per-segment definitions of A-adequacy, the two-edge loop
 condition and the reduced graph, which the state now reads per twist
 region.  The oracle's arcs and segments are its own frozen types, defined
 here: the state builds neither, and the SVG renderer walks plain arc ids,
-which must visit the oracle's arcs in the oracle's order.
+which must visit the oracle's arcs in the oracle's order.  The label-dict
+sweep that the flat-list sweep replaced is kept as a reference too
+(:func:`resolve_by_labels`): both must give equal pieces and regions.
 """
 
 import json
@@ -20,7 +22,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from braidvol.errors import OracleError, PreconditionError
 from braidvol.generate import GeneratorSpec, generate_words
@@ -31,9 +33,11 @@ from braidvol.states import (
     CLOSURE,
     CUP,
     PASS,
+    AllAState,
     CircleClass,
     ReducedStateGraph,
     StateCircle,
+    _klass,
     arc_table,
     classify_circles,
     is_A_adequate,
@@ -45,7 +49,14 @@ from braidvol.states import (
 )
 from braidvol.words import SyllableWord, cyclically_reduce_into_syllables
 
-from conftest import any_n_words, ladder, word_of, word_st
+from conftest import (
+    any_n_words,
+    chain_syllables,
+    exponent_st,
+    ladder,
+    word_of,
+    word_st,
+)
 
 class ArcKind(str, Enum):
     PASS = "pass"
@@ -609,6 +620,137 @@ def test_sweep_matches_the_walk_oracle_on_the_empty_word(n):
 def test_sweep_matches_the_walk_oracle_on_generated_words(n, seed, half):
     spec = GeneratorSpec(n=n, syllable_count=2 * half, seed=seed)
     assert_sweep_matches_oracle(generate_words(spec)[0])
+
+
+def resolve_by_labels(word):
+    """The label-dict sweep the flat-list sweep replaced, as a reference.
+
+    Union-find runs over a dict keyed by the labels' arc ids, a union keeps
+    the smaller id, and the numbering, winding, support and region passes
+    each build a dict keyed by arc id or circle id.  The state it returns
+    must equal :func:`resolve_all_A`'s, pieces and regions alike.
+    """
+    n = word.n
+    g = word.syllables[0][0] if word.syllables and word.syllables[0][1] < 0 else 0
+    top = [j + 2 if j < g - 1 else 0 if j <= g else j for j in range(n)]
+    parent = {label: label for label in top}
+
+    def find(label):
+        while (up := parent[label]) != label:
+            parent[label] = label = parent[up]
+        return label
+
+    def union(a, b):
+        a, b = sorted((find(a), find(b)))
+        parent[b] = a
+        return a
+
+    labels = top.copy()
+    records = []
+    crossing = 0
+    for g, r in word.syllables:
+        if r > 0:
+            records.append((crossing, g, r, labels[g - 1], labels[g]))
+        else:
+            cap = union(labels[g - 1], labels[g])
+            cup = (crossing - r - 1) * n + 1
+            parent[cup] = labels[g - 1] = labels[g] = cup
+            records.append((crossing, g, r, cap, cup))
+        crossing += abs(r)
+    for bottom, label in zip(labels, top):
+        union(bottom, label)
+
+    root_of = {label: find(label) for label in parent}
+    roots = sorted(set(root_of.values()))
+    roots.append((crossing + 1) * n)
+    circle_of = {}
+    order = []
+    cid = i = 0
+    for first, g, r, _, last_cup in records:
+        root = first * n + 1
+        while r < -1 and root < last_cup:
+            while roots[i] < root:
+                circle_of[roots[i]] = cid
+                order.append(cid)
+                cid, i = cid + 1, i + 1
+            count = (min(roots[i], last_cup) - root - 1) // n + 1
+            order.append((cid, count, g))
+            cid, root = cid + count, root + count * n
+    for root in roots[i:-1]:
+        circle_of[root] = cid
+        order.append(cid)
+        cid += 1
+
+    circle_of_label = {label: circle_of[root] for label, root in root_of.items()}
+    winding = dict.fromkeys(circle_of.values(), 0)
+    for label in top:
+        winding[circle_of_label[label]] ^= 1
+    support = {cid: set() for cid in winding}
+    ends = dict.fromkeys(winding, 0)
+    wraps = set()
+    regions = []
+    for first, g, r, label_a, label_b in records:
+        a, b = circle_of_label[label_a], circle_of_label[label_b]
+        ends[a] += 1
+        ends[b] += 1
+        regions.append((first, r, (a, b)))
+        if r < 0:
+            support[a].add(g)
+            support[b].add(g)
+            if r == -2 and a == b:
+                wraps.add(a)
+
+    def boundary_circle(cid):
+        columns, turns = support[cid], winding[cid]
+        wrapped = cid in wraps and ends[cid] == 2
+        return StateCircle(
+            cid, turns, frozenset(columns), _klass(columns, turns, wrapped)
+        )
+
+    pieces = tuple(
+        boundary_circle(piece) if type(piece) is int else piece for piece in order
+    )
+    return AllAState(word, pieces, tuple(regions))
+
+
+def assert_sweep_matches_the_label_sweep(word):
+    state, reference = resolve_all_A(word), resolve_by_labels(word)
+    assert state.pieces == reference.pieces
+    assert state.regions == reference.regions
+    assert state == reference
+
+
+@st.composite
+def label_sweep_words(draw):
+    """Unreduced words on 2 to 32 strands: runs of one repeated generator,
+    lone r = -1 and r = -2 regions, and a prefix u closed by u^-1 at the
+    end, which cancels across the closure seam once reduced; the body may
+    be empty, and so may the whole word."""
+    n = draw(st.integers(min_value=2, max_value=32))
+    generator = st.integers(min_value=1, max_value=n - 1)
+    exponent = st.one_of(st.sampled_from((-2, -1)), exponent_st)
+    body = chain_syllables(
+        draw(st.lists(st.tuples(generator, exponent, st.booleans()), max_size=16))
+    )
+    seam = draw(st.lists(st.tuples(generator, exponent), max_size=4))
+    inverse = tuple((g, -r) for g, r in reversed(seam))
+    return SyllableWord(n, (*seam, *body, *inverse))
+
+
+@given(label_sweep_words())
+@example(SyllableWord(2, ()))
+@example(SyllableWord(32, ()))
+@settings(max_examples=400)
+def test_sweep_matches_the_label_sweep(word):
+    assert_sweep_matches_the_label_sweep(word)
+    assert_sweep_matches_the_label_sweep(cyclically_reduce_into_syllables(word))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 16, 32])
+def test_sweep_matches_the_label_sweep_on_generated_words(n):
+    spec = GeneratorSpec(n=n, syllable_count=200, seed=1, count=3)
+    for word in generate_words(spec):
+        assert_sweep_matches_the_label_sweep(word)
 
 
 @given(word_st)
