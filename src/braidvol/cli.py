@@ -23,6 +23,7 @@ count, input limits).  ``batch`` reports a failed line as an error row whose
 from __future__ import annotations
 
 import argparse
+import codecs
 import functools
 import json
 import sys
@@ -153,20 +154,35 @@ def _batch_line(raw: str, n: int | None, options: dict) -> str:
         )
 
 
+# bytes per read of the UTF-8 check that precedes a batch run
+_CHECK_CHUNK = 1 << 16
+
+
+def _check_utf8(path: str) -> None:
+    """Decode the file in fixed-size chunks and keep nothing: raises
+    ``UnicodeDecodeError`` if it is not UTF-8 text, before ``batch`` writes
+    any row."""
+    decoder = codecs.getincrementaldecoder("utf-8-sig")()
+    with open(path, "rb") as handle:
+        while chunk := handle.read(_CHECK_CHUNK):
+            decoder.decode(chunk)
+    decoder.decode(b"", final=True)
+
+
 def cmd_batch(args: argparse.Namespace) -> int:
+    """Check the file is UTF-8 text, then read it a line at a time and
+    write each row as it is made."""
+    options = _analysis_options(args)
     try:
+        _check_utf8(args.path)
         # utf-8-sig: a byte order mark is dropped, not read into line 1
         with open(args.path, encoding="utf-8-sig") as handle:
-            rows = [
-                line.strip()
-                for line in handle
-                if line.strip() and not line.lstrip().startswith("#")
-            ]
-    except UnicodeDecodeError as exc:
+            for line in handle:
+                row = line.strip()
+                if row and not row.startswith("#"):
+                    print(_batch_line(row, args.n, options))
+    except UnicodeDecodeError as exc:  # also a file changed since the check
         raise BraidSyntaxError(f"{args.path} is not UTF-8 text: {exc}") from exc
-    options = _analysis_options(args)
-    for row in rows:
-        print(_batch_line(row, args.n, options))
     return 0
 
 

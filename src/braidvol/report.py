@@ -4,8 +4,10 @@
 with a stable key set: analyses that do not apply (wrong strand count,
 failed gate, not requested) are present as ``None``, never missing.
 ``analyze_line`` returns the same report as its ``json.dumps`` text, the
-``batch`` line, and writes the circle detail straight from the state
-circles instead of building one dict per circle.
+``batch`` line.  Both read the circle detail from the state's pieces, a run
+of small inner circles at a time, and never build
+:attr:`AllAState.circles`: ``analyze`` (through ``circle_detail``) gives
+one dict per circle, and ``analyze_line`` writes each run in one piece.
 ``verify`` re-derives the cross-identities that tie the stages together and
 reports them check by check; it is the engine behind the ``verify``
 subcommand.
@@ -64,17 +66,33 @@ _CLASS_NAMES = {klass: klass.value for klass in CircleClass}
 
 
 def circle_detail(state: AllAState) -> list[dict]:
-    """Per-circle detail of a report: id, class, winding and support."""
+    """Per-circle detail of a report: id, class, winding and support.
+
+    Read from the state's pieces, so :attr:`AllAState.circles` is never
+    built: a boundary circle gives one dict, and a run of small inner
+    circles one dict per id from a single comprehension, each with its own
+    ``[g]`` support list."""
     names = _CLASS_NAMES
-    return [
-        {
-            "id": cid,
-            "class": names[klass],
-            "winding": winding,
-            "support": sorted(support),
-        }
-        for cid, winding, support, klass in state.circles
-    ]
+    small = names[CircleClass.SMALL_INNER]
+    detail: list[dict] = []
+    for piece in state.pieces:
+        if type(piece) is StateCircle:
+            cid, winding, support, klass = piece
+            detail.append(
+                {
+                    "id": cid,
+                    "class": names[klass],
+                    "winding": winding,
+                    "support": sorted(support),
+                }
+            )
+            continue
+        first, count, g = piece
+        detail += [
+            {"id": cid, "class": small, "winding": 0, "support": [g]}
+            for cid in range(first, first + count)
+        ]
+    return detail
 
 
 def schreier_block(form: SchreierForm) -> dict:
@@ -176,7 +194,7 @@ def analyze_line(
 ) -> str:
     """``json.dumps(analyze(word, ...))``, byte for byte: the ``batch`` line.
 
-    The circle detail is written from the state circles without a dict per
+    The circle detail is written from the state's pieces without a dict per
     circle (see ``_detail_text``); the rest of the report goes through
     ``json.dumps``.  Takes and raises what ``analyze`` does.
 

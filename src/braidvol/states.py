@@ -17,10 +17,11 @@ leaves its syllable); no dict is keyed by arc id.  The small circles
 stacked inside a negative region, almost every circle of a long family
 word, get no node and are never traced one by one: the state keeps them as
 runs of consecutive ids, the census and the reduced graph read the runs'
-counts, and the ``batch`` line writes each run in one piece.  A circle is
-a :class:`StateCircle` named tuple; :attr:`AllAState.circles` builds the
-full tuple of circles from the runs only when it is read (by the SVG
-renderer, ``analyze``'s circle detail and the tests).  The state keeps
+counts, and ``analyze``'s circle detail and the ``batch`` line read each
+run in one piece.  A circle is a :class:`StateCircle` named tuple;
+:attr:`AllAState.circles` builds the full tuple of circles from the runs
+only when it is read (by the SVG renderer, the demos, the tests and the
+perfbench traced replay).  The state keeps
 one record per twist region and builds no object per crossing or per arc.
 The arcs are numbered once, by :func:`arc_table`, which the sweep names
 its nodes by and the SVG renderer walks.
@@ -153,10 +154,13 @@ class AllAState:
 
     @cached_property
     def circles(self) -> tuple[StateCircle, ...]:
-        """Every circle in id order, the runs expanded.  The small inner
-        circles are built as ``tuple.__new__(StateCircle, ...)`` over their
-        four fields, skipping the named tuple's Python-level ``__new__``;
-        those of one run share one ``frozenset({g})``."""
+        """Every circle in id order, the runs expanded.  Read by the SVG
+        renderer, the demos, the tests and the perfbench traced replay;
+        ``analyze``, ``analyze_line`` and ``verify`` read the pieces and
+        never build it.  The small inner circles are built as
+        ``tuple.__new__(StateCircle, ...)`` over their four fields, skipping
+        the named tuple's Python-level ``__new__``; those of one run share
+        one ``frozenset({g})``."""
         new_tuple, small_inner = tuple.__new__, CircleClass.SMALL_INNER
         circles: list[StateCircle] = []
         for piece in self.pieces:

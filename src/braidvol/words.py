@@ -139,8 +139,10 @@ def _generator_error(m: int, n: int) -> BraidSyntaxError:
 # states.resolve_all_A and the Schreier normal form work per syllable (the
 # normal form's cascades, which cancel units where syllables meet, are
 # bounded by the letters they cancel); the letter limit bounds the layers
-# that still work per letter: the circles closed inside twist regions that
-# AllAState.circles builds when it is read, the SVG renderer's walk over the
+# that still work per letter: the circles closed inside twist regions, one
+# dict each in analyze's circle detail (read from the state's runs) and one
+# tuple each in AllAState.circles (read only by the SVG renderer, the demos,
+# the tests and the perfbench replay), the SVG renderer's walk over the
 # (c + 1) * n arc ids and its one dashed line per crossing, and the bracket
 # sweep.  Both sit well above the sizes analyze is used at (about 1000
 # crossings, n <= 8).

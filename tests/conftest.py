@@ -96,6 +96,23 @@ def any_n_words(max_n):
     )
 
 
+@st.composite
+def label_sweep_words(draw):
+    """Unreduced words on 2 to 32 strands: runs of one repeated generator,
+    lone r = -1 and r = -2 regions, and a prefix u closed by u^-1 at the
+    end, which cancels across the closure seam once reduced; the body may
+    be empty, and so may the whole word."""
+    n = draw(st.integers(min_value=2, max_value=32))
+    generator = st.integers(min_value=1, max_value=n - 1)
+    exponent = st.one_of(st.sampled_from((-2, -1)), exponent_st)
+    body = chain_syllables(
+        draw(st.lists(st.tuples(generator, exponent, st.booleans()), max_size=16))
+    )
+    seam = draw(st.lists(st.tuples(generator, exponent), max_size=4))
+    inverse = tuple((g, -r) for g, r in reversed(seam))
+    return SyllableWord(n, (*seam, *body, *inverse))
+
+
 # Fixed mixed-provenance corpus for the bracket/state cross-checks: every
 # word is A-adequate with at most 18 crossings, and positive, negative, and
 # mixed-sign words are all represented.

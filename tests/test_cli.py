@@ -1,6 +1,9 @@
 """CLI contract: golden reports, exit codes, batch behavior, determinism."""
 
+import contextlib
 import json
+import os
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -242,6 +245,43 @@ def test_batch_reads_past_a_byte_order_mark(capsys, tmp_path):
     assert out == run(capsys, ["batch", str(plain), "--n", "3"])[1]
     assert len(out.splitlines()) == 2
 
+
+def test_batch_refuses_a_file_that_turns_undecodable_after_the_check(
+    capsys, tmp_path, monkeypatch
+):
+    # the rows stream, so a file that fails to decode only after the check
+    # has had its first rows written; the refusal is the same
+    monkeypatch.setattr(cli, "_check_utf8", lambda path: None)
+    path = tmp_path / "words.bin"
+    path.write_bytes(b"s1^-3 s2^-3\n\xff bad\n")
+    code, out, err = run(capsys, ["batch", str(path)])
+    assert code == 2
+    assert err.startswith(f"error: {path} is not UTF-8 text")
+
+
+def batch_peak_bytes(path):
+    """The tracemalloc peak of one ``batch`` call, its rows sent to
+    os.devnull."""
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            code = cli.main(["batch", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    return peak
+
+
+def test_batch_memory_does_not_grow_with_the_file(tmp_path):
+    # every line is an error row; the rows are written as the lines are
+    # read, so ten times the lines costs no more than a few buffers
+    peaks = []
+    for lines in (2_000, 2_000, 20_000):
+        path = tmp_path / f"words-{lines}.txt"
+        path.write_text("sX\n" * lines, encoding="utf-8")
+        peaks.append(batch_peak_bytes(path))
+    assert peaks[2] - peaks[1] < 200_000, peaks
 
 def test_batch_calls_share_a_parser_and_leak_no_option(capsys, tmp_path, monkeypatch):
     options = count_calls(monkeypatch, cli, "_analysis_options")

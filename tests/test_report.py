@@ -7,7 +7,7 @@ import re
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from braidvol import bracket, families, report, states
 from braidvol.bounds import jones_bounds, volume_bounds
@@ -16,6 +16,7 @@ from braidvol.generate import GeneratorSpec, generate_words
 from braidvol.report import SCHEMA, analyze, analyze_line, circle_detail, verify
 from braidvol.schreier import direct_read_k, direct_read_s
 from braidvol.states import (
+    StateCircle,
     is_A_adequate,
     reduced_graph,
     resolve_all_A,
@@ -33,6 +34,7 @@ from conftest import (
     any_n_words,
     capture_returns,
     count_calls,
+    label_sweep_words,
     ladder,
     word_of,
     word_st,
@@ -147,11 +149,11 @@ def test_analyze_with_bracket_traces_the_state_once(monkeypatch):
         assert traces == [w], w.as_text()
 
 
-def test_batch_line_verify_and_bracket_summary_leave_the_circles_unbuilt(
+def test_analyze_batch_line_verify_and_bracket_summary_leave_the_circles_unbuilt(
     monkeypatch,
 ):
-    # the census, the reduced graph, the batch line and the bracket summary
-    # read the state's runs; only analyze's circle detail expands them
+    # the census, the reduced graph, analyze's circle detail, the batch line
+    # and the bracket summary all read the state's runs
     word = generate_words(GeneratorSpec(n=4, syllable_count=60, seed=1))[0]
     made = capture_returns(monkeypatch, states, "resolve_all_A")
     line = analyze_line(word)
@@ -164,8 +166,9 @@ def test_batch_line_verify_and_bracket_summary_leave_the_circles_unbuilt(
     assert len(made) == 4
     assert all("circles" not in vars(made_state) for made_state in made)
     assert json.dumps(analyze(word)) == line
-    assert "circles" in vars(made[-1])
-    assert summary.num_all_A_circles == len(made[-1].circles)
+    assert len(made) == 5
+    assert "circles" not in vars(made[-1])
+    assert summary.num_all_A_circles == sum(made[-1].census.values())
 
 
 def test_assume_prime_unlocks_generic_bounds():
@@ -492,6 +495,71 @@ def test_id_text_table_grows_to_the_largest_circle_count(monkeypatch):
         bound = max(bound, word.n + negative)
         assert len(report._ID_TEXTS) == circles <= bound
         assert report._ID_TEXTS == [str(i) for i in range(circles)]
+
+
+def detail_from_circles(state):
+    """The circle detail read from the expanded circles, one dict per
+    ``StateCircle`` of ``state.circles``: the reference ``circle_detail``,
+    which walks the runs, must equal."""
+    return [
+        {
+            "id": cid,
+            "class": klass.value,
+            "winding": winding,
+            "support": sorted(support),
+        }
+        for cid, winding, support, klass in state.circles
+    ]
+
+
+def assert_detail_matches_the_circles(word):
+    state = resolve_all_A(word)
+    detail = circle_detail(state)
+    assert "circles" not in vars(state)
+    reference = detail_from_circles(state)
+    assert detail == reference
+    assert json.dumps(detail) == json.dumps(reference)
+    # every support list is its own object
+    assert len({id(entry["support"]) for entry in detail}) == len(detail)
+
+
+@given(label_sweep_words())
+@example(SyllableWord(2, ()))
+@example(SyllableWord(32, ()))
+# the run of s2^-4 splits around the boundary circles 2 and 3
+@example(SyllableWord(4, ((2, -4), (3, 2))))
+@settings(max_examples=300)
+def test_circle_detail_matches_the_expanded_circles(word):
+    assert_detail_matches_the_circles(word)
+    assert_detail_matches_the_circles(cyclically_reduce_into_syllables(word))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 16, 32])
+def test_circle_detail_matches_the_expanded_circles_on_generated_words(n):
+    spec = GeneratorSpec(n=n, syllable_count=200, seed=1, count=3)
+    for word in generate_words(spec):
+        assert_detail_matches_the_circles(word)
+
+
+def test_circle_detail_matches_the_expanded_circles_on_the_long_word():
+    assert_detail_matches_the_circles(seeded_long_word())
+
+
+def test_circle_detail_support_lists_are_not_shared():
+    word = generate_words(GeneratorSpec(n=4, syllable_count=60, seed=1))[0]
+    pieces = resolve_all_A(word).pieces
+    first, _, g = next(
+        piece for piece in pieces if type(piece) is not StateCircle and piece[1] > 1
+    )
+    detail = analyze(word)["circles"]["detail"]
+    expected = json.dumps(analyze(word))
+    # mutate the support of the first circle of a run of several: no other
+    # circle of the run, of this report or of the next report changes
+    detail[first]["support"].append(-1)
+    fresh = json.loads(expected)["circles"]["detail"]
+    assert detail[first]["support"] == [g, -1]
+    assert detail[:first] + detail[first + 1 :] == fresh[:first] + fresh[first + 1 :]
+    assert json.dumps(analyze(word)) == expected
 
 
 if __name__ == "__main__":

@@ -51,8 +51,7 @@ from braidvol.words import SyllableWord, cyclically_reduce_into_syllables
 
 from conftest import (
     any_n_words,
-    chain_syllables,
-    exponent_st,
+    label_sweep_words,
     ladder,
     word_of,
     word_st,
@@ -718,23 +717,6 @@ def assert_sweep_matches_the_label_sweep(word):
     assert state.pieces == reference.pieces
     assert state.regions == reference.regions
     assert state == reference
-
-
-@st.composite
-def label_sweep_words(draw):
-    """Unreduced words on 2 to 32 strands: runs of one repeated generator,
-    lone r = -1 and r = -2 regions, and a prefix u closed by u^-1 at the
-    end, which cancels across the closure seam once reduced; the body may
-    be empty, and so may the whole word."""
-    n = draw(st.integers(min_value=2, max_value=32))
-    generator = st.integers(min_value=1, max_value=n - 1)
-    exponent = st.one_of(st.sampled_from((-2, -1)), exponent_st)
-    body = chain_syllables(
-        draw(st.lists(st.tuples(generator, exponent, st.booleans()), max_size=16))
-    )
-    seam = draw(st.lists(st.tuples(generator, exponent), max_size=4))
-    inverse = tuple((g, -r) for g, r in reversed(seam))
-    return SyllableWord(n, (*seam, *body, *inverse))
 
 
 @given(label_sweep_words())
