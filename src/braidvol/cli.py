@@ -203,8 +203,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     word = _parse_word(args.word, args.n)
     result = verify(word)
+    # the details start in one column, after the longest check name
+    width = max(len(check.name) for check in result.checks)
     lines = [
-        f"{'ok  ' if check.passed else 'FAIL'} {check.name:<14} {check.detail}"
+        f"{'ok  ' if check.passed else 'FAIL'} {check.name:<{width}} {check.detail}"
         for check in result.checks
     ]
     lines.append(("pass" if result.passed else "FAIL") + f"  {result.word}")

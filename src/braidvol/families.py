@@ -26,6 +26,7 @@ exactly -1 whose cyclic neighbor syllables are both negative.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import PreconditionError
 from .words import (
@@ -42,12 +43,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Cond2Failure:
-    """One positive syllable whose neighborhood condition failed."""
+class Cond2Failure(NamedTuple):
+    """One positive syllable whose neighborhood condition failed: its index
+    into ``word.syllables``, the clause ("2a", "2b" or "2c") and the reason.
+    An immutable named tuple ``(syllable, clause, reason)``: it compares by
+    value, unpacks like a tuple, and ``_replace`` returns a changed copy."""
 
-    syllable: int  # index into word.syllables
-    clause: str  # "2a", "2b", or "2c"
+    syllable: int
+    clause: str
     reason: str
 
 
@@ -68,8 +71,8 @@ class MainLemmaReport:
             "nice": self.nice,
             "cond1": self.cond1,
             "cond2_failures": [
-                {"syllable": f.syllable, "clause": f.clause, "reason": f.reason}
-                for f in self.cond2_failures
+                {"syllable": i, "clause": clause, "reason": reason}
+                for i, clause, reason in self.cond2_failures
             ],
             "twist_ok": self.twist_ok,
             "pass": self.passed,
@@ -79,51 +82,18 @@ class MainLemmaReport:
         }
 
 
-def _neighborhood_failure(
-    word: SyllableWord, i: int
-) -> Cond2Failure | None:
-    """Check the neighbor condition for the positive syllable at index i."""
-    syl = word.syllables
-    t = len(syl)
-    n = word.n
-    m_i = syl[i][0]
-
-    def gen(j: int) -> int:
-        return syl[j % t][0]
-
-    def exp(j: int) -> int:
-        return syl[j % t][1]
-
-    if m_i in (1, n - 1):
-        # boundary syllable: sigma_1 is also sigma_{n-1} at n = 2 and takes 2a
-        clause, want = ("2a", 2) if m_i == 1 else ("2c", n - 2)
-        for j in (i - 1, i + 1):
-            if exp(j) > -3:
-                return Cond2Failure(i, clause, f"neighbor exponent {exp(j)} > -3")
-            if gen(j) != want:
-                return Cond2Failure(
-                    i, clause, f"neighbor generator {gen(j)} != {want}"
-                )
-        return None
-    clause = "2b"
-    for j in (i - 2, i - 1, i + 1, i + 2):
-        if exp(j) > -3:
-            return Cond2Failure(i, clause, f"neighbor exponent {exp(j)} > -3")
-    want = {m_i - 1, m_i + 1}
-    before = {gen(i - 2), gen(i - 1)}
-    after = {gen(i + 1), gen(i + 2)}
-    if before != want:
-        return Cond2Failure(i, clause, f"generators before are {sorted(before)}")
-    if after != want:
-        return Cond2Failure(i, clause, f"generators after are {sorted(after)}")
-    return None
-
-
 def check_main_lemma(word: SyllableWord) -> MainLemmaReport:
     """Evaluate family membership on a syllable word.
 
     Words are judged as given; an unreduced word is never nice, so it never
-    passes.  The report lists each violated positive-neighborhood clause.
+    passes.  The report lists each violated positive-neighborhood clause,
+    at most one failure per positive syllable, in syllable order.
+
+    One loop over the syllables reads ``cond1`` and each positive syllable's
+    neighbors, every index taken mod t (at t = 1 and 2, i - 2 wraps more
+    than once).  A boundary syllable checks its neighbor before it, then the
+    one after, exponent first; an interior one checks the four exponents in
+    order, then the generators before it, then those after.
     """
     nice = is_nice(word)
     near_miss = (
@@ -131,14 +101,46 @@ def check_main_lemma(word: SyllableWord) -> MainLemmaReport:
         and word.cyclically_reduced
         and has_cyclic_disjoint_complete_subwords(word)
     )
-    cond1 = all(r <= -3 for _, r in word.syllables if r < 0)
+    syl = word.syllables
+    t = len(syl)
+    n = word.n
+    new_tuple = tuple.__new__
+    cond1 = True
     failures = []
-    for i, (_, r) in enumerate(word.syllables):
-        if r > 0:
-            failure = _neighborhood_failure(word, i)
-            if failure is not None:
-                failures.append(failure)
-    twist_ok = len(word.syllables) >= 2 * (word.n - 1)
+    for i, (g, r) in enumerate(syl):
+        if r < 0:
+            if r > -3:
+                cond1 = False
+            continue
+        if g == 1 or g == n - 1:
+            # boundary syllable: sigma_1 is also sigma_{n-1} at n = 2 and takes 2a
+            clause, want = ("2a", 2) if g == 1 else ("2c", n - 2)
+            for h, s in (syl[(i - 1) % t], syl[(i + 1) % t]):
+                if s > -3:
+                    reason = f"neighbor exponent {s} > -3"
+                elif h != want:
+                    reason = f"neighbor generator {h} != {want}"
+                else:
+                    continue
+                failures.append(new_tuple(Cond2Failure, (i, clause, reason)))
+                break
+            continue
+        (g2, r2), (g1, r1) = syl[(i - 2) % t], syl[(i - 1) % t]
+        (h1, s1), (h2, s2) = syl[(i + 1) % t], syl[(i + 2) % t]
+        for e in (r2, r1, s1, s2):
+            if e > -3:
+                reason = f"neighbor exponent {e} > -3"
+                break
+        else:
+            want = {g - 1, g + 1}
+            if {g2, g1} != want:
+                reason = f"generators before are {sorted({g2, g1})}"
+            elif {h1, h2} != want:
+                reason = f"generators after are {sorted({h1, h2})}"
+            else:
+                continue
+        failures.append(new_tuple(Cond2Failure, (i, "2b", reason)))
+    twist_ok = t >= 2 * (n - 1)
     passed = nice and cond1 and not failures and twist_ok
     return MainLemmaReport(
         nice=nice,

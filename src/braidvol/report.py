@@ -183,6 +183,10 @@ def analyze(
     return report
 
 
+# ``json.dumps`` without its cycle check: a report is a fresh tree of dicts,
+# lists and scalars, so the text is the same
+_encode = json.JSONEncoder(check_circular=False).encode
+
 # the circle detail's place in the text of a report whose detail is empty;
 # no other block of a report has a "detail" key, and a string value cannot
 # hold the unescaped quotes
@@ -196,7 +200,8 @@ def analyze_line(
 
     The circle detail is written from the state's pieces without a dict per
     circle (see ``_detail_text``); the rest of the report goes through
-    ``json.dumps``.  Takes and raises what ``analyze`` does.
+    ``json.dumps``'s encoder without its cycle check.  Takes and raises what
+    ``analyze`` does.
 
     >>> from braidvol.words import parse_braid
     >>> w = parse_braid("s1^-3 s2^-3")
@@ -204,7 +209,7 @@ def analyze_line(
     True
     """
     report, state = _report(word, bracket, assume_prime)
-    parts = json.dumps(report).split(_DETAIL_SLOT)
+    parts = _encode(report).split(_DETAIL_SLOT)
     if len(parts) != 2:
         raise OracleError(
             f"the report text holds {len(parts) - 1} empty circle details, not 1"
@@ -269,7 +274,7 @@ def _report(
         "schema": SCHEMA,
         "word": word.as_text(),
         "n": word.n,
-        "syllables": [[m, r] for m, r in word.syllables],
+        "syllables": list(map(list, word.syllables)),
         "crossings": word.crossings,
         "twist": {"t": t, "t_plus": t_plus, "t_minus": t_minus},
         "circles": {

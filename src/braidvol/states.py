@@ -279,6 +279,9 @@ def resolve_all_A(word: SyllableWord) -> AllAState:
     its last cup.  A node is named by an arc id (see :func:`arc_table`) and
     a union keeps the root with the smaller name, so every circle's root
     is named by its smallest arc and circles are numbered in arc order.
+    Find (with path halving) and union are written out where they run, and
+    the sweep keeps each syllable's first crossing and two nodes in three
+    flat lists.
     A positive syllable leaves every column's node where it was, so its
     segments all join one node pair.  A negative syllable sigma_g^-k
     unions the nodes of columns g and g+1 once (its first cap) and puts its
@@ -298,7 +301,9 @@ def resolve_all_A(word: SyllableWord) -> AllAState:
     adds to their support and region ends.  Winding is the parity of a
     circle's closure arcs.  Every per-node value is a list indexed by
     node, so no dict is keyed by arc id, and every boundary circle is built
-    once, already classified (see :func:`_klass`); any syllable word works.
+    once, already classified (see :func:`_klass`), as
+    ``tuple.__new__(StateCircle, ...)`` over its four fields; any syllable
+    word works.
     No per-crossing, per-arc or per-small-circle object is built:
     :func:`reduced_graph` and the predicates read the regions, the census
     reads the runs' counts.
@@ -310,56 +315,70 @@ def resolve_all_A(word: SyllableWord) -> AllAState:
     g = word.syllables[0][0] if word.syllables and word.syllables[0][1] < 0 else 0
     name = [j + 2 if j < g - 1 else 0 if j <= g else j for j in range(n)]
     parent = list(range(n))
-
-    def find(node: int) -> int:
-        while (up := parent[node]) != node:
-            parent[node] = node = parent[up]
-        return node
-
-    def union(a: int, b: int) -> None:
-        a, b = find(a), find(b)
+    labels = list(range(n))  # each column's live node
+    # per syllable: its first crossing and two nodes, the pair it joins when
+    # positive, the first cap's and the last cup's when negative
+    firsts: list[int] = []
+    lefts: list[int] = []
+    rights: list[int] = []
+    crossing = 0
+    for g, r in word.syllables:
+        a = labels[g - 1]
+        firsts.append(crossing)
+        lefts.append(a)
+        if r > 0:
+            rights.append(labels[g])
+            crossing += r
+            continue
+        cup = len(parent)
+        rights.append(cup)
+        b = labels[g]
+        while (up := parent[a]) != a:
+            parent[a] = a = parent[up]
+        while (up := parent[b]) != b:
+            parent[b] = b = parent[up]
+        if name[b] < name[a]:
+            a, b = b, a
+        parent[b] = a
+        labels[g - 1] = labels[g] = cup
+        parent.append(cup)
+        crossing -= r
+        name.append((crossing - 1) * n + 1)
+    for top, bottom in enumerate(labels):
+        a, b = bottom, top
+        while (up := parent[a]) != a:
+            parent[a] = a = parent[up]
+        while (up := parent[b]) != b:
+            parent[b] = b = parent[up]
         if name[b] < name[a]:
             a, b = b, a
         parent[b] = a
 
-    labels = list(range(n))  # each column's live node
-    # one record per syllable: its first crossing and two nodes, the pair it
-    # joins when positive, the first cap's and the last cup's when negative
-    records: list[tuple[int, int, int, int, int]] = []
-    crossing = 0
-    for g, r in word.syllables:
-        if r > 0:
-            records.append((crossing, g, r, labels[g - 1], labels[g]))
-        else:
-            cup = len(parent)
-            records.append((crossing, g, r, labels[g - 1], cup))
-            union(labels[g - 1], labels[g])
-            labels[g - 1] = labels[g] = cup
-            parent.append(cup)
-            name.append((crossing - r - 1) * n + 1)
-        crossing += abs(r)
-    for top, bottom in enumerate(labels):
-        union(bottom, top)
-
-    root = [find(node) for node in range(len(parent))]
+    size = len(parent)
+    root = []
+    for node in range(size):
+        a = node
+        while (up := parent[a]) != a:
+            parent[a] = a = parent[up]
+        root.append(a)
     roots = [node for node, up in enumerate(root) if node == up]
     roots.sort(key=name.__getitem__)
     bounds = [name[node] for node in roots]
     bounds.append((crossing + 1) * n)  # past every arc id
     # per root: its circle's id, winding, support and region ends
-    circle_id = [0] * len(parent)
-    winding = [0] * len(parent)
+    circle_id = [0] * size
+    winding = [0] * size
     for top in range(n):
         winding[root[top]] ^= 1
-    support: list[set[int] | None] = [None] * len(parent)
+    support: list[set[int] | None] = [None] * size
     for node in roots:
         support[node] = set()
-    ends = [0] * len(parent)
+    ends = [0] * size
     wraps = set()  # roots that both ends of one r = -2 region land on
     order: list[int | tuple[int, int, int]] = []  # roots and runs, in id order
     regions: list[tuple[int, int, tuple[int, int]]] = []
     cid = i = 0
-    for first, g, r, a, b in records:
+    for (g, r), first, a, b in zip(word.syllables, firsts, lefts, rights):
         # the inner circles' cups run from first * n + 1 in steps of n up to
         # the last cup, which is not one of them; a positive syllable has none
         inner = first * n + 1
@@ -393,16 +412,19 @@ def resolve_all_A(word: SyllableWord) -> AllAState:
         order.append(node)
         cid += 1
 
-    def boundary_circle(node: int) -> StateCircle:
-        columns, turns = support[node], winding[node]
-        wrapped = node in wraps and ends[node] == 2
-        klass = _klass(columns, turns, wrapped)
-        return StateCircle(circle_id[node], turns, frozenset(columns), klass)
-
-    pieces = tuple(
-        boundary_circle(piece) if type(piece) is int else piece for piece in order
-    )
-    return AllAState(word, pieces, tuple(regions))
+    # each boundary circle as its four fields, already classified, through
+    # tuple.__new__ as AllAState.circles builds the small inner ones
+    new_tuple = tuple.__new__
+    pieces = []
+    for piece in order:
+        if type(piece) is int:
+            columns, turns = support[piece], winding[piece]
+            klass = _klass(columns, turns, piece in wraps and ends[piece] == 2)
+            piece = new_tuple(
+                StateCircle, (circle_id[piece], turns, frozenset(columns), klass)
+            )
+        pieces.append(piece)
+    return AllAState(word, tuple(pieces), tuple(regions))
 
 
 def _klass(support: set[int], winding: int, wrapped: bool) -> CircleClass:

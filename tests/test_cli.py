@@ -129,6 +129,12 @@ def test_negative_crossing_cap_is_a_usage_error(capsys, tmp_path, command, extra
         assert "above the cap of 0" in err
 
 
+def test_check_prints_each_cond2_failure(capsys):
+    code, out, _ = run(capsys, ["check", "s1^-3 s2^2 s1^-2 s2^-3", "--n", "3"])
+    assert code == 3
+    assert "cond2       False  syllable 1 (2c): neighbor exponent -2 > -3\n" in out
+
+
 def test_check_passes_family_word(capsys):
     code, out, _ = run(capsys, ["check", "s1^-3 s2^-3 s1^-3 s2^-3", "--json"])
     assert code == 0
@@ -148,6 +154,22 @@ def test_verify_passes_and_prints_checks(capsys):
 
 
 FAMILY_WORD = "s1^-3 s2^-3 s1^-3 s2^-3"
+
+
+def test_verify_text_starts_every_detail_in_one_column(capsys):
+    # no_unclassified (15 characters) is the longest check name of a 3-braid
+    code, out, _ = run(capsys, ["verify", FAMILY_WORD])
+    assert code == 0
+    _, blob, _ = run(capsys, ["verify", FAMILY_WORD, "--json"])
+    checks = json.loads(blob)["checks"]
+    lines = out.splitlines()
+    assert len(lines) == len(checks) + 1
+    width = max(len(check["name"]) for check in checks)
+    assert width == len("no_unclassified")
+    for line, check in zip(lines, checks):
+        assert line[5:].startswith(check["name"])
+        assert line[5 + width :] == " " + check["detail"]
+
 
 
 @pytest.mark.parametrize(

@@ -5,15 +5,25 @@ positive syllables flanked by long-enough negative syllables in the adjacent
 columns (three clauses by generator position); the two-complete-windows shape;
 and a twist-count floor of 2(n-1).  stoimenow_A_adequate_3braid decides
 A-adequacy for 3-braids from the syllable pattern alone.
+
+The gate runs as one loop over the syllables; the per-syllable closure gate
+it replaced is kept below as a reference (:func:`gate_by_closures`), and
+both must give the same report.
 """
 
 import itertools
+import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from braidvol.errors import PreconditionError
-from braidvol.families import check_main_lemma, stoimenow_A_adequate_3braid
+from braidvol.families import (
+    Cond2Failure,
+    MainLemmaReport,
+    check_main_lemma,
+    stoimenow_A_adequate_3braid,
+)
 from braidvol.generate import GeneratorSpec, generate_words
 from braidvol.states import (
     is_A_adequate,
@@ -22,9 +32,15 @@ from braidvol.states import (
     satisfies_TELC,
 )
 from braidvol.states import CircleClass
-from braidvol.words import SyllableWord, cyclically_reduce_into_syllables
+from braidvol.words import (
+    SyllableWord,
+    cyclically_reduce_into_syllables,
+    has_cyclic_disjoint_complete_subwords,
+    is_nice,
+    parse_braid,
+)
 
-from conftest import ladder, word_of
+from conftest import chain_syllables, ladder, word_of
 
 
 def test_all_negative_family_word_passes():
@@ -154,6 +170,176 @@ def test_stoimenow_matches_direct_adequacy(exps):
     e1, e2, e3, e4 = exps
     w = SyllableWord(3, ((1, e1), (2, e2), (1, e3), (2, e4)))
     assert stoimenow_A_adequate_3braid(w) == is_A_adequate(resolve_all_A(w))
+
+
+def test_cond2_failure_is_an_immutable_named_tuple():
+    failure = Cond2Failure(3, "2b", "generators after are [2, 3]")
+    assert Cond2Failure._fields == ("syllable", "clause", "reason")
+    assert isinstance(failure, tuple)
+    syllable, clause, reason = failure
+    assert (syllable, clause, reason) == (3, "2b", "generators after are [2, 3]")
+    assert failure.syllable == 3 and failure.clause == "2b"
+    with pytest.raises(AttributeError):
+        failure.reason = "changed"
+    moved = failure._replace(syllable=4)
+    assert moved == Cond2Failure(4, "2b", "generators after are [2, 3]")
+    assert failure.syllable == 3
+    assert failure == Cond2Failure(3, "2b", "generators after are [2, 3]")
+    assert hash(failure) == hash(Cond2Failure(3, "2b", "generators after are [2, 3]"))
+    assert failure != moved
+    # what the gate builds is the same type, not a plain tuple
+    (built,) = check_main_lemma(word_of("s1^-3 s2^2 s1^-2 s2^-3", 3)).cond2_failures
+    assert type(built) is Cond2Failure
+    assert built == Cond2Failure(1, "2c", "neighbor exponent -2 > -3")
+
+
+def _reference_failure(word, i):
+    """The parent's ``_neighborhood_failure``, verbatim."""
+    syl = word.syllables
+    t = len(syl)
+    n = word.n
+    m_i = syl[i][0]
+
+    def gen(j: int) -> int:
+        return syl[j % t][0]
+
+    def exp(j: int) -> int:
+        return syl[j % t][1]
+
+    if m_i in (1, n - 1):
+        # boundary syllable: sigma_1 is also sigma_{n-1} at n = 2 and takes 2a
+        clause, want = ("2a", 2) if m_i == 1 else ("2c", n - 2)
+        for j in (i - 1, i + 1):
+            if exp(j) > -3:
+                return Cond2Failure(i, clause, f"neighbor exponent {exp(j)} > -3")
+            if gen(j) != want:
+                return Cond2Failure(
+                    i, clause, f"neighbor generator {gen(j)} != {want}"
+                )
+        return None
+    clause = "2b"
+    for j in (i - 2, i - 1, i + 1, i + 2):
+        if exp(j) > -3:
+            return Cond2Failure(i, clause, f"neighbor exponent {exp(j)} > -3")
+    want = {m_i - 1, m_i + 1}
+    before = {gen(i - 2), gen(i - 1)}
+    after = {gen(i + 1), gen(i + 2)}
+    if before != want:
+        return Cond2Failure(i, clause, f"generators before are {sorted(before)}")
+    if after != want:
+        return Cond2Failure(i, clause, f"generators after are {sorted(after)}")
+    return None
+
+
+def gate_by_closures(word):
+    """The closure-per-syllable gate the one-loop gate replaced, as a
+    reference: the parent's ``check_main_lemma``, verbatim."""
+    nice = is_nice(word)
+    near_miss = (
+        not nice
+        and word.cyclically_reduced
+        and has_cyclic_disjoint_complete_subwords(word)
+    )
+    cond1 = all(r <= -3 for _, r in word.syllables if r < 0)
+    failures = []
+    for i, (_, r) in enumerate(word.syllables):
+        if r > 0:
+            failure = _reference_failure(word, i)
+            if failure is not None:
+                failures.append(failure)
+    twist_ok = len(word.syllables) >= 2 * (word.n - 1)
+    passed = nice and cond1 and not failures and twist_ok
+    return MainLemmaReport(
+        nice=nice,
+        cond1=cond1,
+        cond2_failures=tuple(failures),
+        twist_ok=twist_ok,
+        passed=passed,
+        nice_cyclic_near_miss=near_miss,
+    )
+
+
+def assert_gate_matches_the_closure_gate(word):
+    report, reference = check_main_lemma(word), gate_by_closures(word)
+    flags = ("nice", "cond1", "twist_ok", "passed", "nice_cyclic_near_miss")
+    for flag in flags:
+        assert getattr(report, flag) == getattr(reference, flag), flag
+    assert [tuple(f) for f in report.cond2_failures] == [
+        (f.syllable, f.clause, f.reason) for f in reference.cond2_failures
+    ]
+    assert report.to_json_dict() == reference.to_json_dict()
+
+
+@st.composite
+def gate_words(draw):
+    """Unreduced words on 2 to 32 strands with 1 to 12 syllables and
+    exponents +-1 to +-5, adjacent syllables possibly of one generator.
+    Besides single syllables on any generator, the word holds frames: a
+    positive syllable on a drawn centre between two syllables on each side
+    whose generators are the centre's flanks, so every clause and every
+    reason of the gate is reached."""
+    n = draw(st.integers(min_value=2, max_value=32))
+    centre = draw(st.integers(min_value=1, max_value=n - 1))
+    flanks = [g for g in (centre - 1, centre + 1) if 1 <= g < n]
+    flank = st.sampled_from(flanks or [centre])
+    exponent = st.one_of(
+        st.integers(min_value=-5, max_value=-3),
+        st.integers(min_value=-5, max_value=5).filter(lambda r: r != 0),
+    )
+    generator = st.integers(min_value=1, max_value=n - 1)
+    single = st.tuples(generator, exponent, st.booleans()).map(lambda d: (d,))
+    side = st.tuples(flank, exponent, st.just(False))
+    positive = st.tuples(
+        st.just(centre), st.integers(min_value=1, max_value=5), st.just(False)
+    )
+    frame = st.tuples(side, side, positive, side, side)
+    pieces = draw(st.lists(st.one_of(single, frame), min_size=1))
+    draws = [d for piece in pieces for d in piece][:12]
+    return SyllableWord(n, chain_syllables(draws))
+
+
+@given(gate_words())
+@example(SyllableWord(5, ((2, 1),)))
+@example(SyllableWord(2, ((1, 1),)))
+@example(SyllableWord(4, ((2, 1), (3, -3))))
+@example(SyllableWord(4, ((1, -3), (3, -3), (2, 2), (3, -3), (2, -3))))
+@example(SyllableWord(4, ((3, -3), (1, -3), (2, 2), (3, -3), (1, -3))))
+@settings(max_examples=500)
+def test_gate_matches_the_closure_gate(word):
+    assert_gate_matches_the_closure_gate(word)
+    assert_gate_matches_the_closure_gate(cyclically_reduce_into_syllables(word))
+
+
+def random_letter_words(n):
+    """Seeded uniform flat-letter words on ``n`` strands: three of 60 to 400
+    signed letters and one u w u^-1 whose u cancels across the closure seam,
+    as the CI batch step draws them."""
+    rng = random.Random(n)
+
+    def letters(count):
+        return [rng.choice((-1, 1)) * rng.randint(1, n - 1) for _ in range(count)]
+
+    texts = [letters(rng.randint(60, 400)) for _ in range(3)]
+    u = letters(40)
+    texts.append(u + letters(30) + [-g for g in reversed(u)])
+    return [parse_braid(" ".join(map(str, text)), n) for text in texts]
+
+
+@pytest.mark.parametrize("n", [3, 4, 6, 8])
+def test_gate_matches_the_closure_gate_on_random_letter_words(n):
+    for word in random_letter_words(n):
+        assert_gate_matches_the_closure_gate(word)
+        reduced = cyclically_reduce_into_syllables(word)
+        assert_gate_matches_the_closure_gate(reduced)
+        assert check_main_lemma(reduced).cond2_failures
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8])
+def test_gate_matches_the_closure_gate_on_family_words(n):
+    spec = GeneratorSpec(n=n, syllable_count=40, seed=1, count=3)
+    for word in generate_words(spec):
+        assert check_main_lemma(word).passed
+        assert_gate_matches_the_closure_gate(word)
 
 
 def test_family_words_have_the_implied_properties():
