@@ -12,6 +12,7 @@ import random
 
 from braidvol.schreier import (
     conjugate_3braids,
+    direct_form,
     direct_read_k,
     direct_read_s,
     is_hyperbolic_closure_3braid,
@@ -39,8 +40,9 @@ print("same form:", schreier_normal_form(conjugated) == form)
 print("conjugate_3braids agrees:", conjugate_3braids(word, conjugated))
 print()
 
-# on family words, k and s can also be read straight off the syllables,
-# without any rewriting
+# on family words the whole form can also be read straight off the
+# syllables, one pair per negative syllable, without any rewriting
+print("direct form equals the sweep:", direct_form(word) == form)
 print("direct k:", direct_read_k(word), " direct s:", direct_read_s(word))
 print()
 

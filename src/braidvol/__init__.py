@@ -48,6 +48,7 @@ from .schreier import (
     SchreierForm,
     XYWord,
     conjugate_3braids,
+    direct_form,
     direct_read_k,
     direct_read_s,
     hyperbolicity_of_form,
@@ -112,6 +113,7 @@ __all__ = [
     "conjugate_3braids",
     "cor_bounds",
     "cyclically_reduce_into_syllables",
+    "direct_form",
     "direct_read_k",
     "direct_read_s",
     "exponent_sum",

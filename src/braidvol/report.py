@@ -30,7 +30,7 @@ from .errors import OracleError, PreconditionError
 from .families import check_main_lemma, stoimenow_A_adequate_3braid
 from .schreier import (
     SchreierForm,
-    _read_k,
+    _direct_form,
     hyperbolicity_of_form,
     schreier_normal_form,
 )
@@ -174,6 +174,10 @@ def analyze(
     ``assume_prime`` lets the generic volume bounds run on words outside the
     checked family when the direct diagram checks (adequacy, two-edge-loop,
     connectivity, t >= 2) all hold but primeness has to be taken on faith.
+    On a 3-braid that passes the family gate the normal form behind the
+    ``schreier``, ``s_bounds`` and ``turaev`` blocks is read off the
+    syllables in one loop (``schreier.direct_form``); every other 3-braid
+    takes the stack sweep ``schreier_normal_form``.
     A word past the input limits of ``parse_braid`` (``MAX_WORD_LETTERS``
     letters, ``MAX_STRANDS`` strands) or a word that is not cyclically
     reduced raises PreconditionError before the state is traced.
@@ -249,7 +253,9 @@ def _report(
     s_bounds_block = None
     turaev_block = None
     if word.n == 3:
-        form = schreier_normal_form(word)
+        # a gated word's form is read off its syllables; the sweep is the
+        # oracle that verify's form_direct check compares it with
+        form = _direct_form(word) if lemma.passed else schreier_normal_form(word)
         schreier = schreier_block(form)
         if lemma.passed and form.generic:
             schreier3, fkp3, sharper = three_braid_s_bounds(form.s)
@@ -339,7 +345,7 @@ def verify(word: SyllableWord) -> VerifyResult:
         )
     state = resolve_all_A(word)
     graph = reduced_graph(state)
-    t, t_plus, t_minus = twist_counts(word)
+    t, t_plus, _ = twist_counts(word)
     census = state.census
     small = census[CircleClass.SMALL_INNER]
     medium = census[CircleClass.MEDIUM_INNER]
@@ -395,18 +401,13 @@ def verify(word: SyllableWord) -> VerifyResult:
             "exactly one wandering-or-nonwandering circle",
         )
         form = schreier_normal_form(word)
-        k_direct = _read_k(word)
+        direct = _direct_form(word)
+        pairs_note = "" if direct.pairs == form.pairs else ", pairs differ"
         add(
-            "k_direct",
-            k_direct == form.k,
-            f"direct-read k {k_direct} == normal-form k {form.k}",
-        )
-        # the direct read of s is the negative twist-region count, t-
-        add(
-            "s_direct",
-            form.s == t_minus,
-            f"direct-read s {t_minus} == normal-form s {form.s}"
-            f" == t- {t_minus}",
+            "form_direct",
+            direct == form,
+            f"direct-read k {direct.k}, s {direct.s} =="
+            f" normal-form k {form.k}, s {form.s}{pairs_note}",
         )
     if word.n <= MAX_BRACKET_STRANDS:
         summary = bracket_summary(bracket_top(word), state)

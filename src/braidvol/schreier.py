@@ -31,6 +31,29 @@ which translate to sigma_1^(-p1) sigma_2^(q1) ..., sigma_1^p, sigma_1 sigma_2,
 list is canonicalized to its lexicographically least rotation (Booth's
 algorithm), so two 3-braids are conjugate iff their forms compare equal.
 
+On a word that passes the family gate the form is read off the syllables
+(``direct_form``).  Write A = xy and B = xy^2.  The syllables alternate,
+every negative exponent is at most -3, and a positive syllable sits between
+two negative ones, so sigma_1^(-p) = A^p, sigma_2^q = B^q,
+sigma_2^(-q) = y A^(q-1) x and sigma_1^p = y^2 B^(p-1) x meet at only four
+kinds of seam that reduce:
+
+    sigma_2^- sigma_1^-:  x x -> C^(-1), and the A before the seam joins
+                          the y after it to make one B;
+    sigma_1^- sigma_2^-:  the last A takes the leading y and becomes a B;
+    sigma_2^- sigma_1^+:  x y^2 is one B;
+    sigma_1^+ sigma_2^-:  x y is one A.
+
+So each negative syllable (g, r), with exponent pre before it and post after
+it (cyclically), gives the pair
+
+    (-r - 2 + (pre > 0) + (post > 0),  post if post > 0 else 1),
+
+its A's and then the B's up to the next negative syllable, and k is minus
+the number of negative sigma_2 syllables followed by a negative sigma_1
+syllable.  Every p is at least 1, so the form is generic with s the number
+of negative syllables.
+
 The closure of a 3-braid is hyperbolic iff its form is generic and the braid
 is not conjugate to sigma_1^p sigma_2^q.  Conjugate braids share their form,
 so the second condition compares with the forms of the words sigma_1^p
@@ -61,7 +84,6 @@ from typing import NamedTuple
 from . import words
 from .errors import PreconditionError
 from .families import check_main_lemma
-from .states import twist_counts
 from .words import SyllableWord, cyclically_reduce_into_syllables
 
 __all__ = [
@@ -71,6 +93,7 @@ __all__ = [
     "HyperbolicityResult",
     "to_xy",
     "schreier_normal_form",
+    "direct_form",
     "direct_read_k",
     "direct_read_s",
     "conjugate_3braids",
@@ -378,37 +401,55 @@ def _family_3braid(word: SyllableWord) -> SyllableWord:
     return word
 
 
-def direct_read_k(word: SyllableWord) -> int:
-    """Read k off a family 3-braid word without normalizing.
+def direct_form(word: SyllableWord) -> SchreierForm:
+    """The normal form of a family 3-braid word, read off its syllables.
 
-    k is minus the number of cyclic adjacencies (sigma_2 long syllable
-    followed by sigma_1 long syllable).
+    Raises PreconditionError unless the word is a 3-braid that passes the
+    family gate; see :func:`_direct_form` for the read.
+
+    >>> form = direct_form(SyllableWord(3, ((1, 3), (2, -3), (1, -4), (2, -3))))
+    >>> form.k, form.pairs
+    (-1, ((2, 1), (2, 1), (2, 3)))
     """
-    return _read_k(_family_3braid(word))
+    return _direct_form(_family_3braid(word))
 
 
-def _read_k(word: SyllableWord) -> int:
-    """``direct_read_k`` on a gated family 3-braid word."""
-    # The paper reads k off the word.  In the block sweep of
-    # schreier_normal_form, sigma_2^(-q) = y (xy)^(q-1) x followed by
-    # sigma_1^(-p) = (xy)^p is the one place where family syllables meet at
-    # which the sweep gives up a C^(-1): x x -> C^(-1), and the y's that meet
-    # then make y^2, not yyy.  Every other meeting in a family word is
-    # already reduced.
+def _direct_form(word: SyllableWord) -> SchreierForm:
+    """``direct_form`` on a gated family 3-braid word, in one loop.
+
+    Each negative syllable gives one pair, from its exponent r and the
+    exponents pre and post of its cyclic neighbours:
+    (-r - 2 + (pre > 0) + (post > 0), post if post > 0 else 1).  k is minus
+    the number of negative sigma_2 syllables followed by a negative
+    syllable.  The module docstring gives the seam rules behind both.
+    """
     syl = word.syllables
-    t = len(syl)
-    count = 0
-    for i in range(t):
-        m, r = syl[i]
-        m2, r2 = syl[(i + 1) % t]
-        if m == 2 and r <= -3 and m2 == 1 and r2 <= -3:
-            count += 1
-    return -count
+    k = 0
+    pairs = []
+    pre = syl[-2][1]
+    g, r = syl[-1]
+    for g_next, post in syl:
+        if r < 0:
+            if post > 0:
+                pairs.append((-r - 1 + (pre > 0), post))
+            else:
+                pairs.append((-r - 2 + (pre > 0), 1))
+                if g == 2:
+                    k -= 1
+        pre, g, r = r, g_next, post
+    return SchreierForm(k, EtaKind.GENERIC, tuple(pairs))
+
+
+def direct_read_k(word: SyllableWord) -> int:
+    """k of a family 3-braid word, read off its syllables:
+    ``direct_form(word).k``."""
+    return direct_form(word).k
 
 
 def direct_read_s(word: SyllableWord) -> int:
-    """Read s off a family 3-braid word: the negative twist-region count."""
-    return twist_counts(_family_3braid(word))[2]
+    """s of a family 3-braid word, its negative twist-region count:
+    ``direct_form(word).s``."""
+    return direct_form(word).s
 
 
 def conjugate_3braids(a: SyllableWord, b: SyllableWord) -> bool:

@@ -113,6 +113,23 @@ def label_sweep_words(draw):
     return SyllableWord(n, (*seam, *body, *inverse))
 
 
+@st.composite
+def gated_3braids(draw):
+    """Family 3-braids: alternating generators, an even t >= 4, negative
+    exponents <= -3, and positive exponents >= 1 at an independent set of
+    cyclic positions (no two positive syllables adjacent, also across the
+    seam)."""
+    t = 2 * draw(st.integers(min_value=2, max_value=20))
+    exps = draw(
+        st.lists(st.integers(min_value=-12, max_value=-3), min_size=t, max_size=t)
+    )
+    for i in draw(st.sets(st.integers(min_value=0, max_value=t - 1))):
+        if exps[i - 1] < 0 and exps[(i + 1) % t] < 0:
+            exps[i] = draw(st.integers(min_value=1, max_value=12))
+    first = draw(st.sampled_from([1, 2]))
+    return SyllableWord(3, tuple((1 + (first + i) % 2, r) for i, r in enumerate(exps)))
+
+
 # Fixed mixed-provenance corpus for the bracket/state cross-checks: every
 # word is A-adequate with at most 18 crossings, and positive, negative, and
 # mixed-sign words are all represented.

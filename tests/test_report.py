@@ -14,7 +14,12 @@ from braidvol.bounds import jones_bounds, volume_bounds
 from braidvol.errors import PreconditionError
 from braidvol.generate import GeneratorSpec, generate_words
 from braidvol.report import SCHEMA, analyze, analyze_line, circle_detail, verify
-from braidvol.schreier import direct_read_k, direct_read_s
+from braidvol.schreier import (
+    _direct_form,
+    direct_read_k,
+    direct_read_s,
+    schreier_normal_form,
+)
 from braidvol.states import (
     StateCircle,
     is_A_adequate,
@@ -34,6 +39,7 @@ from conftest import (
     any_n_words,
     capture_returns,
     count_calls,
+    gated_3braids,
     label_sweep_words,
     ladder,
     word_of,
@@ -195,8 +201,7 @@ def test_verify_runs_all_checks_on_three_strands():
         "strand_budget",
         "circle_count",
         "one_wanderer",
-        "k_direct",
-        "s_direct",
+        "form_direct",
         "bracket_oracle",
     ]
     assert all(c.passed for c in result.checks)
@@ -207,7 +212,7 @@ def test_verify_on_wide_word_drops_three_strand_checks():
     result = verify(w)
     names = [c.name for c in result.checks]
     assert "one_wanderer" not in names
-    assert "k_direct" not in names
+    assert "form_direct" not in names
     assert result.passed is True
 
 
@@ -290,6 +295,112 @@ def test_hot_paths_build_no_per_crossing_objects(monkeypatch):
     assert len(kept) == 2 * len(ONCE_WORDS)
     for state in [*kept, state]:
         assert "segments" not in vars(state) and "arcs" not in vars(state)
+
+
+def symmetry_summary(word):
+    """What a symmetry of the closed braid's diagram must leave unchanged.
+
+    The bracket block reads the top of the bracket on adequate words.
+    Niceness asks for complete subwords of the word as written, so a
+    rotation can move a word into or out of the family when it is a
+    cyclic near miss: ``linear`` holds the gate's verdict, its bounds and
+    the near-miss flag, which a rotation keeps only away from near misses.
+    """
+    report = analyze(word, bracket=word.n <= bracket.MAX_BRACKET_STRANDS)
+    lemma = report["main_lemma"]
+    return {
+        "census": report["circles"]["census"],
+        "neg_chi": report["neg_chi"],
+        "adequate": report["adequate"],
+        "telc": report["telc"],
+        "bracket": report["bracket"],
+        "cyclic_gate": (
+            lemma["nice"] or lemma["nice_cyclic_near_miss"],
+            lemma["cond1"],
+            len(lemma["cond2_failures"]),
+            lemma["twist_ok"],
+        ),
+        "linear": (lemma["pass"], report["bounds"], lemma["nice_cyclic_near_miss"]),
+    }
+
+
+@st.composite
+def near_family_words(draw):
+    """Generated family words at n = 4, 5 and 8, some with one syllable
+    moved to another generator (then reduced), so that a one-sided slip in
+    the gate reads differently on the word and on its reversal."""
+    n = draw(st.sampled_from([4, 5, 8]))
+    spec = GeneratorSpec(
+        n=n,
+        syllable_count=4 * (n - 1),
+        seed=draw(st.integers(min_value=0, max_value=2**32)),
+    )
+    syllables = list(generate_words(spec)[0].syllables)
+    if draw(st.booleans()):
+        i = draw(st.integers(min_value=0, max_value=len(syllables) - 1))
+        g = draw(st.integers(min_value=1, max_value=n - 1))
+        syllables[i] = (g, syllables[i][1])
+    return cyclically_reduce_into_syllables(SyllableWord(n, tuple(syllables)))
+
+
+@st.composite
+def symmetry_words(draw):
+    """Reduced words on 1 to 8 strands, gated 3-braids and near-family words
+    at n = 4, 5 and 8, with a rotation amount."""
+    word = draw(
+        st.one_of(
+            any_n_words(8).map(cyclically_reduce_into_syllables),
+            gated_3braids(),
+            near_family_words(),
+        )
+    )
+    return word, draw(st.integers(min_value=0, max_value=200))
+
+
+@given(symmetry_words())
+@settings(max_examples=200, deadline=None)
+@example((ladder(2), 1))
+@example((word_of("s1^3 s2^-3 s1^-3 s2^-4 s1^-3 s2^-3"), 3))
+@example((word_of("s1^2 s2^-4 s3^2", 4), 1))
+# fails clause 2c on the neighbour after its s3^2 only
+@example((word_of("s1^-6 s2^-6 s3^2 s1^-3 s3^-6 s1^-3 s2^-6 s3 s2^-8 s3^-6", 4), 0))
+# nice only cyclically: the rotation by one passes the gate
+@example(
+    (
+        word_of(
+            "s1^-5 s2^-5 s3^-6 s4^-4 s3^-4 s1^-3 s4^-4 s2^-5 s3^2 s2^-8 s4^-6"
+            " s6^-7 s7^-5 s6^-4 s1^-8 s3^-6 s7^-6 s2^-5 s4^-8 s3^-5 s5^-8"
+            " s6^-3 s4^-5 s5^-8 s6^-6 s2^-3 s7^-8 s3^-5",
+            8,
+        ),
+        1,
+    )
+)
+def test_analysis_is_invariant_under_rotation_flip_and_reversal(drawn):
+    # rotating the syllables, flipping g -> n - g and reversing the word
+    # give the same diagram up to a symmetry of the plane or the sphere; at
+    # n = 3 rotation and the flip (conjugation by the half twist) are
+    # conjugations, so they also keep the normal form
+    word, shift = drawn
+    n, syl = word.n, word.syllables
+    shift %= max(len(syl), 1)
+    rotated = SyllableWord(n, syl[shift:] + syl[:shift])
+    flipped = SyllableWord(n, tuple((n - g, r) for g, r in syl))
+    reversed_ = SyllableWord(n, syl[::-1])
+    base = symmetry_summary(word)
+    for image in (flipped, reversed_):
+        assert symmetry_summary(image) == base, image.as_text()
+    turned = symmetry_summary(rotated)
+    if base["linear"][2] or turned["linear"][2]:
+        del base["linear"], turned["linear"]
+    assert turned == base, rotated.as_text()
+    if n == 3:
+        form = schreier_normal_form(word)
+        gated = families.check_main_lemma(word).passed
+        for image in (rotated, flipped):
+            assert schreier_normal_form(image) == form, image.as_text()
+            if gated:
+                assert _direct_form(image) == form, image.as_text()
 
 
 def test_verify_rejects_non_family_words():

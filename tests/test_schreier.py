@@ -18,6 +18,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from braidvol import report, schreier
 from braidvol.errors import PreconditionError
+from braidvol.families import check_main_lemma
 from braidvol.generate import GeneratorSpec, generate_words
 from braidvol.schreier import (
     EtaKind,
@@ -25,6 +26,7 @@ from braidvol.schreier import (
     SchreierForm,
     XYWord,
     conjugate_3braids,
+    direct_form,
     direct_read_k,
     direct_read_s,
     hyperbolicity_of_form,
@@ -34,7 +36,7 @@ from braidvol.schreier import (
 )
 from braidvol.words import SyllableWord, exponent_sum
 
-from conftest import ladder, word_from_letters, word_of
+from conftest import gated_3braids, ladder, word_from_letters, word_of
 
 letters3_st = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=14)
 
@@ -412,14 +414,27 @@ def test_direct_read_pins():
     w = word_of("s2^3 s1^-3 s2^-4 s1^-3")
     assert direct_read_k(w) == -1
     assert direct_read_s(w) == 3
+    # one pair per negative syllable, in word order: sigma_1^3 gives an A
+    # to each neighbour and its three B's to the syllable before it, and the
+    # two sigma_2^- sigma_1^- seams give k = -2
+    w = word_of("s1^3 s2^-3 s1^-3 s2^-4 s1^-3 s2^-3")
+    assert direct_form(w) == SchreierForm(
+        k=-2, kind=EtaKind.GENERIC, pairs=((2, 1), (1, 1), (2, 1), (1, 1), (2, 3))
+    )
 
 
 def test_direct_reads_are_gated():
-    with pytest.raises(PreconditionError):
-        direct_read_k(word_of("s1^-2 s2^-3 s1^-3 s2^-3"))
+    non_family = [
+        word_of("s1^-2 s2^-3 s1^-3 s2^-3"),  # cond1
+        word_of("s1^-3 s2^-3"),  # t = 2 < 4
+        word_of("s1^3 s2^3 s1^-3 s2^-3"),  # adjacent positives
+    ]
     # a passing 4-braid family word is still not a 3-braid
     wide = word_of("s2^2 s1^-3 s3^-3 s2^-4 s1^-3 s3^-4")
-    for read in (direct_read_k, direct_read_s):
+    for read in (direct_form, direct_read_k, direct_read_s):
+        for w in non_family:
+            with pytest.raises(PreconditionError, match="need a family word"):
+                read(w)
         with pytest.raises(PreconditionError, match="direct reads need n = 3"):
             read(wide)
 
@@ -433,33 +448,28 @@ def test_direct_reads_match_the_algorithm():
         assert direct_read_s(w) == form.s == t_minus
 
 
-def juxtaposed_pairs(word):
-    """Read the generic pair list off the word, one pair per negative
-    syllable: p from the syllable length plus one for each positive
-    neighbor, q from the following positive exponent (1 when negative)."""
-    syl = word.syllables
-    t = len(syl)
-    seq = []
-    for i, (_, r) in enumerate(syl):
-        if r >= 0:
-            continue
-        pre = syl[(i - 1) % t][1]
-        post = syl[(i + 1) % t][1]
-        p = -r - 2 + (pre > 0) + (post > 0)
-        q = post if post > 0 else 1
-        seq.append((p, q))
-    return tuple(seq)
-
-
 def test_per_syllable_reads_juxtapose_to_the_full_form():
     # the composite normal form is exactly the juxtaposition of local
     # contributions, with the central exponent read off the negative-negative
-    # adjacencies and no new central powers appearing
-    for w in family_words():
-        expected = SchreierForm(
-            k=direct_read_k(w), kind=EtaKind.GENERIC, pairs=juxtaposed_pairs(w)
-        )
-        assert schreier_normal_form(w) == expected
+    # adjacencies and no new central powers appearing; checked on seeded
+    # family words of 4 to 1,000 syllables
+    words = family_words()
+    for syllables, count in ((10, 10), (40, 10), (200, 5), (1000, 2)):
+        for seed in (1, 2, 3):
+            spec = GeneratorSpec(n=3, syllable_count=syllables, count=count, seed=seed)
+            words += generate_words(spec)
+    for w in words:
+        assert direct_form(w) == schreier_normal_form(w), w.as_text()
+
+
+@given(gated_3braids())
+@settings(max_examples=300)
+@example(ladder(2))
+@example(word_of("s1 s2^-3 s1 s2^-3"))
+@example(word_of("s2^-3 s1^5 s2^-3 s1^-3"))
+def test_direct_form_matches_the_sweep_on_gated_words(word):
+    assert check_main_lemma(word).passed
+    assert schreier._direct_form(word) == schreier_normal_form(word)
 
 
 # --- hyperbolicity --------------------------------------------------------
@@ -595,6 +605,8 @@ def test_hyperbolicity_of_form_normalizes_no_word(monkeypatch):
 
 
 def test_analyze_computes_the_normal_form_once(monkeypatch):
+    # a gated 3-braid's form is read off its syllables, with no sweep;
+    # every other 3-braid takes one sweep
     calls = []
     real = schreier.schreier_normal_form
 
@@ -604,15 +616,17 @@ def test_analyze_computes_the_normal_form_once(monkeypatch):
 
     monkeypatch.setattr(schreier, "schreier_normal_form", counting)
     monkeypatch.setattr(report, "schreier_normal_form", counting)
-    words = family_words()[:5] + [
+    gated = family_words()[:5]
+    others = [
         word_of("s1^-1 s2"),  # generic, s = 1
-        word_of("s1^-3 s2^-3"),  # generic, s = 2
+        word_of("s1^-3 s2^-3"),  # generic, s = 2, t = 2 below the gate
         word_of("s1 s2"),  # non-generic
+        word_of("s1^-2 s2^-3 s1^-3 s2^-3"),  # fails cond1
     ]
-    for w in words:
+    for w in gated + others:
         calls.clear()
         report.analyze(w)
-        assert calls == [w], w.as_text()
+        assert calls == ([] if w in gated else [w]), w.as_text()
 
 
 def test_hyperbolicity_rejects_other_widths():
