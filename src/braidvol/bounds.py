@@ -24,13 +24,14 @@ it calls that body.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import OracleError, PreconditionError
 from .families import check_main_lemma
 from .states import AllAState, ReducedStateGraph, twist_counts
-from .words import SyllableWord
+from .words import SyllableWord, _checked_make
 
 __all__ = [
     "V8",
@@ -63,30 +64,45 @@ class BoundCase(str, Enum):
 _INPUT_KEYS = ("t", "t_plus", "t_minus", "n", "m", "neg_chi", "beta_prime", "s")
 
 
-@dataclass(frozen=True)
-class VolumeBounds:
+class _VolumeBoundsFields(NamedTuple):
+    case: BoundCase
+    lower: float
+    upper: float
+    lower_weak: float | None
+    inputs: dict
+
+
+class VolumeBounds(_VolumeBoundsFields):
     """One two-sided volume estimate: vol is in [lower, upper].
 
     ``lower`` is the raw formula value and may be nonpositive;
     ``lower_weak`` is the weaker t-only variant where one exists.
+    ``inputs`` echoes the formula inputs, one entry per key of
+    ``_INPUT_KEYS`` (None where unused).  An immutable named tuple
+    ``(case, lower, upper, lower_weak, inputs)``; ``_replace`` and ``_make``
+    echo and check as the constructor does.
     """
 
-    case: BoundCase
-    lower: float
-    upper: float
-    lower_weak: float | None = None
-    inputs: dict = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        echoed = {key: self.inputs.get(key) for key in _INPUT_KEYS}
-        object.__setattr__(self, "inputs", echoed)
-        if self.lower > 0 and self.lower > self.upper:
-            raise OracleError(f"lower bound {self.lower} > upper {self.upper}")
-        if self.lower_weak is not None and self.lower > 0:
-            if self.lower_weak > self.lower + 1e-12:
-                raise OracleError(
-                    f"weak lower bound {self.lower_weak} > lower {self.lower}"
-                )
+    def __new__(
+        cls,
+        case: BoundCase,
+        lower: float,
+        upper: float,
+        lower_weak: float | None = None,
+        inputs: Mapping | None = None,
+    ) -> VolumeBounds:
+        inputs = inputs or {}
+        echoed = {key: inputs.get(key) for key in _INPUT_KEYS}
+        if lower > 0 and lower > upper:
+            raise OracleError(f"lower bound {lower} > upper {upper}")
+        if lower_weak is not None and lower > 0:
+            if lower_weak > lower + 1e-12:
+                raise OracleError(f"weak lower bound {lower_weak} > lower {lower}")
+        return tuple.__new__(cls, (case, lower, upper, lower_weak, echoed))
+
+    _make = classmethod(_checked_make)
 
     @property
     def effective_lower(self) -> float:

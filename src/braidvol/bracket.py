@@ -34,14 +34,14 @@ input limits already bound its window.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable
 from functools import cache
 from math import comb, inf
+from typing import NamedTuple
 
 from .errors import CrossingLimitError, OracleError, PreconditionError
 from .states import AllAState, is_A_adequate, resolve_all_A
-from .words import SyllableWord, require_input_limits
+from .words import SyllableWord, _checked_make, require_input_limits
 
 __all__ = [
     "LaurentPolynomial",
@@ -67,22 +67,29 @@ DEFAULT_MAX_CROSSINGS = 100
 MAX_BRACKET_STRANDS = 8
 
 
-@dataclass(frozen=True)
-class LaurentPolynomial:
+class _LaurentPolynomialFields(NamedTuple):
+    terms: tuple[tuple[int, int], ...]
+
+
+class LaurentPolynomial(_LaurentPolynomialFields):
     """A Laurent polynomial in one variable with integer coefficients.
 
     ``terms`` is sorted by degree and never contains a zero coefficient, so
-    equality is structural.
+    equality is structural.  An immutable named tuple ``(terms,)``;
+    ``_replace`` and ``_make`` clean and check the terms as the constructor
+    does.
     """
 
-    terms: tuple[tuple[int, int], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        cleaned = tuple(sorted((d, c) for d, c in self.terms if c))
+    def __new__(cls, terms: Iterable[tuple[int, int]] = ()) -> LaurentPolynomial:
+        cleaned = tuple(sorted((d, c) for d, c in terms if c))
         degrees = [d for d, _ in cleaned]
         if len(set(degrees)) != len(degrees):
             raise ValueError("duplicate degrees")
-        object.__setattr__(self, "terms", cleaned)
+        return tuple.__new__(cls, (cleaned,))
+
+    _make = classmethod(_checked_make)
 
     @classmethod
     def from_dict(cls, coeffs: dict[int, int]) -> LaurentPolynomial:
@@ -120,8 +127,7 @@ class LaurentPolynomial:
         return " ".join(f"{d}:{c}" for d, c in self.terms)
 
 
-@dataclass(frozen=True)
-class BracketSummary:
+class BracketSummary(NamedTuple):
     """Degree-end data of the bracket of an A-adequate diagram."""
 
     c: int

@@ -25,7 +25,6 @@ exactly -1 whose cyclic neighbor syllables are both negative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import PreconditionError
@@ -57,8 +56,7 @@ class Cond2Failure(NamedTuple):
 _IMPLIED = ("connected", "prime", "a_adequate", "telc", "hyperbolic")
 
 
-@dataclass(frozen=True)
-class MainLemmaReport:
+class MainLemmaReport(NamedTuple):
     nice: bool
     cond1: bool  # every negative exponent <= -3
     cond2_failures: tuple[Cond2Failure, ...]

@@ -56,11 +56,11 @@ from __future__ import annotations
 
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import OracleError, PreconditionError
 from .families import check_main_lemma
-from .words import MAX_STRANDS, MAX_WORD_LETTERS, SyllableWord
+from .words import MAX_STRANDS, MAX_WORD_LETTERS, SyllableWord, _checked_make
 
 __all__ = ["GeneratorSpec", "generate_words", "MAX_COUNT", "MAX_WIDE_SYLLABLES"]
 
@@ -72,59 +72,78 @@ MAX_COUNT = 1_000  # words per spec
 MAX_WIDE_SYLLABLES = 200_000
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """What to generate: strand count, length, exponent ranges, seed."""
-
+class _GeneratorSpecFields(NamedTuple):
     n: int
     syllable_count: int
-    negative_cap: int = 8  # negative exponents drawn from [-cap, -3]
-    positive_cap: int = 4  # positive exponents drawn from [1, cap]
-    seed: int = 0
-    count: int = 1
+    negative_cap: int  # negative exponents drawn from [-cap, -3]
+    positive_cap: int  # positive exponents drawn from [1, cap]
+    seed: int
+    count: int
 
-    def __post_init__(self) -> None:
-        if self.n < 3:
+
+class GeneratorSpec(_GeneratorSpecFields):
+    """What to generate: strand count, length, exponent ranges, seed.
+
+    An immutable named tuple ``(n, syllable_count, negative_cap,
+    positive_cap, seed, count)``; ``_replace`` and ``_make`` check as the
+    constructor does, so no spec past a limit is ever built.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        n: int,
+        syllable_count: int,
+        negative_cap: int = 8,
+        positive_cap: int = 4,
+        seed: int = 0,
+        count: int = 1,
+    ) -> GeneratorSpec:
+        if n < 3:
             raise PreconditionError("generation needs n >= 3")
-        if self.syllable_count < 2 * (self.n - 1):
+        if syllable_count < 2 * (n - 1):
             raise PreconditionError(
-                f"infeasible: {self.syllable_count} syllables is below the"
-                f" minimum 2(n-1) = {2 * (self.n - 1)}"
+                f"infeasible: {syllable_count} syllables is below the"
+                f" minimum 2(n-1) = {2 * (n - 1)}"
             )
-        if self.n == 3 and self.syllable_count % 2:
+        if n == 3 and syllable_count % 2:
             raise PreconditionError(
                 "infeasible: 3-strand words alternate two generators, so the"
                 " cyclic syllable count must be even"
             )
-        if self.negative_cap < 3:
+        if negative_cap < 3:
             raise PreconditionError("negative_cap must be at least 3")
-        if self.positive_cap < 1:
+        if positive_cap < 1:
             raise PreconditionError("positive_cap must be at least 1")
-        if self.count < 1:
+        if count < 1:
             raise PreconditionError("count must be at least 1")
         # the upper limits, so that every word parses back and nothing
         # large is built before a refusal
-        if self.n > MAX_STRANDS:
+        if n > MAX_STRANDS:
             raise PreconditionError(
-                f"strand count {self.n} is above the limit of {MAX_STRANDS}"
+                f"strand count {n} is above the limit of {MAX_STRANDS}"
             )
-        cap = max(self.negative_cap, self.positive_cap)
-        letters = self.syllable_count * cap
+        cap = max(negative_cap, positive_cap)
+        letters = syllable_count * cap
         if letters > MAX_WORD_LETTERS:
             raise PreconditionError(
                 f"words of up to {letters} letters are above the limit of"
                 f" {MAX_WORD_LETTERS}"
             )
-        if self.count > MAX_COUNT:
-            raise PreconditionError(
-                f"count {self.count} is above the limit of {MAX_COUNT}"
-            )
-        total = self.syllable_count * self.count
-        if self.n >= 4 and total > MAX_WIDE_SYLLABLES:
+        if count > MAX_COUNT:
+            raise PreconditionError(f"count {count} is above the limit of {MAX_COUNT}")
+        total = syllable_count * count
+        if n >= 4 and total > MAX_WIDE_SYLLABLES:
             raise PreconditionError(
                 f"{total} syllables (syllable count times count) is above the"
                 f" limit of {MAX_WIDE_SYLLABLES} for n >= 4"
             )
+        return tuple.__new__(
+            cls, (n, syllable_count, negative_cap, positive_cap, seed, count)
+        )
+
+    _make = classmethod(_checked_make)
 
 
 def generate_words(spec: GeneratorSpec) -> list[SyllableWord]:

@@ -16,7 +16,7 @@ subcommand.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bounds import (
     _family_bounds,
@@ -304,15 +304,13 @@ def _report(
     return report, state
 
 
-@dataclass(frozen=True)
-class VerifyCheck:
+class VerifyCheck(NamedTuple):
     name: str
     passed: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class VerifyResult:
+class VerifyResult(NamedTuple):
     word: str
     passed: bool
     checks: tuple[VerifyCheck, ...]

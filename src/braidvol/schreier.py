@@ -77,14 +77,13 @@ word with |p|, |q| <= 40.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
 from . import words
 from .errors import PreconditionError
 from .families import check_main_lemma
-from .words import SyllableWord, cyclically_reduce_into_syllables
+from .words import SyllableWord, _checked_make, cyclically_reduce_into_syllables
 
 __all__ = [
     "XYWord",
@@ -105,24 +104,31 @@ X = "x"
 Y = "y"
 
 
-@dataclass(frozen=True)
-class XYWord:
+class _XYWordFields(NamedTuple):
+    runs: tuple[tuple[str, int], ...]
+    j: int
+
+
+class XYWord(_XYWordFields):
     """A cyclic positive word in x, y as run-length pairs, times C^j.
 
     The normal form never builds one.  It stays public for the perfbench
     ``schreier.xy_length`` count, which reads ``to_xy(word).length``; when
     that count goes, this class and :func:`to_xy` move into the
     letter-level test oracle beside ``normalize_xy``, which also starts
-    from them.
+    from them.  An immutable named tuple ``(runs, j)``; ``_replace`` and
+    ``_make`` check the runs as the constructor does.
     """
 
-    runs: tuple[tuple[str, int], ...]
-    j: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for ch, count in self.runs:
+    def __new__(cls, runs: tuple[tuple[str, int], ...], j: int = 0) -> XYWord:
+        for ch, count in runs:
             if ch not in (X, Y) or count < 1:
                 raise ValueError(f"bad run {(ch, count)!r}")
+        return tuple.__new__(cls, (runs, j))
+
+    _make = classmethod(_checked_make)
 
     @property
     def length(self) -> int:
@@ -163,27 +169,44 @@ def _least_rotation(
     return doubled[k : k + len(pairs)]
 
 
-@dataclass(frozen=True)
-class SchreierForm:
-    """The conjugacy normal form C^k * eta' of a 3-braid."""
-
+class _SchreierFormFields(NamedTuple):
     k: int
     kind: EtaKind
-    pairs: tuple[tuple[int, int], ...] = ()  # generic only, p_i, q_i >= 1
-    power: int = 0  # POWER_SIGMA1 only, nonzero
+    pairs: tuple[tuple[int, int], ...]  # generic only, p_i, q_i >= 1
+    power: int  # POWER_SIGMA1 only, nonzero
 
-    def __post_init__(self) -> None:
-        if self.kind is EtaKind.GENERIC:
-            if not self.pairs or any(p < 1 or q < 1 for p, q in self.pairs):
+
+class SchreierForm(_SchreierFormFields):
+    """The conjugacy normal form C^k * eta' of a 3-braid.
+
+    An immutable named tuple ``(k, kind, pairs, power)``; the generic
+    form's pairs are kept in their least rotation.  ``_replace`` and
+    ``_make`` check and rotate as the constructor does.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        k: int,
+        kind: EtaKind,
+        pairs: tuple[tuple[int, int], ...] = (),
+        power: int = 0,
+    ) -> SchreierForm:
+        if kind is EtaKind.GENERIC:
+            if not pairs or any(p < 1 or q < 1 for p, q in pairs):
                 raise ValueError("generic form needs pairs with p, q >= 1")
-            object.__setattr__(self, "pairs", _least_rotation(self.pairs))
-        elif self.pairs:
+            pairs = _least_rotation(pairs)
+        elif pairs:
             raise ValueError("pairs only apply to the generic form")
-        if self.kind is EtaKind.POWER_SIGMA1:
-            if self.power == 0:
+        if kind is EtaKind.POWER_SIGMA1:
+            if power == 0:
                 raise ValueError("sigma_1 power must be nonzero")
-        elif self.power:
+        elif power:
             raise ValueError("power only applies to the power form")
+        return tuple.__new__(cls, (k, kind, pairs, power))
+
+    _make = classmethod(_checked_make)
 
     @property
     def s(self) -> int:

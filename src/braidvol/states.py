@@ -47,13 +47,12 @@ polynomial", 2013), in one pass over the records (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
 
 from .errors import PreconditionError
-from .words import SyllableWord
+from .words import SyllableWord, _immutable
 
 __all__ = [
     "CircleClass",
@@ -98,8 +97,7 @@ class StateCircle(NamedTuple):
     klass: CircleClass
 
 
-@dataclass(frozen=True)
-class ReducedStateGraph:
+class ReducedStateGraph(NamedTuple):
     """The state graph after collapsing parallel edges."""
 
     vertices: int
@@ -108,8 +106,13 @@ class ReducedStateGraph:
     unreduced_edges: int
 
 
-@dataclass(frozen=True)
-class AllAState:
+class _AllAStateFields(NamedTuple):
+    word: SyllableWord
+    pieces: tuple[StateCircle | tuple[int, int, int], ...]
+    regions: tuple[tuple[int, int, tuple[int, int]], ...]
+
+
+class AllAState(_AllAStateFields):
     """The full all-A state of one closed-braid diagram, one record per
     twist region; no per-crossing, per-arc or per-small-circle object is
     built.
@@ -130,11 +133,14 @@ class AllAState:
     its |r| - 1 inner circles, in id order, to ``b``, its last cup's
     circle: in the chain ``a, inner..., b`` its i-th segment joins the i-th
     circle to the (i + 1)-th.
+
+    An immutable named tuple ``(word, pieces, regions)``: it compares and
+    hashes by these three fields, and ``_replace`` returns a changed copy.
+    The instance ``__dict__`` holds only the cached properties; setting any
+    attribute raises AttributeError.
     """
 
-    word: SyllableWord
-    pieces: tuple[StateCircle | tuple[int, int, int], ...]
-    regions: tuple[tuple[int, int, tuple[int, int]], ...]
+    __setattr__ = __delattr__ = _immutable
 
     @property
     def arcs(self) -> range:

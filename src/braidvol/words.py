@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import operator
 import re
-from collections.abc import Iterator
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import BraidSyntaxError, PreconditionError
 
@@ -47,30 +47,62 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SyllableWord:
-    """A braid word grouped into syllables (generator, exponent).
+def _immutable(self, name: str, *value) -> None:
+    """``__setattr__`` and ``__delattr__`` of a record that keeps a
+    ``__dict__`` for its cached properties: no attribute is set or deleted,
+    so no cached value can be overwritten."""
+    raise AttributeError(
+        f"cannot set or delete {name!r}: {type(self).__name__} is immutable"
+    )
 
-    ``cyclically_reduced`` is derived, never trusted from the caller: it holds
-    exactly when no two cyclically adjacent syllables share a generator (a
-    single syllable counts as reduced).
-    """
 
+def _checked_make(cls, fields: Iterable):
+    """``_make`` of a record whose ``__new__`` checks: it builds through
+    ``__new__``, as the named tuple's ``_replace`` (and Python 3.13's
+    ``copy.replace``) build through ``_make``, so no copy skips a check."""
+    return cls(*fields)
+
+
+class _SyllableWordFields(NamedTuple):
     n: int
     syllables: tuple[tuple[int, int], ...]  # (m_i, r_i) with r_i != 0
-    cyclically_reduced: bool = field(init=False)
+    cyclically_reduced: bool
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise _strand_count_error(self.n)
-        syl = tuple((int(m), int(r)) for m, r in self.syllables)
-        object.__setattr__(self, "syllables", syl)
-        for m, r in syl:
-            if not 1 <= m <= self.n - 1:
-                raise _generator_error(m, self.n)
+
+class SyllableWord(_SyllableWordFields):
+    """A braid word grouped into syllables (generator, exponent).
+
+    An immutable named tuple ``(n, syllables, cyclically_reduced)`` built as
+    ``SyllableWord(n, syllables)``: it compares and hashes by value and
+    unpacks like a tuple.  ``cyclically_reduced`` is derived, never trusted
+    from the caller: it holds exactly when no two cyclically adjacent
+    syllables share a generator (a single syllable counts as reduced).  The
+    strand count, generators and exponents are whole numbers: ``2.0`` and
+    ``True`` are taken as ints, while ``2.7``, ``None`` or ``"x"`` raise
+    BraidSyntaxError.  ``_replace(n=..., syllables=...)`` and ``_make``
+    check and derive as the constructor does.  The instance ``__dict__``
+    holds only the cached :attr:`crossings`; setting any attribute raises
+    AttributeError.
+    """
+
+    def __new__(cls, n: int, syllables: Iterable[Iterable[int]]) -> SyllableWord:
+        if type(n) is not int:
+            n = _integral(n, "strand count")
+        if n < 1:
+            raise _strand_count_error(n)
+        syl = []
+        for m, r in syllables:
+            if type(m) is not int:
+                m = _integral(m, "syllable generator")
+            if type(r) is not int:
+                r = _integral(r, "syllable exponent")
+            if not 1 <= m <= n - 1:
+                raise _generator_error(m, n)
             if r == 0:
                 raise BraidSyntaxError("syllable exponent must be nonzero")
-        object.__setattr__(self, "cyclically_reduced", _no_cyclic_repeat(syl))
+            syl.append((m, r))
+        syl = tuple(syl)
+        return tuple.__new__(cls, (n, syl, _no_cyclic_repeat(syl)))
 
     @classmethod
     def _trusted(
@@ -78,14 +110,36 @@ class SyllableWord:
     ) -> SyllableWord:
         """A word from fields already checked: ``n >= 1``, int syllables of
         generators 1..n-1 and nonzero exponents, and ``reduced`` equal to
-        what ``__post_init__`` would derive.  For the parser and the reducer,
+        what the constructor would derive.  For the parser and the reducer,
         which check as they build; the word equals, hashes and prints as
         ``SyllableWord(n, syllables)``."""
-        word = object.__new__(cls)
-        object.__setattr__(word, "n", n)
-        object.__setattr__(word, "syllables", syllables)
-        object.__setattr__(word, "cyclically_reduced", reduced)
+        return tuple.__new__(cls, (n, syllables, reduced))
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> SyllableWord:
+        """``SyllableWord(n, syllables)`` of the fields ``(n, syllables,
+        cyclically_reduced)``, refusing a third field that is not the
+        derived one."""
+        n, syllables, reduced = fields
+        word = cls(n, syllables)
+        if reduced != word.cyclically_reduced:
+            raise ValueError("cyclically_reduced is derived from the syllables")
         return word
+
+    def _replace(self, /, **changes) -> SyllableWord:
+        extra = changes.keys() - {"n", "syllables"}
+        if extra:
+            raise ValueError(f"only n and syllables are replaced, not {sorted(extra)}")
+        return type(self)(
+            changes.get("n", self.n), changes.get("syllables", self.syllables)
+        )
+
+    __replace__ = _replace  # copy.replace, Python 3.13+
+
+    def __getnewargs__(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        return self.n, self.syllables  # copy and pickle rebuild through __new__
+
+    __setattr__ = __delattr__ = _immutable
 
     @property
     def letters(self) -> tuple[int, ...]:
@@ -127,6 +181,18 @@ def _strand_count_error(n: int) -> BraidSyntaxError:
 
 def _generator_error(m: int, n: int) -> BraidSyntaxError:
     return BraidSyntaxError(f"syllable generator {m} is not a generator of B_{n}")
+
+
+def _integral(value, what: str) -> int:
+    """``int(value)``, refusing a value that is not a whole number (2.7,
+    None, "x") with BraidSyntaxError rather than truncating it."""
+    try:
+        whole = int(value)
+        if whole == value:
+            return whole
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise BraidSyntaxError(f"{what} {value!r} is not an integer")
 
 
 # Input limits for parse_braid, checked on the parsed integers, so that

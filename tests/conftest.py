@@ -81,9 +81,10 @@ def chain_syllables(draws):
 def any_n_words(max_n):
     """Unreduced words on 1 to ``max_n`` strands, up to 12 syllables."""
     return st.integers(min_value=1, max_value=max_n).flatmap(
+        # a lambda, not SyllableWord itself: builds() would fill every named
+        # tuple field, cyclically_reduced too, which the constructor derives
         lambda n: st.builds(
-            SyllableWord,
-            st.just(n),
+            lambda syllables: SyllableWord(n, syllables),
             st.lists(
                 st.tuples(
                     st.integers(min_value=1, max_value=max(n - 1, 1)),

@@ -18,7 +18,7 @@ sweep that the flat-list sweep replaced is kept as a reference too
 
 import json
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import pytest
@@ -600,7 +600,7 @@ def test_state_equality_sees_only_its_three_fields():
     state.census, state.circles
     fresh = resolve_all_A(word)
     assert fresh == state and hash(fresh) == hash(state)
-    copy = replace(state)
+    copy = state._replace()
     assert copy == state and hash(copy) == hash(state)
     assert state.arcs == range((word.crossings + 1) * word.n)
 

@@ -350,11 +350,31 @@ def test_parse_refuses_overlong_numbers_as_syntax():
     [
         (0, (), "strand count must be >= 1, got 0"),
         (3, ((1, 0),), "syllable exponent must be nonzero"),
+        (3, ((3, 1),), "syllable generator 3 is not a generator of B_3"),
+        # a value that int() would truncate, or that it refuses, is named
+        (3, ((1, 2.7),), "syllable exponent 2.7 is not an integer"),
+        (3, ((1.5, 2),), "syllable generator 1.5 is not an integer"),
+        (3, ((1, None),), "syllable exponent None is not an integer"),
+        (3, (("x", 1),), "syllable generator 'x' is not an integer"),
+        (3, ((1, "2"),), "syllable exponent '2' is not an integer"),
+        (3, ((1, float("inf")),), "syllable exponent inf is not an integer"),
+        (3, ((1, float("nan")),), "syllable exponent nan is not an integer"),
+        (3.5, (), "strand count 3.5 is not an integer"),
+        (None, (), "strand count None is not an integer"),
+        ("3", (), "strand count '3' is not an integer"),
     ],
 )
 def test_syllable_word_refuses_bad_fields(n, syllables, message):
-    with pytest.raises(BraidSyntaxError, match=message):
+    with pytest.raises(BraidSyntaxError) as refused:
         SyllableWord(n, syllables)
+    assert str(refused.value) == message
+
+
+def test_syllable_word_coerces_integral_fields():
+    word = SyllableWord(3.0, [[2.0, True], (1, -2.0)])
+    assert word == SyllableWord(3, ((2, 1), (1, -2)))
+    assert type(word.n) is int
+    assert all(type(v) is int for syllable in word.syllables for v in syllable)
 
 
 def test_syllable_word_as_text_round_trip():
