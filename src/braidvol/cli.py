@@ -15,9 +15,9 @@ Exit codes: 0 success; 1 an identity check failed, an internal check
 failed (``OracleError``: a bug, not bad input) or a file could not be read;
 2 parse or usage error (a ``batch`` file that is not UTF-8 text and a
 ``bracket --max-crossings`` below 0 included);
-3 precondition gate (family checker, ``bracket``'s crossing cap, strand
-count, input limits).  ``batch`` reports a failed line as an error row whose
-``error_kind`` is syntax, precondition, oracle or internal.
+3 precondition gate (family checker, the bracket's crossing cap and 8-strand
+limit, strand count, input limits).  ``batch`` reports a failed line as an
+error row whose ``error_kind`` is syntax, precondition, oracle or internal.
 """
 
 from __future__ import annotations

@@ -1,16 +1,28 @@
 """Assemble the whole analysis pipeline into one JSON-ready report.
 
-``analyze`` runs every applicable stage for a word and returns a plain dict
-with a stable key set: analyses that do not apply (wrong strand count,
-failed gate, not requested) are present as ``None``, never missing.
-``analyze_line`` returns the same report as its ``json.dumps`` text, the
-``batch`` line.  Both read the circle detail from the state's pieces, a run
-of small inner circles at a time, and never build
-:attr:`AllAState.circles`: ``analyze`` (through ``circle_detail``) gives
-one dict per circle, and ``analyze_line`` writes each run in one piece.
-``verify`` re-derives the cross-identities that tie the stages together and
-reports them check by check; it is the engine behind the ``verify``
-subcommand.
+``analyze`` and ``verify`` read one staged pipeline, ``_gate`` then
+``_stages``, that calls each stage once per word, in this order:
+
+1. the input limits (``MAX_WORD_LETTERS`` letters, ``MAX_STRANDS``
+   strands), then the bracket's 8-strand limit when a bracket is asked for;
+2. the family gate ``check_main_lemma``;
+3. ``twist_counts``, which needs a cyclically reduced word;
+4. the all-A state, its reduced graph, A-adequacy, TELC and connectivity;
+5. at n = 3, the Schreier form: ``_direct_form`` on a gated word, the
+   sweep ``schreier_normal_form`` on any other;
+6. the bracket's top and summary, when asked for on an A-adequate diagram.
+
+Each refusal is a PreconditionError raised before the state is traced, in
+this order: past the input limits, a bracket above 8 strands, a word that
+fails the gate (``verify`` only, right after stage 2), an unreduced word.
+
+``analyze`` returns a plain dict with a stable key set: analyses that do
+not apply (wrong strand count, failed gate, not requested) are ``None``,
+never missing.  ``analyze_line`` returns its ``json.dumps`` text, the
+``batch`` line; both read the circle detail from the state's pieces and
+never build :attr:`AllAState.circles`.  ``verify`` asks for the bracket at
+up to 8 strands and reports the cross-identities between the stages check
+by check; it is the engine behind the ``verify`` subcommand.
 """
 
 from __future__ import annotations
@@ -25,9 +37,9 @@ from .bounds import (
     three_braid_s_bounds,
     turaev_genus_bounds,
 )
-from .bracket import MAX_BRACKET_STRANDS, bracket_summary, bracket_top
+from .bracket import MAX_BRACKET_STRANDS, _require_sweepable, bracket_summary, bracket_top
 from .errors import OracleError, PreconditionError
-from .families import check_main_lemma, stoimenow_A_adequate_3braid
+from .families import MainLemmaReport, check_main_lemma, stoimenow_A_adequate_3braid
 from .schreier import (
     SchreierForm,
     _direct_form,
@@ -164,23 +176,12 @@ def _detail_text(state: AllAState) -> str:
 def analyze(
     word: SyllableWord, *, bracket: bool = False, assume_prime: bool = False
 ) -> dict:
-    """Full analysis report for one word.
-
-    ``bracket`` opts into the Kauffman-bracket oracle, a Temperley-Lieb
-    sweep one syllable at a time that keeps only the terms that can reach
-    the top five degrees (``bracket_top``), so its cost is set by that
-    window of degrees, not by the degree span; it is refused above
-    ``MAX_BRACKET_STRANDS`` (8) strands.
+    """Full analysis report for one word; the module docstring gives its
+    stages and refusals.  ``bracket`` opts into the Kauffman-bracket oracle,
+    the top five degrees of a Temperley-Lieb sweep (``bracket_top``).
     ``assume_prime`` lets the generic volume bounds run on words outside the
     checked family when the direct diagram checks (adequacy, two-edge-loop,
     connectivity, t >= 2) all hold but primeness has to be taken on faith.
-    On a 3-braid that passes the family gate the normal form behind the
-    ``schreier``, ``s_bounds`` and ``turaev`` blocks is read off the
-    syllables in one loop (``schreier.direct_form``); every other 3-braid
-    takes the stack sweep ``schreier_normal_form``.
-    A word past the input limits of ``parse_braid`` (``MAX_WORD_LETTERS``
-    letters, ``MAX_STRANDS`` strands) or a word that is not cyclically
-    reduced raises PreconditionError before the state is traced.
     """
     report, state = _report(word, bracket, assume_prime)
     report["circles"]["detail"] = circle_detail(state)
@@ -221,20 +222,44 @@ def analyze_line(
     return f'{parts[0]}"detail": [{_detail_text(state)}]{parts[1]}'
 
 
+def _gate(word: SyllableWord, bracket: bool) -> MainLemmaReport:
+    """Stages 1 and 2: the input limits, the bracket's strand limit when a
+    bracket is asked for, then the family gate."""
+    if bracket:
+        _require_sweepable(word)  # the input limits, then the strand limit
+    else:
+        require_input_limits(word)
+    return check_main_lemma(word)
+
+
+def _stages(word: SyllableWord, lemma: MainLemmaReport, bracket: bool) -> tuple:
+    """Stages 3 to 6: the twist counts, the state, its reduced graph, the
+    three predicates, the normal form (None off n = 3) and the bracket
+    summary (None unless asked for on an A-adequate diagram)."""
+    twist = twist_counts(word)  # refuses an unreduced word before the trace
+    state = resolve_all_A(word)
+    graph = reduced_graph(state)
+    adequate = is_A_adequate(state)
+    predicates = adequate, satisfies_TELC(state), is_connected_closure(word)
+    form = summary = None
+    if word.n == 3:
+        # a gated word's form is read off its syllables; the sweep is the
+        # oracle that verify's form_direct check compares it with
+        form = _direct_form(word) if lemma.passed else schreier_normal_form(word)
+    if bracket and adequate:
+        summary = bracket_summary(bracket_top(word), state)
+    return twist, state, graph, predicates, form, summary
+
+
 def _report(
     word: SyllableWord, bracket: bool, assume_prime: bool
 ) -> tuple[dict, AllAState]:
     """The body of ``analyze``: the report with an empty circle detail, and
     the state it was read from."""
-    require_input_limits(word)
-    # refuses an unreduced word before the state is traced
-    t, t_plus, t_minus = twist_counts(word)
-    state = resolve_all_A(word)
-    graph = reduced_graph(state)
-    lemma = check_main_lemma(word)
-    adequate = is_A_adequate(state)
-    telc = satisfies_TELC(state)
-    connected = is_connected_closure(word)
+    lemma = _gate(word, bracket)
+    twist, state, graph, predicates, form, summary = _stages(word, lemma, bracket)
+    t, t_plus, t_minus = twist
+    adequate, telc, connected = predicates
 
     bounds_block = jones_block = None
     if lemma.passed:
@@ -247,15 +272,9 @@ def _report(
             graph.neg_chi, t, assume_hypotheses=True
         ).to_json_dict()
 
-    stoimenow = stoimenow_A_adequate_3braid(word) if word.n == 3 else None
-
-    schreier = None
-    s_bounds_block = None
-    turaev_block = None
-    if word.n == 3:
-        # a gated word's form is read off its syllables; the sweep is the
-        # oracle that verify's form_direct check compares it with
-        form = _direct_form(word) if lemma.passed else schreier_normal_form(word)
+    stoimenow = schreier = s_bounds_block = turaev_block = None
+    if form is not None:
+        stoimenow = stoimenow_A_adequate_3braid(word)
         schreier = schreier_block(form)
         if lemma.passed and form.generic:
             schreier3, fkp3, sharper = three_braid_s_bounds(form.s)
@@ -270,11 +289,6 @@ def _report(
             "lower": None if genus is None else genus[0],
             "upper": None if genus is None else genus[1],
         }
-
-    bracket_block = None
-    if bracket and adequate:
-        poly = bracket_top(word)
-        bracket_block = bracket_summary(poly, state).to_json_dict()
 
     report = {
         "schema": SCHEMA,
@@ -299,7 +313,7 @@ def _report(
         "s_bounds": s_bounds_block,
         "schreier": schreier,
         "turaev": turaev_block,
-        "bracket": bracket_block,
+        "bracket": None if summary is None else summary.to_json_dict(),
     }
     return report, state
 
@@ -329,21 +343,18 @@ class VerifyResult(NamedTuple):
 def verify(word: SyllableWord) -> VerifyResult:
     """Cross-check every identity the analysis stages promise each other.
 
-    Requires a word that passes the family checker (the identities are
-    only guaranteed there); raises PreconditionError otherwise.  The bracket
-    oracle, read from the top five degrees (``bracket_top``), runs at every
-    crossing count and is skipped only above ``MAX_BRACKET_STRANDS`` (8)
-    strands; a word past the input limits raises PreconditionError.
-    """
-    require_input_limits(word)
-    lemma = check_main_lemma(word)
+    Runs the stages of the module docstring, with the bracket at up to
+    ``MAX_BRACKET_STRANDS`` (8) strands, and refuses a word that fails the
+    family gate, where the identities are not guaranteed."""
+    bracket = word.n <= MAX_BRACKET_STRANDS
+    lemma = _gate(word, bracket)
     if not lemma.passed:
         raise PreconditionError(
             f"verify needs a family word; {word.as_text()!r} fails the checker"
         )
-    state = resolve_all_A(word)
-    graph = reduced_graph(state)
-    t, t_plus, _ = twist_counts(word)
+    twist, state, graph, predicates, direct, summary = _stages(word, lemma, bracket)
+    t, t_plus, _ = twist
+    adequate, telc, connected = predicates
     census = state.census
     small = census[CircleClass.SMALL_INNER]
     medium = census[CircleClass.MEDIUM_INNER]
@@ -356,9 +367,9 @@ def verify(word: SyllableWord) -> VerifyResult:
     def add(name: str, passed: bool, detail: str) -> None:
         checks.append(VerifyCheck(name, passed, detail))
 
-    add("adequate", is_A_adequate(state), "no segment joins a circle to itself")
-    add("telc", satisfies_TELC(state), "two-edge loops confined to short regions")
-    add("connected", is_connected_closure(word), "closure is a knot or linked link")
+    add("adequate", adequate, "no segment joins a circle to itself")
+    add("telc", telc, "two-edge loops confined to short regions")
+    add("connected", connected, "closure is a knot or linked link")
     add(
         "no_unclassified",
         census[CircleClass.UNCLASSIFIED] == 0,
@@ -392,14 +403,13 @@ def verify(word: SyllableWord) -> VerifyResult:
         graph.neg_chi == t - other,
         f"neg_chi {graph.neg_chi} == t − #(non-small) = {t} − {other}",
     )
-    if word.n == 3:
+    if direct is not None:
         add(
             "one_wanderer",
             essential + nonessential + nonwandering == 1,
             "exactly one wandering-or-nonwandering circle",
         )
-        form = schreier_normal_form(word)
-        direct = _direct_form(word)
+        form = schreier_normal_form(word)  # the oracle of the direct form
         pairs_note = "" if direct.pairs == form.pairs else ", pairs differ"
         add(
             "form_direct",
@@ -407,8 +417,7 @@ def verify(word: SyllableWord) -> VerifyResult:
             f"direct-read k {direct.k}, s {direct.s} =="
             f" normal-form k {form.k}, s {form.s}{pairs_note}",
         )
-    if word.n <= MAX_BRACKET_STRANDS:
-        summary = bracket_summary(bracket_top(word), state)
+    if summary is not None:
         add(
             "bracket_oracle",
             summary.penultimate_abs == 1 + graph.neg_chi,

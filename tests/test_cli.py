@@ -387,6 +387,24 @@ def test_batch_error_rows_name_their_kind(capsys, tmp_path, monkeypatch, line, k
     assert out.splitlines()[1] == json.dumps(failed)  # the row's dict, as is
 
 
+def test_batch_bracket_above_the_strand_limit_gives_precondition_rows(
+    capsys, tmp_path
+):
+    # the A-adequate word used to be refused only after its analysis, and
+    # the non-adequate one not at all
+    path = tmp_path / "words.txt"
+    path.write_text("s1^-3 s2^-3 s1^-3 s2^-3\ns1^-1 s2^-3\n", encoding="utf-8")
+    code, out, _ = run(capsys, ["batch", str(path), "--n", "9", "--bracket"])
+    assert code == 0
+    rows = [json.loads(row) for row in out.splitlines()]
+    assert [row["error_kind"] for row in rows] == ["precondition"] * 2
+    assert all("above the bracket limit of 8" in row["error"] for row in rows)
+    code, out, err = run(capsys, ["analyze", "s1^-1 s2^-3", "--n", "9", "--bracket"])
+    assert code == 3
+    assert not out
+    assert "above the bracket limit of 8" in err
+
+
 def test_exit_code_3_on_input_limits(capsys):
     for argv in (
         ["analyze", f"s1^-{MAX_WORD_LETTERS + 1}"],

@@ -459,6 +459,39 @@ def test_unreduced_word_is_refused_before_the_state_is_traced(monkeypatch):
     assert traces == []
 
 
+# an A-adequate and a non-adequate word, both on 9 strands
+WIDE_BRACKET_WORDS = [
+    word_of("s1^-3 s2^-3 s1^-3 s2^-3", 9),
+    word_of("s1^-1 s2^-3", 9),
+]
+
+
+def test_bracket_above_the_strand_limit_is_refused_before_the_trace(monkeypatch):
+    # the bracket's strand limit comes right after the input limits, so a
+    # non-adequate word is refused too, and no word is traced or gated
+    traces = count_calls(monkeypatch, states, "resolve_all_A")
+    gates = count_calls(monkeypatch, families, "check_main_lemma")
+    message = "^9 strands are above the bracket limit of 8$"
+    for word in WIDE_BRACKET_WORDS:
+        for run in (analyze, analyze_line):
+            with pytest.raises(PreconditionError, match=message):
+                run(word, bracket=True)
+    assert traces == [] and gates == []
+    assert analyze(WIDE_BRACKET_WORDS[1])["bracket"] is None  # not asked for
+
+
+def test_verify_refuses_a_non_family_word_before_the_trace(monkeypatch):
+    unreduced = SyllableWord(3, ((1, 2), (2, -3), (1, -1)))
+    assert not unreduced.cyclically_reduced
+    traces = count_calls(monkeypatch, states, "resolve_all_A")
+    sweeps = count_calls(monkeypatch, bracket, "_sweep")
+    for word in (word_of("s1^-2 s2^-3"), unreduced):
+        message = f"verify needs a family word; {word.as_text()!r} fails the checker"
+        with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+            verify(word)
+    assert traces == [] and sweeps == []
+
+
 def test_library_entry_points_refuse_words_past_the_input_limits(monkeypatch):
     # built directly, these words skip parse_braid's limits; a million
     # letters once took analyze 26 s and 392 MB before it answered

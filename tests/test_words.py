@@ -4,6 +4,7 @@ import random
 import re
 import time
 import tracemalloc
+from math import inf
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -484,23 +485,34 @@ def test_reduction_matches_letter_by_letter(case):
     assert cyclically_reduce_into_syllables(word).syllables == reduce_letter_by_letter(word)
 
 
-def test_long_seam_word_reduces_fast():
-    # u * sigma_1^3 * u^-1 with u a reduced 4000-letter 3-braid word: the
-    # letter-by-letter reducer rescans the word for each of its 4000 seam
-    # cancellations
+def seam_word(length):
+    """u * sigma_1^3 * u^-1 with u a reduced ``length``-letter 3-braid word:
+    every one of its ``length`` cancellations is at the cyclic seam."""
     rng = random.Random(5)
     u = [1]
-    while len(u) < 4000:
+    while len(u) < length:
         g = rng.choice([1, -1, 2, -2])
         if g != -u[-1]:
             u.append(g)
-    text = " ".join(map(str, u + [1, 1, 1] + [-g for g in reversed(u)]))
-    word = parse_braid(text)
-    assert word.crossings == 8003
-    start = time.perf_counter()
-    reduced = cyclically_reduce_into_syllables(word)
-    assert time.perf_counter() - start < 0.1
-    assert reduced.syllables == ((1, 3),)
+    return parse_braid(" ".join(map(str, u + [1, 1, 1] + [-g for g in reversed(u)])))
+
+
+def test_long_seam_word_reduces_fast():
+    # the letter-by-letter reducer rescans the word for each seam
+    # cancellation, so a 4x longer u costs it about 16x (20x measured); a
+    # linear reducer costs about 4x (5x measured).  Each size's best of
+    # seven interleaved runs is compared, so the bound does not move with
+    # the host's load.
+    full, quarter = seam_word(4000), seam_word(1000)
+    assert full.crossings == 8003
+    assert cyclically_reduce_into_syllables(full).syllables == ((1, 3),)
+    best = [inf, inf]
+    for _ in range(7):
+        for i, word in enumerate((full, quarter)):
+            start = time.perf_counter()
+            cyclically_reduce_into_syllables(word)
+            best[i] = min(best[i], time.perf_counter() - start)
+    assert best[0] < 10 * best[1], best
 
 
 def test_nice_needs_every_generator_twice():
