@@ -1,8 +1,9 @@
 """Seeded generation of braid words that pass the family checker.
 
 Sampling is constructive, not rejection-based: words are assembled so that
-every condition holds by construction, and the checker is run once at the
-end as a guardrail.
+every condition holds by construction, and the checker and the bridge rule
+below are run once at the end as a guardrail, the bridge rule in one pass
+over the syllables.
 
 For n = 3 the generator alternates sigma_1/sigma_2 syllables (an even count,
 at least four), makes an independent set of cyclic positions positive, and
@@ -60,15 +61,15 @@ from typing import NamedTuple
 
 from .errors import OracleError, PreconditionError
 from .families import check_main_lemma
-from .words import MAX_STRANDS, MAX_WORD_LETTERS, SyllableWord, _checked_make
+from .words import MAX_STRANDS, MAX_WORD_LETTERS, SyllableWord, _checked_make, _integral
 
 __all__ = ["GeneratorSpec", "generate_words", "MAX_COUNT", "MAX_WIDE_SYLLABLES"]
 
 MAX_COUNT = 1_000  # words per spec
 # syllables per spec (syllable_count * count) for n >= 4, a hostile-input
-# limit: a word costs O(t * n) in its syllable count t, about 12 us per
-# syllable at n = 32, so `braidvol gen --n 32` at this limit took 2.5 s and
-# 34 MB on a 2-core machine (Python 3.11)
+# limit: a word costs O(t * n) in its syllable count t, about 8 us per
+# syllable at n = 32, so `braidvol gen --n 32` at this limit took 2.0 s and
+# 32 MB on a 2-core machine (Python 3.11)
 MAX_WIDE_SYLLABLES = 200_000
 
 
@@ -100,6 +101,16 @@ class GeneratorSpec(_GeneratorSpecFields):
         seed: int = 0,
         count: int = 1,
     ) -> GeneratorSpec:
+        n, syllable_count, negative_cap, positive_cap, count = (
+            _integral(value, what)
+            for value, what in (
+                (n, "strand count"),
+                (syllable_count, "syllable count"),
+                (negative_cap, "negative_cap"),
+                (positive_cap, "positive_cap"),
+                (count, "count"),
+            )
+        )
         if n < 3:
             raise PreconditionError("generation needs n >= 3")
         if syllable_count < 2 * (n - 1):
@@ -177,39 +188,24 @@ def _pos(spec: GeneratorSpec, rng: random.Random) -> int:
     return rng.randint(1, spec.positive_cap)
 
 
-def _scan_bridge(
-    word: Sequence[tuple[int, int]], start: int, step: int
-) -> bool:
-    """Walk away from the negative syllable at ``start`` (downward for
-    ``step=+1``, upward for ``-1``) along the two strands its smoothing
-    leaves on columns g, g+1.  True when both strands reach the nearest
-    same-generator negative syllable without being capped off by an
-    adjacent-generator negative and without crossing a positive syllable:
-    the two smoothings then close into an extra inner circle."""
-    g = word[start][0]
-    t = len(word)
-    threaded = False
-    for offset in range(1, t + 1):
-        h, r = word[(start + step * offset) % t]
-        if r > 0:
-            # positive syllables let the strands pass straight through,
-            # brushing columns h and h+1 on the way
-            threaded = threaded or h in (g - 1, g, g + 1)
-            continue
-        if h == g:
-            return not threaded
-        if h in (g - 1, g + 1):
-            return False
-    return False
-
-
 def _has_unthreaded_bridge(word: Sequence[tuple[int, int]]) -> bool:
-    """True if some negative syllable closes up with a same-generator
-    neighbor per :func:`_scan_bridge`."""
-    return any(
-        r < 0 and (_scan_bridge(word, i, +1) or _scan_bridge(word, i, -1))
-        for i, (_, r) in enumerate(word)
-    )
+    """True if two negative syllables of one generator g (or one with
+    itself, round the closure) face each other across nothing but
+    far-commuting syllables: their smoothings then close into an extra
+    inner circle on columns g, g+1.  A syllable on g-1..g+1 between them
+    breaks the bridge, a negative one by capping the strands off, a
+    positive one by threading them.
+
+    One pass, twice round the word so that the walk from every negative
+    syllable ends: flag[g] is True exactly while the last syllable on
+    g-1..g+1 is a negative sigma_g, as in :func:`_generate_wide`."""
+    flag = [False] * (max(word, default=(0, 0))[0] + 2)
+    for g, r in (*word, *word):
+        if r < 0 and flag[g]:
+            return True
+        flag[g - 1] = flag[g + 1] = False
+        flag[g] = r < 0
+    return False
 
 
 def _generate_3(spec: GeneratorSpec, rng: random.Random) -> SyllableWord:

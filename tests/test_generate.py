@@ -1,9 +1,11 @@
 """Seeded word generation: determinism, caps, and the family guardrail."""
 
-import pytest
-from hypothesis import given, settings, strategies as st
+import hashlib
 
-from braidvol.errors import PreconditionError
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from braidvol.errors import BraidSyntaxError, PreconditionError
 from braidvol.families import check_main_lemma
 from braidvol.report import analyze, verify
 from braidvol.generate import (
@@ -28,6 +30,19 @@ def test_seed_pins():
     assert w.syllables == (
         (1, -6), (2, -7), (3, -7), (1, -4), (2, -4),
         (3, 2), (2, -3), (3, -6), (2, -4),
+    )
+
+
+def test_seed_pins_wide_and_long_words():
+    # every word of 200 syllables at n = 3 to 32, digested in one line each
+    digest = hashlib.sha256()
+    for n in (3, 4, 5, 8, 16, 32):
+        for seed in (1, 2, 3):
+            spec = GeneratorSpec(n=n, syllable_count=200, seed=seed, count=2)
+            for word in generate_words(spec):
+                digest.update(word.as_text().encode() + b"\n")
+    assert digest.hexdigest() == (
+        "dfdf0e8111c39c967e601419a09a4bcabc4fefdf331fe751ecd00e851e848030"
     )
 
 
@@ -81,7 +96,7 @@ def test_infeasible_specs_rejected():
         )
     GeneratorSpec(n=3, syllable_count=2_000, negative_cap=5, count=over)
     # the largest accepted n >= 4 spec is built but not generated here (it
-    # takes about 2.5 s at 32 strands); one word of it generates at once
+    # takes about 2 s at 32 strands); one word of it generates at once
     GeneratorSpec(
         n=MAX_STRANDS, syllable_count=2_000, negative_cap=5, count=over - 1
     )
@@ -95,6 +110,90 @@ def test_infeasible_specs_rejected():
     )
     (word,) = generate_words(spec)
     assert parse_braid(word.as_text(), 3).letters == word.letters
+
+
+@pytest.mark.parametrize(
+    "field", ["n", "syllable_count", "negative_cap", "positive_cap", "count"]
+)
+def test_spec_fields_must_be_whole_numbers(field):
+    fields = dict(n=4, syllable_count=10, negative_cap=5, positive_cap=2, count=2)
+    for bad in (fields[field] + 0.5, str(fields[field]), None):
+        with pytest.raises(BraidSyntaxError, match="is not an integer"):
+            GeneratorSpec(**{**fields, field: bad})
+    # a whole float is stored as an int, as a bool is below
+    spec = GeneratorSpec(**{**fields, field: float(fields[field])})
+    assert type(getattr(spec, field)) is int
+    assert spec == GeneratorSpec(**fields)
+
+
+def test_spec_takes_bools_as_ints():
+    spec = GeneratorSpec(n=3, syllable_count=4, positive_cap=True, count=True)
+    assert spec == (3, 4, 8, 1, 0, 1)
+    assert type(spec.positive_cap) is int and type(spec.count) is int
+
+
+def bridge_by_walks(word):
+    """The bridge rule as two walks from every negative syllable, one each
+    way round the word, as ``_has_unthreaded_bridge`` checked it before it
+    became one pass: kept as the reference."""
+
+    def scan(start, step):
+        g = word[start][0]
+        t = len(word)
+        threaded = False
+        for offset in range(1, t + 1):
+            h, r = word[(start + step * offset) % t]
+            if r > 0:
+                threaded = threaded or h in (g - 1, g, g + 1)
+                continue
+            if h == g:
+                return not threaded
+            if h in (g - 1, g + 1):
+                return False
+        return False
+
+    return any(
+        r < 0 and (scan(i, +1) or scan(i, -1)) for i, (_, r) in enumerate(word)
+    )
+
+
+@st.composite
+def bridge_words(draw):
+    """Syllable sequences of 0 to 60 syllables on 2 to 32 strands: runs on
+    any generator, far-commuting ones among them, and syllables of either
+    sign on a drawn g and its neighbors g-1 and g+1."""
+    n = draw(st.integers(min_value=2, max_value=32))
+    g = draw(st.integers(min_value=1, max_value=n - 1))
+    near = [h for h in (g - 1, g, g + 1) if 1 <= h < n]
+    exponent = st.one_of(
+        st.integers(min_value=-5, max_value=-3),
+        st.integers(min_value=-5, max_value=5).filter(lambda r: r != 0),
+    )
+    generator = st.one_of(
+        st.integers(min_value=1, max_value=n - 1), st.sampled_from(near)
+    )
+    return draw(st.lists(st.tuples(generator, exponent), max_size=60))
+
+
+@given(bridge_words())
+@example([])
+@example([(5, -3), (1, 2), (9, -4), (3, 1), (5, -3)])
+@example([(2, -3), (1, 1), (2, -3), (2, 2), (2, -3), (3, 1)])
+@settings(max_examples=1_000)
+def test_bridge_check_matches_the_walks(word):
+    assert _has_unthreaded_bridge(word) == bridge_by_walks(word)
+
+
+def test_bridge_examples():
+    # a lone negative syllable's walk comes back to itself
+    assert _has_unthreaded_bridge(parse_braid("s1^-3", 2).syllables)
+    # the two sigma_1 face each other across the far-commuting sigma_3
+    word = parse_braid("s1^-3 s3^-3 s1^-3 s2^-3", 4).syllables
+    assert _has_unthreaded_bridge(word)
+    # the positive sigma_2 threads the two sigma_1, the negative one caps
+    # the seam
+    word = parse_braid("s1^-3 s3^-3 s2 s1^-3 s2^-3", 4).syllables
+    assert not _has_unthreaded_bridge(word)
 
 
 @settings(max_examples=80, deadline=None)
