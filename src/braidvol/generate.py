@@ -61,14 +61,15 @@ from typing import NamedTuple
 
 from .errors import OracleError, PreconditionError
 from .families import check_main_lemma
-from .words import MAX_STRANDS, MAX_WORD_LETTERS, SyllableWord, _checked_make, _integral
+from .words import MAX_STRANDS, MAX_WORD_LETTERS, SyllableWord, _checked_make
+from .words import _integral, _strand_limit_error
 
 __all__ = ["GeneratorSpec", "generate_words", "MAX_COUNT", "MAX_WIDE_SYLLABLES"]
 
 MAX_COUNT = 1_000  # words per spec
 # syllables per spec (syllable_count * count) for n >= 4, a hostile-input
-# limit: a word costs O(t * n) in its syllable count t, about 8 us per
-# syllable at n = 32, so `braidvol gen --n 32` at this limit took 2.0 s and
+# limit: a word costs O(t * n) in its syllable count t, about 4 us per
+# syllable at n = 32, so `braidvol gen --n 32` at this limit took 1.0 s and
 # 32 MB on a 2-core machine (Python 3.11)
 MAX_WIDE_SYLLABLES = 200_000
 
@@ -101,13 +102,14 @@ class GeneratorSpec(_GeneratorSpecFields):
         seed: int = 0,
         count: int = 1,
     ) -> GeneratorSpec:
-        n, syllable_count, negative_cap, positive_cap, count = (
+        n, syllable_count, negative_cap, positive_cap, seed, count = (
             _integral(value, what)
             for value, what in (
                 (n, "strand count"),
                 (syllable_count, "syllable count"),
                 (negative_cap, "negative_cap"),
                 (positive_cap, "positive_cap"),
+                (seed, "seed"),
                 (count, "count"),
             )
         )
@@ -132,9 +134,7 @@ class GeneratorSpec(_GeneratorSpecFields):
         # the upper limits, so that every word parses back and nothing
         # large is built before a refusal
         if n > MAX_STRANDS:
-            raise PreconditionError(
-                f"strand count {n} is above the limit of {MAX_STRANDS}"
-            )
+            raise _strand_limit_error(n)
         cap = max(negative_cap, positive_cap)
         letters = syllable_count * cap
         if letters > MAX_WORD_LETTERS:
@@ -254,7 +254,8 @@ def _generate_wide(spec: GeneratorSpec, rng: random.Random) -> SyllableWord:
         return h != b and not (h == 1 and b > 2)
 
     def single() -> bool:
-        choices = [g for g in range(1, n) if flag[g] is False and safe(g)]
+        # the closed generators g with safe(g), without a call per generator
+        choices = [g for g in range(1 + (b > 2), n) if g != b and flag[g] is False]
         if not choices:
             return False
         put(rng.choice(choices), _neg(spec, rng))

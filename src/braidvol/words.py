@@ -9,7 +9,7 @@ one syllable per twist region of the closure diagram; its letters are the
 syllable word is *cyclically reduced* when every exponent is nonzero and
 cyclically adjacent syllables use distinct generators; every word reaches
 that form by free cancellation and rotation, both of which preserve the
-closure link.
+closure link.  The reducer returns a word already marked reduced untouched.
 
 Two structural predicates on the reduced form drive everything downstream:
 
@@ -19,7 +19,8 @@ Two structural predicates on the reduced form drive everything downstream:
   complete subwords.  Windows here are contiguous runs of whole syllables of
   the linear (non-cyclic) word, so disjoint windows occupy disjoint syllable
   ranges.  For 3-braids this is equivalent to each generator occurring in at
-  least two syllables.
+  least two syllables.  One two-pointer pass over the doubled syllables
+  finds complete windows for both this linear test and its cyclic near miss.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import operator
 import re
 from collections.abc import Iterable, Iterator
 from functools import cached_property
+from itertools import islice
 from typing import NamedTuple
 
 from .errors import BraidSyntaxError, PreconditionError
@@ -346,11 +348,14 @@ def cyclically_reduce_into_syllables(word: SyllableWord) -> SyllableWord:
     otherwise they merge into the first syllable, except that a longer last
     syllable of the opposite sign survives in last place.  That is where
     cancelling letter pairs one at a time across the seam leaves it.  A word
-    in which nothing merges is returned as it is, the same object.
+    already marked ``cyclically_reduced`` is returned untouched; any other
+    merges or changes at the seam, so the pass always builds a new word.
 
     >>> cyclically_reduce_into_syllables(parse_braid("-2 1 1 1 2")).syllables
     ((1, 3),)
     """
+    if word.cyclically_reduced:
+        return word
     stack: list[tuple[int, int]] = []
     for m, r in word.syllables:
         if stack and stack[-1][0] == m:
@@ -369,8 +374,6 @@ def cyclically_reduce_into_syllables(word: SyllableWord) -> SyllableWord:
             stack.append((m, merged))
         else:
             stack[lo] = (m, merged)
-    if lo == 0 and len(stack) == len(word.syllables):
-        return word  # nothing merged: already reduced, and validated
     # merged and cancelled syllables of a valid word: reduced by construction
     return SyllableWord._trusted(word.n, tuple(stack[lo:]), True)
 
@@ -383,15 +386,22 @@ def exponent_sum(word: SyllableWord) -> int:
 Window = tuple[int, int]  # inclusive syllable index range
 
 
-def _complete_end(word: SyllableWord, start: int) -> int:
-    """The end (exclusive) of the shortest complete window of ``word`` from
-    syllable ``start``, or len(word.syllables) + 1 when there is none."""
-    seen: set[int] = set()
-    for j in range(start, len(word.syllables)):
-        seen.add(word.syllables[j][0])
-        if len(seen) == word.n - 1:
-            return j + 1
-    return len(word.syllables) + 1
+def _window_ends(word: SyllableWord) -> Iterator[int]:
+    """ends[i] for i = 0 .. 2t - 1, on demand: the end (exclusive) of the
+    shortest complete window from syllable i of the doubled syllables, or 2t."""
+    doubled = word.syllables * 2
+    counts = [0] * word.n
+    missing = word.n - 1  # generators absent from the window [i, j)
+    behind = iter(doubled)  # the syllables from i on
+    for j, (m, _) in enumerate(doubled, 1):
+        missing -= not counts[m]
+        counts[m] += 1
+        while not missing:
+            yield j
+            g = next(behind)[0]
+            counts[g] -= 1
+            missing += not counts[g]
+    yield from (len(doubled) for _ in behind)  # no complete window from i on
 
 
 def has_disjoint_complete_subwords(
@@ -400,13 +410,17 @@ def has_disjoint_complete_subwords(
     """Find two disjoint complete windows in the linear word, if any exist.
 
     A window is a contiguous range of syllables; complete means every
-    generator of B_n appears in it.  Detection is greedy and exact: take the
-    shortest complete prefix, then the shortest complete window after it.
-    The witness, when found, is the pair of inclusive index ranges.
+    generator of B_n appears in it.  Detection is greedy and exact: the
+    shortest complete prefix and the shortest complete window after it end
+    at ends[0] and ends[ends[0]] of the two-pointer pass that the cyclic
+    test runs in full, and this test stops there.  The witness is their
+    pair of inclusive index ranges.
     """
-    first = _complete_end(word, 0)
-    second = _complete_end(word, first)
-    if second > len(word.syllables):
+    t = len(word.syllables)
+    ends = _window_ends(word)
+    first = next(ends, t + 1)  # the empty word has no window at any n
+    second = next(islice(ends, first - 1, None)) if first <= t else first
+    if second > t:
         return False, None
     return True, ((0, first - 1), (first, second - 1))
 
@@ -415,26 +429,11 @@ def has_cyclic_disjoint_complete_subwords(word: SyllableWord) -> bool:
     """Whether some rotation of the word admits a disjoint complete pair.
 
     Used to report the near-miss where windows exist only across the closure
-    seam; the niceness predicate itself stays linear.  One two-pointer pass
-    over the doubled syllable sequence finds ends[i], the end (exclusive) of
-    the shortest complete window starting at i.  The rotation starting at i
-    has a pair iff that window and the shortest complete one after it both
-    end within t syllables of i.
+    seam; the niceness predicate itself stays linear.  The rotation from i
+    has a pair iff ends[i] and ends[ends[i]] both lie within t of i.
     """
     t = len(word.syllables)
-    gens = [m for m, _ in word.syllables] * 2
-    counts = [0] * word.n
-    missing = word.n - 1  # generators absent from the window [i, j)
-    ends: list[int] = []
-    j = 0
-    for i in range(2 * t):
-        while missing and j < 2 * t:
-            missing -= counts[gens[j]] == 0
-            counts[gens[j]] += 1
-            j += 1
-        ends.append(2 * t if missing else j)
-        counts[gens[i]] -= 1
-        missing += counts[gens[i]] == 0
+    ends = list(_window_ends(word))
     return any(ends[i] <= i + t and ends[ends[i]] <= i + t for i in range(t))
 
 

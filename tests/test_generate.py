@@ -96,7 +96,7 @@ def test_infeasible_specs_rejected():
         )
     GeneratorSpec(n=3, syllable_count=2_000, negative_cap=5, count=over)
     # the largest accepted n >= 4 spec is built but not generated here (it
-    # takes about 2 s at 32 strands); one word of it generates at once
+    # takes about 1 s at 32 strands); one word of it generates at once
     GeneratorSpec(
         n=MAX_STRANDS, syllable_count=2_000, negative_cap=5, count=over - 1
     )
@@ -113,10 +113,12 @@ def test_infeasible_specs_rejected():
 
 
 @pytest.mark.parametrize(
-    "field", ["n", "syllable_count", "negative_cap", "positive_cap", "count"]
+    "field", ["n", "syllable_count", "negative_cap", "positive_cap", "seed", "count"]
 )
 def test_spec_fields_must_be_whole_numbers(field):
-    fields = dict(n=4, syllable_count=10, negative_cap=5, positive_cap=2, count=2)
+    fields = dict(
+        n=4, syllable_count=10, negative_cap=5, positive_cap=2, seed=3, count=2
+    )
     for bad in (fields[field] + 0.5, str(fields[field]), None):
         with pytest.raises(BraidSyntaxError, match="is not an integer"):
             GeneratorSpec(**{**fields, field: bad})
@@ -127,9 +129,28 @@ def test_spec_fields_must_be_whole_numbers(field):
 
 
 def test_spec_takes_bools_as_ints():
-    spec = GeneratorSpec(n=3, syllable_count=4, positive_cap=True, count=True)
-    assert spec == (3, 4, 8, 1, 0, 1)
-    assert type(spec.positive_cap) is int and type(spec.count) is int
+    spec = GeneratorSpec(
+        n=3, syllable_count=4, positive_cap=True, seed=True, count=True
+    )
+    assert spec == (3, 4, 8, 1, 1, 1)
+    assert all(type(v) is int for v in (spec.positive_cap, spec.seed, spec.count))
+
+
+@pytest.mark.parametrize("seed", [None, [1], 1.5])
+def test_spec_refuses_a_seed_that_is_not_a_whole_number(seed):
+    # unchecked, None would draw a fresh word at every call and [1] would
+    # fail later, in random.Random, with a bare TypeError
+    with pytest.raises(BraidSyntaxError) as refused:
+        GeneratorSpec(n=4, syllable_count=10, seed=seed)
+    assert str(refused.value) == f"seed {seed!r} is not an integer"
+
+
+def test_spec_strand_limit_uses_the_parse_message():
+    with pytest.raises(PreconditionError) as parsed:
+        parse_braid("s1", MAX_STRANDS + 1)
+    with pytest.raises(PreconditionError) as built:
+        GeneratorSpec(n=MAX_STRANDS + 1, syllable_count=2 * MAX_STRANDS)
+    assert str(built.value) == str(parsed.value)
 
 
 def bridge_by_walks(word):

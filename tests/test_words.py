@@ -25,7 +25,7 @@ from braidvol.words import (
     require_input_limits,
 )
 
-from conftest import word_from_letters
+from conftest import any_n_words, word_from_letters
 
 letters_st = st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=30)
 
@@ -128,12 +128,33 @@ def outcome(read, *args):
         return type(exc), str(exc)
 
 
+def _complete_end(word: SyllableWord, start: int) -> int:
+    """The end (exclusive) of the shortest complete window of ``word`` from
+    syllable ``start``, or len(word.syllables) + 1 when there is none."""
+    seen: set[int] = set()
+    for j in range(start, len(word.syllables)):
+        seen.add(word.syllables[j][0])
+        if len(seen) == word.n - 1:
+            return j + 1
+    return len(word.syllables) + 1
+
+
+def greedy_complete_pair(word):
+    """Two disjoint complete windows by a greedy scan from the start: the
+    shortest complete prefix, then the shortest complete window after it."""
+    first = _complete_end(word, 0)
+    second = _complete_end(word, first)
+    if second > len(word.syllables):
+        return False, None
+    return True, ((0, first - 1), (first, second - 1))
+
+
 def cyclic_pair_by_rotation(word):
     """Whether some rotation has two disjoint complete windows, one
-    rotation at a time."""
+    rotation at a time, by the greedy scan."""
     syl = word.syllables
     return any(
-        has_disjoint_complete_subwords(SyllableWord(word.n, syl[r:] + syl[:r]))[0]
+        greedy_complete_pair(SyllableWord(word.n, syl[r:] + syl[:r]))[0]
         for r in range(len(syl))
     )
 
@@ -151,6 +172,9 @@ def _seam_heavy(n):
         lambda uc: uc[0] + uc[1] + [-g for g in reversed(uc[0])]
     )
 
+
+# words on 1 to 6 strands, reduced or not, the empty word among them
+window_word_st = any_n_words(6) | any_n_words(6).map(cyclically_reduce_into_syllables)
 
 reducer_case_st = st.integers(min_value=2, max_value=5).flatmap(
     lambda n: st.tuples(
@@ -435,13 +459,22 @@ def test_reduction_is_idempotent(letters):
     assert again is once
 
 
+@given(window_word_st)
+@settings(max_examples=300)
+@example(SyllableWord(3, ((1, 1), (2, -3), (1, -2))))
+def test_reduction_returns_exactly_the_reduced_words_as_they_are(word):
+    assert (cyclically_reduce_into_syllables(word) is word) is word.cyclically_reduced
+
+
 def test_reduced_word_comes_back_as_the_same_object():
     family = SyllableWord(3, ((1, -3), (2, 2), (1, -4), (2, -3)))
     assert cyclically_reduce_into_syllables(family) is family
     # the longer last syllable outlives the first across the seam: the stack
     # keeps its length, but the word changes
     seam = SyllableWord(3, ((1, 1), (2, -3), (1, -2)))
-    assert cyclically_reduce_into_syllables(seam).syllables == ((2, -3), (1, -1))
+    reduced = cyclically_reduce_into_syllables(seam)
+    assert reduced is not seam
+    assert reduced.syllables == ((2, -3), (1, -1))
 
 
 @given(letters_st)
@@ -530,6 +563,22 @@ def test_disjoint_complete_subwords_witness():
     gens = {m for m, _ in w.syllables}
     assert {w.syllables[i][0] for i in range(a0, a1 + 1)} == gens
     assert {w.syllables[i][0] for i in range(b0, b1 + 1)} == gens
+
+
+@given(window_word_st)
+@settings(max_examples=400)
+@example(SyllableWord(3, ((1, 3), (2, -3), (1, 2), (2, -4))))
+@example(SyllableWord(2, ((1, 1),)))
+def test_linear_windows_match_the_greedy_scan(word):
+    assert has_disjoint_complete_subwords(word) == greedy_complete_pair(word)
+
+
+def test_the_empty_word_is_never_nice():
+    for n in range(1, MAX_STRANDS + 1):
+        empty = SyllableWord(n, ())
+        assert has_disjoint_complete_subwords(empty) == (False, None)
+        assert not has_cyclic_disjoint_complete_subwords(empty)
+        assert not is_nice(empty)
 
 
 def test_cyclic_windows_catch_a_wraparound():
