@@ -14,7 +14,6 @@ from .bounds import (
     VolumeBounds,
     cor_bounds,
     jones_bounds,
-    s_crossover,
     three_braid_s_bounds,
     turaev_genus_bounds,
     volume_bounds,
@@ -73,7 +72,6 @@ from .words import (
     SyllableWord,
     cyclically_reduce_into_syllables,
     exponent_sum,
-    is_nice,
     mirror,
     parse_braid,
 )
@@ -122,7 +120,6 @@ __all__ = [
     "is_A_adequate",
     "is_connected_closure",
     "is_hyperbolic_closure_3braid",
-    "is_nice",
     "jones_bounds",
     "kauffman_bracket",
     "mirror",
@@ -130,7 +127,6 @@ __all__ = [
     "reduced_graph",
     "render_state_svg",
     "resolve_all_A",
-    "s_crossover",
     "satisfies_TELC",
     "schreier_normal_form",
     "stable_penultimate_coefficient",

@@ -23,7 +23,6 @@ it calls that body.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Mapping
 from enum import Enum
 from typing import NamedTuple
@@ -44,7 +43,6 @@ __all__ = [
     "jones_bounds",
     "three_braid_s_bounds",
     "turaev_genus_bounds",
-    "s_crossover",
 ]
 
 V8 = 3.663862376708876
@@ -251,7 +249,8 @@ def three_braid_s_bounds(
     bound is sharper).  The first is v8 * (s - 1) <= vol <= 4 * v8 * s; the
     second is 4 * v3 * s - 276.6 < vol with the same upper bound.  The
     sharper lower bound flips from the first to the second once s crosses
-    (276.6 - v8) / (4 * v3 - v8).
+    (276.6 - v8) / (4 * v3 - v8), about 689.4: the first is sharper through
+    s = 689 and the second from s = 690 on.
     """
     if s < 1:
         raise PreconditionError(f"s must be >= 1, got {s}")
@@ -272,22 +271,6 @@ def three_braid_s_bounds(
         BoundCase.FKP3 if fkp.lower > schreier.lower else BoundCase.SCHREIER3
     )
     return schreier, fkp, sharper
-
-
-def s_crossover() -> tuple[int, int]:
-    """(largest s with the schreier-form lower sharper, smallest s after).
-
-    Computed from the stored constants, not hardcoded: the crossover sits at
-    (276.6 - v8) / (4 * v3 - v8), just under 690.
-    """
-    threshold = (276.6 - V8) / (4.0 * V3 - V8)
-    first_fkp = math.floor(threshold) + 1
-    # nudge against float edge cases by walking to the true boundary
-    while 4.0 * V3 * first_fkp - 276.6 <= V8 * (first_fkp - 1):
-        first_fkp += 1
-    while 4.0 * V3 * (first_fkp - 1) - 276.6 > V8 * (first_fkp - 2):
-        first_fkp -= 1
-    return first_fkp - 1, first_fkp
 
 
 def turaev_genus_bounds(k: int) -> tuple[int, int] | None:

@@ -28,11 +28,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import PreconditionError
-from .words import (
-    SyllableWord,
-    has_cyclic_disjoint_complete_subwords,
-    is_nice,
-)
+from .words import SyllableWord, has_cyclic_disjoint_complete_subwords
 
 __all__ = [
     "Cond2Failure",
@@ -62,7 +58,6 @@ class MainLemmaReport(NamedTuple):
     cond2_failures: tuple[Cond2Failure, ...]
     twist_ok: bool  # t >= 2(n-1)
     passed: bool
-    nice_cyclic_near_miss: bool  # complete windows exist only cyclically
 
     def to_json_dict(self) -> dict:
         return {
@@ -76,16 +71,18 @@ class MainLemmaReport(NamedTuple):
             "pass": self.passed,
             # the diagram properties membership implies: all false if not
             "implied": dict.fromkeys(_IMPLIED, self.passed),
-            "nice_cyclic_near_miss": self.nice_cyclic_near_miss,
+            # niceness is read on the closed braid, so no word is a near miss
+            "nice_cyclic_near_miss": False,
         }
 
 
 def check_main_lemma(word: SyllableWord) -> MainLemmaReport:
     """Evaluate family membership on a syllable word.
 
-    Words are judged as given; an unreduced word is never nice, so it never
-    passes.  The report lists each violated positive-neighborhood clause,
-    at most one failure per positive syllable, in syllable order.
+    Niceness is read on the closed braid, so every rotation of a word gets
+    the same verdict; an unreduced word is never nice, so it never passes.
+    The report lists each violated positive-neighborhood clause, at most
+    one failure per positive syllable, in syllable order.
 
     One loop over the syllables reads ``cond1`` and each positive syllable's
     neighbors, every index taken mod t (at t = 1 and 2, i - 2 wraps more
@@ -93,12 +90,7 @@ def check_main_lemma(word: SyllableWord) -> MainLemmaReport:
     one after, exponent first; an interior one checks the four exponents in
     order, then the generators before it, then those after.
     """
-    nice = is_nice(word)
-    near_miss = (
-        not nice
-        and word.cyclically_reduced
-        and has_cyclic_disjoint_complete_subwords(word)
-    )
+    nice = word.cyclically_reduced and has_cyclic_disjoint_complete_subwords(word)
     syl = word.syllables
     t = len(syl)
     n = word.n
@@ -146,7 +138,6 @@ def check_main_lemma(word: SyllableWord) -> MainLemmaReport:
         cond2_failures=tuple(failures),
         twist_ok=twist_ok,
         passed=passed,
-        nice_cyclic_near_miss=near_miss,
     )
 
 

@@ -15,12 +15,13 @@ Two structural predicates on the reduced form drive everything downstream:
 
 * a *complete* subword is a contiguous window containing every generator
   sigma_1 ... sigma_{n-1};
-* a word is *nice* when it is cyclically reduced and contains two disjoint
-  complete subwords.  Windows here are contiguous runs of whole syllables of
-  the linear (non-cyclic) word, so disjoint windows occupy disjoint syllable
-  ranges.  For 3-braids this is equivalent to each generator occurring in at
-  least two syllables.  One two-pointer pass over the doubled syllables
-  finds complete windows for both this linear test and its cyclic near miss.
+* a word is *nice* when it is cyclically reduced and its closed braid holds
+  two disjoint complete subwords.  Windows here are runs of whole syllables
+  read cyclically, so both may cross the closure seam and every rotation of
+  a word gets the same verdict.  For 3-braids this is equivalent to each
+  generator occurring in at least two syllables.  A two-pointer pass over
+  the doubled syllables finds the complete windows, read lazily: it stops
+  at the first rotation that holds a disjoint pair.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import operator
 import re
 from collections.abc import Iterable, Iterator
 from functools import cached_property
-from itertools import islice
 from typing import NamedTuple
 
 from .errors import BraidSyntaxError, PreconditionError
@@ -43,9 +43,7 @@ __all__ = [
     "mirror",
     "cyclically_reduce_into_syllables",
     "exponent_sum",
-    "has_disjoint_complete_subwords",
     "has_cyclic_disjoint_complete_subwords",
-    "is_nice",
 ]
 
 
@@ -383,9 +381,6 @@ def exponent_sum(word: SyllableWord) -> int:
     return sum(r for _, r in word.syllables)
 
 
-Window = tuple[int, int]  # inclusive syllable index range
-
-
 def _window_ends(word: SyllableWord) -> Iterator[int]:
     """ends[i] for i = 0 .. 2t - 1, on demand: the end (exclusive) of the
     shortest complete window from syllable i of the doubled syllables, or 2t."""
@@ -404,43 +399,28 @@ def _window_ends(word: SyllableWord) -> Iterator[int]:
     yield from (len(doubled) for _ in behind)  # no complete window from i on
 
 
-def has_disjoint_complete_subwords(
-    word: SyllableWord,
-) -> tuple[bool, tuple[Window, Window] | None]:
-    """Find two disjoint complete windows in the linear word, if any exist.
-
-    A window is a contiguous range of syllables; complete means every
-    generator of B_n appears in it.  Detection is greedy and exact: the
-    shortest complete prefix and the shortest complete window after it end
-    at ends[0] and ends[ends[0]] of the two-pointer pass that the cyclic
-    test runs in full, and this test stops there.  The witness is their
-    pair of inclusive index ranges.
-    """
-    t = len(word.syllables)
-    ends = _window_ends(word)
-    first = next(ends, t + 1)  # the empty word has no window at any n
-    second = next(islice(ends, first - 1, None)) if first <= t else first
-    if second > t:
-        return False, None
-    return True, ((0, first - 1), (first, second - 1))
-
-
 def has_cyclic_disjoint_complete_subwords(word: SyllableWord) -> bool:
-    """Whether some rotation of the word admits a disjoint complete pair.
+    """Whether the closed braid holds two disjoint complete windows.
 
-    Used to report the near-miss where windows exist only across the closure
-    seam; the niceness predicate itself stays linear.  The rotation from i
-    has a pair iff ends[i] and ends[ends[i]] both lie within t of i.
+    A window is a run of syllables read cyclically; complete means every
+    generator of B_n appears in it.  The rotation from i has a pair iff
+    ends[i] and ends[ends[i]] both lie within t of i: the shortest complete
+    window from i and the shortest one after it.  The ends are read on
+    demand and the test stops at the first rotation with a pair, so a word
+    whose pair lies within the word as written stops at rotation 0.  The
+    empty word has no window at any n.
     """
     t = len(word.syllables)
-    ends = list(_window_ends(word))
-    return any(ends[i] <= i + t and ends[ends[i]] <= i + t for i in range(t))
-
-
-def is_nice(word: SyllableWord) -> bool:
-    """Cyclically reduced with two disjoint complete subwords.
-
-    For n = 3 this is equivalent to each of sigma_1, sigma_2 occurring in at
-    least two syllables of the reduced word.
-    """
-    return word.cyclically_reduced and has_disjoint_complete_subwords(word)[0]
+    more = _window_ends(word)
+    ends: list[int] = []
+    for i in range(t):
+        while len(ends) <= i:
+            ends.append(next(more))
+        first = ends[i]
+        if first - i > t:
+            continue
+        while len(ends) <= first:
+            ends.append(next(more))
+        if ends[first] - i <= t:
+            return True
+    return False

@@ -16,8 +16,8 @@ from braidvol import cli
 from braidvol.bounds import (
     V3,
     V8,
+    BoundCase,
     jones_bounds,
-    s_crossover,
     three_braid_s_bounds,
     volume_bounds,
 )
@@ -249,9 +249,8 @@ def test_criterion_7_constants_and_crossover():
     assert abs(V3 - 1.014941606409654) < 1e-12
     threshold = (276.6 - V8) / (4.0 * V3 - V8)
     assert abs(threshold - 690) < 1  # the approximate crossover near 690
-    last_schreier, first_fkp = s_crossover()
-    assert (last_schreier, first_fkp) == (689, 690)
-    assert first_fkp == last_schreier + 1
+    assert three_braid_s_bounds(689)[2] is BoundCase.SCHREIER3
+    assert three_braid_s_bounds(690)[2] is BoundCase.FKP3
     assert time.monotonic() - start < 0.001
 
 

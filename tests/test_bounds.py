@@ -13,7 +13,6 @@ from braidvol.bounds import (
     VolumeBounds,
     cor_bounds,
     jones_bounds,
-    s_crossover,
     three_braid_s_bounds,
     turaev_genus_bounds,
     volume_bounds,
@@ -228,12 +227,11 @@ def test_s_bounds_crossover():
     assert pick is BoundCase.FKP3
     _, _, pick = three_braid_s_bounds(691)
     assert pick is BoundCase.FKP3
-    assert s_crossover() == (689, 690)
     first = min(
         s for s in range(1, 2000)
         if three_braid_s_bounds(s)[1].lower > three_braid_s_bounds(s)[0].lower
     )
-    assert first == s_crossover()[1]
+    assert first == 690
 
 
 # ---------------------------------------------------------------------------

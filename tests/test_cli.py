@@ -3,11 +3,13 @@
 import contextlib
 import json
 import os
+import time
 import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from braidvol import bracket, cli, states
 from braidvol.errors import OracleError
@@ -385,6 +387,59 @@ def test_batch_error_rows_name_their_kind(capsys, tmp_path, monkeypatch, line, k
     assert failed["word"] == line
     assert failed["error_kind"] == kind
     assert out.splitlines()[1] == json.dumps(failed)  # the row's dict, as is
+
+
+# tokens of the grammar on generators 1 to 8, mixed with a few odd ones:
+# tokens at and past the limits and near misses of the grammar
+word_token_st = st.one_of(
+    st.builds(
+        lambda g, r: f"s{g}^{r}",
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=-12, max_value=12),
+    ),
+    st.builds(str, st.integers(min_value=-8, max_value=8).filter(bool)),
+)
+odd_token_st = st.sampled_from(
+    [
+        "0", "s0", "S2", "s9", "s31", "s32", "s40", f"s1^-{MAX_WORD_LETTERS + 1}",
+        "s2^999999999999", "9" * 19, "s1^", "^2", "s", "s-1", "s1^+2", "s1^2^3",
+        "1e3", "0x2", "s\u0661", "\u0662", "x", "#", "\ufeff",
+    ]
+)
+
+
+@st.composite
+def batch_lines(draw):
+    tokens = draw(st.lists(word_token_st, min_size=1, max_size=40))
+    for odd in draw(st.lists(odd_token_st, max_size=2)):
+        tokens.insert(draw(st.integers(min_value=0, max_value=len(tokens))), odd)
+    return " ".join(tokens)
+
+
+@given(
+    batch_lines(),
+    st.sampled_from([None, 2, 3, 4, 8]),
+    st.sampled_from(
+        [
+            {"bracket": False, "assume_prime": False},
+            {"bracket": True, "assume_prime": False},
+            {"bracket": False, "assume_prime": True},
+        ]
+    ),
+)
+@settings(max_examples=400, deadline=None)
+def test_batch_lines_of_token_soup_are_rows_or_user_errors(line, n, options):
+    # a line the library cannot read is the user's error, never an oracle
+    # failure or a crash, and no line of at most 40 short tokens is slow
+    start = time.perf_counter()
+    row = json.loads(cli._batch_line(line, n, options))
+    assert time.perf_counter() - start < 0.1, line
+    assert row["schema"] == "braidvol/1"
+    if "error" in row:
+        assert row["error_kind"] in ("syntax", "precondition"), row
+        assert row["word"] == line
+    else:
+        assert row["main_lemma"]["nice_cyclic_near_miss"] is False
 
 
 def test_batch_bracket_above_the_strand_limit_gives_precondition_rows(

@@ -52,14 +52,13 @@ BUILDS = {
         ),
     ),
     "MainLemmaReport": (
-        lambda: MainLemmaReport(True, True, (), True, True, False),
+        lambda: MainLemmaReport(True, True, (), True, True),
         lambda: MainLemmaReport(
             nice=True,
             cond1=True,
             cond2_failures=(),
             twist_ok=True,
             passed=True,
-            nice_cyclic_near_miss=False,
         ),
     ),
     "BracketSummary": (

@@ -18,8 +18,6 @@ from braidvol.words import (
     cyclically_reduce_into_syllables,
     exponent_sum,
     has_cyclic_disjoint_complete_subwords,
-    has_disjoint_complete_subwords,
-    is_nice,
     mirror,
     parse_braid,
     require_input_limits,
@@ -140,13 +138,10 @@ def _complete_end(word: SyllableWord, start: int) -> int:
 
 
 def greedy_complete_pair(word):
-    """Two disjoint complete windows by a greedy scan from the start: the
-    shortest complete prefix, then the shortest complete window after it."""
-    first = _complete_end(word, 0)
-    second = _complete_end(word, first)
-    if second > len(word.syllables):
-        return False, None
-    return True, ((0, first - 1), (first, second - 1))
+    """Whether the word as written holds two disjoint complete windows, by a
+    greedy scan from the start: the shortest complete prefix, then the
+    shortest complete window after it."""
+    return _complete_end(word, _complete_end(word, 0)) <= len(word.syllables)
 
 
 def cyclic_pair_by_rotation(word):
@@ -154,7 +149,7 @@ def cyclic_pair_by_rotation(word):
     rotation at a time, by the greedy scan."""
     syl = word.syllables
     return any(
-        greedy_complete_pair(SyllableWord(word.n, syl[r:] + syl[:r]))[0]
+        greedy_complete_pair(SyllableWord(word.n, syl[r:] + syl[:r]))
         for r in range(len(syl))
     )
 
@@ -549,44 +544,25 @@ def test_long_seam_word_reduces_fast():
 
 
 def test_nice_needs_every_generator_twice():
-    assert is_nice(SyllableWord(3, ((1, 3), (2, -3), (1, 2), (2, -4))))
-    assert not is_nice(SyllableWord(3, ((1, 3), (2, -3))))
-    assert not is_nice(SyllableWord(2, ((1, 5),)))
-
-
-def test_disjoint_complete_subwords_witness():
-    w = SyllableWord(3, ((1, 3), (2, -3), (1, 2), (2, -4)))
-    found, windows = has_disjoint_complete_subwords(w)
-    assert found
-    (a0, a1), (b0, b1) = windows
-    assert a1 < b0
-    gens = {m for m, _ in w.syllables}
-    assert {w.syllables[i][0] for i in range(a0, a1 + 1)} == gens
-    assert {w.syllables[i][0] for i in range(b0, b1 + 1)} == gens
-
-
-@given(window_word_st)
-@settings(max_examples=400)
-@example(SyllableWord(3, ((1, 3), (2, -3), (1, 2), (2, -4))))
-@example(SyllableWord(2, ((1, 1),)))
-def test_linear_windows_match_the_greedy_scan(word):
-    assert has_disjoint_complete_subwords(word) == greedy_complete_pair(word)
+    assert check_main_lemma(SyllableWord(3, ((1, 3), (2, -3), (1, 2), (2, -4)))).nice
+    assert not check_main_lemma(SyllableWord(3, ((1, 3), (2, -3)))).nice
+    assert not check_main_lemma(SyllableWord(2, ((1, 5),))).nice
 
 
 def test_the_empty_word_is_never_nice():
     for n in range(1, MAX_STRANDS + 1):
         empty = SyllableWord(n, ())
-        assert has_disjoint_complete_subwords(empty) == (False, None)
         assert not has_cyclic_disjoint_complete_subwords(empty)
-        assert not is_nice(empty)
+        assert not check_main_lemma(empty).nice
 
 
 def test_cyclic_windows_catch_a_wraparound():
     # linearly the second window never completes, cyclically it does
     w = SyllableWord(4, ((3, 2), (1, 1), (3, -1), (2, 2), (1, -1), (2, 1)))
     assert w.cyclically_reduced
-    assert not has_disjoint_complete_subwords(w)[0]
+    assert not greedy_complete_pair(w)
     assert has_cyclic_disjoint_complete_subwords(w)
+    assert check_main_lemma(w).nice
 
 
 @given(
@@ -610,15 +586,15 @@ def test_cyclic_windows_match_every_rotation(case):
     assert has_cyclic_disjoint_complete_subwords(w) == cyclic_pair_by_rotation(w)
 
 
-def test_cyclic_near_miss_is_linear():
+def test_niceness_over_every_rotation_is_linear():
     # sigma_1 sigma_2 alternating with one sigma_3: reduced, never nice, so
-    # the main lemma checks every rotation for the near miss
+    # the main lemma reads every rotation before it says so
     w = SyllableWord(4, ((3, 1),) + ((1, 1), (2, 1)) * 4999 + ((1, 1),))
     assert len(w.syllables) == 10_000 and w.cyclically_reduced
     start = time.perf_counter()
     report = check_main_lemma(w)
     assert time.perf_counter() - start < 1.0
-    assert not report.nice and not report.nice_cyclic_near_miss
+    assert not report.nice
 
 
 if __name__ == "__main__":
