@@ -41,7 +41,7 @@ print(f"  weak form lower: {b.lower_weak:.6f}")
 print(f"  inputs: {b.inputs}")
 
 # the same lower bound comes out of the reduced state graph alone
-c = cor_bounds(graph.neg_chi, b.inputs["t"], assume_hypotheses=True)
+c = cor_bounds(graph.neg_chi, b.inputs["t"])
 print(f"graph form:       {c.lower:.6f} <= vol <= {c.upper:.6f}")
 print()
 

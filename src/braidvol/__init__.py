@@ -63,6 +63,7 @@ from .states import (
     classify_circles,
     is_A_adequate,
     is_connected_closure,
+    is_prime_closure,
     reduced_graph,
     resolve_all_A,
     satisfies_TELC,
@@ -120,6 +121,7 @@ __all__ = [
     "is_A_adequate",
     "is_connected_closure",
     "is_hyperbolic_closure_3braid",
+    "is_prime_closure",
     "jones_bounds",
     "kauffman_bracket",
     "mirror",

@@ -122,20 +122,16 @@ def _require_family(word: SyllableWord) -> None:
         raise PreconditionError("bounds need a word passing the family checker")
 
 
-def cor_bounds(neg_chi: int, t: int, assume_hypotheses: bool = False) -> VolumeBounds:
+def cor_bounds(neg_chi: int, t: int) -> VolumeBounds:
     """v8 * (e' - v) <= vol <= 10 * v3 * (t - 1).
 
     Valid for connected, prime, A-adequate diagrams satisfying the two-edge
-    loop condition with t >= 2.  The counts alone cannot show those
-    hypotheses, so the caller attests them with ``assume_hypotheses=True``;
-    without it the bound is refused.
+    loop condition with t >= 2 (Futer, Kalfagianni and Purcell, 2013).  A
+    formula in the counts alone: it refuses t < 2, and the caller checks
+    the diagram, as ``analyze`` does.
     """
     if t < 2:
         raise PreconditionError(f"the two-sided bound needs t >= 2, got {t}")
-    if not assume_hypotheses:
-        raise PreconditionError(
-            "the Cor bound needs its hypotheses attested (assume_hypotheses=True)"
-        )
     return VolumeBounds(
         case=BoundCase.COR,
         lower=V8 * neg_chi,

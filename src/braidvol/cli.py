@@ -72,16 +72,8 @@ def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
         print("\n".join(lines))
 
 
-def _analysis_options(args: argparse.Namespace) -> dict:
-    """The ``analyze`` keywords that ``analyze`` and ``batch`` share."""
-    return {
-        "bracket": args.bracket,
-        "assume_prime": args.unsafe_assume_prime,
-    }
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
-    report = analyze(_parse_word(args.word, args.n), **_analysis_options(args))
+    report = analyze(_parse_word(args.word, args.n), bracket=args.bracket)
     census = report["circles"]["census"]
     lines = [
         f"word        {report['word'] or '(empty)'}   n={report['n']}",
@@ -140,9 +132,9 @@ def _failure(exc: Exception) -> tuple[int, str, str]:
     return 1, "internal", "error: "  # main lets these propagate
 
 
-def _batch_line(raw: str, n: int | None, options: dict) -> str:
+def _batch_line(raw: str, n: int | None, bracket: bool) -> str:
     try:
-        return analyze_line(_parse_word(raw, n), **options)
+        return analyze_line(_parse_word(raw, n), bracket=bracket)
     except Exception as exc:  # per-line isolation by contract
         return json.dumps(
             {
@@ -172,7 +164,6 @@ def _check_utf8(path: str) -> None:
 def cmd_batch(args: argparse.Namespace) -> int:
     """Check the file is UTF-8 text, then read it a line at a time and
     write each row as it is made."""
-    options = _analysis_options(args)
     try:
         _check_utf8(args.path)
         # utf-8-sig: a byte order mark is dropped, not read into line 1
@@ -180,7 +171,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
             for line in handle:
                 row = line.strip()
                 if row and not row.startswith("#"):
-                    print(_batch_line(row, args.n, options))
+                    print(_batch_line(row, args.n, args.bracket))
     except UnicodeDecodeError as exc:  # also a file changed since the check
         raise BraidSyntaxError(f"{args.path} is not UTF-8 text: {exc}") from exc
     return 0
@@ -330,7 +321,6 @@ def _build_parser() -> argparse.ArgumentParser:
     analysis.add_argument(
         "--bracket", action="store_true", help="run the bracket oracle"
     )
-    analysis.add_argument("--unsafe-assume-prime", action="store_true")
 
     def add(name, func, help_text, *parents) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text, parents=list(parents))

@@ -10,9 +10,10 @@ isolated between prescribed negative neighbors:
 * an interior positive sigma_i syllable (2 <= i <= n-2) is framed on each
   side by two negative syllables whose generators are {i-1, i+1}.
 
-Together with twist number t >= 2(n-1) these conditions force the closure to
-be a connected, prime, A-adequate, TELC, hyperbolic link, which is what lets
-the bound layer run unconditionally on family members.
+Together with twist number t >= 2(n-1) these conditions make the closure a
+connected, A-adequate, TELC link, which the bound layer takes on family
+members to be prime and hyperbolic as well.  The gate does not decide
+primeness, and it passes some composite diagrams (see ``is_prime_closure``).
 
 Separately, for 3-braids with at least four syllables there is a sharp
 adequacy criterion: the all-A state is adequate iff the word is positive, or

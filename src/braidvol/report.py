@@ -52,6 +52,7 @@ from .states import (
     StateCircle,
     is_A_adequate,
     is_connected_closure,
+    is_prime_closure,
     reduced_graph,
     resolve_all_A,
     satisfies_TELC,
@@ -173,17 +174,15 @@ def _detail_text(state: AllAState) -> str:
     return ", ".join(items)
 
 
-def analyze(
-    word: SyllableWord, *, bracket: bool = False, assume_prime: bool = False
-) -> dict:
+def analyze(word: SyllableWord, *, bracket: bool = False) -> dict:
     """Full analysis report for one word; the module docstring gives its
     stages and refusals.  ``bracket`` opts into the Kauffman-bracket oracle,
     the top five degrees of a Temperley-Lieb sweep (``bracket_top``).
-    ``assume_prime`` lets the generic volume bounds run on words outside the
-    checked family when the direct diagram checks (adequacy, two-edge-loop,
-    connectivity, t >= 2) all hold but primeness has to be taken on faith.
+    A family word gets its family bounds; any other word gets the Cor
+    bound (``cor_bounds``) when its diagram is A-adequate, TELC, connected
+    and prime (``is_prime_closure``) with t >= 2, and null bounds else.
     """
-    report, state = _report(word, bracket, assume_prime)
+    report, state = _report(word, bracket)
     report["circles"]["detail"] = circle_detail(state)
     return report
 
@@ -198,9 +197,7 @@ _encode = json.JSONEncoder(check_circular=False).encode
 _DETAIL_SLOT = '"detail": []'
 
 
-def analyze_line(
-    word: SyllableWord, *, bracket: bool = False, assume_prime: bool = False
-) -> str:
+def analyze_line(word: SyllableWord, *, bracket: bool = False) -> str:
     """``json.dumps(analyze(word, ...))``, byte for byte: the ``batch`` line.
 
     The circle detail is written from the state's pieces without a dict per
@@ -213,7 +210,7 @@ def analyze_line(
     >>> analyze_line(w) == json.dumps(analyze(w))
     True
     """
-    report, state = _report(word, bracket, assume_prime)
+    report, state = _report(word, bracket)
     parts = _encode(report).split(_DETAIL_SLOT)
     if len(parts) != 2:
         raise OracleError(
@@ -251,9 +248,7 @@ def _stages(word: SyllableWord, lemma: MainLemmaReport, bracket: bool) -> tuple:
     return twist, state, graph, predicates, form, summary
 
 
-def _report(
-    word: SyllableWord, bracket: bool, assume_prime: bool
-) -> tuple[dict, AllAState]:
+def _report(word: SyllableWord, bracket: bool) -> tuple[dict, AllAState]:
     """The body of ``analyze``: the report with an empty circle detail, and
     the state it was read from."""
     lemma = _gate(word, bracket)
@@ -267,10 +262,8 @@ def _report(
         bounds_block = volume.to_json_dict()
         if jones is not None:  # None: interior positives with n >= 4
             jones_block = jones.to_json_dict()
-    elif assume_prime and adequate and telc and connected and t >= 2:
-        bounds_block = cor_bounds(
-            graph.neg_chi, t, assume_hypotheses=True
-        ).to_json_dict()
+    elif adequate and telc and connected and t >= 2 and is_prime_closure(word):
+        bounds_block = cor_bounds(graph.neg_chi, t).to_json_dict()
 
     stoimenow = schreier = s_bounds_block = turaev_block = None
     if form is not None:

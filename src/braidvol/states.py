@@ -70,6 +70,7 @@ __all__ = [
     "satisfies_TELC",
     "twist_counts",
     "is_connected_closure",
+    "is_prime_closure",
     "reduced_graph",
 ]
 
@@ -495,6 +496,23 @@ def is_connected_closure(word: SyllableWord) -> bool:
     """Whether the closure diagram is connected: every generator occurs."""
     used = {m for m, _ in word.syllables}
     return all(g in used for g in range(1, word.n))
+
+
+def is_prime_closure(word: SyllableWord) -> bool:
+    """Whether the connected closure diagram is prime.  A circle meeting it
+    twice with crossings on both sides must wind once around the braid axis
+    (else the diagram, monotone around the axis, crosses the disk it bounds
+    in one arc without crossings), so it runs between strands a and a + 1,
+    then a + 1 and a + 2, for some a in 1..n - 2: it misses every crossing
+    iff the syllables on generators a and a + 1, read cyclically, change
+    generator only twice.  Prime iff each such pair changes >= 4 times."""
+    generators = [g for g, _ in word.syllables]
+    last, changes = [0] * (word.n + 1), [0] * (word.n + 1)
+    for i, g in enumerate(generators * 2):  # count each change in lap two
+        for a in (g - 1, g):  # the pairs (a, a + 1) that hold g
+            changes[a] += last[a] != g and i >= len(generators)
+            last[a] = g
+    return min(changes[1 : word.n - 1], default=4) >= 4
 
 
 def reduced_graph(state: AllAState) -> ReducedStateGraph:

@@ -54,12 +54,12 @@ def test_constants_leading_decimals():
 
 
 def test_cor_bounds_arithmetic():
-    b = cor_bounds(1, 2, assume_hypotheses=True)
+    b = cor_bounds(1, 2)
     assert b.case is BoundCase.COR
     assert abs(b.lower - V8) < TOL
     assert abs(b.upper - 10.0 * V3) < TOL
 
-    b = cor_bounds(3, 4, assume_hypotheses=True)
+    b = cor_bounds(3, 4)
     assert abs(b.lower - 3 * V8) < TOL
     assert abs(b.lower - 10.991587130126629) < TOL
     assert abs(b.upper - 30 * V3) < TOL
@@ -68,15 +68,7 @@ def test_cor_bounds_arithmetic():
 
 def test_cor_bounds_requires_twist_two():
     with pytest.raises(PreconditionError):
-        cor_bounds(1, 1, assume_hypotheses=True)
-
-
-def test_cor_bounds_requires_gate_or_override():
-    # the counts cannot show the hypotheses, so the caller attests them
-    with pytest.raises(PreconditionError, match="attested"):
-        cor_bounds(1, 2)
-    with pytest.raises(PreconditionError, match="attested"):
-        cor_bounds(1, 2, assume_hypotheses=False)
+        cor_bounds(1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +271,7 @@ def test_three_strand_lower_matches_corollary(seed):
     word, state, graph = bound_inputs(family_word(3, seed))
     b = volume_bounds(word, state, graph)
     t = b.inputs["t"]
-    c = cor_bounds(graph.neg_chi, t, assume_hypotheses=True)
+    c = cor_bounds(graph.neg_chi, t)
     assert abs(b.lower - c.lower) < TOL
     assert abs(b.upper - c.upper) < TOL
 

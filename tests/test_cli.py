@@ -61,6 +61,11 @@ TEXT_LINES = [
         3,
         "cond2       False  syllable 0 (2a): neighbor exponent -2 > -3",
     ),
+    (
+        ["analyze", "s1 s2^-2 s1 s2^-2"],
+        0,
+        "volume      Cor: 3.663862 <= vol <= 30.448248",
+    ),
 ]
 
 
@@ -307,8 +312,7 @@ def test_batch_memory_does_not_grow_with_the_file(tmp_path):
         peaks.append(batch_peak_bytes(path))
     assert peaks[2] - peaks[1] < 200_000, peaks
 
-def test_batch_calls_share_a_parser_and_leak_no_option(capsys, tmp_path, monkeypatch):
-    options = count_calls(monkeypatch, cli, "_analysis_options")
+def test_batch_calls_share_a_parser_and_leak_no_option(capsys, tmp_path):
     path = tmp_path / "words.txt"
     words = ["s1^-3 s2^-3 s1^-3 s2^-3", "s1^-4 s2^-3", "s1^-3 s2^-5"]
     path.write_text("\n".join(words) + "\n", encoding="utf-8")
@@ -320,8 +324,6 @@ def test_batch_calls_share_a_parser_and_leak_no_option(capsys, tmp_path, monkeyp
     code, out, _ = run(capsys, ["batch", str(path)])
     assert code == 0
     assert [json.loads(row)["bracket"] for row in out.splitlines()] == [None] * 3
-    # the options are read once per call, not once per line
-    assert len(options) == 2
 
     # a usage error leaves the parser as it was
     with pytest.raises(SystemExit) as exit_info:
@@ -419,20 +421,14 @@ def batch_lines(draw):
 @given(
     batch_lines(),
     st.sampled_from([None, 2, 3, 4, 8]),
-    st.sampled_from(
-        [
-            {"bracket": False, "assume_prime": False},
-            {"bracket": True, "assume_prime": False},
-            {"bracket": False, "assume_prime": True},
-        ]
-    ),
+    st.booleans(),
 )
 @settings(max_examples=400, deadline=None)
-def test_batch_lines_of_token_soup_are_rows_or_user_errors(line, n, options):
+def test_batch_lines_of_token_soup_are_rows_or_user_errors(line, n, bracket):
     # a line the library cannot read is the user's error, never an oracle
     # failure or a crash, and no line of at most 40 short tokens is slow
     start = time.perf_counter()
-    row = json.loads(cli._batch_line(line, n, options))
+    row = json.loads(cli._batch_line(line, n, bracket))
     assert time.perf_counter() - start < 0.1, line
     assert row["schema"] == "braidvol/1"
     if "error" in row:

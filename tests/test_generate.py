@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from braidvol.errors import BraidSyntaxError, PreconditionError
 from braidvol.families import check_main_lemma
 from braidvol.report import analyze, verify
+from braidvol.states import is_prime_closure
 from braidvol.generate import (
     MAX_COUNT,
     MAX_WIDE_SYLLABLES,
@@ -246,6 +247,18 @@ def test_generated_words_keep_every_promise(n, extra, seed, neg_cap, pos_cap):
                 assert 1 <= r <= pos_cap
         assert check_main_lemma(w).passed
         assert not _has_unthreaded_bridge(w.syllables)
+
+
+@pytest.mark.parametrize("n", range(3, 33))
+def test_generated_words_are_prime(n):
+    # the two base sweeps give every pair of neighbouring generators four
+    # changes, and an insertion never removes a change
+    for extra in (0, 1, 5, 20):
+        spec = GeneratorSpec(
+            n=n, syllable_count=2 * (n - 1 + extra), seed=n + extra, count=20
+        )
+        for w in generate_words(spec):
+            assert is_prime_closure(w), w.as_text()
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])

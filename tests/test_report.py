@@ -177,15 +177,39 @@ def test_analyze_batch_line_verify_and_bracket_summary_leave_the_circles_unbuilt
     assert summary.num_all_A_circles == sum(made[-1].census.values())
 
 
-def test_assume_prime_unlocks_generic_bounds():
-    w = word_of("s1^-3 s2^-3")  # fails the twist minimum, direct checks hold
-    assert analyze(w)["bounds"] is None
-    report = analyze(w, assume_prime=True)
-    assert report["main_lemma"]["pass"] is False
-    assert report["bounds"]["case"] == "Cor"
-    # words failing the direct checks stay null even with the flag
-    inadequate = word_of("s1^-1 s2^-3")
-    assert analyze(inadequate, assume_prime=True)["bounds"] is None
+def test_cor_bound_needs_a_prime_diagram_off_the_family():
+    # adequate, TELC and connected with t >= 2, but composite: the closure
+    # is a connected sum of two trefoils
+    composite = analyze(word_of("s1^-3 s2^-3"))
+    assert composite["main_lemma"]["pass"] is False
+    assert composite["adequate"] and composite["telc"] and composite["connected"]
+    assert composite["bounds"] is None
+    # the same checks and prime: the Cor bound, off the family
+    prime = analyze(word_of("s1 s2^-2 s1 s2^-2"))
+    assert prime["main_lemma"]["pass"] is False
+    assert prime["bounds"]["case"] == "Cor"
+    assert abs(prime["bounds"]["lower"] - 3.663862376708876) < 1e-9
+    assert abs(prime["bounds"]["upper"] - 30.448248192289615) < 1e-9
+    # a word failing a direct check stays null
+    assert analyze(word_of("s1^-1 s2^-3"))["bounds"] is None
+    # a family word keeps its family case
+    assert analyze(ladder(2))["bounds"]["case"] == "N3"
+
+
+def test_cor_bound_is_given_only_on_hyperbolic_three_braids():
+    # seeded n = 3 words of 2 to 12 alternating syllables: wherever the
+    # Cor bound is given, the Schreier test finds the closure hyperbolic
+    rng = random.Random(32)
+    cor = 0
+    for _ in range(3_000):
+        count = 2 * rng.randint(1, 6)
+        exponents = [rng.choice((-4, -3, -2, -2, -1, 1, 1, 2)) for _ in range(count)]
+        word = SyllableWord(3, tuple((1 + i % 2, r) for i, r in enumerate(exponents)))
+        report = analyze(word)
+        if report["bounds"] is not None and report["bounds"]["case"] == "Cor":
+            cor += 1
+            assert report["schreier"]["hyperbolic"] is True, word.as_text()
+    assert cor >= 100
 
 
 def test_verify_runs_all_checks_on_three_strands():
@@ -574,7 +598,6 @@ family_word_st = st.builds(
 LINE_OPTIONS = [
     {},
     {"bracket": True},
-    {"assume_prime": True},
 ]
 
 

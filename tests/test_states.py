@@ -16,7 +16,9 @@ sweep that the flat-list sweep replaced is kept as a reference too
 (:func:`resolve_by_labels`): both must give equal pieces and regions.
 """
 
+import itertools
 import json
+import random
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
@@ -42,6 +44,7 @@ from braidvol.states import (
     classify_circles,
     is_A_adequate,
     is_connected_closure,
+    is_prime_closure,
     reduced_graph,
     resolve_all_A,
     satisfies_TELC,
@@ -224,6 +227,95 @@ def test_connectivity():
     assert is_connected_closure(ladder(1))
     assert not is_connected_closure(word_of("s1^3", 3))  # strand 3 splits off
     assert not is_connected_closure(SyllableWord(2, ()))
+
+
+def prime_by_edge_cuts(generators, n):
+    """The brute-force primeness oracle.  The closed-braid diagram is a
+    4-valent multigraph: its crossings are the vertices, and the strand
+    pieces between consecutive crossings of a strand position, closure
+    included, are the edges.  A connected diagram is prime iff no two
+    edges disconnect that graph."""
+    edges = []
+    for column in range(1, n + 1):
+        levels = [i for i, g in enumerate(generators) if column in (g, g + 1)]
+        edges += zip(levels, levels[1:] + levels[:1])
+
+    def connected_without(cut):
+        parent = list(range(len(generators)))
+        components = len(generators)
+        for k, (a, b) in enumerate(edges):
+            if k in cut:
+                continue
+            while parent[a] != a:
+                a = parent[a]
+            while parent[b] != b:
+                b = parent[b]
+            if a != b:
+                parent[a] = b
+                components -= 1
+        return components == 1
+
+    return all(
+        connected_without((i, j))
+        for i in range(len(edges))
+        for j in range(i + 1, len(edges))
+    )
+
+
+def assert_prime_matches_edge_cuts(generators, n):
+    """Compare the rule with the oracle on the positive word of
+    ``generators``, as written and reduced; return whether it was compared
+    (the rule is stated for connected diagrams only)."""
+    word = SyllableWord(n, tuple((g, 1) for g in generators))
+    if not is_connected_closure(word):
+        return False
+    expected = prime_by_edge_cuts(generators, n)
+    assert is_prime_closure(word) is expected, (n, generators)
+    reduced = cyclically_reduce_into_syllables(word)
+    assert is_prime_closure(reduced) is expected, (n, generators)
+    return True
+
+
+@pytest.mark.parametrize(
+    "text,n,prime",
+    [
+        ("s1^-3 s2^-3", 3, False),  # two trefoils, summed
+        ("s1 s2^-2 s1 s2^-2", 3, True),
+        ("s1^-3 s2^-3 s1^-3 s2^-3", 3, True),
+        ("s1^-5", 2, True),
+        ("s1^-3 s2^-3 s3^-3 s2^-3", 4, False),  # s1 and s2 change twice
+        ("s1^-3 s3^-3 s2 s1^-3 s3^-3 s2^-3", 4, True),
+        # passes the family gate, yet its s1, s2 syllables change twice
+        ("s1^-5 s2^-4 s3^-6 s4^-12 s3^-5 s1^-6 s2^-10 s4^-6", 5, False),
+    ],
+)
+def test_prime_closure_pins(text, n, prime):
+    word = word_of(text, n)
+    assert is_prime_closure(word) is prime
+    generators = [g for g, r in word.syllables for _ in range(abs(r))]
+    assert prime_by_edge_cuts(generators, n) is prime
+
+
+@pytest.mark.parametrize("n,crossings", [(3, 10), (4, 8)])
+def test_prime_closure_matches_edge_cuts_on_every_short_word(n, crossings):
+    # every generator sequence up to the crossing count, the connected ones
+    # compared; a diagram's graph does not depend on the crossing signs
+    compared = 0
+    for length in range(crossings + 1):
+        for generators in itertools.product(range(1, n), repeat=length):
+            compared += assert_prime_matches_edge_cuts(generators, n)
+    assert compared > 2_000
+
+
+def test_prime_closure_matches_edge_cuts_on_random_words():
+    rng = random.Random(5)
+    compared = 0
+    for _ in range(2_000):
+        n = rng.randint(5, 7)
+        length = rng.randint(2 * n, 16)
+        generators = [rng.randint(1, n - 1) for _ in range(length)]
+        compared += assert_prime_matches_edge_cuts(generators, n)
+    assert compared > 1_000
 
 
 def test_reduced_graph_on_the_ladder():
