@@ -15,10 +15,11 @@ small t- relative to n + m; ``effective_lower`` carries the clamp so the
 vacuous cases stay visible.  ``volume_bounds`` and ``jones_bounds`` take the
 word with its all-A state and reduced graph and read m and e - v from those;
 each runs the family gate (``check_main_lemma``) on the word as its input
-check.  Both share one ungated body, ``_family_bounds``, which reads t, t+,
-t-, n, m and e - v once and returns the pair, with None for the beta' form
-where it does not apply; ``report.analyze`` has already gated the word, so
-it calls that body.
+check.  Both share one ungated body, ``_family_bounds``, which takes the
+twist counts t, t+, t-, reads n, m and e - v once and returns the pair,
+with None for the beta' form where it does not apply; ``report.analyze``
+has already gated the word and read its twist counts, so it calls that
+body with them.
 """
 
 from __future__ import annotations
@@ -156,7 +157,7 @@ def volume_bounds(
     positive syllables sit in interior generators.
     """
     _require_family(word)
-    return _family_bounds(word, state, graph)[0]
+    return _family_bounds(word, state, graph, twist_counts(word))[0]
 
 
 def jones_bounds(
@@ -168,7 +169,7 @@ def jones_bounds(
     interior positive syllables with n >= 4 are refused.
     """
     _require_family(word)
-    jones = _family_bounds(word, state, graph)[1]
+    jones = _family_bounds(word, state, graph, twist_counts(word))[1]
     if jones is None:
         raise PreconditionError(
             "the beta'-form bounds do not cover interior positive syllables"
@@ -178,13 +179,17 @@ def jones_bounds(
 
 
 def _family_bounds(
-    word: SyllableWord, state: AllAState, graph: ReducedStateGraph
+    word: SyllableWord,
+    state: AllAState,
+    graph: ReducedStateGraph,
+    twist: tuple[int, int, int],
 ) -> tuple[VolumeBounds, VolumeBounds | None]:
     """``volume_bounds`` and ``jones_bounds`` on a word that already passed
-    the family gate, from one read of its counts.  The beta'-form bound is
-    None when a positive syllable sits on an interior generator at n >= 4."""
+    the family gate, from one read of its counts; ``twist`` is its
+    ``twist_counts``.  The beta'-form bound is None when a positive syllable
+    sits on an interior generator at n >= 4."""
     n = word.n
-    t, t_plus, t_minus = twist_counts(word)
+    t, t_plus, t_minus = twist
     m = state.m
     neg_chi = graph.neg_chi
     inputs = {

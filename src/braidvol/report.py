@@ -136,11 +136,13 @@ def _id_texts(count: int) -> list[str]:
 
 def _detail_text(state: AllAState) -> str:
     """The text of ``json.dumps(circle_detail(state))`` between its
-    brackets, written from the state's pieces.  Every circle after its id
-    is one cached tail per (winding, support, class), and a run of small
-    inner circles is one join of a slice of the module's id text table
-    over its one tail, so the text is assembled per boundary circle and
-    per run, never per small circle.  The table grows to the state's
+    brackets, written from the state's pieces without ``json.dumps``.
+    Every circle after its id is one cached tail per (winding, support,
+    class), written as text: the class names are ASCII enum values and the
+    winding and columns ints, so the bytes are ``json.dumps``'s.  A run of
+    small inner circles is one join of a slice of the module's id text
+    table over its one tail, so the text is assembled per boundary circle
+    and per run, never per small circle.  The table grows to the state's
     circle count, which is at most n plus the negative crossings: 10,032
     entries (about 0.6 MB) at the input limits."""
     names = _CLASS_NAMES
@@ -148,10 +150,9 @@ def _detail_text(state: AllAState) -> str:
     tails: dict = {}
 
     def tail(winding: int, support: frozenset[int], klass: CircleClass) -> str:
-        body = json.dumps(
-            {"class": names[klass], "winding": winding, "support": sorted(support)}
-        )
-        return ", " + body[1:]
+        columns = ", ".join(map(str, sorted(support)))
+        name = names[klass]
+        return f', "class": "{name}", "winding": {winding}, "support": [{columns}]}}'
 
     runs: dict[int, tuple[str, str]] = {}  # per g: the run's tail and separator
     items = []
@@ -258,7 +259,7 @@ def _report(word: SyllableWord, bracket: bool) -> tuple[dict, AllAState]:
 
     bounds_block = jones_block = None
     if lemma.passed:
-        volume, jones = _family_bounds(word, state, graph)
+        volume, jones = _family_bounds(word, state, graph, twist)
         bounds_block = volume.to_json_dict()
         if jones is not None:  # None: interior positives with n >= 4
             jones_block = jones.to_json_dict()
@@ -291,7 +292,7 @@ def _report(word: SyllableWord, bracket: bool) -> tuple[dict, AllAState]:
         "crossings": word.crossings,
         "twist": {"t": t, "t_plus": t_plus, "t_minus": t_minus},
         "circles": {
-            "census": {k.value: v for k, v in state.census.items()},
+            "census": {_CLASS_NAMES[k]: v for k, v in state._counts.items()},
             "detail": [],
         },
         "m": state.m,

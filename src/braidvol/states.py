@@ -13,12 +13,13 @@ syllable at a time: a union-find (Tarjan, 1975) on flat lists joins compact
 nodes, one per column's top label and one per negative syllable's last
 cup, once per twist region.  A second pass over the syllables numbers the
 circles, records each region and classifies each boundary circle (one that
-leaves its syllable); no dict is keyed by arc id.  The small circles
+leaves its syllable); no dict is keyed by arc id.  It reads the census and
+the reduced graph as it goes, and the state keeps both.  The small circles
 stacked inside a negative region, almost every circle of a long family
 word, get no node and are never traced one by one: the state keeps them as
-runs of consecutive ids, the census and the reduced graph read the runs'
-counts, and ``analyze``'s circle detail and the ``batch`` line read each
-run in one piece.  A circle is a :class:`StateCircle` named tuple;
+runs of consecutive ids, the census counts them as the ids no boundary
+circle takes, and ``analyze``'s circle detail and the ``batch`` line read
+each run in one piece.  A circle is a :class:`StateCircle` named tuple;
 :attr:`AllAState.circles` builds the full tuple of circles from the runs
 only when it is read (by the SVG renderer, the demos, the tests and the
 perfbench traced replay).  The state keeps
@@ -41,7 +42,7 @@ parallel edges gives the reduced graph whose negative Euler characteristic
 e - v feeds every volume bound downstream.  Its edge count, A-adequacy and
 the two-edge loop condition are all read per twist region (Futer,
 Kalfagianni and Purcell, "Guts of surfaces and the colored Jones
-polynomial", 2013), in one pass over the records (see
+polynomial", 2013), as the trace records them (see
 :attr:`AllAState.regions`).
 """
 
@@ -143,6 +144,15 @@ class AllAState(_AllAStateFields):
 
     __setattr__ = __delattr__ = _immutable
 
+    @classmethod
+    def _traced(cls, fields: tuple, graph: tuple, counts: dict) -> AllAState:
+        """``AllAState(*fields)`` holding the ``_graph`` and ``_counts`` that
+        :func:`resolve_all_A` read as it traced, where the cached properties
+        keep them."""
+        state = tuple.__new__(cls, fields)
+        vars(state).update(_graph=graph, _counts=counts)
+        return state
+
     @property
     def arcs(self) -> range:
         """The arc ids, ``range((crossings + 1) * n)`` (see :func:`arc_table`).
@@ -185,7 +195,8 @@ class AllAState(_AllAStateFields):
     @cached_property
     def _graph(self) -> tuple[bool, bool, int]:
         """(A-adequate, TELC, reduced edge count), read in one pass over the
-        regions.  A chain's segments all meet one of its inner circles,
+        regions: the reference for the one :func:`resolve_all_A` reads as it
+        records them.  A chain's segments all meet one of its inner circles,
         which no other region meets, so a chain never self-joins and its
         pairs are its own; they are |r| distinct pairs, except that an
         r = -2 chain with a = b runs both segments between the same two
@@ -210,6 +221,8 @@ class AllAState(_AllAStateFields):
 
     @cached_property
     def _counts(self) -> dict[CircleClass, int]:
+        """The census, in :class:`CircleClass` order, from the pieces: the
+        reference for the one :func:`resolve_all_A` counts as it traces."""
         counts = dict.fromkeys(CircleClass, 0)
         for piece in self.pieces:
             if type(piece) is StateCircle:
@@ -220,8 +233,8 @@ class AllAState(_AllAStateFields):
 
     @property
     def census(self) -> dict[CircleClass, int]:
-        """The number of circles of each class, counted once per state from
-        the pieces; each call returns a fresh copy."""
+        """The number of circles of each class, counted once per state;
+        each call returns a fresh copy."""
         return dict(self._counts)
 
     @property
@@ -304,16 +317,18 @@ def resolve_all_A(word: SyllableWord) -> AllAState:
     syllable numbers its runs and every root named by an arc of its
     letters or above, in id order, so a run splits where a root falls
     between two of its cups (see :attr:`AllAState.pieces`).  It then
-    records its two boundary circles (see :attr:`AllAState.regions`) and
-    adds to their support and region ends.  Winding is the parity of a
-    circle's closure arcs.  Every per-node value is a list indexed by
-    node, so no dict is keyed by arc id, and every boundary circle is built
-    once, already classified (see :func:`_klass`), as
-    ``tuple.__new__(StateCircle, ...)`` over its four fields; any syllable
-    word works.
-    No per-crossing, per-arc or per-small-circle object is built:
-    :func:`reduced_graph` and the predicates read the regions, the census
-    reads the runs' counts.
+    records its two boundary circles (see :attr:`AllAState.regions`), adds
+    to their support and region ends, and reads A-adequacy, TELC and the
+    reduced edge count by the rules of ``AllAState._graph``.  Winding is
+    the parity of a circle's closure arcs.  Every per-node value is a list
+    indexed by node, so no dict is keyed by arc id, and every boundary
+    circle is built once, already classified (see :func:`_klass`) and
+    counted in the census, as ``tuple.__new__(StateCircle, ...)`` over its
+    four fields; any syllable word works.
+    No per-crossing, per-arc or per-small-circle object is built, and the
+    state keeps the census and graph values it read (see
+    ``AllAState._traced``), so :func:`reduced_graph`, the predicates,
+    ``m`` and ``census`` walk nothing again.
     """
     n = word.n
     # node j is column j's top label, named by the first letter's arc in that
@@ -384,6 +399,8 @@ def resolve_all_A(word: SyllableWord) -> AllAState:
     wraps = set()  # roots that both ends of one r = -2 region land on
     order: list[int | tuple[int, int, int]] = []  # roots and runs, in id order
     regions: list[tuple[int, int, tuple[int, int]]] = []
+    pairs = []  # the pair regions' roots, for AllAState._graph
+    adequate, chain_edges = True, 0
     cid = i = 0
     for (g, r), first, a, b in zip(word.syllables, firsts, lefts, rights):
         # the inner circles' cups run from first * n + 1 in steps of n up to
@@ -411,8 +428,14 @@ def resolve_all_A(word: SyllableWord) -> AllAState:
         if r < 0:
             support[a].add(g)
             support[b].add(g)
-            if r == -2 and a == b:
-                wraps.add(a)
+            if r < -1:
+                chain_edges -= r
+                if r == -2 and a == b:
+                    wraps.add(a)
+                    chain_edges -= 1
+                continue
+        adequate = adequate and a != b
+        pairs.append((a, b) if a <= b else (b, a))
     # roots are left only for the empty word: its n closure arcs
     for node in roots[i:]:
         circle_id[node] = cid
@@ -420,18 +443,24 @@ def resolve_all_A(word: SyllableWord) -> AllAState:
         cid += 1
 
     # each boundary circle as its four fields, already classified, through
-    # tuple.__new__ as AllAState.circles builds the small inner ones
+    # tuple.__new__ as AllAState.circles builds the small inner ones; the
+    # ids that are not boundary circles are the runs' small inner circles
     new_tuple = tuple.__new__
+    counts = dict.fromkeys(CircleClass, 0)
+    counts[CircleClass.SMALL_INNER] = cid - len(roots)
     pieces = []
     for piece in order:
         if type(piece) is int:
             columns, turns = support[piece], winding[piece]
             klass = _klass(columns, turns, piece in wraps and ends[piece] == 2)
+            counts[klass] += 1
             piece = new_tuple(
                 StateCircle, (circle_id[piece], turns, frozenset(columns), klass)
             )
         pieces.append(piece)
-    return AllAState(word, tuple(pieces), tuple(regions))
+    distinct = len(set(pairs))
+    graph = adequate, not wraps and distinct == len(pairs), distinct + chain_edges
+    return AllAState._traced((word, tuple(pieces), tuple(regions)), graph, counts)
 
 
 def _klass(support: set[int], winding: int, wrapped: bool) -> CircleClass:

@@ -153,16 +153,22 @@ def test_fields_cannot_be_assigned(name):
 
 def test_cached_properties_cannot_be_overwritten():
     # the two records with a __dict__ keep their cached values in it, and no
-    # attribute can be set or deleted: a word's crossings feed the input limits
+    # attribute can be set or deleted: a word's crossings feed the input limits,
+    # and a traced state's census and graph values, which the trace stores
+    # there, feed every bound
     word, state = SyllableWord(3, ((1, -3), (2, 2))), resolve_all_A(WORD)
     circles = state.circles
+    cached = dict(vars(state))
+    assert cached.keys() == {"_graph", "_counts", "circles"}
     assert word.crossings == 5 and vars(word) == {"crossings": 5}
-    for record, name in ((word, "crossings"), (state, "circles"), (state, "other")):
+    names = ("circles", "_graph", "_counts", "other")
+    for record, name in ((word, "crossings"), *((state, name) for name in names)):
         with pytest.raises(AttributeError, match="is immutable"):
             setattr(record, name, 0)
         with pytest.raises(AttributeError, match="is immutable"):
             delattr(record, name)
     assert vars(word) == {"crossings": 5} and state.circles is circles
+    assert all(vars(state)[name] is value for name, value in cached.items())
 
 
 def test_trusted_words_match_public_words():

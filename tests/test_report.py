@@ -280,6 +280,22 @@ def test_verify_traces_and_sweeps_once(monkeypatch):
         assert traces == [w] and sweeps == [w], w.as_text()
 
 
+def test_analyze_reads_the_twist_counts_once(monkeypatch):
+    twists = count_calls(monkeypatch, states, "twist_counts")
+    for w in ONCE_WORDS:
+        twists.clear()
+        assert analyze(w)["bounds"] is not None
+        assert twists == [w], w.as_text()
+    # the public bound functions read them on their own
+    w = ONCE_WORDS[0]
+    state = resolve_all_A(w)
+    graph = reduced_graph(state)
+    twists.clear()
+    volume_bounds(w, state, graph)
+    jones_bounds(w, state, graph)
+    assert twists == [w] * 2
+
+
 def test_analyze_and_verify_gate_a_family_word_once(monkeypatch):
     gates = count_calls(monkeypatch, families, "check_main_lemma")
     for w in ONCE_WORDS:
@@ -642,6 +658,20 @@ def test_analyze_line_is_the_dumped_report_in_either_order(monkeypatch, long_fir
     words = [seeded_long_word(), ladder(2)]
     for word in words if long_first else words[::-1]:
         assert analyze_line(word) == json.dumps(analyze(word))
+
+
+def test_analyze_line_calls_no_json_dumps(monkeypatch):
+    # the circle detail's tails are written as text and the rest of the
+    # report goes through the encoder, so json.dumps is never called
+    spec = GeneratorSpec(n=8, syllable_count=60, seed=1)
+    words = [ladder(2), generate_words(spec)[0], seeded_long_word()]
+    want = [json.dumps(analyze(word)) for word in words]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("analyze_line called json.dumps")
+
+    monkeypatch.setattr(report.json, "dumps", refuse)
+    assert [analyze_line(word) for word in words] == want
 
 
 def test_id_text_table_grows_to_the_largest_circle_count(monkeypatch):

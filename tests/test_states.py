@@ -611,6 +611,50 @@ def test_region_predicate_pins(word, adequate, telc, edges):
     assert graph.unreduced_edges == word.crossings
 
 
+def assert_traced_values_match_the_property_bodies(word):
+    """The census and the graph values the trace reads as it goes, held in
+    the state's ``__dict__`` from the start, against the cached property
+    bodies of a state built from the same fields, which compute them."""
+    state = resolve_all_A(word)
+    assert {"_graph", "_counts"} <= vars(state).keys()
+    built = AllAState(state.word, state.pieces, state.regions)
+    assert "_graph" not in vars(built) and "_counts" not in vars(built)
+    assert built == state
+    assert list(state.census.items()) == list(built.census.items())
+    assert state.m == built.m
+    assert reduced_graph(state) == reduced_graph(built)
+    assert is_A_adequate(state) is is_A_adequate(built)
+    assert satisfies_TELC(state) is satisfies_TELC(built)
+
+
+@given(any_n_word_st)
+# s1^-2: a two-edge loop, and a wraparound circle that is small
+@example(SyllableWord(2, ((1, -2),)))
+# s1^-2 s2 s1^-2: two r = -2 loops, neither circle small
+@example(SyllableWord(3, ((1, -2), (2, 1), (1, -2))))
+# the r = -2 loop of s1^-2 beside pair regions that share a pair
+@example(SyllableWord(3, ((1, -2), (2, 1), (1, 1), (2, 1))))
+@settings(max_examples=300)
+def test_traced_census_and_graph_match_the_property_bodies(word):
+    assert_traced_values_match_the_property_bodies(word)
+    assert_traced_values_match_the_property_bodies(
+        cyclically_reduce_into_syllables(word)
+    )
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 16, 32])
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    half=st.integers(min_value=31, max_value=100),
+)
+@settings(max_examples=4, deadline=None)
+def test_traced_census_and_graph_match_the_property_bodies_on_generated_words(
+    n, seed, half
+):
+    spec = GeneratorSpec(n=n, syllable_count=2 * half, seed=seed)
+    assert_traced_values_match_the_property_bodies(generate_words(spec)[0])
+
+
 @pytest.mark.parametrize(
     "word, census",
     [
