@@ -5,7 +5,8 @@ The Kauffman bracket as an independent oracle
 The bracket polynomial is computed exactly, with integer coefficients, by
 one sweep down the braid that merges partial smoothings with the same
 Temperley-Lieb matching: O(c * Catalan(n) * degree span) work for c
-crossings on n strands, with a default cap of 100 crossings.  Its top-end
+crossings on n strands, capped where c^2 * Catalan(n) passes
+100^2 * Catalan(8): 1,691 crossings at n = 3, 100 at n = 8.  Its top-end
 coefficients verify the rest of the pipeline: for adequate diagrams the top
 coefficient is +-1 and the penultimate one equals 1 + (edges - vertices) of
 the reduced state graph.

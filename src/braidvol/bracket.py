@@ -27,16 +27,16 @@ This module exists to cross-check the penultimate-coefficient identity
 diagrams (Dasbach-Lin), which needs only ``bracket_top``.  Words past the
 input limits of ``words.parse_braid`` and diagrams on more than
 ``MAX_BRACKET_STRANDS`` (8) strands are refused.  ``kauffman_bracket``
-also refuses diagrams above ``DEFAULT_MAX_CROSSINGS`` (100) crossings
-unless the caller raises the cap; ``bracket_top`` needs no cap, since the
-input limits already bound its window.
+also refuses a diagram above the crossing cap for its strand count (see
+``DEFAULT_MAX_CROSSINGS``); ``bracket_top`` needs no cap, since the input
+limits already bound its window.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 from functools import cache
-from math import comb, inf
+from math import comb, inf, isqrt
 from typing import NamedTuple
 
 from .errors import CrossingLimitError, OracleError, PreconditionError
@@ -54,16 +54,17 @@ __all__ = [
     "MAX_BRACKET_STRANDS",
 ]
 
-# the whole polynomial's cap: kauffman_bracket keeps every degree, while
-# bracket_top's window is bounded by the input limits alone (at most 0.8 s
-# on 10,000-letter words at n = 8, 2-core Xeon, Python 3.11)
+# kauffman_bracket's cap at MAX_BRACKET_STRANDS strands.  Its sweep keeps
+# every degree: c steps over up to Catalan(n) matchings, each with a degree
+# span that grows with c.  So it sweeps c crossings on n strands iff
+# c^2 * Catalan(n) <= 100^2 * Catalan(8) (_crossing_cap): up to 3781, 2673,
+# 1691, 1010, 583, 329, 182 and 100 at n = 1..8.  At each cap the slowest
+# shape found took 0.8 s (n = 2) to 3.1 s (n = 5), 2-core Xeon, Python 3.11;
+# bracket_top, bounded by the input limits alone, took at most 0.8 s on
+# 10,000-letter words at n = 8.
 DEFAULT_MAX_CROSSINGS = 100
-# Up to Catalan(n) matchings are alive at once, so the crossing cap alone
-# does not bound the full sweep: near 100 crossings kauffman_bracket took
-# 0.3 s (a 15-syllable family word) to 1.9 s (an 84-syllable random word)
-# at n = 8, and 1.6 s to 15 s at n = 10, where bracket_top took at most
-# 4 ms.  Both share the limit, which also bounds the cached _join: at
-# n = 32 one top sweep filled it with 370,000 matchings.
+# Both sweeps share the strand limit, which also bounds the cached _join:
+# at n = 32 one top sweep filled it with 370,000 matchings.
 MAX_BRACKET_STRANDS = 8
 
 
@@ -306,9 +307,18 @@ def _require_sweepable(word: SyllableWord) -> None:
         )
 
 
-def kauffman_bracket(
-    word: SyllableWord, max_crossings: int = DEFAULT_MAX_CROSSINGS
-) -> LaurentPolynomial:
+def _catalan(n: int) -> int:
+    return comb(2 * n, n) // (n + 1)
+
+
+def _crossing_cap(n: int) -> int:
+    """The most crossings ``kauffman_bracket`` sweeps on ``n`` strands (see
+    ``DEFAULT_MAX_CROSSINGS``)."""
+    budget = DEFAULT_MAX_CROSSINGS**2 * _catalan(MAX_BRACKET_STRANDS)
+    return isqrt(budget // _catalan(n))
+
+
+def kauffman_bracket(word: SyllableWord) -> LaurentPolynomial:
     """The Kauffman bracket of the closure of ``word``, every term exactly.
 
     One sweep down the braid in the Temperley-Lieb picture, one step per
@@ -327,20 +337,16 @@ def kauffman_bracket(
     braid joins top point i to bottom point i, and k closure cycles weigh
     delta^(k-1).  At most Catalan(n) matchings are alive at a time, so the
     cost is O(c * Catalan(n) * degree span); ``bracket_top`` returns the top
-    five degrees for much less.  A word past the input limits,
-    a diagram above ``max_crossings`` or on more than ``MAX_BRACKET_STRANDS``
-    strands, and a negative ``max_crossings`` are refused with a
-    PreconditionError.
+    five degrees for much less.  Refused with a PreconditionError, in this
+    order: a word past the input limits, a diagram on more than
+    ``MAX_BRACKET_STRANDS`` strands, and a diagram above the crossing cap
+    for its strand count (a ``CrossingLimitError`` that names the cap; see
+    ``DEFAULT_MAX_CROSSINGS``).
     """
-    # refused in this order: input limits, the cap, then the strand count
-    require_input_limits(word)
-    if max_crossings < 0:
-        raise PreconditionError(
-            f"max_crossings must be at least 0, got {max_crossings}"
-        )
-    if word.crossings > max_crossings:
-        raise CrossingLimitError(word.crossings, max_crossings)
     _require_sweepable(word)
+    cap = _crossing_cap(word.n)
+    if word.crossings > cap:
+        raise CrossingLimitError(word.crossings, cap)
     return _sweep(word, None)
 
 
@@ -415,8 +421,8 @@ def stable_penultimate_coefficient(word: SyllableWord) -> BracketSummary:
     """``bracket_summary`` of ``word``: refuse a word past the input limits
     or on more than ``MAX_BRACKET_STRANDS`` strands before tracing its
     all-A state, refuse a diagram that is not A-adequate before sweeping,
-    then sweep the top of the bracket once (``bracket_top``)."""
+    then sweep the top of the bracket once, as ``bracket_top`` does."""
     _require_sweepable(word)
     state = resolve_all_A(word)
     _require_adequate(state)
-    return bracket_summary(bracket_top(word), state)
+    return bracket_summary(_sweep(word, 4), state)

@@ -13,11 +13,11 @@ Subcommands::
 
 Exit codes: 0 success; 1 an identity check failed, an internal check
 failed (``OracleError``: a bug, not bad input) or a file could not be read;
-2 parse or usage error (a ``batch`` file that is not UTF-8 text and a
-``bracket --max-crossings`` below 0 included);
-3 precondition gate (family checker, the bracket's crossing cap and 8-strand
-limit, strand count, input limits).  ``batch`` reports a failed line as an
-error row whose ``error_kind`` is syntax, precondition, oracle or internal.
+2 parse or usage error (a ``batch`` file that is not UTF-8 text included);
+3 precondition gate (family checker, the bracket's 8-strand limit and the
+crossing cap it derives from the strand count, strand count, input
+limits).  ``batch`` reports a failed line as an error row whose
+``error_kind`` is syntax, precondition, oracle or internal.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import functools
 import json
 import sys
 
-from .bracket import DEFAULT_MAX_CROSSINGS, bracket_summary, kauffman_bracket
+from .bracket import bracket_summary, kauffman_bracket
 from .errors import BraidSyntaxError, OracleError, PreconditionError
 from .families import check_main_lemma, stoimenow_A_adequate_3braid
 from .generate import GeneratorSpec, generate_words
@@ -50,18 +50,6 @@ __all__ = ["main", "entry"]
 
 def _parse_word(text: str, n: int | None) -> SyllableWord:
     return cyclically_reduce_into_syllables(parse_braid(text, n))
-
-
-def _crossing_cap(text: str) -> int:
-    """The ``--max-crossings`` value: an int of at least 0, else a usage
-    error (exit 2) rather than a cap that refuses every word."""
-    try:
-        cap = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if cap < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {cap}")
-    return cap
 
 
 def _emit(payload: dict, as_json: bool, lines: list[str]) -> None:
@@ -207,8 +195,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_schreier(args: argparse.Namespace) -> int:
     word = _parse_word(args.word, args.n)
-    if word.n != 3:
-        raise PreconditionError("schreier normal forms need n = 3")
     block = schreier_block(schreier_normal_form(word))
     text = word.as_text()
     payload = {"word": text, "schreier": block}
@@ -229,7 +215,7 @@ def cmd_schreier(args: argparse.Namespace) -> int:
 
 def cmd_bracket(args: argparse.Namespace) -> int:
     word = _parse_word(args.word, args.n)
-    poly = kauffman_bracket(word, max_crossings=args.max_crossings)
+    poly = kauffman_bracket(word)
     state = resolve_all_A(word)
     summary = None
     if is_A_adequate(state):
@@ -344,10 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     add("verify", cmd_verify, "Cross-check pipeline identities.", word)
     add("schreier", cmd_schreier, "3-braid normal form and hyperbolicity.", word)
-    p = add("bracket", cmd_bracket, "Exact Kauffman bracket.", word)
-    p.add_argument(
-        "--max-crossings", type=_crossing_cap, default=DEFAULT_MAX_CROSSINGS
-    )
+    add("bracket", cmd_bracket, "Exact Kauffman bracket.", word)
     p = add("state", cmd_state, "Circle census and optional SVG.", word)
     p.add_argument("--svg", default=None, metavar="PATH", help="write SVG here")
     add("check", cmd_check, "Family gate query (exit 0/3).", word)

@@ -28,8 +28,9 @@ reduced residue is one of
 which translate to sigma_1^(-p1) sigma_2^(q1) ..., sigma_1^p, sigma_1 sigma_2,
 (sigma_1 sigma_2)^2, C^(-1) sigma_1 sigma_2 sigma_1, and the identity; the
 (p_i, q_i) are the m of the blocks with a = 1 and a = 2.  The generic pair
-list is canonicalized to its lexicographically least rotation (Booth's
-algorithm), so two 3-braids are conjugate iff their forms compare equal.
+list is canonicalized to its lexicographically least rotation (read from
+Duval's Lyndon factorization), so two 3-braids are conjugate iff their
+forms compare equal.
 
 On a word that passes the family gate the form is read off the syllables
 (``direct_form``).  Write A = xy and B = xy^2.  The syllables alternate,
@@ -147,26 +148,20 @@ class EtaKind(str, Enum):
 def _least_rotation(
     pairs: tuple[tuple[int, int], ...]
 ) -> tuple[tuple[int, int], ...]:
-    """The lexicographically least rotation, by Booth's algorithm
-    ("Lexicographically least circular substrings", Inf. Proc. Letters 10,
-    1980): one failure-function pass over the doubled list, O(s)."""
-    doubled = pairs + pairs
-    fail = [-1] * len(doubled)
-    k = 0  # start of the least rotation found so far
-    for j in range(1, len(doubled)):
-        c = doubled[j]
-        i = fail[j - k - 1]
-        while i != -1 and c != doubled[k + i + 1]:
-            if c < doubled[k + i + 1]:
-                k = j - i - 1
-            i = fail[i]
-        if i == -1 and c != doubled[k]:
-            if c < doubled[k]:
-                k = j
-            fail[j - k] = -1
-        else:
-            fail[j - k] = i + 1
-    return doubled[k : k + len(pairs)]
+    """The lexicographically least rotation, read from Duval's Lyndon
+    factorization of the doubled list ("Factorizing words over an ordered
+    alphabet", J. Algorithms 4, 1983): the last factor to start in the first
+    half starts it, O(s)."""
+    doubled, s = pairs + pairs, len(pairs)
+    i = start = 0
+    while i < s:
+        start, j, k = i, i + 1, i
+        while j < 2 * s and doubled[k] <= doubled[j]:
+            k = i if doubled[k] < doubled[j] else k + 1
+            j += 1
+        while i <= k:
+            i += j - k
+    return doubled[start : start + s]
 
 
 class _SchreierFormFields(NamedTuple):

@@ -209,19 +209,56 @@ def test_trefoil_mirror_pair():
     assert as_dict(left) == {d: c for d, c in skein_bracket(word_of("s1^-3", 2)).items()}
 
 
+def alternating(n, crossings):
+    """One letter per syllable, the generators cycling 1..n-1 and the signs
+    alternating: the slowest whole-bracket shape measured at the cap for
+    n = 3, 5 and 7."""
+    return SyllableWord(
+        n, tuple((i % (n - 1) + 1, 1 if i % 2 else -1) for i in range(crossings))
+    )
+
+
+CAPS = (3781, 2673, 1691, 1010, 583, 329, 182, 100)
+
+
 def test_crossing_cap():
-    with pytest.raises(CrossingLimitError) as info:
-        kauffman_bracket(ladder(17))  # 102 crossings
-    assert "100" in str(info.value)
-    assert kauffman_bracket(ladder(2), max_crossings=12) is not None
+    # the cap is the largest c with c^2 * Catalan(n) <= 100^2 * Catalan(8)
+    assert tuple(bracket._crossing_cap(n) for n in range(1, 9)) == CAPS
+    for n, cap in enumerate(CAPS, 1):
+        catalan = bracket._catalan(n)
+        assert cap**2 * catalan <= 100**2 * 1430 < (cap + 1) ** 2 * catalan
 
 
-def test_negative_crossing_cap_is_refused():
-    # a cap below 0 is a bad argument, not a diagram above the cap
-    with pytest.raises(PreconditionError, match="max_crossings") as info:
-        kauffman_bracket(ladder(2), max_crossings=-1)
+def test_above_the_cap_is_refused_before_any_sweep(monkeypatch):
+    sweeps = count_calls(monkeypatch, bracket, "_sweep")
+    for n, cap in enumerate(CAPS[1:], 2):
+        with pytest.raises(CrossingLimitError) as info:
+            kauffman_bracket(alternating(n, cap + 1))
+        assert (info.value.crossings, info.value.cap) == (cap + 1, cap)
+        assert f"above the cap of {cap}" in str(info.value)
+    assert sweeps == []
+
+
+def test_the_strand_limit_is_refused_before_the_cap():
+    with pytest.raises(PreconditionError, match="limit of 8") as info:
+        kauffman_bracket(alternating(9, 101))
     assert not isinstance(info.value, CrossingLimitError)
-    assert kauffman_bracket(SyllableWord(2, ()), max_crossings=0) is not None
+
+
+def test_words_at_the_cap_are_swept():
+    torus = kauffman_bracket(word_of("s1^2673", 2))
+    assert torus == kauffman_bracket(word_of("s1^-2673", 2)).inverted_variable()
+    # 102 crossings at n = 3, above the cap at n = 8
+    assert as_dict(kauffman_bracket(ladder(17))) == letter_sweep(ladder(17))
+
+
+@pytest.mark.parametrize("n", [3, 8])
+def test_the_slowest_shape_at_the_cap_is_swept_in_seconds(n):
+    word = alternating(n, bracket._crossing_cap(n))
+    start = time.perf_counter()
+    poly = kauffman_bracket(word)
+    assert time.perf_counter() - start < 10
+    assert not poly.is_zero
 
 
 def test_strand_bound():
@@ -283,7 +320,9 @@ def test_summary_checks_the_degree_ends():
 
 
 def test_default_cap_matches_module_constant():
+    # the module constant is the cap at the strand limit
     assert DEFAULT_MAX_CROSSINGS == 100
+    assert bracket._crossing_cap(MAX_BRACKET_STRANDS) == DEFAULT_MAX_CROSSINGS
 
 
 def test_polynomial_plumbing():

@@ -95,13 +95,10 @@ def test_exit_code_3_on_gate_failures(capsys):
     # strand-count gate
     code, _, _ = run(capsys, ["schreier", "s1^2 s3^-3", "--n", "4"])
     assert code == 3
-    # crossing cap
-    code, _, err = run(
-        capsys,
-        ["bracket", "s1^-3 s2^-3 s1^-3 s2^-3", "--n", "3", "--max-crossings", "10"],
-    )
+    # crossing cap: 1,692 crossings on 3 strands, one above its cap
+    code, _, err = run(capsys, ["bracket", "s1^-846 s2^846", "--n", "3"])
     assert code == 3
-    assert "10" in err  # the cap is echoed
+    assert "1691" in err  # the cap is echoed
     # verify outside the family
     code, _, _ = run(capsys, ["verify", "s1^-2 s2^-3", "--n", "3"])
     assert code == 3
@@ -112,28 +109,33 @@ LADDER = ["s1^-3 s2^-3 s1^-3 s2^-3", "--n", "3"]
 
 @pytest.mark.parametrize(
     "command,extra",
-    [("analyze", ["--bracket"]), ("batch", []), ("verify", []), ("bracket", [])],
+    [
+        ("analyze", ["--bracket"]),
+        ("batch", []),
+        ("verify", []),
+        ("bracket", []),
+        ("gen", []),
+        ("schreier", []),
+        ("state", []),
+        ("check", []),
+    ],
 )
 def test_negative_crossing_cap_is_a_usage_error(capsys, tmp_path, command, extra):
-    # bracket, which sweeps the whole polynomial, refuses a cap below 0 (it
-    # would refuse every word); the others sweep only the top five degrees
-    # and take no cap, so any --max-crossings is a usage error there
+    # no subcommand takes --max-crossings (bracket derives its cap from the
+    # strand count), so a cap of any value is a usage error everywhere
     words = tmp_path / "words.txt"
     words.write_text(LADDER[0] + "\n")
-    target = [str(words), "--n", "3"] if command == "batch" else LADDER
-    for cap in ["-5"] if command == "bracket" else ["-5", "100"]:
+    target = {
+        "batch": [str(words), "--n", "3"],
+        "gen": ["--n", "3", "--syllables", "4"],
+    }.get(command, LADDER)
+    for cap in ["-5", "0", "100"]:
         with pytest.raises(SystemExit) as exc:
             cli.main([command, *target, *extra, "--max-crossings", cap])
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "--max-crossings" in captured.err
-    if command == "bracket":
-        assert "argument --max-crossings: must be at least 0, got -5" in captured.err
-        # 0 is a cap, not a usage error: the 12-crossing ladder is above it
-        code, _, err = run(capsys, [command, *target, "--max-crossings", "0"])
-        assert code == 3
-        assert "above the cap of 0" in err
+        assert "unrecognized arguments: --max-crossings" in captured.err
 
 
 def test_check_prints_each_cond2_failure(capsys):
@@ -578,7 +580,7 @@ def test_schreier_subcommand_skips_the_full_report(capsys, monkeypatch):
     code, out, err = run(capsys, ["schreier", "s1^2 s3^-3", "--n", "4"])
     assert code == 3
     assert not out
-    assert err == "error: schreier normal forms need n = 3\n"
+    assert err == "error: Schreier forms need n = 3, got n = 4\n"
 
 
 if __name__ == "__main__":

@@ -334,6 +334,7 @@ periodic_pair_list_st = st.tuples(
 @given(st.one_of(pair_list_st, periodic_pair_list_st))
 @example(((1, 1),) * 4)
 @example(((1, 2), (1, 1), (1, 2), (1, 1), (1, 1)))
+@example(((2, 2), (2, 2), (1, 1)))  # the least rotation starts last
 def test_least_rotation_is_the_least_of_all_rotations(pairs):
     rotations = [pairs[i:] + pairs[:i] for i in range(len(pairs))]
     assert schreier._least_rotation(pairs) == min(rotations)
