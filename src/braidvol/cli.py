@@ -17,7 +17,9 @@ failed (``OracleError``: a bug, not bad input) or a file could not be read;
 3 precondition gate (family checker, the bracket's 8-strand limit and the
 crossing cap it derives from the strand count, strand count, input
 limits).  ``batch`` reports a failed line as an error row whose
-``error_kind`` is syntax, precondition, oracle or internal.
+``error_kind`` is syntax, precondition, oracle or internal.  When the
+reader of stdout goes away (``braidvol batch words.txt | head``), the run
+stops quietly with exit 1: no ``error:`` line and no traceback.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import argparse
 import codecs
 import functools
 import json
+import os
 import sys
 
 from .bracket import bracket_summary, kauffman_bracket
@@ -344,7 +347,16 @@ def main(argv: list[str] | None = None) -> int:
     next."""
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: end quietly, with stdout on the null
+        # device so that the interpreter's final flush cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except tuple(_FAILURES) as exc:
         code, _, prefix = _failure(exc)
         print(f"{prefix}{exc}", file=sys.stderr)

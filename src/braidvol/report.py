@@ -19,10 +19,15 @@ fails the gate (``verify`` only, right after stage 2), an unreduced word.
 ``analyze`` returns a plain dict with a stable key set: analyses that do
 not apply (wrong strand count, failed gate, not requested) are ``None``,
 never missing.  ``analyze_line`` returns its ``json.dumps`` text, the
-``batch`` line; both read the circle detail from the state's pieces and
-never build :attr:`AllAState.circles`.  ``verify`` asks for the bracket at
-up to 8 strands and reports the cross-identities between the stages check
-by check; it is the engine behind the ``verify`` subcommand.
+``batch`` line.  Four lists of a report grow with the word: ``syllables``,
+``circles.detail``, ``main_lemma.cond2_failures`` and ``schreier.pairs``.
+``_report`` leaves them empty; ``analyze`` fills them, and ``analyze_line``
+writes them as text straight from the word's syllables, the state's pieces,
+the gate's ``Cond2Failure`` tuples and the form's pairs, with no list per
+syllable or pair and no dict per failure or circle.  Neither builds
+:attr:`AllAState.circles`.  ``verify`` asks for the bracket at up to 8
+strands and reports the cross-identities between the stages check by check;
+it is the engine behind the ``verify`` subcommand.
 """
 
 from __future__ import annotations
@@ -39,8 +44,14 @@ from .bounds import (
 )
 from .bracket import MAX_BRACKET_STRANDS, _require_sweepable, bracket_summary, bracket_top
 from .errors import OracleError, PreconditionError
-from .families import MainLemmaReport, check_main_lemma, stoimenow_A_adequate_3braid
+from .families import (
+    Cond2Failure,
+    MainLemmaReport,
+    check_main_lemma,
+    stoimenow_A_adequate_3braid,
+)
 from .schreier import (
+    EtaKind,
     SchreierForm,
     _direct_form,
     hyperbolicity_of_form,
@@ -111,12 +122,60 @@ def circle_detail(state: AllAState) -> list[dict]:
 def schreier_block(form: SchreierForm) -> dict:
     """The ``schreier`` block of a report: the normal form plus its
     genericity and hyperbolicity verdict."""
-    verdict = hyperbolicity_of_form(form)
-    block = form.to_json_dict()
-    block["generic"] = form.generic
-    block["hyperbolic"] = verdict.hyperbolic
-    block["reason"] = verdict.reason
+    block = _schreier_head(form)
+    block["pairs"] = _pair_lists(form.pairs)
     return block
+
+
+def _schreier_head(form: SchreierForm) -> dict:
+    """``schreier_block(form)`` with its pairs left empty: the fields of
+    ``SchreierForm.to_json_dict`` in its order, then the verdict."""
+    verdict = hyperbolicity_of_form(form)
+    return {
+        "k": form.k,
+        "s": form.s,
+        "eta_kind": form.kind.value,
+        "pairs": [],
+        "power": form.power if form.kind is EtaKind.POWER_SIGMA1 else None,
+        "degenerate_eta": form.degenerate_eta,
+        "generic": form.generic,
+        "hyperbolic": verdict.hyperbolic,
+        "reason": verdict.reason,
+    }
+
+
+def _pair_lists(pairs: tuple[tuple[int, int], ...]) -> list[list[int]]:
+    """Each (a, b) as the list ``[a, b]``: a report's syllables and Schreier
+    pairs."""
+    return list(map(list, pairs))
+
+
+class _PairTexts(dict):
+    """The text ``[a, b]`` of each int pair (a, b), written on first use."""
+
+    def __missing__(self, pair: tuple[int, int]) -> str:
+        text = self[pair] = "[%d, %d]" % pair
+        return text
+
+
+def _pairs_text(pairs: tuple[tuple[int, int], ...]) -> str:
+    """The text of ``json.dumps(_pair_lists(pairs))`` between its brackets.
+    The pairs hold ints, so ``%d`` writes ``json.dumps``'s digits; each
+    distinct pair is written once per call and looked up after."""
+    return ", ".join(map(_PairTexts().__getitem__, pairs))
+
+
+def _failures_text(failures: tuple[Cond2Failure, ...]) -> str:
+    """The text of the ``cond2_failures`` list that
+    ``MainLemmaReport.to_json_dict`` writes, between its brackets.  Every
+    clause and reason the gate writes is ASCII without a quote, backslash
+    or control character, so it is its own JSON text."""
+    return ", ".join(
+        [
+            f'{{"syllable": {i}, "clause": "{clause}", "reason": "{reason}"}}'
+            for i, clause, reason in failures
+        ]
+    )
 
 
 # the text of each circle id, ``str(i)`` at index i, grown to the largest
@@ -183,8 +242,12 @@ def analyze(word: SyllableWord, *, bracket: bool = False) -> dict:
     bound (``cor_bounds``) when its diagram is A-adequate, TELC, connected
     and prime (``is_prime_closure``) with t >= 2, and null bounds else.
     """
-    report, state = _report(word, bracket)
+    report, state, lemma, form = _report(word, bracket)
+    report["syllables"] = _pair_lists(word.syllables)
     report["circles"]["detail"] = circle_detail(state)
+    report["main_lemma"] = lemma.to_json_dict()
+    if form is not None:
+        report["schreier"]["pairs"] = _pair_lists(form.pairs)
     return report
 
 
@@ -192,18 +255,36 @@ def analyze(word: SyllableWord, *, bracket: bool = False) -> dict:
 # lists and scalars, so the text is the same
 _encode = json.JSONEncoder(check_circular=False).encode
 
-# the circle detail's place in the text of a report whose detail is empty;
-# no other block of a report has a "detail" key, and a string value cannot
-# hold the unescaped quotes
-_DETAIL_SLOT = '"detail": []'
+# the places of the four word-sized lists in the text of a report that
+# holds them empty, in report order; no other block of a report has these
+# keys, and a string value cannot hold the unescaped quotes
+_SLOTS = ('"syllables": []', '"detail": []', '"cond2_failures": []', '"pairs": []')
+
+
+def _splice(text: str, fills: list[str]) -> str:
+    """``text`` with the i-th fill written into the i-th slot's empty list."""
+    parts = []
+    start = 0
+    for slot, fill in zip(_SLOTS, fills):
+        at = text.find(slot, start)
+        if at < 0:
+            raise OracleError(f"the report text has no {slot} after offset {start}")
+        at += len(slot) - 1  # before the closing bracket
+        parts += (text[start:at], fill)
+        start = at
+    parts.append(text[start:])
+    return "".join(parts)
 
 
 def analyze_line(word: SyllableWord, *, bracket: bool = False) -> str:
     """``json.dumps(analyze(word, ...))``, byte for byte: the ``batch`` line.
 
-    The circle detail is written from the state's pieces without a dict per
-    circle (see ``_detail_text``); the rest of the report goes through
-    ``json.dumps``'s encoder without its cycle check.  Takes and raises what
+    The report is encoded once with its four word-sized lists empty, by
+    ``json.dumps``'s encoder without its cycle check; each list is then
+    spliced in as text: the syllables and the Schreier pairs one cached
+    ``[a, b]`` per distinct pair (``_pairs_text``), the circle detail from
+    the state's pieces (``_detail_text``) and the ``cond2`` failures from
+    the gate's tuples (``_failures_text``).  Takes and raises what
     ``analyze`` does.
 
     >>> from braidvol.words import parse_braid
@@ -211,13 +292,15 @@ def analyze_line(word: SyllableWord, *, bracket: bool = False) -> str:
     >>> analyze_line(w) == json.dumps(analyze(w))
     True
     """
-    report, state = _report(word, bracket)
-    parts = _encode(report).split(_DETAIL_SLOT)
-    if len(parts) != 2:
-        raise OracleError(
-            f"the report text holds {len(parts) - 1} empty circle details, not 1"
-        )
-    return f'{parts[0]}"detail": [{_detail_text(state)}]{parts[1]}'
+    report, state, lemma, form = _report(word, bracket)
+    fills = [
+        _pairs_text(word.syllables),
+        _detail_text(state),
+        _failures_text(lemma.cond2_failures),
+    ]
+    if form is not None:
+        fills.append(_pairs_text(form.pairs))
+    return _splice(_encode(report), fills)
 
 
 def _gate(word: SyllableWord, bracket: bool) -> MainLemmaReport:
@@ -249,9 +332,12 @@ def _stages(word: SyllableWord, lemma: MainLemmaReport, bracket: bool) -> tuple:
     return twist, state, graph, predicates, form, summary
 
 
-def _report(word: SyllableWord, bracket: bool) -> tuple[dict, AllAState]:
-    """The body of ``analyze``: the report with an empty circle detail, and
-    the state it was read from."""
+def _report(
+    word: SyllableWord, bracket: bool
+) -> tuple[dict, AllAState, MainLemmaReport, SchreierForm | None]:
+    """The body of ``analyze``: the report with its four word-sized lists
+    left empty, and what they are read from besides the word: the state,
+    the gate's report and the Schreier form (None off n = 3)."""
     lemma = _gate(word, bracket)
     twist, state, graph, predicates, form, summary = _stages(word, lemma, bracket)
     t, t_plus, t_minus = twist
@@ -269,7 +355,7 @@ def _report(word: SyllableWord, bracket: bool) -> tuple[dict, AllAState]:
     stoimenow = schreier = s_bounds_block = turaev_block = None
     if form is not None:
         stoimenow = stoimenow_A_adequate_3braid(word)
-        schreier = schreier_block(form)
+        schreier = _schreier_head(form)
         if lemma.passed and form.generic:
             schreier3, fkp3, sharper = three_braid_s_bounds(form.s)
             s_bounds_block = {
@@ -288,7 +374,7 @@ def _report(word: SyllableWord, bracket: bool) -> tuple[dict, AllAState]:
         "schema": SCHEMA,
         "word": word.as_text(),
         "n": word.n,
-        "syllables": list(map(list, word.syllables)),
+        "syllables": [],
         "crossings": word.crossings,
         "twist": {"t": t, "t_plus": t_plus, "t_minus": t_minus},
         "circles": {
@@ -300,7 +386,7 @@ def _report(word: SyllableWord, bracket: bool) -> tuple[dict, AllAState]:
         "telc": telc,
         "connected": connected,
         "neg_chi": graph.neg_chi,
-        "main_lemma": lemma.to_json_dict(),
+        "main_lemma": lemma._replace(cond2_failures=()).to_json_dict(),
         "stoimenow": stoimenow,
         "bounds": bounds_block,
         "jones_bounds": jones_block,
@@ -309,7 +395,7 @@ def _report(word: SyllableWord, bracket: bool) -> tuple[dict, AllAState]:
         "turaev": turaev_block,
         "bracket": None if summary is None else summary.to_json_dict(),
     }
-    return report, state
+    return report, state, lemma, form
 
 
 class VerifyCheck(NamedTuple):

@@ -3,6 +3,8 @@
 import contextlib
 import json
 import os
+import subprocess
+import sys
 import time
 import tracemalloc
 import xml.etree.ElementTree as ET
@@ -11,9 +13,15 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import braidvol
 from braidvol import bracket, cli, states
 from braidvol.errors import OracleError
-from braidvol.generate import MAX_COUNT, MAX_WIDE_SYLLABLES
+from braidvol.generate import (
+    MAX_COUNT,
+    MAX_WIDE_SYLLABLES,
+    GeneratorSpec,
+    generate_words,
+)
 from braidvol.report import VerifyCheck, VerifyResult, verify
 from braidvol.words import MAX_STRANDS, MAX_WORD_LETTERS
 
@@ -313,6 +321,38 @@ def test_batch_memory_does_not_grow_with_the_file(tmp_path):
         path.write_text("sX\n" * lines, encoding="utf-8")
         peaks.append(batch_peak_bytes(path))
     assert peaks[2] - peaks[1] < 200_000, peaks
+
+
+def read_one_line_and_close(argv):
+    """Run ``python -m braidvol`` on ``argv`` in a child process, read one
+    line of its stdout, close the pipe and return the exit status and
+    everything the child wrote to stderr."""
+    src = str(Path(braidvol.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src if not path else f"{src}{os.pathsep}{path}"}
+    command = [sys.executable, "-m", "braidvol", *argv]
+    with subprocess.Popen(
+        command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    ) as child:
+        assert child.stdout.readline()
+        child.stdout.close()
+        err = child.stderr.read()
+        code = child.wait(timeout=120)
+    return code, err.decode()
+
+
+def test_a_closed_stdout_pipe_ends_the_run_quietly(tmp_path):
+    # braidvol batch words.txt | head -1: the lines after the first meet a
+    # closed pipe, far past its buffer, and the run stops with exit 1 and
+    # nothing on stderr, neither an error line nor a traceback
+    words = generate_words(GeneratorSpec(n=3, syllable_count=200, seed=1, count=50))
+    path = tmp_path / "words.txt"
+    path.write_text("".join(w.as_text() + "\n" for w in words), encoding="utf-8")
+    assert read_one_line_and_close(["batch", str(path), "--n", "3"]) == (1, "")
+    # analyze --json | head -1, on a report of many lines
+    code, err = read_one_line_and_close(["analyze", words[0].as_text(), "--json"])
+    assert code in (0, 1) and err == ""
+
 
 def test_batch_calls_share_a_parser_and_leak_no_option(capsys, tmp_path):
     path = tmp_path / "words.txt"

@@ -12,6 +12,7 @@ both must give the same report.
 """
 
 import itertools
+import json
 import random
 
 import pytest
@@ -40,7 +41,7 @@ from braidvol.words import (
     parse_braid,
 )
 
-from conftest import chain_syllables, ladder, word_of
+from conftest import any_n_words, chain_syllables, ladder, word_of
 
 
 def test_all_negative_family_word_passes():
@@ -438,6 +439,27 @@ def test_a_word_nice_only_across_the_seam_passes_at_every_rotation():
     assert sum(map(splits_complete, rotations(word))) == 17
     assert check_main_lemma(word).passed
     assert_every_rotation_is_gated_alike(word, verified=True)
+
+
+near_family_word_st = st.builds(
+    lambda n, seed: near_family_words(n, 1, seed)[0],
+    st.integers(min_value=2, max_value=8),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+
+
+@given(st.one_of(any_n_words(8), near_family_word_st, gate_words()))
+@example(SyllableWord(4, ((1, -3), (3, -3), (2, 2), (3, -3), (2, -3))))
+@example(SyllableWord(5, ((1, -3), (2, -3), (3, 1), (4, -3), (2, -3))))
+@example(SyllableWord(4, ((1, 1), (3, -3), (2, -3))))
+@example(SyllableWord(4, ((1, 1), (2, -2), (3, 1), (2, -3))))
+@settings(max_examples=300)
+def test_clauses_and_reasons_are_their_own_json_text(word):
+    # the batch line writes each failure's clause and reason between quotes
+    # as they are, so json.dumps must add nothing but the quotes
+    for _, clause, reason in check_main_lemma(word).cond2_failures:
+        assert json.dumps(clause) == f'"{clause}"'
+        assert json.dumps(reason) == f'"{reason}"'
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 """The analyze/verify pipeline: schema stability and identity checks."""
 
 import hashlib
+import itertools
 import json
 import random
 import re
@@ -9,12 +10,20 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from braidvol import bracket, families, report, states
+from braidvol import bracket, families, report, schreier, states
 from braidvol.bounds import jones_bounds, volume_bounds
 from braidvol.errors import PreconditionError
 from braidvol.generate import GeneratorSpec, generate_words
-from braidvol.report import SCHEMA, analyze, analyze_line, circle_detail, verify
+from braidvol.report import (
+    SCHEMA,
+    analyze,
+    analyze_line,
+    circle_detail,
+    schreier_block,
+    verify,
+)
 from braidvol.schreier import (
+    EtaKind,
     _direct_form,
     direct_read_k,
     direct_read_s,
@@ -660,18 +669,77 @@ def test_analyze_line_is_the_dumped_report_in_either_order(monkeypatch, long_fir
         assert analyze_line(word) == json.dumps(analyze(word))
 
 
+def random_letter_word(n, letters, seed):
+    """A seeded uniform random-letter word on ``n`` strands, reduced, as
+    the ``random_words`` benchmark corpus draws them."""
+    rng = random.Random(seed)
+    text = " ".join(
+        str(rng.choice((-1, 1)) * rng.randint(1, n - 1)) for _ in range(letters)
+    )
+    return cyclically_reduce_into_syllables(parse_braid(text, n))
+
+
 def test_analyze_line_calls_no_json_dumps(monkeypatch):
-    # the circle detail's tails are written as text and the rest of the
-    # report goes through the encoder, so json.dumps is never called
+    # the four word-sized lists are written as text and the rest of the
+    # report goes through the encoder, so json.dumps is never called, and
+    # neither is any builder analyze uses for those lists: no list per
+    # syllable or Schreier pair, no dict per cond2 failure or circle
     spec = GeneratorSpec(n=8, syllable_count=60, seed=1)
-    words = [ladder(2), generate_words(spec)[0], seeded_long_word()]
-    want = [json.dumps(analyze(word)) for word in words]
+    family3 = generate_words(GeneratorSpec(n=3, syllable_count=60, seed=1))[0]
+    words = [
+        ladder(2),
+        family3,
+        generate_words(spec)[0],
+        seeded_long_word(),
+        random_letter_word(4, 300, seed=1),
+        random_letter_word(3, 300, seed=2),
+    ]
+    reports = [analyze(word) for word in words]
+    want = [json.dumps(r) for r in reports]
+    assert all(r["main_lemma"]["cond2_failures"] for r in reports[-2:])
+    assert all(reports[i]["schreier"]["pairs"] for i in (0, 1, 5))
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("analyze_line called json.dumps")
+    def refuse(name):
+        def refused(*args, **kwargs):
+            raise AssertionError(f"analyze_line called {name}")
 
-    monkeypatch.setattr(report.json, "dumps", refuse)
+        return refused
+
+    real_lemma_dict = families.MainLemmaReport.to_json_dict
+
+    def lemma_dict(lemma):
+        if lemma.cond2_failures:
+            raise AssertionError("analyze_line built a dict per cond2 failure")
+        return real_lemma_dict(lemma)
+
+    monkeypatch.setattr(report.json, "dumps", refuse("json.dumps"))
+    for name in ("_pair_lists", "circle_detail"):
+        monkeypatch.setattr(report, name, refuse(name))
+    monkeypatch.setattr(
+        schreier.SchreierForm, "to_json_dict", refuse("SchreierForm.to_json_dict")
+    )
+    monkeypatch.setattr(families.MainLemmaReport, "to_json_dict", lemma_dict)
     assert [analyze_line(word) for word in words] == want
+
+
+def test_schreier_block_is_the_form_dict_and_its_verdict():
+    # the report writes the form's fields itself, so that its pairs can be
+    # left empty: they must stay SchreierForm.to_json_dict's, in its order,
+    # on every kind of form (every 3-braid letter word of length <= 5)
+    kinds = set()
+    for length in range(6):
+        for letters in itertools.product([1, -1, 2, -2], repeat=length):
+            form = schreier_normal_form(parse_braid(" ".join(map(str, letters)), 3))
+            block = schreier_block(form)
+            verdict = schreier.hyperbolicity_of_form(form)
+            assert list(block.items()) == [
+                *form.to_json_dict().items(),
+                ("generic", form.generic),
+                ("hyperbolic", verdict.hyperbolic),
+                ("reason", verdict.reason),
+            ]
+            kinds.add(form.kind)
+    assert kinds == set(EtaKind)
 
 
 def test_id_text_table_grows_to_the_largest_circle_count(monkeypatch):
