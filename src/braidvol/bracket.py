@@ -14,12 +14,14 @@ one syllable (twist region) at a time in the Temperley-Lieb picture
 (Kauffman, "State models and the Jones polynomial", Topology 26, 1987):
 partial states with the same non-crossing matching of the boundary points
 are merged, so the cost is O(c * Catalan(n) * degree span) rather than
-exponential in c.  ``kauffman_bracket`` keeps every term.  ``bracket_top``
-keeps only what can reach the top five degrees, top - 4 to top with
-top = c + 2(|s_A| - 1), which bounds every state's degree (Lickorish,
-"An Introduction to Knot Theory", ch. 5): a term is dropped once the
-all-A smoothing of the rest of the braid cannot lift it to top - 4, so the
-degree window, not the degree span, sets the cost.  Coefficients are exact
+exponential in c.  No degree exceeds top = c + 2(|s_A| - 1) (Lickorish,
+"An Introduction to Knot Theory", ch. 5), and each is congruent to top mod
+4: switching one smoothing from A to B moves a state's highest degree by 0
+or -4, and delta steps by 4.  So a matching keeps a dense list of slots 4
+degrees apart, down from the most the all-A smoothing of the rest of the
+braid adds.  ``kauffman_bracket`` keeps every slot; ``bracket_top`` keeps
+the degrees top and top - 4 (top - 1 to top - 3 are always 0), so the
+window, not the degree span, sets its cost.  Coefficients are exact
 Python integers throughout.
 
 This module exists to cross-check the penultimate-coefficient identity
@@ -36,7 +38,8 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 from functools import cache
-from math import comb, inf, isqrt
+from math import comb, isqrt
+from sys import maxsize
 from typing import NamedTuple
 
 from .errors import CrossingLimitError, OracleError, PreconditionError
@@ -59,8 +62,8 @@ __all__ = [
 # span that grows with c.  So it sweeps c crossings on n strands iff
 # c^2 * Catalan(n) <= 100^2 * Catalan(8) (_crossing_cap): up to 3781, 2673,
 # 1691, 1010, 583, 329, 182 and 100 at n = 1..8.  At each cap the slowest
-# shape found took 0.8 s (n = 2) to 3.1 s (n = 5), 2-core Xeon, Python 3.11;
-# bracket_top, bounded by the input limits alone, took at most 0.8 s on
+# shape found took 0.2 s (n = 4) to 0.8 s (n = 7), 2-core Xeon, Python 3.11;
+# bracket_top, bounded by the input limits alone, took at most 0.3 s on
 # 10,000-letter words at n = 8.
 DEFAULT_MAX_CROSSINGS = 100
 # Both sweeps share the strand limit, which also bounds the cached _join:
@@ -148,10 +151,10 @@ class BracketSummary(NamedTuple):
 
 
 # _join and _closure_cycles are cached for the life of the process: they
-# only see matchings of at most MAX_BRACKET_STRANDS strands, of which there
-# are at most Catalan(8) = 1430 on each strand count
+# see at most Catalan(8) = 1430 matchings on each strand count.  A matching
+# is bytes, byte i the partner of point i, so its hash is computed once
 @cache
-def _join(matching: tuple[int, ...], left: int) -> tuple[int, ...] | None:
+def _join(matching: bytes, left: int) -> bytes | None:
     """Cap bottom points ``left`` and ``left + 1``, then cup two new bottom
     points together in their place.  None when the two were partners: a loop
     closes and the matching is unchanged.  Otherwise their partners are
@@ -159,15 +162,15 @@ def _join(matching: tuple[int, ...], left: int) -> tuple[int, ...] | None:
     right = left + 1
     if matching[left] == right:
         return None
-    joined = list(matching)
+    joined = bytearray(matching)
     x, y = matching[left], matching[right]
     joined[x], joined[y] = y, x
     joined[left], joined[right] = right, left
-    return tuple(joined)
+    return bytes(joined)
 
 
 @cache
-def _closure_cycles(matching: tuple[int, ...]) -> int:
+def _closure_cycles(matching: bytes) -> int:
     """Cycles left when the braid closes: top point i joins bottom point
     n + i."""
     n = len(matching) // 2
@@ -187,12 +190,12 @@ def _closure_cycles(matching: tuple[int, ...]) -> int:
 
 
 @cache
-def _delta_power(k: int) -> tuple[tuple[int, int], ...]:
-    """delta^k = (-1)^k (A^2 + A^(-2))^k, terms from the top degree down."""
-    return tuple((2 * k - 4 * i, (-1) ** k * comb(k, i)) for i in range(k + 1))
+def _delta_power(k: int) -> tuple[int, ...]:
+    """delta^k by slot: the coefficients of A^(2k), A^(2k - 4), ..., A^(-2k)."""
+    return tuple((-1) ** k * comb(k, i) for i in range(k + 1))
 
 
-def _all_A_gains(word: SyllableWord) -> Callable[[int, tuple[int, ...]], int]:
+def _all_A_gains(word: SyllableWord) -> tuple[list[dict], Callable[[int, bytes], int]]:
     """``gain(i, matching)``: the degree that the all-A smoothing of the
     syllables from ``i`` on, and the closure, add to a term whose matching
     is ``matching``.  It follows that one matching through the join step: a
@@ -201,19 +204,18 @@ def _all_A_gains(word: SyllableWord) -> Callable[[int, tuple[int, ...]], int]:
     after the first closes one.  Switching one smoothing from A to B lowers
     a - b by 2 and changes the loops by 1, so no other smoothing of the rest
     of the braid adds more.  ``gain(0, identity)`` is top = c + 2(|s_A| - 1).
+    Returned with ``known``: ``known[i][matching]`` is each gain found yet.
     """
     n = word.n
     syllables = word.syllables
-    # known[i]: the gain of each matching met after i syllables; the
-    # closure's gain is read from the cached cycle count instead
-    known: list[dict[tuple[int, ...], int]] = [{} for _ in range(len(syllables) + 1)]
+    known: list[dict[bytes, int]] = [{} for _ in range(len(syllables) + 1)]
 
-    def gain(i: int, matching: tuple[int, ...]) -> int:
+    def gain(i: int, matching: bytes) -> int:
         path = []  # (i, matching, added) up to the first known pair
         total = known[i].get(matching)
         while total is None:
             if i == len(syllables):
-                total = 2 * (_closure_cycles(matching) - 1)
+                total = known[i][matching] = 2 * (_closure_cycles(matching) - 1)
                 break
             g, r = syllables[i]
             added, after = r, matching
@@ -229,7 +231,7 @@ def _all_A_gains(word: SyllableWord) -> Callable[[int, tuple[int, ...]], int]:
             known[i][matching] = total
         return total
 
-    return gain
+    return known, gain
 
 
 def _sweep(word: SyllableWord, depth: int | None) -> LaurentPolynomial:
@@ -244,57 +246,63 @@ def _sweep(word: SyllableWord, depth: int | None) -> LaurentPolynomial:
     monomial A^r + c_k * delta = (-1)^k A^(-3r); any other matching keeps
     A^r and its joined matching gets c_k.
 
-    With a depth, a term is dropped as soon as it cannot reach the floor
-    top - depth: from its matching, the rest of the braid adds at most what
-    its all-A smoothing adds (``_all_A_gains``).  The sweep is linear in its
-    terms, so dropping them changes no coefficient at or above the floor.
+    Slot j of matching M after i syllables holds degree top - gain(i, M) - 4j
+    (``_all_A_gains``; see the module docstring).  A step adding degree e
+    moves it to slot j + (gain(i - 1, M) - gain(i, M') - e) / 4 of M', and
+    c_k's k terms to consecutive slots; a shift that is negative or not a
+    multiple of 4 raises OracleError.  Slots past depth // 4 cannot reach
+    top - depth, and the sweep is linear in its terms, so they are dropped.
     """
     n = word.n
-    identity = tuple(range(n, 2 * n)) + tuple(range(n))  # the empty braid
-    floor, gain = -inf, lambda i, matching: 0  # keep every term
-    if depth is not None:
-        gain = _all_A_gains(word)
-        floor = gain(0, identity) - depth
-    states: dict[tuple[int, ...], dict[int, int]] = {identity: {0: 1}}
+    identity = bytes(range(n, 2 * n)) + bytes(range(n))  # the empty braid
+    known, gain = _all_A_gains(word)
+    top = gain(0, identity)
+    slots = maxsize if depth is None else depth // 4 + 1
+    states: dict[bytes, tuple[int, list[int]]] = {identity: (top, [1])}
     for i, (g, r) in enumerate(word.syllables, 1):
         k = abs(r)
-        loop_shift, loop_sign = -3 * r, -1 if k & 1 else 1
-        twist = [(k - 2 - 4 * j, -1 if j & 1 else 1) for j in range(k)]
-        if r < 0:  # A -> A^(-1); then the highest degree comes first again
-            twist = [(-e, sign) for e, sign in reversed(twist)]
-        left = n + g - 1
-        swept: dict[tuple[int, ...], dict[int, int]] = {}
-        for matching, poly in states.items():
+        # a move: (degree its first term adds, its sign, count of alternating terms)
+        twist = (k - 2, 1, k) if r > 0 else (3 * k - 2, 1 if k & 1 else -1, k)
+        loop, passed = (-3 * r, -1 if k & 1 else 1, 1), (r, 1, 1)
+        left, gains, swept = n + g - 1, known[i], {}
+        for matching, (before, poly) in states.items():
             joined = _join(matching, left)
-            bound = floor - gain(i, matching)
-            acc = swept.setdefault(matching, {})
             if joined is None:
-                for d, coef in poly.items():
-                    d += loop_shift
-                    if d >= bound:
-                        acc[d] = acc.get(d, 0) + loop_sign * coef
-                continue
-            for d, coef in poly.items():
-                if d + r >= bound:
-                    acc[d + r] = acc.get(d + r, 0) + coef
-            bound = floor - gain(i, joined)
-            acc = swept.setdefault(joined, {})
-            for d, coef in poly.items():
-                for e, sign in twist:
-                    if d + e < bound:
-                        break
-                    acc[d + e] = acc.get(d + e, 0) + sign * coef
-        states = {matching: poly for matching, poly in swept.items() if poly}
+                moves = ((matching, loop),)
+            else:
+                moves = ((matching, passed), (joined, twist))
+            for target, (e, sign, count) in moves:
+                entry = swept.get(target)
+                if entry is not None:
+                    after, coefs = entry
+                elif (after := gains.get(target)) is None:
+                    after = gain(i, target)
+                shift = before - after - e
+                if shift < 0 or shift & 3:
+                    raise OracleError(f"slot shift {shift} / 4 at syllable {i}")
+                shift >>= 2
+                while count and shift < slots:
+                    part = poly[: slots - shift]
+                    if entry is not None:
+                        coefs += [0] * (shift + len(part) - len(coefs))
+                        for j, c in enumerate(part, shift):
+                            coefs[j] += sign * c
+                    elif any(part):  # zeros make no entry
+                        coefs = [0] * shift + (part if sign > 0 else [-c for c in part])
+                        entry = swept[target] = (after, coefs)
+                    shift, sign, count = shift + 1, -sign, count - 1
+        states = swept
 
-    total: dict[int, int] = {}
-    for matching, poly in states.items():
-        delta = _delta_power(_closure_cycles(matching) - 1)
-        for d, coef in poly.items():
-            for e, c in delta:
-                if d + e < floor:
-                    break
-                total[d + e] = total.get(d + e, 0) + c * coef
-    return LaurentPolynomial.from_dict(total)
+    # the closure's gain 2(cycles - 1) is the top degree of delta^(cycles - 1)
+    total: list[int] = []
+    for matching, (_, poly) in states.items():
+        for shift, c in enumerate(_delta_power(_closure_cycles(matching) - 1)[:slots]):
+            part = poly[: slots - shift]
+            total += [0] * (shift + len(part) - len(total))
+            for j, coef in enumerate(part, shift):
+                total[j] += c * coef
+    terms = tuple((top - 4 * j, c) for j, c in reversed(list(enumerate(total))) if c)
+    return tuple.__new__(LaurentPolynomial, (terms,))  # sorted, distinct, nonzero
 
 
 def _require_sweepable(word: SyllableWord) -> None:
@@ -324,7 +332,7 @@ def kauffman_bracket(word: SyllableWord) -> LaurentPolynomial:
     One sweep down the braid in the Temperley-Lieb picture, one step per
     syllable (see ``_sweep``).  Boundary points 0..n-1 sit on top and
     n..2n-1 at the current bottom; the state maps each non-crossing matching
-    of these points to its Laurent coefficients.  A letter sigma_g smooths
+    of these points to its coefficients by slot.  A letter sigma_g smooths
     two ways:
 
     * pass: both strands go straight through, the matching is unchanged;
@@ -336,9 +344,9 @@ def kauffman_bracket(word: SyllableWord) -> LaurentPolynomial:
     join; the A-smoothing weighs A and the B-smoothing A^(-1).  Closing the
     braid joins top point i to bottom point i, and k closure cycles weigh
     delta^(k-1).  At most Catalan(n) matchings are alive at a time, so the
-    cost is O(c * Catalan(n) * degree span); ``bracket_top`` returns the top
-    five degrees for much less.  Refused with a PreconditionError, in this
-    order: a word past the input limits, a diagram on more than
+    cost is O(c * Catalan(n) * degree span); ``bracket_top`` returns the
+    degrees top and top - 4 for much less.  Refused with a PreconditionError,
+    in this order: a word past the input limits, a diagram on more than
     ``MAX_BRACKET_STRANDS`` strands, and a diagram above the crossing cap
     for its strand count (a ``CrossingLimitError`` that names the cap; see
     ``DEFAULT_MAX_CROSSINGS``).
@@ -354,14 +362,14 @@ def bracket_top(word: SyllableWord) -> LaurentPolynomial:
     """The terms of the bracket of degree at least top - 4, exactly, where
     top = c + 2(|s_A| - 1) bounds the degree of every state's term.
 
-    The same sweep as ``kauffman_bracket``, with the floor top - 4: terms
-    that cannot reach it are dropped as the sweep goes, so the work stays
-    near the top of the polynomial.  |s_A| is counted here, by following the
-    all-A matching through the sweep's join step, not read from ``states``.
-    Takes no crossing cap, since the input limits already bound the window
-    (see ``DEFAULT_MAX_CROSSINGS``).  A word past the input limits or a
-    diagram on more than ``MAX_BRACKET_STRANDS`` strands is refused with a
-    PreconditionError.
+    The same sweep as ``kauffman_bracket``, keeping two slots per matching:
+    terms that cannot reach top - 4 are dropped as the sweep goes, so the
+    work stays near the top of the polynomial.  |s_A| is counted here, by
+    following the all-A matching through the sweep's join step, not read
+    from ``states``.  Takes no crossing cap, since the input limits already
+    bound the window (see ``DEFAULT_MAX_CROSSINGS``).  A word past the
+    input limits or a diagram on more than ``MAX_BRACKET_STRANDS`` strands
+    is refused with a PreconditionError.
 
     >>> from braidvol.words import parse_braid
     >>> print(bracket_top(parse_braid("s1^-3 s2^-3")))
@@ -396,7 +404,7 @@ def bracket_summary(
     the terms ``bracket_top`` returns serve as well as the whole bracket.
     """
     _require_adequate(state)
-    num_circles = sum(state.census.values())
+    num_circles = sum(state._counts.values())
     top_degree = state.crossings + 2 * (num_circles - 1)
     if bracket.is_zero or bracket.max_degree != top_degree:
         raise OracleError(

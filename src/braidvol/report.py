@@ -237,7 +237,7 @@ def _detail_text(state: AllAState) -> str:
 def analyze(word: SyllableWord, *, bracket: bool = False) -> dict:
     """Full analysis report for one word; the module docstring gives its
     stages and refusals.  ``bracket`` opts into the Kauffman-bracket oracle,
-    the top five degrees of a Temperley-Lieb sweep (``bracket_top``).
+    the degrees top and top - 4 of a Temperley-Lieb sweep (``bracket_top``).
     A family word gets its family bounds; any other word gets the Cor
     bound (``cor_bounds``) when its diagram is A-adequate, TELC, connected
     and prime (``is_prime_closure``) with t >= 2, and null bounds else.
@@ -435,7 +435,7 @@ def verify(word: SyllableWord) -> VerifyResult:
     twist, state, graph, predicates, direct, summary = _stages(word, lemma, bracket)
     t, t_plus, _ = twist
     adequate, telc, connected = predicates
-    census = state.census
+    census = state._counts
     small = census[CircleClass.SMALL_INNER]
     medium = census[CircleClass.MEDIUM_INNER]
     essential = census[CircleClass.ESSENTIAL_WANDERING]

@@ -85,6 +85,11 @@ class CircleClass(str, Enum):
     UNCLASSIFIED = "unclassified"
 
 
+# the members in order: dict.fromkeys over this tuple skips the Enum's
+# Python-level iteration
+_CLASSES = tuple(CircleClass)
+
+
 class StateCircle(NamedTuple):
     """A state circle: its id (circles are numbered by their smallest arc
     ids), winding (the absolute homology degree around the annulus, 0 or 1
@@ -223,7 +228,7 @@ class AllAState(_AllAStateFields):
     def _counts(self) -> dict[CircleClass, int]:
         """The census, in :class:`CircleClass` order, from the pieces: the
         reference for the one :func:`resolve_all_A` counts as it traces."""
-        counts = dict.fromkeys(CircleClass, 0)
+        counts = dict.fromkeys(_CLASSES, 0)
         for piece in self.pieces:
             if type(piece) is StateCircle:
                 counts[piece.klass] += 1
@@ -446,7 +451,7 @@ def resolve_all_A(word: SyllableWord) -> AllAState:
     # tuple.__new__ as AllAState.circles builds the small inner ones; the
     # ids that are not boundary circles are the runs' small inner circles
     new_tuple = tuple.__new__
-    counts = dict.fromkeys(CircleClass, 0)
+    counts = dict.fromkeys(_CLASSES, 0)
     counts[CircleClass.SMALL_INNER] = cid - len(roots)
     pieces = []
     for piece in order:

@@ -381,46 +381,39 @@ def exponent_sum(word: SyllableWord) -> int:
     return sum(r for _, r in word.syllables)
 
 
-def _window_ends(word: SyllableWord) -> Iterator[int]:
-    """ends[i] for i = 0 .. 2t - 1, on demand: the end (exclusive) of the
-    shortest complete window from syllable i of the doubled syllables, or 2t."""
-    doubled = word.syllables * 2
-    counts = [0] * word.n
-    missing = word.n - 1  # generators absent from the window [i, j)
-    behind = iter(doubled)  # the syllables from i on
-    for j, (m, _) in enumerate(doubled, 1):
-        missing -= not counts[m]
-        counts[m] += 1
-        while not missing:
-            yield j
-            g = next(behind)[0]
-            counts[g] -= 1
-            missing += not counts[g]
-    yield from (len(doubled) for _ in behind)  # no complete window from i on
-
-
 def has_cyclic_disjoint_complete_subwords(word: SyllableWord) -> bool:
     """Whether the closed braid holds two disjoint complete windows.
 
     A window is a run of syllables read cyclically; complete means every
-    generator of B_n appears in it.  The rotation from i has a pair iff
-    ends[i] and ends[ends[i]] both lie within t of i: the shortest complete
-    window from i and the shortest one after it.  The ends are read on
-    demand and the test stops at the first rotation with a pair, so a word
-    whose pair lies within the word as written stops at rotation 0.  The
-    empty word has no window at any n.
+    generator of B_n appears in it.  Let ends[i] be the end (exclusive) of
+    the shortest complete window from syllable i of the doubled syllables.
+    The rotation from i has a pair iff ends[i] and ends[ends[i]] both lie
+    within t of i: the shortest complete window from i and the shortest one
+    after it.  One scan of the doubled syllables finds the ends in order,
+    and rotation i is decided as soon as ends[ends[i]] is found, so the
+    scan stops at the first rotation with a pair: a word whose pair lies
+    within the word as written stops near its start.  The empty word has
+    no window at any n.
     """
     t = len(word.syllables)
-    more = _window_ends(word)
+    doubled = word.syllables * 2
+    counts = [0] * word.n
+    missing = word.n - 1  # generators absent from the window [len(ends), j)
     ends: list[int] = []
-    for i in range(t):
-        while len(ends) <= i:
-            ends.append(next(more))
-        first = ends[i]
-        if first - i > t:
-            continue
-        while len(ends) <= first:
-            ends.append(next(more))
-        if ends[first] - i <= t:
-            return True
-    return False
+    i = 0  # the first rotation not yet decided
+    for j, (m, _) in enumerate(doubled, 1):
+        missing -= not counts[m]
+        counts[m] += 1
+        while not missing:
+            first = len(ends)
+            ends.append(j)
+            # ends only grow, so the rotations whose first window ends at
+            # ``first`` are the next ones in order
+            while i < t and ends[i] == first:
+                if j - i <= t:
+                    return True
+                i += 1
+            g = doubled[first][0]
+            counts[g] -= 1
+            missing += not counts[g]
+    return False  # every later window is incomplete, so no rotation has a pair
