@@ -17,12 +17,11 @@ are merged, so the cost is O(c * Catalan(n) * degree span) rather than
 exponential in c.  No degree exceeds top = c + 2(|s_A| - 1) (Lickorish,
 "An Introduction to Knot Theory", ch. 5), and each is congruent to top mod
 4: switching one smoothing from A to B moves a state's highest degree by 0
-or -4, and delta steps by 4.  So a matching keeps a dense list of slots 4
-degrees apart, down from the most the all-A smoothing of the rest of the
-braid adds.  ``kauffman_bracket`` keeps every slot; ``bracket_top`` keeps
-the degrees top and top - 4 (top - 1 to top - 3 are always 0), so the
-window, not the degree span, sets its cost.  Coefficients are exact
-Python integers throughout.
+or -4, and delta steps by 4.  So a matching keeps dense slots 4 degrees
+apart, from the most the all-A smoothing of the rest of the braid adds
+down.  ``kauffman_bracket`` keeps every slot and ``bracket_top`` the
+degrees top and top - 4 (top - 1 to top - 3 are always 0), so the window,
+not the degree span, sets its cost.  Coefficients are exact Python integers.
 
 This module exists to cross-check the penultimate-coefficient identity
 |coeff(top - 4)| = 1 + (e' - v) of the reduced state graph on A-adequate
@@ -62,9 +61,9 @@ __all__ = [
 # span that grows with c.  So it sweeps c crossings on n strands iff
 # c^2 * Catalan(n) <= 100^2 * Catalan(8) (_crossing_cap): up to 3781, 2673,
 # 1691, 1010, 583, 329, 182 and 100 at n = 1..8.  At each cap the slowest
-# shape found took 0.2 s (n = 4) to 0.8 s (n = 7), 2-core Xeon, Python 3.11;
-# bracket_top, bounded by the input limits alone, took at most 0.3 s on
-# 10,000-letter words at n = 8.
+# shape found took 0.2 s (n = 4) to 0.7 s (n = 3, 5 and 7), 2-core Xeon,
+# Python 3.11; bracket_top, bounded by the input limits alone, took at most
+# 0.3 s on 10,000-letter words at n = 8.
 DEFAULT_MAX_CROSSINGS = 100
 # Both sweeps share the strand limit, which also bounds the cached _join:
 # at n = 32 one top sweep filled it with 370,000 matchings.

@@ -385,7 +385,8 @@ def staircase(n, crossings):
 
 
 CAPS = (3781, 2673, 1691, 1010, 583, 329, 182, 100)
-# the slower of the two shapes at each strand count's cap
+# the slower of the two shapes at each strand count's cap, timed on the
+# degree-dict sweep; n = 6 and 8 are near ties
 SLOWEST_AT_THE_CAP = {2: staircase, 4: staircase, 6: staircase}
 
 
