@@ -43,7 +43,12 @@ from typing import NamedTuple
 
 from .errors import CrossingLimitError, OracleError, PreconditionError
 from .states import AllAState, is_A_adequate, resolve_all_A
-from .words import SyllableWord, _checked_make, require_input_limits
+from .words import (
+    SyllableWord,
+    _checked_make,
+    cyclically_reduce_into_syllables,
+    require_input_limits,
+)
 
 __all__ = [
     "LaurentPolynomial",
@@ -348,13 +353,17 @@ def kauffman_bracket(word: SyllableWord) -> LaurentPolynomial:
     in this order: a word past the input limits, a diagram on more than
     ``MAX_BRACKET_STRANDS`` strands, and a diagram above the crossing cap
     for its strand count (a ``CrossingLimitError`` that names the cap; see
-    ``DEFAULT_MAX_CROSSINGS``).
+    ``DEFAULT_MAX_CROSSINGS``).  A word that passes is swept cyclically
+    reduced (``cyclically_reduce_into_syllables``).
     """
     _require_sweepable(word)
     cap = _crossing_cap(word.n)
     if word.crossings > cap:
         raise CrossingLimitError(word.crossings, cap)
-    return _sweep(word, None)
+    # the reduced closure differs by R2 moves and a rotation, which leave the
+    # bracket unchanged; a cancelling pair raises the all-A bounds the slot
+    # lists start at above every term, and they would carry zeros down to them
+    return _sweep(cyclically_reduce_into_syllables(word), None)
 
 
 def bracket_top(word: SyllableWord) -> LaurentPolynomial:

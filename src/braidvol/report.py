@@ -60,7 +60,6 @@ from .schreier import (
 from .states import (
     AllAState,
     CircleClass,
-    StateCircle,
     is_A_adequate,
     is_connected_closure,
     is_prime_closure,
@@ -93,29 +92,20 @@ def circle_detail(state: AllAState) -> list[dict]:
     """Per-circle detail of a report: id, class, winding and support.
 
     Read from the state's pieces, so :attr:`AllAState.circles` is never
-    built: a boundary circle gives one dict, and a run of small inner
-    circles one dict per id from a single comprehension, each with its own
-    ``[g]`` support list."""
+    built: one dict per circle, each with its own support list.  A
+    piece's first circle takes its sorted columns and each further circle
+    a copy, so a piece of count 1 sorts once and copies nothing."""
     names = _CLASS_NAMES
-    small = names[CircleClass.SMALL_INNER]
     detail: list[dict] = []
-    for piece in state.pieces:
-        if type(piece) is StateCircle:
-            cid, winding, support, klass = piece
+    for first, count, winding, support, klass in state.pieces:
+        name, columns = names[klass], sorted(support)
+        detail.append(
+            {"id": first, "class": name, "winding": winding, "support": columns}
+        )
+        for cid in range(first + 1, first + count):
             detail.append(
-                {
-                    "id": cid,
-                    "class": names[klass],
-                    "winding": winding,
-                    "support": sorted(support),
-                }
+                {"id": cid, "class": name, "winding": winding, "support": [*columns]}
             )
-            continue
-        first, count, g = piece
-        detail += [
-            {"id": cid, "class": small, "winding": 0, "support": [g]}
-            for cid in range(first, first + count)
-        ]
     return detail
 
 
@@ -193,45 +183,36 @@ def _id_texts(count: int) -> list[str]:
     return texts
 
 
+# what ends a circle's text in the detail list and opens the next one's
+_NEXT_ID = ', {"id": '
+
+
 def _detail_text(state: AllAState) -> str:
     """The text of ``json.dumps(circle_detail(state))`` between its
     brackets, written from the state's pieces without ``json.dumps``.
-    Every circle after its id is one cached tail per (winding, support,
-    class), written as text: the class names are ASCII enum values and the
-    winding and columns ints, so the bytes are ``json.dumps``'s.  A run of
-    small inner circles is one join of a slice of the module's id text
-    table over its one tail, so the text is assembled per boundary circle
-    and per run, never per small circle.  The table grows to the state's
-    circle count, which is at most n plus the negative crossings: 10,032
-    entries (about 0.6 MB) at the input limits."""
+    A piece is one join of a slice of the module's id text table by its
+    separator: its circles' tail, cached per (winding, support, class),
+    then ``_NEXT_ID``.  The separator follows the piece too, and the last
+    one loses its ``_NEXT_ID``.  The class names are ASCII enum values and
+    the winding and columns ints, so the bytes are ``json.dumps``'s.  The
+    text is assembled per piece, never per small circle.  The table grows
+    to the state's circle count, which is at most n plus the negative
+    crossings: 10,032 entries (about 0.6 MB) at the input limits."""
     names = _CLASS_NAMES
     ids = _id_texts(sum(state._counts.values()))
-    tails: dict = {}
-
-    def tail(winding: int, support: frozenset[int], klass: CircleClass) -> str:
-        columns = ", ".join(map(str, sorted(support)))
-        name = names[klass]
-        return f', "class": "{name}", "winding": {winding}, "support": [{columns}]}}'
-
-    runs: dict[int, tuple[str, str]] = {}  # per g: the run's tail and separator
-    items = []
-    for piece in state.pieces:
-        if type(piece) is StateCircle:
-            cid, winding, support, klass = piece
-            key = (winding, support, klass)
-            text = tails.get(key)
-            if text is None:
-                text = tails[key] = tail(*key)
-            items.append(f'{{"id": {ids[cid]}{text}')
-            continue
-        first, count, g = piece
-        small = runs.get(g)
-        if small is None:
-            text = tail(0, frozenset((g,)), CircleClass.SMALL_INNER)
-            small = runs[g] = (text, text + ', {"id": ')
-        run = small[1].join(ids[first : first + count])
-        items.append(f'{{"id": {run}{small[0]}')
-    return ", ".join(items)
+    separators: dict = {}  # per (winding, support, klass)
+    parts = ['{"id": ']
+    for first, count, winding, support, klass in state.pieces:
+        key = (winding, support, klass)
+        separator = separators.get(key)
+        if separator is None:
+            name, columns = names[klass], ", ".join(map(str, sorted(support)))
+            fields = f', "class": "{name}", "winding": {winding}, "support": '
+            separator = separators[key] = f"{fields}[{columns}]}}{_NEXT_ID}"
+        parts.append(separator.join(ids[first : first + count]))
+        parts.append(separator)
+    parts[-1] = parts[-1][: -len(_NEXT_ID)]
+    return "".join(parts)
 
 
 def analyze(word: SyllableWord, *, bracket: bool = False) -> dict:

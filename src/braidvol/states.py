@@ -16,13 +16,14 @@ circles, records each region and classifies each boundary circle (one that
 leaves its syllable); no dict is keyed by arc id.  It reads the census and
 the reduced graph as it goes, and the state keeps both.  The small circles
 stacked inside a negative region, almost every circle of a long family
-word, get no node and are never traced one by one: the state keeps them as
-runs of consecutive ids, the census counts them as the ids no boundary
-circle takes, and ``analyze``'s circle detail and the ``batch`` line read
-each run in one piece.  A circle is a :class:`StateCircle` named tuple;
-:attr:`AllAState.circles` builds the full tuple of circles from the runs
-only when it is read (by the SVG renderer, the demos, the tests and the
-perfbench traced replay).  The state keeps
+word, get no node and are never traced one by one.  The state keeps its
+circles as pieces of one shape, ``(first, count, winding, support,
+klass)``: ``count`` consecutive ids that share the other three fields, a
+boundary circle with count 1 and a run of small inner circles with the
+run's length.  Every reader walks the pieces the same way.
+:attr:`AllAState.circles` expands them into :class:`StateCircle` named
+tuples only when it is read (by the SVG renderer, the demos, the tests and
+the perfbench traced replay).  The state keeps
 one record per twist region and builds no object per crossing or per arc.
 The arcs are numbered once, by :func:`arc_table`, which the sweep names
 its nodes by and the SVG renderer walks.
@@ -115,7 +116,7 @@ class ReducedStateGraph(NamedTuple):
 
 class _AllAStateFields(NamedTuple):
     word: SyllableWord
-    pieces: tuple[StateCircle | tuple[int, int, int], ...]
+    pieces: tuple[tuple[int, int, int, frozenset[int], CircleClass], ...]
     regions: tuple[tuple[int, int, tuple[int, int]], ...]
 
 
@@ -124,13 +125,16 @@ class AllAState(_AllAStateFields):
     twist region; no per-crossing, per-arc or per-small-circle object is
     built.
 
-    ``pieces`` lists the circles in id order.  A boundary circle is a
-    :class:`StateCircle`; the small inner circles stacked inside a negative
-    twist region sigma_g^r (r <= -2) are kept as runs ``(first, count, g)``
-    of consecutive ids, all small inner of support {g} and winding 0.  A
-    region's |r| - 1 inner circles form one run, or several where the ids
-    of boundary circles fall between them.  :attr:`circles` expands the
-    pieces into one tuple of circles, built only when it is read.
+    ``pieces`` lists the circles in id order, each piece ``(first, count,
+    winding, support, klass)``: the ``count`` circles with ids ``first``
+    to ``first + count - 1``, all of that winding, support and class.  A
+    boundary circle is one piece of count 1.  The small inner circles
+    stacked inside a negative twist region sigma_g^r (r <= -2) are runs
+    ``(first, count, 0, frozenset({g}), SMALL_INNER)``, and the runs on one
+    column share one frozenset.  A region's |r| - 1 inner circles form one
+    run, or several where the ids of boundary circles fall between them.
+    :attr:`circles` expands the pieces into one tuple of circles, built
+    only when it is read.
 
     ``regions[i]`` describes syllable ``i`` as ``(first, r, (a, b))``: its
     first crossing, its exponent and the two boundary circles it joins.  A
@@ -176,25 +180,18 @@ class AllAState(_AllAStateFields):
 
     @cached_property
     def circles(self) -> tuple[StateCircle, ...]:
-        """Every circle in id order, the runs expanded.  Read by the SVG
+        """Every circle in id order, the pieces expanded.  Read by the SVG
         renderer, the demos, the tests and the perfbench traced replay;
         ``analyze``, ``analyze_line`` and ``verify`` read the pieces and
-        never build it.  The small inner circles are built as
-        ``tuple.__new__(StateCircle, ...)`` over their four fields, skipping
-        the named tuple's Python-level ``__new__``; those of one run share
-        one ``frozenset({g})``."""
-        new_tuple, small_inner = tuple.__new__, CircleClass.SMALL_INNER
+        never build it.  Each circle is built as
+        ``tuple.__new__(StateCircle, ...)`` over its four fields, skipping
+        the named tuple's Python-level ``__new__``."""
+        new_tuple = tuple.__new__
         circles: list[StateCircle] = []
-        for piece in self.pieces:
-            if type(piece) is StateCircle:
-                circles.append(piece)
-                continue
-            first, count, g = piece
-            support = frozenset((g,))
-            circles += [
-                new_tuple(StateCircle, (cid, 0, support, small_inner))
-                for cid in range(first, first + count)
-            ]
+        for first, count, winding, support, klass in self.pieces:
+            for cid in range(first, first + count):
+                circle = new_tuple(StateCircle, (cid, winding, support, klass))
+                circles.append(circle)
         return tuple(circles)
 
     @cached_property
@@ -229,11 +226,8 @@ class AllAState(_AllAStateFields):
         """The census, in :class:`CircleClass` order, from the pieces: the
         reference for the one :func:`resolve_all_A` counts as it traces."""
         counts = dict.fromkeys(_CLASSES, 0)
-        for piece in self.pieces:
-            if type(piece) is StateCircle:
-                counts[piece.klass] += 1
-            else:
-                counts[CircleClass.SMALL_INNER] += piece[1]
+        for _, count, _, _, klass in self.pieces:
+            counts[klass] += count
         return counts
 
     @property
@@ -313,9 +307,8 @@ def resolve_all_A(word: SyllableWord) -> AllAState:
     cup node on both; the k - 1 circles in between, each the cup of one
     letter and the cap of the next, close inside the syllable as small
     inner circles of support {g} and winding 0.  They get no node: named
-    by their cups, ids first * n + 1 + j * n, they are kept as a run
-    ``(first id, k - 1, g)``.  The closure unions each column's bottom
-    node with its top node.
+    by their cups, ids first * n + 1 + j * n, they are kept as one run
+    piece.  The closure unions each column's bottom node with its top node.
 
     One more pass over the syllables does the rest, in arc order.  The
     roots of the boundary circles, O(t + n) of them, are sorted by name; a
@@ -327,9 +320,8 @@ def resolve_all_A(word: SyllableWord) -> AllAState:
     reduced edge count by the rules of ``AllAState._graph``.  Winding is
     the parity of a circle's closure arcs.  Every per-node value is a list
     indexed by node, so no dict is keyed by arc id, and every boundary
-    circle is built once, already classified (see :func:`_klass`) and
-    counted in the census, as ``tuple.__new__(StateCircle, ...)`` over its
-    four fields; any syllable word works.
+    circle's piece is built once, already classified (see :func:`_klass`)
+    and counted in the census; any syllable word works.
     No per-crossing, per-arc or per-small-circle object is built, and the
     state keeps the census and graph values it read (see
     ``AllAState._traced``), so :func:`reduced_graph`, the predicates,
@@ -402,7 +394,9 @@ def resolve_all_A(word: SyllableWord) -> AllAState:
         support[node] = set()
     ends = [0] * size
     wraps = set()  # roots that both ends of one r = -2 region land on
-    order: list[int | tuple[int, int, int]] = []  # roots and runs, in id order
+    order: list = []  # roots and run pieces, in id order
+    run_support = [frozenset((g,)) for g in range(n)]  # {g}, shared by g's runs
+    small_inner = CircleClass.SMALL_INNER
     regions: list[tuple[int, int, tuple[int, int]]] = []
     pairs = []  # the pair regions' roots, for AllAState._graph
     adequate, chain_edges = True, 0
@@ -417,14 +411,14 @@ def resolve_all_A(word: SyllableWord) -> AllAState:
         while bounds[i] < (first + abs(r)) * n:
             count = (min(bounds[i], last) - inner - 1) // n + 1
             if count > 0:
-                order.append((cid, count, g))
+                order.append((cid, count, 0, run_support[g], small_inner))
                 cid, inner = cid + count, inner + count * n
             circle_id[roots[i]] = cid
             order.append(roots[i])
             cid, i = cid + 1, i + 1
         if inner < last:
             count = (last - inner) // n
-            order.append((cid, count, g))
+            order.append((cid, count, 0, run_support[g], small_inner))
             cid += count
         a, b = root[a], root[b]
         regions.append((first, r, (circle_id[a], circle_id[b])))
@@ -447,21 +441,17 @@ def resolve_all_A(word: SyllableWord) -> AllAState:
         order.append(node)
         cid += 1
 
-    # each boundary circle as its four fields, already classified, through
-    # tuple.__new__ as AllAState.circles builds the small inner ones; the
-    # ids that are not boundary circles are the runs' small inner circles
-    new_tuple = tuple.__new__
+    # each root as its boundary circle's piece, already classified; the ids
+    # that are not boundary circles are the runs' small inner circles
     counts = dict.fromkeys(_CLASSES, 0)
-    counts[CircleClass.SMALL_INNER] = cid - len(roots)
+    counts[small_inner] = cid - len(roots)
     pieces = []
     for piece in order:
         if type(piece) is int:
             columns, turns = support[piece], winding[piece]
             klass = _klass(columns, turns, piece in wraps and ends[piece] == 2)
             counts[klass] += 1
-            piece = new_tuple(
-                StateCircle, (circle_id[piece], turns, frozenset(columns), klass)
-            )
+            piece = (circle_id[piece], 1, turns, frozenset(columns), klass)
         pieces.append(piece)
     distinct = len(set(pairs))
     graph = adequate, not wraps and distinct == len(pairs), distinct + chain_edges

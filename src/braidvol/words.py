@@ -206,7 +206,7 @@ def _integral(value, what: str) -> int:
 # normal form's cascades, which cancel units where syllables meet, are
 # bounded by the letters they cancel); the letter limit bounds the layers
 # that still work per letter: the circles closed inside twist regions, one
-# dict each in analyze's circle detail (read from the state's runs) and one
+# dict each in analyze's circle detail (read from the state's pieces) and one
 # tuple each in AllAState.circles (read only by the SVG renderer, the demos,
 # the tests and the perfbench replay), the SVG renderer's walk over the
 # (c + 1) * n arc ids and its one dashed line per crossing, and the bracket

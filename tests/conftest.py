@@ -1,6 +1,7 @@
 """Shared fixtures: canonical words, word strategies for hypothesis, the
 bracket-oracle corpus and a call counter."""
 
+import random
 import sys
 
 import pytest
@@ -21,6 +22,16 @@ def word_from_letters(letters, n):
 def ladder(m):
     """The alternating family word (s1^-3 s2^-3)^m."""
     return word_of("s1^-3 s2^-3 " * m, 3)
+
+
+def seeded_long_word():
+    """The seeded 10,000-letter n = 32 random word, reduced: the largest
+    circle ids a report writes within the input limits."""
+    rng = random.Random(1)
+    text = " ".join(
+        str(rng.choice((-1, 1)) * rng.randint(1, 31)) for _ in range(10_000)
+    )
+    return cyclically_reduce_into_syllables(parse_braid(text, 32))
 
 
 def _patch_everywhere(monkeypatch, real, name, wrapper):

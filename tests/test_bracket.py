@@ -13,6 +13,7 @@ every word is the real test; the literal pins are hand computations.
 
 import random
 import time
+import tracemalloc
 from collections.abc import Callable
 from functools import cache
 from math import comb, inf
@@ -592,6 +593,47 @@ def _reference_words_on(n):
 @settings(max_examples=300, deadline=None)
 def test_the_slot_sweep_equals_the_degree_dict_sweep(word, depth):
     assert bracket._sweep(word, depth) == _sweep(word, depth)
+
+
+def _unreduced_words_on(n):
+    """Words of up to 14 letters on n >= 2 strands, one syllable per letter,
+    with a cancelling pair inside the word and one across the closure
+    seam."""
+    letter = st.sampled_from([s * g for g in range(1, n) for s in (1, -1)])
+    side = st.lists(letter, max_size=5)
+    return st.builds(
+        lambda seam, left, pair, right: word_from_letters(
+            [seam, *left, pair, -pair, *right, -seam], n
+        ),
+        letter,
+        side,
+        letter,
+        side,
+    )
+
+
+@given(st.integers(min_value=2, max_value=5).flatmap(_unreduced_words_on))
+@settings(max_examples=200, deadline=None)
+def test_the_whole_bracket_of_an_unreduced_word_is_its_swept_bracket(word):
+    # kauffman_bracket sweeps the reduced word; the reference sweeps the
+    # word as given, and the closures differ by R2 moves and a rotation
+    assert not word.cyclically_reduced
+    assert kauffman_bracket(word) == _sweep(word, None)
+
+
+def test_an_unreduced_word_at_the_cap_is_swept_in_little_memory():
+    # s1^-1 s1 ... at n = 2 cancels to s1^-1; swept as given, every slot
+    # between its all-A bound and its one term would be carried as a zero
+    word = alternating(2, CAPS[1])
+    assert not word.cyclically_reduced
+    tracemalloc.start()
+    try:
+        poly = kauffman_bracket(word)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert poly == _sweep(word, None) == kauffman_bracket(word_of("s1^-1", 2))
 
 
 def test_the_top_window_equals_the_degree_dict_sweep_at_generator_size():

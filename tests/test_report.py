@@ -30,7 +30,6 @@ from braidvol.schreier import (
     schreier_normal_form,
 )
 from braidvol.states import (
-    StateCircle,
     is_A_adequate,
     reduced_graph,
     resolve_all_A,
@@ -51,6 +50,7 @@ from conftest import (
     gated_3braids,
     label_sweep_words,
     ladder,
+    seeded_long_word,
     word_of,
     word_st,
 )
@@ -649,16 +649,6 @@ def test_analyze_line_is_the_dumped_report(word, options):
     assert analyze_line(word, **options) == expected
 
 
-def seeded_long_word():
-    """The seeded 10,000-letter n = 32 random word, reduced: the largest
-    circle ids a report writes within the input limits."""
-    rng = random.Random(1)
-    text = " ".join(
-        str(rng.choice((-1, 1)) * rng.randint(1, 31)) for _ in range(10_000)
-    )
-    return cyclically_reduce_into_syllables(parse_braid(text, 32))
-
-
 @pytest.mark.parametrize("long_first", [True, False])
 def test_analyze_line_is_the_dumped_report_in_either_order(monkeypatch, long_first):
     # the id text table starts empty, and grows once for the long word:
@@ -760,7 +750,7 @@ def test_id_text_table_grows_to_the_largest_circle_count(monkeypatch):
 def detail_from_circles(state):
     """The circle detail read from the expanded circles, one dict per
     ``StateCircle`` of ``state.circles``: the reference ``circle_detail``,
-    which walks the runs, must equal."""
+    which walks the pieces, must equal."""
     return [
         {
             "id": cid,
@@ -808,9 +798,8 @@ def test_circle_detail_matches_the_expanded_circles_on_the_long_word():
 def test_circle_detail_support_lists_are_not_shared():
     word = generate_words(GeneratorSpec(n=4, syllable_count=60, seed=1))[0]
     pieces = resolve_all_A(word).pieces
-    first, _, g = next(
-        piece for piece in pieces if type(piece) is not StateCircle and piece[1] > 1
-    )
+    first, _, _, support, _ = next(piece for piece in pieces if piece[1] > 1)
+    (g,) = support
     detail = analyze(word)["circles"]["detail"]
     expected = json.dumps(analyze(word))
     # mutate the support of the first circle of a run of several: no other

@@ -56,6 +56,7 @@ from conftest import (
     any_n_words,
     label_sweep_words,
     ladder,
+    seeded_long_word,
     word_of,
     word_st,
 )
@@ -103,14 +104,24 @@ class Segment:
     endpoints: tuple[int, int]
 
 
+def runs_of(state):
+    """The pieces that hold circles closed inside the chains, in id order:
+    every piece of nonempty support whose first circle no region ends on.
+    A boundary circle's support comes only from the regions that end on
+    it."""
+    ends = {cid for _, _, pair in state.regions for cid in pair}
+    return [piece for piece in state.pieces if piece[3] and piece[0] not in ends]
+
+
 def segments_of(state):
     """Every A-segment of ``state`` in crossing order, expanded from its
     twist-region records: a pair region's segments all join its pair, and a
     chain's i-th segment joins the i-th and (i + 1)-th circles of
     ``a, inner..., b``, its inner circles read from its runs.  The runs
-    must come in region order, each of its region's generator, and make up
-    exactly |r| - 1 inner circles per chain."""
-    runs = iter([piece for piece in state.pieces if type(piece) is not StateCircle])
+    must come in region order, each small inner of winding 0 and support
+    its region's generator, and make up exactly |r| - 1 inner circles per
+    chain."""
+    runs = iter(runs_of(state))
     segments = []
     for si, (first, r, (a, b)) in enumerate(state.regions):
         if r > 0:
@@ -119,10 +130,11 @@ def segments_of(state):
                 for i in range(first, first + r)
             ]
             continue
+        column = frozenset({state.word.syllables[si][0]})
         inner = []
         while len(inner) < -r - 1:
-            start, count, g = next(runs)
-            assert g == state.word.syllables[si][0]
+            start, count, *fields = next(runs)
+            assert fields == [0, column, CircleClass.SMALL_INNER]
             inner += range(start, start + count)
         assert len(inner) == -r - 1
         ids = (a, *inner, b)
@@ -132,6 +144,44 @@ def segments_of(state):
         ]
     assert next(runs, None) is None
     return tuple(segments)
+
+
+def assert_pieces_keep_their_contract(state):
+    """Every piece is ``(first, count, winding, support, klass)``: the
+    pieces cover the ids from 0 to the circle count in order, only a run of
+    small inner circles of winding 0 and one column holds more than one
+    circle, expanding them gives ``state.circles``, and their counts per
+    class give the census."""
+    counts = dict.fromkeys(CircleClass, 0)
+    expanded = []
+    end = 0
+    for piece in state.pieces:
+        assert type(piece) is tuple and len(piece) == 5
+        first, count, winding, support, klass = piece
+        assert first == end and count >= 1
+        assert type(support) is frozenset and type(klass) is CircleClass
+        if count > 1:
+            assert klass is CircleClass.SMALL_INNER
+            assert winding == 0 and len(support) == 1
+        end = first + count
+        expanded += [(cid, winding, support, klass) for cid in range(first, end)]
+        counts[klass] += count
+    assert end == len(state.circles) == sum(state.census.values())
+    assert expanded == list(state.circles)
+    assert counts == state.census
+
+
+@given(label_sweep_words())
+@example(SyllableWord(2, ()))
+# s1^-2: a boundary piece and a run piece that look alike, both small inner
+@example(SyllableWord(2, ((1, -2),)))
+@example(seeded_long_word())
+@settings(max_examples=300, deadline=None)
+def test_pieces_keep_their_contract(word):
+    assert_pieces_keep_their_contract(resolve_all_A(word))
+    assert_pieces_keep_their_contract(
+        resolve_all_A(cyclically_reduce_into_syllables(word))
+    )
 
 
 def census_by_name(state):
@@ -181,8 +231,8 @@ def test_circle_support_and_winding_detail():
 
 def test_state_circle_is_an_immutable_value():
     assert StateCircle._fields == ("id", "winding", "support", "klass")
-    # the circles of a run are built without the constructor; they are
-    # still StateCircles, equal to and hashing like constructed ones
+    # the circles are built from the pieces without the constructor; they
+    # are still StateCircles, equal to and hashing like constructed ones
     state = resolve_all_A(ladder(1))
     circle = next(c for c in state.circles if c.klass is CircleClass.SMALL_INNER)
     assert type(circle) is StateCircle
@@ -688,13 +738,18 @@ def test_boundary_roots_between_inner_roots_split_the_run():
     # against the walk oracle
     assert_sweep_matches_oracle(word)
     state = resolve_all_A(word)
-    assert [type(piece) is StateCircle for piece in state.pieces] == [
-        True, False, True, True, False
-    ]
-    assert [piece for piece in state.pieces if type(piece) is not StateCircle] == [
-        (1, 1, 2),
-        (4, 2, 2),
-    ]
+    column = frozenset({2})
+    assert state.pieces == (
+        (0, 1, 0, column, CircleClass.MEDIUM_INNER),
+        (1, 1, 0, column, CircleClass.SMALL_INNER),
+        (2, 1, 1, frozenset(), CircleClass.NONWANDERING),
+        (3, 1, 1, frozenset(), CircleClass.NONWANDERING),
+        (4, 2, 0, column, CircleClass.SMALL_INNER),
+    )
+    runs = runs_of(state)
+    assert runs == [state.pieces[1], state.pieces[4]]
+    # the runs on one column share one support
+    assert runs[0][3] is runs[1][3]
     assert state.regions == ((0, -4, (0, 0)), (4, 2, (0, 3)))
     assert _detail_text(state) == json.dumps(circle_detail(state))[1:-1]
 
@@ -809,7 +864,7 @@ def resolve_by_labels(word):
                 order.append(cid)
                 cid, i = cid + 1, i + 1
             count = (min(roots[i], last_cup) - root - 1) // n + 1
-            order.append((cid, count, g))
+            order.append((cid, count, 0, frozenset({g}), CircleClass.SMALL_INNER))
             cid, root = cid + count, root + count * n
     for root in roots[i:-1]:
         circle_of[root] = cid
@@ -838,9 +893,7 @@ def resolve_by_labels(word):
     def boundary_circle(cid):
         columns, turns = support[cid], winding[cid]
         wrapped = cid in wraps and ends[cid] == 2
-        return StateCircle(
-            cid, turns, frozenset(columns), _klass(columns, turns, wrapped)
-        )
+        return (cid, 1, turns, frozenset(columns), _klass(columns, turns, wrapped))
 
     pieces = tuple(
         boundary_circle(piece) if type(piece) is int else piece for piece in order
