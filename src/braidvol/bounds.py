@@ -107,16 +107,6 @@ class VolumeBounds(_VolumeBoundsFields):
     def effective_lower(self) -> float:
         return max(self.lower, 0.0)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "case": self.case.value,
-            "lower": self.lower,
-            "lower_weak": self.lower_weak,
-            "upper": self.upper,
-            "effective_lower": self.effective_lower,
-            "inputs": dict(self.inputs),
-        }
-
 
 def _require_family(word: SyllableWord) -> None:
     if not check_main_lemma(word).passed:

@@ -99,10 +99,6 @@ class LaurentPolynomial(_LaurentPolynomialFields):
 
     _make = classmethod(_checked_make)
 
-    @classmethod
-    def from_dict(cls, coeffs: dict[int, int]) -> LaurentPolynomial:
-        return cls(tuple(coeffs.items()))
-
     def coefficient(self, degree: int) -> int:
         for d, c in self.terms:
             if d == degree:
@@ -118,12 +114,6 @@ class LaurentPolynomial(_LaurentPolynomialFields):
         if not self.terms:
             raise ValueError("zero polynomial has no degree")
         return self.terms[-1][0]
-
-    @property
-    def min_degree(self) -> int:
-        if not self.terms:
-            raise ValueError("zero polynomial has no degree")
-        return self.terms[0][0]
 
     def inverted_variable(self) -> LaurentPolynomial:
         """Substitute A -> A^(-1)."""
@@ -143,15 +133,6 @@ class BracketSummary(NamedTuple):
     top_degree: int
     top_coefficient: int
     penultimate_abs: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "crossings": self.c,
-            "all_A_circles": self.num_all_A_circles,
-            "top_degree": self.top_degree,
-            "top_coefficient": self.top_coefficient,
-            "penultimate_abs": self.penultimate_abs,
-        }
 
 
 # _join and _closure_cycles are cached for the life of the process: they

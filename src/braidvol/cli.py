@@ -40,7 +40,10 @@ from .report import (
     SCHEMA,
     analyze,
     analyze_line,
+    bracket_block,
+    census_block,
     circle_detail,
+    main_lemma_block,
     schreier_block,
     verify,
 )
@@ -222,17 +225,9 @@ def cmd_bracket(args: argparse.Namespace) -> int:
     state = resolve_all_A(word)
     summary = None
     if is_A_adequate(state):
-        summary = bracket_summary(poly, state).to_json_dict()
-    payload = {
-        "word": word.as_text(),
-        "polynomial": str(poly),
-        "summary": summary,
-    }
-    _emit(
-        payload,
-        args.json,
-        [str(poly), json.dumps(summary)],
-    )
+        summary = bracket_block(bracket_summary(poly, state))
+    payload = {"word": word.as_text(), "polynomial": str(poly), "summary": summary}
+    _emit(payload, args.json, [str(poly), json.dumps(summary)])
     return 0
 
 
@@ -244,7 +239,7 @@ def cmd_state(args: argparse.Namespace) -> int:
         svg = render_state_svg(state)
         with open(args.svg, "w", encoding="utf-8") as handle:
             handle.write(svg)
-    census = {k.value: v for k, v in state.census.items()}
+    census = census_block(state)
     detail = circle_detail(state)
     payload = {
         "word": word.as_text(),
@@ -267,7 +262,8 @@ def cmd_state(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     word = _parse_word(args.word, args.n)
     lemma = check_main_lemma(word)
-    payload: dict = {"word": word.as_text(), "main_lemma": lemma.to_json_dict()}
+    block = main_lemma_block(lemma, lemma.cond2_failures)
+    payload: dict = {"word": word.as_text(), "main_lemma": block}
     if word.n == 3:
         payload["stoimenow"] = stoimenow_A_adequate_3braid(word)
     lines = [

@@ -50,31 +50,12 @@ class Cond2Failure(NamedTuple):
     reason: str
 
 
-_IMPLIED = ("connected", "prime", "a_adequate", "telc", "hyperbolic")
-
-
 class MainLemmaReport(NamedTuple):
     nice: bool
     cond1: bool  # every negative exponent <= -3
     cond2_failures: tuple[Cond2Failure, ...]
     twist_ok: bool  # t >= 2(n-1)
     passed: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "nice": self.nice,
-            "cond1": self.cond1,
-            "cond2_failures": [
-                {"syllable": i, "clause": clause, "reason": reason}
-                for i, clause, reason in self.cond2_failures
-            ],
-            "twist_ok": self.twist_ok,
-            "pass": self.passed,
-            # the diagram properties membership implies: all false if not
-            "implied": dict.fromkeys(_IMPLIED, self.passed),
-            # niceness is read on the closed braid, so no word is a near miss
-            "nice_cyclic_near_miss": False,
-        }
 
 
 def check_main_lemma(word: SyllableWord) -> MainLemmaReport:

@@ -18,7 +18,9 @@ fails the gate (``verify`` only, right after stage 2), an unreduced word.
 
 ``analyze`` returns a plain dict with a stable key set: analyses that do
 not apply (wrong strand count, failed gate, not requested) are ``None``,
-never missing.  ``analyze_line`` returns its ``json.dumps`` text, the
+never missing.  This module writes every block of the ``braidvol/1``
+format, for ``analyze`` and the other subcommands alike; the records it
+reads write no JSON.  ``analyze_line`` returns its ``json.dumps`` text, the
 ``batch`` line.  Four lists of a report grow with the word: ``syllables``,
 ``circles.detail``, ``main_lemma.cond2_failures`` and ``schreier.pairs``.
 ``_report`` leaves them empty; ``analyze`` fills them, and ``analyze_line``
@@ -36,13 +38,20 @@ import json
 from typing import NamedTuple
 
 from .bounds import (
+    VolumeBounds,
     _family_bounds,
     boundary_positive,
     cor_bounds,
     three_braid_s_bounds,
     turaev_genus_bounds,
 )
-from .bracket import MAX_BRACKET_STRANDS, _require_sweepable, bracket_summary, bracket_top
+from .bracket import (
+    MAX_BRACKET_STRANDS,
+    BracketSummary,
+    _require_sweepable,
+    bracket_summary,
+    bracket_top,
+)
 from .errors import OracleError, PreconditionError
 from .families import (
     Cond2Failure,
@@ -74,7 +83,10 @@ __all__ = [
     "SCHEMA",
     "analyze",
     "analyze_line",
+    "bracket_block",
+    "census_block",
     "circle_detail",
+    "main_lemma_block",
     "schreier_block",
     "verify",
     "VerifyCheck",
@@ -86,6 +98,11 @@ SCHEMA = "braidvol/1"
 
 # each circle class's report name, read without the enum's value descriptor
 _CLASS_NAMES = {klass: klass.value for klass in CircleClass}
+
+
+def census_block(state: AllAState) -> dict:
+    """A report's circle census: each class's count by name, in class order."""
+    return {_CLASS_NAMES[k]: v for k, v in state._counts.items()}
 
 
 def circle_detail(state: AllAState) -> list[dict]:
@@ -118,8 +135,8 @@ def schreier_block(form: SchreierForm) -> dict:
 
 
 def _schreier_head(form: SchreierForm) -> dict:
-    """``schreier_block(form)`` with its pairs left empty: the fields of
-    ``SchreierForm.to_json_dict`` in its order, then the verdict."""
+    """``schreier_block(form)`` with its pairs left empty: the normal form's
+    fields, then its genericity and hyperbolicity verdict."""
     verdict = hyperbolicity_of_form(form)
     return {
         "k": form.k,
@@ -131,6 +148,57 @@ def _schreier_head(form: SchreierForm) -> dict:
         "generic": form.generic,
         "hyperbolic": verdict.hyperbolic,
         "reason": verdict.reason,
+    }
+
+
+# the diagram properties that family membership implies, in report order
+_IMPLIED = ("connected", "prime", "a_adequate", "telc", "hyperbolic")
+
+
+def main_lemma_block(
+    lemma: MainLemmaReport, failures: tuple[Cond2Failure, ...]
+) -> dict:
+    """The ``main_lemma`` block of a report: the gate's verdict, its
+    ``cond2_failures`` written from ``failures`` (``_report`` passes none)."""
+    return {
+        "nice": lemma.nice,
+        "cond1": lemma.cond1,
+        "cond2_failures": _failure_dicts(failures),
+        "twist_ok": lemma.twist_ok,
+        "pass": lemma.passed,
+        # the diagram properties membership implies: all false if not
+        "implied": dict.fromkeys(_IMPLIED, lemma.passed),
+        # niceness is read on the closed braid, so no word is a near miss
+        "nice_cyclic_near_miss": False,
+    }
+
+
+def _failure_dicts(failures: tuple[Cond2Failure, ...]) -> list[dict]:
+    """The ``cond2_failures`` list: one dict per ``Cond2Failure``."""
+    return [{"syllable": i, "clause": c, "reason": r} for i, c, r in failures]
+
+
+def _bound_block(bounds: VolumeBounds) -> dict:
+    """A bound block of a report (``bounds``, ``jones_bounds``, both of
+    ``s_bounds``): the raw formulas, the clamped lower bound, the inputs."""
+    return {
+        "case": bounds.case.value,
+        "lower": bounds.lower,
+        "lower_weak": bounds.lower_weak,
+        "upper": bounds.upper,
+        "effective_lower": bounds.effective_lower,
+        "inputs": dict(bounds.inputs),
+    }
+
+
+def bracket_block(summary: BracketSummary) -> dict:
+    """The ``bracket`` block of a report, ``braidvol bracket``'s summary."""
+    return {
+        "crossings": summary.c,
+        "all_A_circles": summary.num_all_A_circles,
+        "top_degree": summary.top_degree,
+        "top_coefficient": summary.top_coefficient,
+        "penultimate_abs": summary.penultimate_abs,
     }
 
 
@@ -156,10 +224,9 @@ def _pairs_text(pairs: tuple[tuple[int, int], ...]) -> str:
 
 
 def _failures_text(failures: tuple[Cond2Failure, ...]) -> str:
-    """The text of the ``cond2_failures`` list that
-    ``MainLemmaReport.to_json_dict`` writes, between its brackets.  Every
-    clause and reason the gate writes is ASCII without a quote, backslash
-    or control character, so it is its own JSON text."""
+    """The text of ``json.dumps(_failure_dicts(failures))`` between its
+    brackets.  Every clause and reason the gate writes is ASCII without a
+    quote, backslash or control character, so it is its own JSON text."""
     return ", ".join(
         [
             f'{{"syllable": {i}, "clause": "{clause}", "reason": "{reason}"}}'
@@ -226,7 +293,7 @@ def analyze(word: SyllableWord, *, bracket: bool = False) -> dict:
     report, state, lemma, form = _report(word, bracket)
     report["syllables"] = _pair_lists(word.syllables)
     report["circles"]["detail"] = circle_detail(state)
-    report["main_lemma"] = lemma.to_json_dict()
+    report["main_lemma"]["cond2_failures"] = _failure_dicts(lemma.cond2_failures)
     if form is not None:
         report["schreier"]["pairs"] = _pair_lists(form.pairs)
     return report
@@ -327,11 +394,11 @@ def _report(
     bounds_block = jones_block = None
     if lemma.passed:
         volume, jones = _family_bounds(word, state, graph, twist)
-        bounds_block = volume.to_json_dict()
+        bounds_block = _bound_block(volume)
         if jones is not None:  # None: interior positives with n >= 4
-            jones_block = jones.to_json_dict()
+            jones_block = _bound_block(jones)
     elif adequate and telc and connected and t >= 2 and is_prime_closure(word):
-        bounds_block = cor_bounds(graph.neg_chi, t).to_json_dict()
+        bounds_block = _bound_block(cor_bounds(graph.neg_chi, t))
 
     stoimenow = schreier = s_bounds_block = turaev_block = None
     if form is not None:
@@ -340,16 +407,12 @@ def _report(
         if lemma.passed and form.generic:
             schreier3, fkp3, sharper = three_braid_s_bounds(form.s)
             s_bounds_block = {
-                "schreier3": schreier3.to_json_dict(),
-                "fkp3": fkp3.to_json_dict(),
+                "schreier3": _bound_block(schreier3),
+                "fkp3": _bound_block(fkp3),
                 "sharper": sharper.value,
             }
-        genus = turaev_genus_bounds(form.k)
-        turaev_block = {
-            "k": form.k,
-            "lower": None if genus is None else genus[0],
-            "upper": None if genus is None else genus[1],
-        }
+        lower, upper = turaev_genus_bounds(form.k) or (None, None)
+        turaev_block = {"k": form.k, "lower": lower, "upper": upper}
 
     report = {
         "schema": SCHEMA,
@@ -358,23 +421,20 @@ def _report(
         "syllables": [],
         "crossings": word.crossings,
         "twist": {"t": t, "t_plus": t_plus, "t_minus": t_minus},
-        "circles": {
-            "census": {_CLASS_NAMES[k]: v for k, v in state._counts.items()},
-            "detail": [],
-        },
+        "circles": {"census": census_block(state), "detail": []},
         "m": state.m,
         "adequate": adequate,
         "telc": telc,
         "connected": connected,
         "neg_chi": graph.neg_chi,
-        "main_lemma": lemma._replace(cond2_failures=()).to_json_dict(),
+        "main_lemma": main_lemma_block(lemma, ()),
         "stoimenow": stoimenow,
         "bounds": bounds_block,
         "jones_bounds": jones_block,
         "s_bounds": s_bounds_block,
         "schreier": schreier,
         "turaev": turaev_block,
-        "bracket": None if summary is None else summary.to_json_dict(),
+        "bracket": None if summary is None else bracket_block(summary),
     }
     return report, state, lemma, form
 

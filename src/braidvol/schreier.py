@@ -81,7 +81,6 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
-from . import words
 from .errors import PreconditionError
 from .families import check_main_lemma
 from .words import SyllableWord, _checked_make, cyclically_reduce_into_syllables
@@ -217,11 +216,6 @@ class SchreierForm(_SchreierFormFields):
         """True for the residues eta in {x, 1} with inferred sigma images."""
         return self.kind in (EtaKind.SIGMA121, EtaKind.EMPTY)
 
-    @property
-    def exponent_sum(self) -> int:
-        """6k plus the exponent sum of eta, read off the expanded word."""
-        return words.exponent_sum(self.to_braid_word())
-
     def to_braid_word(self) -> SyllableWord:
         """Expand back to a word, C as (sigma_1 sigma_2 sigma_1)^2."""
         sign = 1 if self.k >= 0 else -1
@@ -238,16 +232,6 @@ class SchreierForm(_SchreierFormFields):
         elif self.kind is EtaKind.SIGMA1212:
             syllables.extend(((1, 1), (2, 1), (1, 1), (2, 1)))
         return SyllableWord(3, tuple(syllables))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "s": self.s,
-            "eta_kind": self.kind.value,
-            "pairs": [list(pq) for pq in self.pairs],
-            "power": self.power if self.kind is EtaKind.POWER_SIGMA1 else None,
-            "degenerate_eta": self.degenerate_eta,
-        }
 
 
 class HyperbolicityResult(NamedTuple):

@@ -24,6 +24,24 @@ def ladder(m):
     return word_of("s1^-3 s2^-3 " * m, 3)
 
 
+def seeded_near_family_words(n, count, seed):
+    """Seeded reduced words near the family on ``n`` strands: 2(n - 1) to
+    3n syllables on drawn generators, each negative of exponent -3 to -6
+    or, one time in seven, positive of exponent 1 to 3."""
+    rng = random.Random(seed)
+    words = []
+    for _ in range(count):
+        syllables = [
+            (
+                rng.randint(1, n - 1),
+                rng.randint(1, 3) if rng.random() < 1 / 7 else -rng.randint(3, 6),
+            )
+            for _ in range(rng.randint(2 * (n - 1), 3 * n))
+        ]
+        words.append(cyclically_reduce_into_syllables(SyllableWord(n, syllables)))
+    return words
+
+
 def seeded_long_word():
     """The seeded 10,000-letter n = 32 random word, reduced: the largest
     circle ids a report writes within the input limits."""

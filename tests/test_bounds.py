@@ -19,6 +19,7 @@ from braidvol.bounds import (
 )
 from braidvol.errors import OracleError, PreconditionError
 from braidvol.generate import GeneratorSpec, generate_words
+from braidvol.report import _bound_block
 from braidvol.states import reduced_graph, resolve_all_A
 from braidvol.words import SyllableWord
 
@@ -287,7 +288,7 @@ def test_jones_lower_matches_s_form_at_s_equals_t_minus(seed):
 
 def test_to_json_dict_round_trips_fields():
     b = volume_bounds(*bound_inputs(ladder(2)))
-    d = b.to_json_dict()
+    d = _bound_block(b)
     assert d["case"] == "N3"
     assert d["lower"] == b.lower
     assert d["lower_weak"] == b.lower_weak

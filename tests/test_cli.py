@@ -3,6 +3,7 @@
 import contextlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -589,6 +590,60 @@ def test_bracket_sweeps_and_traces_once(capsys, monkeypatch):
     assert code == 0
     assert json.loads(out)["summary"]["penultimate_abs"] == 4
     assert (len(sweeps), len(traces), len(classified)) == (1, 1, 0)
+
+
+def subcommand_words():
+    """Seeded random-letter words at n = 2 ... 5 and generated family words
+    at n = 3 and 4, as ``(n, text)``."""
+    rng = random.Random(5)
+    words = [
+        (n, " ".join(str(rng.choice((-1, 1)) * rng.randint(1, n - 1)) for _ in range(k)))
+        for n in (2, 3, 4, 5)
+        for k in rng.choices(range(1, 25), k=20)
+    ]
+    for n in (3, 4):
+        for syllables in (6, 8, 12, 20):
+            spec = GeneratorSpec(n=n, syllable_count=syllables, seed=syllables, count=3)
+            words += [(n, word.as_text()) for word in generate_words(spec)]
+    return words
+
+
+def test_each_subcommand_writes_the_analyze_block(capsys):
+    # check, state, bracket and schreier print the blocks of the report
+    # that analyze prints for the same word, key for key and in its order
+    def same(block, want):
+        return json.dumps(block) == json.dumps(want)
+
+    checked = {"failures": 0, "passed": 0, "bracket": 0}
+    for n, text in subcommand_words():
+        argv = [text, "--n", str(n), "--json"]
+
+        def payload(command, *extra):
+            code, out, _ = run(capsys, [command, *argv, *extra])
+            return code, json.loads(out)
+
+        _, report = payload("analyze")
+        code, check = payload("check")
+        assert same(check["main_lemma"], report["main_lemma"]), text
+        assert code == (0 if report["main_lemma"]["pass"] else 3)
+        assert check.get("stoimenow", "absent") == (
+            report["stoimenow"] if n == 3 else "absent"
+        )
+        checked["failures"] += bool(report["main_lemma"]["cond2_failures"])
+        checked["passed"] += report["main_lemma"]["pass"]
+        _, state = payload("state")
+        assert same(state["census"], report["circles"]["census"]), text
+        assert state["m"] == report["m"]
+        assert same(state["circles"], report["circles"]["detail"]), text
+        if report["crossings"] <= bracket._crossing_cap(n):
+            _, summary = payload("bracket")
+            _, with_bracket = payload("analyze", "--bracket")
+            assert same(summary["summary"], with_bracket["bracket"]), text
+            checked["bracket"] += with_bracket["bracket"] is not None
+        if n == 3:
+            _, form = payload("schreier")
+            assert same(form["schreier"], report["schreier"]), text
+    assert min(checked.values()) >= 20, checked
 
 
 def test_schreier_subcommand(capsys):

@@ -26,7 +26,7 @@ from braidvol.families import (
     stoimenow_A_adequate_3braid,
 )
 from braidvol.generate import GeneratorSpec, _has_unthreaded_bridge, generate_words
-from braidvol.report import analyze, verify
+from braidvol.report import analyze, main_lemma_block, verify
 from braidvol.schreier import _direct_form, schreier_normal_form
 from braidvol.states import (
     is_A_adequate,
@@ -41,7 +41,13 @@ from braidvol.words import (
     parse_braid,
 )
 
-from conftest import any_n_words, chain_syllables, ladder, word_of
+from conftest import (
+    any_n_words,
+    chain_syllables,
+    ladder,
+    seeded_near_family_words,
+    word_of,
+)
 
 
 def test_all_negative_family_word_passes():
@@ -49,7 +55,7 @@ def test_all_negative_family_word_passes():
     assert report.passed
     assert report.nice and report.cond1 and report.twist_ok
     assert report.cond2_failures == ()
-    assert report.to_json_dict()["implied"] == {
+    assert main_lemma_block(report, report.cond2_failures)["implied"] == {
         "connected": True,
         "prime": True,
         "a_adequate": True,
@@ -129,7 +135,8 @@ def test_twist_floor_excludes_short_words():
 
 
 def test_report_serializes():
-    blob = check_main_lemma(ladder(2)).to_json_dict()
+    lemma = check_main_lemma(ladder(2))
+    blob = main_lemma_block(lemma, lemma.cond2_failures)
     assert blob["pass"] is True
     assert blob["implied"]["hyperbolic"] is True
 
@@ -283,7 +290,9 @@ def assert_gate_matches_the_closure_gate(word):
     assert [tuple(f) for f in report.cond2_failures] == [
         (f.syllable, f.clause, f.reason) for f in reference.cond2_failures
     ]
-    assert report.to_json_dict() == reference.to_json_dict()
+    assert main_lemma_block(report, report.cond2_failures) == main_lemma_block(
+        reference, reference.cond2_failures
+    )
 
 
 @st.composite
@@ -373,24 +382,6 @@ def test_family_words_have_the_implied_properties():
             assert stoimenow_A_adequate_3braid(w) is True
 
 
-def near_family_words(n, count, seed):
-    """Seeded reduced words near the family on ``n`` strands: 2(n - 1) to
-    3n syllables on drawn generators, each negative of exponent -3 to -6
-    or, one time in seven, positive of exponent 1 to 3."""
-    rng = random.Random(seed)
-    words = []
-    for _ in range(count):
-        syllables = [
-            (
-                rng.randint(1, n - 1),
-                rng.randint(1, 3) if rng.random() < 1 / 7 else -rng.randint(3, 6),
-            )
-            for _ in range(rng.randint(2 * (n - 1), 3 * n))
-        ]
-        words.append(cyclically_reduce_into_syllables(SyllableWord(n, syllables)))
-    return words
-
-
 def assert_every_rotation_is_gated_alike(word, verified):
     # a rotation is the same closed braid: the gate's report and the bounds
     # must not move, and verify must pass on each rotation when it passes
@@ -409,7 +400,7 @@ def test_gated_near_family_words_verify_on_every_rotation(n):
     # at n = 3 every nice word splits as written; at n = 4 and 5 some gated
     # words that verify passes are nice only across the closure seam
     gated = seam_only = 0
-    for word in near_family_words(n, 300, seed=n):
+    for word in seeded_near_family_words(n, 300, seed=n):
         if not check_main_lemma(word).passed:
             continue
         gated += 1
@@ -442,7 +433,7 @@ def test_a_word_nice_only_across_the_seam_passes_at_every_rotation():
 
 
 near_family_word_st = st.builds(
-    lambda n, seed: near_family_words(n, 1, seed)[0],
+    lambda n, seed: seeded_near_family_words(n, 1, seed)[0],
     st.integers(min_value=2, max_value=8),
     st.integers(min_value=0, max_value=2**32 - 1),
 )

@@ -13,9 +13,10 @@ from hypothesis import example, given, settings, strategies as st
 from braidvol import bracket, families, report, schreier, states
 from braidvol.bounds import jones_bounds, volume_bounds
 from braidvol.errors import PreconditionError
-from braidvol.generate import GeneratorSpec, generate_words
+from braidvol.generate import GeneratorSpec, _has_unthreaded_bridge, generate_words
 from braidvol.report import (
     SCHEMA,
+    _bound_block,
     analyze,
     analyze_line,
     circle_detail,
@@ -51,6 +52,7 @@ from conftest import (
     label_sweep_words,
     ladder,
     seeded_long_word,
+    seeded_near_family_words,
     word_of,
     word_st,
 )
@@ -471,7 +473,7 @@ def test_bounds_on_the_traced_state_match_analyze(n):
         report = analyze(word)
         state = resolve_all_A(word)
         graph = reduced_graph(state)
-        assert volume_bounds(word, state, graph).to_json_dict() == report["bounds"]
+        assert _bound_block(volume_bounds(word, state, graph)) == report["bounds"]
         interior = n >= 4 and any(
             r > 0 and m not in (1, n - 1) for m, r in word.syllables
         )
@@ -480,7 +482,7 @@ def test_bounds_on_the_traced_state_match_analyze(n):
             with pytest.raises(PreconditionError, match="interior positive"):
                 jones_bounds(word, state, graph)
         else:
-            jones = jones_bounds(word, state, graph).to_json_dict()
+            jones = _bound_block(jones_bounds(word, state, graph))
             assert jones == report["jones_bounds"]
         with_m += report["m"] != 0
     # m, the count of non-essential wandering circles, enters every volume
@@ -488,6 +490,53 @@ def test_bounds_on_the_traced_state_match_analyze(n):
     # and give a larger, unsound lower bound
     if n >= 4:
         assert with_m >= 6
+
+
+def volume_intervals(report):
+    """A report's volume intervals ``(effective_lower, upper)``: its bound,
+    its beta'-form bound and both s-parameter bounds, where present."""
+    s_bounds = report["s_bounds"] or {}
+    blocks = (
+        report["bounds"],
+        report["jones_bounds"],
+        s_bounds.get("schreier3"),
+        s_bounds.get("fkp3"),
+    )
+    return [(b["effective_lower"], b["upper"]) for b in blocks if b is not None]
+
+
+def interval_words():
+    """Seeded words near the family at n = 3, 4, 5, 6 and 8 (gated ones
+    with an unthreaded bridge among them), generated family words of 8 to
+    200 syllables, and alternating 3-braids with exponents of either sign."""
+    for n in (3, 4, 5, 6, 8):
+        yield from seeded_near_family_words(n, 2000, seed=n)
+    for n in (3, 4, 5, 8):
+        for syllables in range(max(8, 2 * (n - 1)), 201, 4):
+            spec = GeneratorSpec(n=n, syllable_count=syllables, seed=syllables)
+            yield generate_words(spec)[0]
+    rng = random.Random(3)
+    exponents = [*range(-8, 0), *range(1, 5)]
+    for _ in range(2000):
+        t = 2 * rng.randint(1, 12)
+        yield SyllableWord(3, tuple((1 + i % 2, rng.choice(exponents)) for i in range(t)))
+
+
+def test_a_reports_volume_intervals_meet():
+    # every interval of a report bounds the same volume, so the largest
+    # lower bound is at most the smallest upper bound
+    several = bridged = 0
+    for word in interval_words():
+        intervals = volume_intervals(analyze(word))
+        if not intervals:
+            continue
+        lower = max(low for low, _ in intervals)
+        upper = min(high for _, high in intervals)
+        assert lower <= upper, (word.as_text(), intervals)
+        if len(intervals) >= 2:
+            several += 1
+            bridged += _has_unthreaded_bridge(word.syllables)
+    assert several >= 1000 and bridged >= 100, (several, bridged)
 
 
 def test_unreduced_word_is_refused_before_the_state_is_traced(monkeypatch):
@@ -695,26 +744,22 @@ def test_analyze_line_calls_no_json_dumps(monkeypatch):
 
         return refused
 
-    real_lemma_dict = families.MainLemmaReport.to_json_dict
+    real_failure_dicts = report._failure_dicts
 
-    def lemma_dict(lemma):
-        if lemma.cond2_failures:
+    def failure_dicts(failures):
+        if failures:
             raise AssertionError("analyze_line built a dict per cond2 failure")
-        return real_lemma_dict(lemma)
+        return real_failure_dicts(failures)
 
     monkeypatch.setattr(report.json, "dumps", refuse("json.dumps"))
-    for name in ("_pair_lists", "circle_detail"):
+    for name in ("_pair_lists", "circle_detail", "schreier_block"):
         monkeypatch.setattr(report, name, refuse(name))
-    monkeypatch.setattr(
-        schreier.SchreierForm, "to_json_dict", refuse("SchreierForm.to_json_dict")
-    )
-    monkeypatch.setattr(families.MainLemmaReport, "to_json_dict", lemma_dict)
+    monkeypatch.setattr(report, "_failure_dicts", failure_dicts)
     assert [analyze_line(word) for word in words] == want
 
 
 def test_schreier_block_is_the_form_dict_and_its_verdict():
-    # the report writes the form's fields itself, so that its pairs can be
-    # left empty: they must stay SchreierForm.to_json_dict's, in its order,
+    # the block writes the form's fields in this order, then its verdict,
     # on every kind of form (every 3-braid letter word of length <= 5)
     kinds = set()
     for length in range(6):
@@ -722,9 +767,15 @@ def test_schreier_block_is_the_form_dict_and_its_verdict():
             form = schreier_normal_form(parse_braid(" ".join(map(str, letters)), 3))
             block = schreier_block(form)
             verdict = schreier.hyperbolicity_of_form(form)
+            power = form.power if form.kind is EtaKind.POWER_SIGMA1 else None
             assert list(block.items()) == [
-                *form.to_json_dict().items(),
-                ("generic", form.generic),
+                ("k", form.k),
+                ("s", len(form.pairs)),
+                ("eta_kind", form.kind.value),
+                ("pairs", [[p, q] for p, q in form.pairs]),
+                ("power", power),
+                ("degenerate_eta", form.kind in (EtaKind.SIGMA121, EtaKind.EMPTY)),
+                ("generic", form.kind is EtaKind.GENERIC),
                 ("hyperbolic", verdict.hyperbolic),
                 ("reason", verdict.reason),
             ]
